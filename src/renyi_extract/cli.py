@@ -118,7 +118,7 @@ def _load(args):
 def _cmd_verify(args) -> int:
     config = _load(args)
     start = time.monotonic()
-    outcome = run_verify(config, workers=args.workers)
+    outcome = run_verify(config)
     elapsed = time.monotonic() - start
     text = _report_json(outcome.report)
     _write_out(text, args.out or config.out)
@@ -146,7 +146,7 @@ def _cmd_bucket(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load(args)
     start = time.monotonic()
-    csv_text, all_ok = run_sweep(config, workers=args.workers)
+    csv_text, all_ok = run_sweep(config)
     elapsed = time.monotonic() - start
     _write_out(csv_text, args.out or config.out)
     print(f"sweep: wall-clock {elapsed:.3f}s", file=sys.stderr)
@@ -193,11 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True)
         p.add_argument("--out")
-        p.add_argument("--units", choices=("qary", "bits"), default="qary")
         p.add_argument(
             "--budget", type=int, help=f"evaluation budget (env {BUDGET_ENV_VAR})"
         )
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--rng-seed", type=int, dest="rng_seed")
         p.set_defaults(func=func)
 

@@ -175,6 +175,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     fam = raw["family"]
     _require_keys(fam, {"q", "n", "k", "m", "kind"}, "family")
+    missing = [key for key in ("q", "n", "k", "m") if key not in fam]
+    if missing:
+        raise ConfigError(f"family is missing required field(s) {missing}")
     kind = fam.get("kind", "polynomial")
     if kind not in KINDS:
         raise ConfigError(f"family kind must be one of {KINDS}, got {kind!r}")

@@ -4,9 +4,10 @@ For a family h and source X (with optional side channel Z), builds the dense
 joint P(u, s) = P_S(s) sum_{x : h(s,x)=u} P_X(x), or its (u, s, z) analogue
 P_S(s) sum_x 1{h(s,x)=u} P_X(x) P_{Z|X}(z|x).  The seed S is always uniform.
 
-Enumeration walks seeds in contiguous partitions and merges accumulators by
-addition, so the result is independent of the partition count; everything
-here runs single-threaded.
+Both the joint and the largest-bucket experiment read h(s, x) from one
+``families.hash_table`` (rows are seeds, columns are inputs).  The joint adds
+one support point's mass at a time, so every cell sums its terms in support
+order and the result is deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .families import DEFAULT_BUDGET, HashFamily, evaluate, hash_table, output_to_int
+from .families import DEFAULT_BUDGET, HashFamily, hash_table
+from .families import evaluate  # noqa: F401  re-exported so perfbench/tracing.py can count calls here
 from .fields import FieldElement
 from . import measures
 from .measures import Alpha, JointPmf, Pmf, as_alpha
@@ -105,7 +107,6 @@ def extract_joint(
     family: HashFamily,
     source: Source,
     budget: int = DEFAULT_BUDGET,
-    partitions: int = 1,
 ) -> ExtractionResult:
     """Exhaustively enumerate P(u, s[, z]); deterministic up to float summation."""
     _check_source_field(family, source)
@@ -115,29 +116,19 @@ def extract_joint(
         raise BudgetExceededError(
             f"{seeds} seeds x {n_sup} support points exceeds budget {budget}"
         )
-    n_out = family.output_size
-    x_ints = [x.to_int() for x in source.support]
+    all_seeds = np.arange(seeds)
+    table = hash_table(family, all_seeds, [x.to_int() for x in source.support])
     px = source.probs.probs
-    ps = 1.0 / seeds
-    shape = (n_out, seeds) if source.side_channel is None else (
-        n_out,
-        seeds,
-        source.n_side,
-    )
+    sc = source.side_channel
+    shape = (family.output_size, seeds)
+    if sc is not None:
+        shape += (source.n_side,)
     acc = np.zeros(shape)
-    bounds = np.linspace(0, seeds, max(1, partitions) + 1, dtype=int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        part = np.zeros(shape)
-        for s in range(int(lo), int(hi)):
-            table = hash_table(family, s)
-            for i, xi in enumerate(x_ints):
-                u = table[xi]
-                if source.side_channel is None:
-                    part[u, s] += px[i]
-                else:
-                    part[u, s, :] += px[i] * source.side_channel[i]
-        acc += part
-    joint = JointPmf(acc * ps, family.field.q)
+    # One support point at a time touches each seed's column once, so every
+    # cell sums its terms in support order.
+    for i in range(n_sup):
+        acc[table[:, i], all_seeds] += px[i] if sc is None else px[i] * sc[i]
+    joint = JointPmf(acc * (1.0 / seeds), family.field.q)
     return ExtractionResult(joint, family, source)
 
 
@@ -158,24 +149,19 @@ class DivergenceTable:
 def empirical_divergences(result: ExtractionResult, alphas: Sequence) -> DivergenceTable:
     """Joint and conditional D_alpha per requested order, plus TV and KL."""
     joint = result.joint
+    flat, ref = measures.uniform_product_reference(joint)
     rows = tuple(
         DivergenceRow(
             as_alpha(a),
-            measures.joint_divergence_from_uniform(joint, a),
+            measures.renyi_divergence(flat, ref, a),
             measures.conditional_divergence(joint, a),
         )
         for a in alphas
     )
-    arr = joint.probs
-    n_out = arr.shape[0]
-    marginal = arr.sum(axis=0)
-    ref = np.broadcast_to(marginal / n_out, arr.shape).reshape(-1).copy()
-    flat = Pmf(arr.reshape(-1), joint.base_q)
-    refp = Pmf(ref, joint.base_q)
     return DivergenceTable(
         rows,
-        measures.tv_distance(flat, refp),
-        measures.renyi_divergence(flat, refp, Alpha.one()),
+        measures.tv_distance(flat, ref),
+        measures.renyi_divergence(flat, ref, Alpha.one()),
     )
 
 
@@ -188,13 +174,14 @@ class BucketEstimate:
     rng_seed: int | None = None
 
 
-def _max_bucket_for_seed(family: HashFamily, seed: int, x_ints: list[int]) -> int:
-    counts: dict[int, int] = {}
-    f = family.field
-    for xi in x_ints:
-        u = output_to_int(evaluate(family, seed, f.from_int(xi)), f.q)
-        counts[u] = counts.get(u, 0) + 1
-    return max(counts.values())
+def _largest_buckets(table: np.ndarray) -> np.ndarray:
+    """Per row, the largest number of equal entries."""
+    ordered = np.sort(table, axis=1)
+    run = best = np.ones(len(ordered), dtype=np.int64)
+    for j in range(1, ordered.shape[1]):
+        run = np.where(ordered[:, j] == ordered[:, j - 1], run + 1, 1)
+        best = np.maximum(best, run)
+    return best
 
 
 def expected_max_bucket(
@@ -224,18 +211,13 @@ def expected_max_bucket(
             raise BudgetExceededError(
                 f"{seeds} seeds x {len(subset)} elements exceeds budget {budget}"
             )
-        total = math.fsum(
-            _max_bucket_for_seed(family, s, x_ints) for s in range(seeds)
-        )
-        return BucketEstimate(total / seeds, None, "exact", seeds)
+        loads = _largest_buckets(hash_table(family, np.arange(seeds), x_ints))
+        return BucketEstimate(math.fsum(loads.tolist()) / seeds, None, "exact", seeds)
     if mode == "sampled":
         if n_samples * len(subset) > budget:
             raise BudgetExceededError("sample count exceeds budget")
-        rng = np.random.default_rng(rng_seed)
-        draws = rng.integers(0, seeds, size=n_samples)
-        vals = np.array(
-            [_max_bucket_for_seed(family, int(s), x_ints) for s in draws], dtype=float
-        )
+        draws = np.random.default_rng(rng_seed).integers(0, seeds, size=n_samples)
+        vals = _largest_buckets(hash_table(family, draws, x_ints)).astype(float)
         stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
         return BucketEstimate(float(vals.mean()), stderr, "sampled", n_samples, rng_seed)
     raise ValueError(f"unknown mode {mode!r}")

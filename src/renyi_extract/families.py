@@ -19,6 +19,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .fields import FieldElement, FieldParams, gf_add, gf_mul
 
@@ -45,12 +47,17 @@ class HashFamily:
             raise ValueError("polynomial kind requires m <= n")
 
     @property
-    def seed_space_size(self) -> int:
+    def seed_digits(self) -> int:
+        """Number of base-q digits of a seed; h is Z_q-linear in them."""
         if self.kind == "polynomial":
-            return self.field.size ** self.k
+            return self.k * self.field.n
         if self.kind == "full_table":
-            return (self.field.q ** self.m) ** self.field.size
-        return 1
+            return self.m * self.field.size
+        return 0
+
+    @property
+    def seed_space_size(self) -> int:
+        return self.field.q ** self.seed_digits
 
     @property
     def output_size(self) -> int:
@@ -96,14 +103,36 @@ def evaluate(family: HashFamily, seed: int, x: FieldElement) -> tuple[int, ...]:
     return (0,) * family.m
 
 
-def hash_table(family: HashFamily, seed: int) -> list[int]:
-    """h(seed, x) for every x in canonical order, encoded as output integers."""
+def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
+    """h(s, x) as output integers: one row per seed of the 1-d ``seeds``, one
+    column per canonical input integer.
+
+    Every family is Z_q-linear in the base-q digits of its seed (for the
+    polynomial kind this is the Wegman-Carter construction), so the table is
+    digits(seeds) @ B mod q, where row d of B holds h(q^d, x) over the inputs.
+    """
     f = family.field
-    q = f.q
-    return [
-        output_to_int(evaluate(family, seed, f.from_int(v)), q)
-        for v in range(f.size)
-    ]
+    q, m, n_digits = f.q, family.m, family.seed_digits
+    xs = [f.from_int(int(v)) for v in inputs]
+    basis = np.array(
+        [[evaluate(family, q**d, x) for x in xs] for d in range(n_digits)],
+        dtype=np.int64,
+    ).reshape(n_digits, len(xs), m)
+    seeds = np.asarray(seeds, dtype=np.int64)
+    digits = np.empty((seeds.size, n_digits), dtype=np.int64)
+    rest = seeds
+    for d in range(n_digits):
+        rest, digits[:, d] = np.divmod(rest, q)
+    if np.any(rest):
+        raise ValueError(f"seeds outside [0, {family.seed_space_size})")
+    table = np.zeros((seeds.size, len(xs)), dtype=np.int64)
+    out = np.empty_like(table)
+    for j in reversed(range(m)):
+        table *= q
+        np.matmul(digits, basis[:, :, j], out=out)
+        out %= q
+        table += out
+    return table
 
 
 def verify_universality(
@@ -125,17 +154,11 @@ def verify_universality(
         raise BudgetExceededError(
             f"{seeds} seeds x {n_inputs} inputs exceeds budget {budget}"
         )
-    tables = [hash_table(family, s) for s in range(seeds)]
+    columns = hash_table(family, np.arange(seeds), range(n_inputs)).T.copy()
     worst = 0
-    for subset in itertools.combinations(range(n_inputs), l):
-        first = subset[0]
-        rest = subset[1:]
-        count = 0
-        for table in tables:
-            v = table[first]
-            if all(table[i] == v for i in rest):
-                count += 1
-        worst = max(worst, count)
+    for first, *rest in itertools.combinations(range(n_inputs), l):
+        same = np.all(columns[rest] == columns[first], axis=0)
+        worst = max(worst, int(np.count_nonzero(same)))
     return Fraction(worst, seeds)
 
 

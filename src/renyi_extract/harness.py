@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import __version__
 from . import bounds as bd
 from . import measures
 from .config import ExperimentConfig
@@ -26,7 +27,6 @@ from .families import HashFamily, certify_k_star
 from .measures import Alpha
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 
 def _alpha_key(a: Alpha) -> str:
@@ -88,11 +88,6 @@ def _divergence_section(table: DivergenceTable) -> dict:
     }
 
 
-def _entropy_for_bounds(result: ExtractionResult, a) -> float:
-    """H_alpha(X), or H_alpha(X|Z) when the run carries a side channel."""
-    return result.source_entropy(a)
-
-
 def collect_bound_reports(
     result: ExtractionResult,
     alphas,
@@ -104,7 +99,7 @@ def collect_bound_reports(
     emp = {(_alpha_key(r.alpha)): r for r in divergences.rows}
     reports: list[bd.BoundReport] = []
 
-    h_k = _entropy_for_bounds(result, Alpha(float(k)))
+    h_k = result.source_entropy(Alpha(float(k)))
 
     for a in alphas:
         if a.is_one:
@@ -112,7 +107,7 @@ def collect_bound_reports(
         key = _alpha_key(a)
         row = emp.get(key)
         if a.is_finite_order and a.value <= k:
-            h = _entropy_for_bounds(result, a)
+            h = result.source_entropy(a)
             inputs = bd.BoundInputs(q, m, k, a, h)
             reports.append(
                 bd.BoundReport(
@@ -143,7 +138,7 @@ def collect_bound_reports(
         for a in alphas:
             if not a.is_finite_order or a.value > k:
                 continue
-            h = _entropy_for_bounds(result, a)
+            h = result.source_entropy(a)
             row = emp[_alpha_key(a)]
             if a.value >= 2 and a.value == int(a.value):
                 thr = bd.m_threshold("integer-alpha", q, h, eps, alpha=a.value)
@@ -214,13 +209,13 @@ def collect_bound_reports(
     return reports
 
 
-def run_verify(config: ExperimentConfig, workers: int = 1) -> VerifyOutcome:
+def run_verify(config: ExperimentConfig) -> VerifyOutcome:
     family = config.build_family()
     source = config.build_source(family)
     certification, cert_ok = _certification_section(family, config.budget)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "command": "verify",
         "config": config.raw,
         "certification": certification,
@@ -229,7 +224,7 @@ def run_verify(config: ExperimentConfig, workers: int = 1) -> VerifyOutcome:
         report["error"] = "family failed k*-universality certification"
         return VerifyOutcome(report, False)
 
-    result = extract_joint(family, source, budget=config.budget, partitions=workers)
+    result = extract_joint(family, source, budget=config.budget)
     divergences = empirical_divergences(result, config.alphas)
     reports = collect_bound_reports(result, config.alphas, config.epsilons, divergences)
     all_ok = all(r.satisfied for r in reports)
@@ -277,7 +272,7 @@ def run_bucket(config: ExperimentConfig) -> dict:
         row["n_samples"] = est.n_seeds
     return {
         "schema_version": SCHEMA_VERSION,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "command": "bucket",
         "config": config.raw,
         "rows": [row],
@@ -305,7 +300,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run_sweep(config: ExperimentConfig, workers: int = 1) -> tuple[str, bool]:
+def run_sweep(config: ExperimentConfig) -> tuple[str, bool]:
     """One CSV row per (alpha, m) grid point.  Returns (csv_text, all_ok)."""
     m_values = config.sweep.m_values if config.sweep else (config.family.m,)
     lines = [",".join(SWEEP_COLUMNS)]
@@ -316,11 +311,11 @@ def run_sweep(config: ExperimentConfig, workers: int = 1) -> tuple[str, bool]:
             fam_spec.kind, fam_spec.build().field, fam_spec.k, m
         )
         source = config.build_source(family)
-        result = extract_joint(family, source, budget=config.budget, partitions=workers)
+        result = extract_joint(family, source, budget=config.budget)
         grid = _finite_alphas_in_range(config.alphas, family.k)
         divergences = empirical_divergences(result, grid)
         for row in divergences.rows:
-            h = _entropy_for_bounds(result, row.alpha)
+            h = result.source_entropy(row.alpha)
             bound = bd.bound_real_alpha(
                 family.field.q, m, family.k, row.alpha.value, h
             )

@@ -174,24 +174,30 @@ def _require_finite_order(a: Alpha, what: str):
         raise ValueError(f"{what} is defined for finite alpha in (1, inf) only")
 
 
-def conditional_renyi_entropy(joint: JointPmf, a) -> float:
-    """H_alpha(X|Z) for a 2-axis joint (x, z):
-    (1/(1-alpha)) log_q sum_z P_Z(z) sum_x P(x|z)^alpha.
-    """
-    a = as_alpha(a)
-    _require_finite_order(a, "conditional Renyi entropy")
+def _conditional_power_sums(joint: JointPmf, a: Alpha, what: str):
+    """(P_Z(z), sum_x P(x|z)^alpha) for every z with P_Z(z) > 0, for a 2-axis
+    joint (x, z)."""
+    _require_finite_order(a, what)
     if joint.probs.ndim != 2:
-        raise ValueError("conditional entropy requires a 2-axis joint")
-    lnq = _lnq(joint.base_q)
+        raise ValueError(f"{what} requires a 2-axis joint")
     terms = []
     for z in range(joint.probs.shape[1]):
         col = joint.probs[:, z]
         pz = math.fsum(col.tolist())
         if pz == 0:
             continue
-        inner = math.fsum((pi / pz) ** a.value for pi in col if pi > 0)
-        terms.append(pz * inner)
-    return math.log(math.fsum(terms)) / ((1.0 - a.value) * lnq)
+        terms.append((pz, math.fsum((pi / pz) ** a.value for pi in col if pi > 0)))
+    return terms
+
+
+def conditional_renyi_entropy(joint: JointPmf, a) -> float:
+    """H_alpha(X|Z) for a 2-axis joint (x, z):
+    (1/(1-alpha)) log_q sum_z P_Z(z) sum_x P(x|z)^alpha.
+    """
+    a = as_alpha(a)
+    terms = _conditional_power_sums(joint, a, "conditional Renyi entropy")
+    total = math.fsum(pz * inner for pz, inner in terms)
+    return math.log(total) / ((1.0 - a.value) * _lnq(joint.base_q))
 
 
 def tilde_conditional_entropy(joint: JointPmf, a) -> float:
@@ -199,19 +205,9 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     (1/(1-alpha)) sum_z P_Z(z) log_q sum_x P(x|z)^alpha.
     """
     a = as_alpha(a)
-    _require_finite_order(a, "tilde conditional entropy")
-    if joint.probs.ndim != 2:
-        raise ValueError("tilde conditional entropy requires a 2-axis joint")
-    lnq = _lnq(joint.base_q)
-    terms = []
-    for z in range(joint.probs.shape[1]):
-        col = joint.probs[:, z]
-        pz = math.fsum(col.tolist())
-        if pz == 0:
-            continue
-        inner = math.fsum((pi / pz) ** a.value for pi in col if pi > 0)
-        terms.append(pz * math.log(inner))
-    return math.fsum(terms) / ((1.0 - a.value) * lnq)
+    terms = _conditional_power_sums(joint, a, "tilde conditional entropy")
+    total = math.fsum(pz * math.log(inner) for pz, inner in terms)
+    return total / ((1.0 - a.value) * _lnq(joint.base_q))
 
 
 def _conditional_slices(joint: JointPmf):
@@ -242,12 +238,14 @@ def conditional_divergence(joint: JointPmf, a) -> float:
     )
 
 
+def uniform_product_reference(joint: JointPmf) -> tuple[Pmf, Pmf]:
+    """The flattened joint and its reference: uniform outputs x the joint's
+    own seed[,z] marginal, flattened the same way."""
+    arr = joint.probs
+    ref = np.broadcast_to(arr.sum(axis=0) / arr.shape[0], arr.shape).reshape(-1)
+    return Pmf(arr.reshape(-1), joint.base_q), Pmf(ref, joint.base_q)
+
+
 def joint_divergence_from_uniform(joint: JointPmf, a) -> float:
     """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)."""
-    a = as_alpha(a)
-    arr = joint.probs
-    n_out = arr.shape[0]
-    marginal = arr.sum(axis=0)
-    ref = np.broadcast_to(marginal / n_out, arr.shape).reshape(-1).copy()
-    p = Pmf(arr.reshape(-1), joint.base_q)
-    return renyi_divergence(p, Pmf(ref, joint.base_q), a)
+    return renyi_divergence(*uniform_product_reference(joint), a)

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import renyi_extract
 from renyi_extract import bounds as bd
 from renyi_extract.cli import main
 from renyi_extract.config import parse_config
@@ -116,18 +121,24 @@ class TestVerifyCommand:
         assert "certification FAILED" in capsys.readouterr().err
 
     def test_reports_byte_identical_across_runs(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, source={"preset": "two-spike", "param": 0.75})
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "--config", cfg, "--out", str(a)]) == 0
-        assert main(["verify", "--config", cfg, "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        cfg = write_config(
+            tmp_path,
+            source={"preset": "two-spike", "param": 0.75},
+            bucket={"subset": [1, 4, 6], "mode": "sampled", "samples": 50},
+            sweep={"m_values": [1, 2]},
+        )
+        for command in ("verify", "sweep", "bucket"):
+            a, b = tmp_path / f"{command}-a", tmp_path / f"{command}-b"
+            assert main([command, "--config", cfg, "--out", str(a)]) == 0
+            assert main([command, "--config", cfg, "--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
-    def test_workers_do_not_change_report(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, source={"preset": "geometric", "param": 0.5})
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "--config", cfg, "--out", str(a)]) == 0
-        assert main(["verify", "--config", cfg, "--out", str(b), "--workers", "3"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("command", ["verify", "sweep", "bucket"])
+    def test_units_only_on_bound_and_entropy(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--units", "bits"])
+        assert exc.value.code == 2
 
     def test_budget_flag_exits_2_when_exceeded(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -170,6 +181,16 @@ class TestConfigValidation:
     def test_explicit_probs_must_cover_domain(self, tmp_path):
         cfg = write_config(tmp_path, source={"probs": [0.5, 0.5]})
         assert main(["verify", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("key", ["q", "n", "k", "m"])
+    def test_family_missing_key_exits_2(self, tmp_path, capsys, key):
+        family = {"q": 2, "n": 3, "k": 2, "m": 1}
+        del family[key]
+        cfg = write_config(tmp_path, family=family)
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert repr(key) in err
 
     def test_missing_config_file(self, capsys):
         assert main(["verify", "--config", "/nonexistent.json"]) == 2
@@ -258,3 +279,41 @@ class TestVerifyReportContents:
         names = {b["name"] for b in outcome.report["bounds"]}
         assert "baseline-tv" in names
         assert "baseline-kl" in names
+
+
+class TestTracedRun:
+    """The benchmark tracer wraps package names from outside; it must keep
+    finding them and must not change what the CLI writes."""
+
+    TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+    @pytest.mark.parametrize(
+        "command,overrides",
+        [
+            ("verify", {"family": {"q": 2, "n": 3, "k": 3, "m": 1}}),
+            (
+                "bucket",
+                {
+                    "family": {"q": 2, "n": 3, "k": 3, "m": 2},
+                    "bucket": {"subset": [0, 2, 3, 5, 7], "mode": "sampled", "samples": 40},
+                    "rng_seed": 3,
+                },
+            ),
+        ],
+    )
+    def test_traced_report_matches_untraced(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        plain, traced, spans = (tmp_path / n for n in ("plain", "traced", "spans.json"))
+        assert main([command, "--config", cfg, "--out", str(plain)]) == 0
+        src = str(Path(renyi_extract.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, str(self.TRACER), str(spans),
+             command, "--config", cfg, "--out", str(traced)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(spans.read_text())["spans"]
+        assert traced.read_bytes() == plain.read_bytes()

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -90,13 +91,6 @@ class TestExtractJoint:
         assert np.allclose(
             sided.joint.probs.sum(axis=2), plain.joint.probs, atol=1e-12
         )
-
-    def test_partition_count_does_not_change_result(self, gf8):
-        fam = poly_family(gf8, 2, 2)
-        src = make_source(gf8, [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05])
-        one = extract_joint(fam, src, partitions=1)
-        four = extract_joint(fam, src, partitions=4)
-        assert np.array_equal(one.joint.probs, four.joint.probs)
 
     def test_budget_enforced(self, gf8):
         fam = poly_family(gf8, 2, 2)
@@ -218,6 +212,20 @@ class TestExpectedMaxBucket:
         assert a.mean == b.mean
         assert a.stderr == b.stderr
         assert a.stderr is not None and a.stderr > 0
+
+    @pytest.mark.parametrize("kind,k,m", [("polynomial", 3, 2), ("full_table", 2, 1)])
+    def test_sampled_mode_matches_evaluate_on_same_draws(self, gf8, kind, k, m):
+        fam = HashFamily(kind, gf8, k, m)
+        subset = [gf8.from_int(v) for v in (6, 1, 3, 7, 0)]
+        est = expected_max_bucket(fam, subset, mode="sampled", n_samples=300, rng_seed=11)
+        draws = np.random.default_rng(11).integers(0, fam.seed_space_size, size=300)
+        vals = np.array(
+            [max(Counter(evaluate(fam, int(s), x) for x in subset).values()) for s in draws],
+            dtype=float,
+        )
+        assert est.mean == float(vals.mean())
+        assert est.stderr == float(vals.std(ddof=1) / math.sqrt(300))
+        assert (est.n_seeds, est.rng_seed) == (300, 11)
 
     def test_empty_subset_rejected(self, gf8):
         fam = poly_family(gf8, 2, 2)

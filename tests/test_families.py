@@ -2,6 +2,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from renyi_extract import HashFamily, certify_k_star, evaluate, verify_universality
@@ -52,9 +53,9 @@ def test_polynomial_family_k_tuple_joint_is_uniform(gf4):
     # k-wise independence: over uniform seeds, (h(S,x1), h(S,x2)) is uniform
     # on (Z_q^m)^2 for any distinct pair.  Exhaustive at q=2, n=2, k=2, m=1.
     fam = poly_family(gf4, 2, 1)
-    tables = [hash_table(fam, s) for s in range(fam.seed_space_size)]
+    table = hash_table(fam, np.arange(fam.seed_space_size), range(gf4.size))
     for i, j in itertools.combinations(range(gf4.size), 2):
-        counts = Counter((t[i], t[j]) for t in tables)
+        counts = Counter(zip(table[:, i].tolist(), table[:, j].tolist()))
         assert all(c == fam.seed_space_size // 4 for c in counts.values())
         assert len(counts) == 4
 
@@ -111,6 +112,46 @@ def test_seed_space_sizes(gf4):
     assert poly_family(gf4, 2, 1).seed_space_size == 2 ** 4
     assert HashFamily("full_table", gf4, 2, 1).seed_space_size == 2 ** 4
     assert HashFamily("constant", gf4, 2, 1).seed_space_size == 1
+
+
+TABLE_FAMILIES = [
+    ("polynomial", 2, 3, 3, 2),
+    ("polynomial", 3, 2, 2, 1),
+    ("full_table", 2, 2, 2, 1),
+    ("full_table", 2, 2, 2, 2),
+    ("constant", 2, 3, 2, 2),
+]
+
+
+@pytest.mark.parametrize("kind,q,n,k,m", TABLE_FAMILIES)
+def test_hash_table_matches_evaluate(kind, q, n, k, m):
+    field = FieldParams.create(q, n)
+    fam = HashFamily(kind, field, k, m)
+    last = fam.seed_space_size - 1
+    order = [last, 0, last, *range(last, -1, -max(1, last // 37)), 1 % (last + 1), 0]
+    seeds = np.stack([order, order], axis=1)[:, 0]  # repeated, unordered, strided
+    assert not seeds.flags.c_contiguous
+    inputs = [field.size - 1, 0, 2 % field.size, 1]
+    table = hash_table(fam, seeds, inputs)
+    assert table.shape == (len(seeds), len(inputs))
+    for r, s in enumerate(seeds.tolist()):
+        for c, v in enumerate(inputs):
+            assert table[r, c] == output_to_int(evaluate(fam, s, field.from_int(v)), q)
+
+
+def test_hash_table_rejects_out_of_range_seeds(gf4):
+    fam = poly_family(gf4, 2, 1)
+    for bad in (-1, fam.seed_space_size):
+        with pytest.raises(ValueError):
+            hash_table(fam, np.array([0, bad]), range(gf4.size))
+
+
+def test_seed_digits_give_seed_space_sizes(gf4, gf9):
+    assert poly_family(gf9, 3, 1).seed_digits == 3 * 2
+    assert HashFamily("full_table", gf4, 2, 2).seed_digits == 2 * 4
+    assert HashFamily("constant", gf4, 2, 1).seed_digits == 0
+    for fam in (poly_family(gf9, 3, 1), HashFamily("full_table", gf4, 2, 2)):
+        assert fam.seed_space_size == fam.field.q ** fam.seed_digits
 
 
 def test_output_encoding_round_trip():
