@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .measures import Alpha, as_alpha
+from .measures import Alpha
 
 MAX_STIRLING_K = 64
 SLACK = 1e-9
@@ -132,12 +132,17 @@ def gamma_fn(y: float, rel_tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
+def _logq_x_over_ln1p(q: int, m: int, k: int, entropy: float) -> float:
+    """log_q(x / ln(1 + x)) with x = k q^{m-H}, shared by the sharp bounds."""
+    x = k * q ** (m - entropy)
+    return _logq(x / math.log1p(x), q)
+
+
 def dk_bound_sharp(q: int, m: int, k: int, entropy: float) -> float:
     """Sharper moment bound: (k/(k-1)) log_q( k q^{m-H} / ln(k q^{m-H} + 1) )."""
     if k < 2:
         raise ValueError("k >= 2 required")
-    x = k * q ** (m - entropy)
-    return (k / (k - 1)) * _logq(x / math.log1p(x), q)
+    return (k / (k - 1)) * _logq_x_over_ln1p(q, m, k, entropy)
 
 
 def bound_alpha_above_k(q: int, m: int, k: int, alpha: float, entropy: float) -> float:
@@ -146,8 +151,7 @@ def bound_alpha_above_k(q: int, m: int, k: int, alpha: float, entropy: float) ->
     """
     if not alpha > k:
         raise ValueError(f"alpha must exceed k, got alpha={alpha}, k={k}")
-    x = k * q ** (m - entropy)
-    log_term = _logq(x / math.log1p(x), q)
+    log_term = _logq_x_over_ln1p(q, m, k, entropy)
     return (alpha - k) * m / (k * (alpha - 1.0)) + alpha / (alpha - 1.0) * log_term
 
 
@@ -155,8 +159,7 @@ def bound_infty(q: int, m: int, k: int, entropy: float) -> float:
     """alpha -> inf limit: m/k + log_q(k q^{m-H} / ln(k q^{m-H} + 1))."""
     if k < 2:
         raise ValueError("k >= 2 required")
-    x = k * q ** (m - entropy)
-    return m / k + _logq(x / math.log1p(x), q)
+    return m / k + _logq_x_over_ln1p(q, m, k, entropy)
 
 
 THRESHOLD_REGIMES = ("integer-alpha", "corollary", "min-entropy", "sharp-gamma")
@@ -239,12 +242,6 @@ class BoundReport:
             return True
         return self.empirical <= self.bound + SLACK
 
-    @property
-    def slack(self) -> float:
-        if self.empirical is None:
-            return math.inf
-        return self.bound - self.empirical
-
     def as_dict(self) -> dict:
         a = self.inputs.alpha
         return {
@@ -260,14 +257,3 @@ class BoundReport:
             "satisfied": self.satisfied,
             "note": self.note,
         }
-
-
-def joint_bound(q: int, m: int, k: int, alpha, entropy: float) -> float:
-    """Dispatch: joint-divergence bound for alpha in (1, k], conditional-regime
-    bound for alpha > k (including infinity)."""
-    a = as_alpha(alpha)
-    if a.is_infinite:
-        return bound_infty(q, m, k, entropy)
-    if a.value <= k:
-        return bound_real_alpha(q, m, k, a.value, entropy)
-    return bound_alpha_above_k(q, m, k, a.value, entropy)

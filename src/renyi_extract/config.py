@@ -7,15 +7,16 @@ passing certification.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BudgetExceededError, ConfigError
 from .extraction import Source
 from .families import DEFAULT_BUDGET, KINDS, HashFamily
-from .fields import FieldParams
+from .fields import MAX_DEGREE, FieldParams
 from .measures import Alpha, Pmf
 
 BUDGET_ENV_VAR = "RENYI_EXTRACT_BUDGET"
@@ -72,6 +73,14 @@ class ExperimentConfig:
     raw: dict | None = None
 
     def build_family(self) -> HashFamily:
+        q, n = self.family.q, self.family.n
+        # Every enumerating path touches all q^n field elements, so refuse an
+        # oversized field before FieldParams.create searches it.  A degree
+        # above MAX_DEGREE fails there anyway; the cap keeps q ** n cheap.
+        if q ** min(n, MAX_DEGREE + 1) > self.budget:
+            raise BudgetExceededError(
+                f"field of {q}^{n} elements exceeds budget {self.budget}"
+            )
         return self.family.build()
 
     def build_source(self, family: HashFamily) -> Source:
@@ -198,8 +207,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     alphas = tuple(parse_alpha(a) for a in raw.get("alphas", []))
     epsilons = tuple(float(e) for e in raw.get("epsilons", []))
-    if any(e <= 0 for e in epsilons):
-        raise ConfigError("epsilons must be positive")
+    if not all(0 < e < math.inf for e in epsilons):
+        raise ConfigError("epsilons must be positive and finite")
 
     bucket = None
     if raw.get("bucket") is not None:

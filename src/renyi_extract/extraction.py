@@ -54,7 +54,8 @@ class Source:
             if np.any(sc < 0):
                 raise ValueError("side channel entries must be non-negative")
             for row in sc:
-                if abs(math.fsum(row.tolist()) - 1.0) > measures.NORMALIZATION_TOL:
+                # Negated so that a NaN or infinite entry fails too.
+                if not abs(math.fsum(row.tolist()) - 1.0) <= measures.NORMALIZATION_TOL:
                     raise ValueError("each side-channel row must sum to 1")
 
     @property

@@ -68,9 +68,7 @@ def _entropy_table(result: ExtractionResult, alphas) -> dict:
     src = result.source
     table = {}
     for a in alphas:
-        row = {}
-        if a.is_finite_order or a.is_one or a.is_infinite:
-            row["unconditional"] = src.entropy(a)
+        row = {"unconditional": src.entropy(a)}
         if result.has_side_channel and a.is_finite_order:
             row["conditional"] = src.conditional_entropy(a)
         table[_alpha_key(a)] = row
@@ -305,11 +303,9 @@ def run_sweep(config: ExperimentConfig) -> tuple[str, bool]:
     m_values = config.sweep.m_values if config.sweep else (config.family.m,)
     lines = [",".join(SWEEP_COLUMNS)]
     all_ok = True
+    base = config.build_family()
     for m in m_values:
-        fam_spec = config.family
-        family = HashFamily(
-            fam_spec.kind, fam_spec.build().field, fam_spec.k, m
-        )
+        family = HashFamily(base.kind, base.field, base.k, m)
         source = config.build_source(family)
         result = extract_joint(family, source, budget=config.budget)
         grid = _finite_alphas_in_range(config.alphas, family.k)

@@ -3,10 +3,16 @@
 All logarithms are base q (the pmf's ``base_q``).  Sums of probability terms
 use ``math.fsum`` so results are stable to well below the documented 1e-9
 comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
+
+D_alpha has one formula, ``_divergence``.  The conditional functionals read
+the joint column by column through one helper, ``_columns``, and build no
+per-cell pmfs.  Terms stay scalar Python floats, so reports stay
+byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,13 +66,26 @@ def as_alpha(a) -> Alpha:
     return a if isinstance(a, Alpha) else Alpha(float(a))
 
 
-def _check_probs(arr: np.ndarray):
+def _freeze_probs(pmf, ndims: tuple[int, ...], shape_error: str):
+    """Store pmf.probs as a read-only float array and validate it."""
+    arr = np.asarray(pmf.probs, dtype=float)
+    arr.setflags(write=False)
+    object.__setattr__(pmf, "probs", arr)
+    if pmf.base_q < 2:
+        raise ValueError("base_q must be >= 2")
+    if arr.ndim not in ndims:
+        raise ValueError(shape_error)
     if arr.size == 0:
         raise ValueError("empty probability array")
     if np.any(arr < 0):
         raise ValueError("negative probability entry")
-    total = math.fsum(arr.ravel().tolist())
-    if abs(total - 1.0) > NORMALIZATION_TOL:
+    _check_sum(arr.ravel().tolist())
+
+
+def _check_sum(probs: list[float]):
+    total = math.fsum(probs)
+    # Negated so that a NaN total (a NaN or infinite entry) fails too.
+    if not abs(total - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(f"probabilities sum to {total}, not 1")
 
 
@@ -78,14 +97,7 @@ class Pmf:
     base_q: int = 2
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-        if self.base_q < 2:
-            raise ValueError("base_q must be >= 2")
-        if arr.ndim != 1:
-            raise ValueError("Pmf requires a 1-d probability vector")
-        _check_probs(arr)
+        _freeze_probs(self, (1,), "Pmf requires a 1-d probability vector")
 
     @property
     def support_size(self) -> int:
@@ -109,39 +121,39 @@ class JointPmf:
     base_q: int = 2
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
-        if self.base_q < 2:
-            raise ValueError("base_q must be >= 2")
-        if arr.ndim not in (2, 3):
-            raise ValueError("JointPmf requires 2 or 3 axes")
-        _check_probs(arr)
-
-    @property
-    def axis_sizes(self) -> tuple[int, ...]:
-        return tuple(self.probs.shape)
+        _freeze_probs(self, (2, 3), "JointPmf requires 2 or 3 axes")
 
     def marginal(self, axis: int) -> Pmf:
         other = tuple(i for i in range(self.probs.ndim) if i != axis)
         return Pmf(self.probs.sum(axis=other), self.base_q)
 
 
-def _lnq(q: int) -> float:
-    return math.log(q)
-
-
 def renyi_entropy(p: Pmf, a) -> float:
     """H_alpha in base-q units; Shannon at alpha=1, min-entropy at infinity."""
     a = as_alpha(a)
     probs = p.probs[p.probs > 0]
-    lnq = _lnq(p.base_q)
+    lnq = math.log(p.base_q)
     if a.is_one:
         return -math.fsum(pi * math.log(pi) for pi in probs) / lnq
     if a.is_infinite:
         return -math.log(probs.max()) / lnq
     s = math.fsum(pi ** a.value for pi in probs)
     return math.log(s) / ((1.0 - a.value) * lnq)
+
+
+def _divergence(ps, rs, a: Alpha, lnq: float) -> float:
+    """D_alpha over the terms with p > 0, against reference masses rs.
+
+    Terms stay scalar ``**`` and ``math.log`` under ``math.fsum``: numpy's
+    vectorized power and log may differ in the last bit, and reports are
+    pinned byte for byte.
+    """
+    if a.is_one:
+        return math.fsum(pi * math.log(pi / ri) for pi, ri in zip(ps, rs)) / lnq
+    if a.is_infinite:
+        return math.log(max(pi / ri for pi, ri in zip(ps, rs))) / lnq
+    s = math.fsum(pi ** a.value * ri ** (1.0 - a.value) for pi, ri in zip(ps, rs))
+    return math.log(s) / ((a.value - 1.0) * lnq)
 
 
 def renyi_divergence(p: Pmf, r: Pmf, a) -> float:
@@ -152,15 +164,7 @@ def renyi_divergence(p: Pmf, r: Pmf, a) -> float:
     mask = p.probs > 0
     if np.any(r.probs[mask] == 0):
         return math.inf
-    ps = p.probs[mask]
-    rs = r.probs[mask]
-    lnq = _lnq(p.base_q)
-    if a.is_one:
-        return math.fsum(pi * math.log(pi / ri) for pi, ri in zip(ps, rs)) / lnq
-    if a.is_infinite:
-        return math.log(max(pi / ri for pi, ri in zip(ps, rs))) / lnq
-    s = math.fsum(pi ** a.value * ri ** (1.0 - a.value) for pi, ri in zip(ps, rs))
-    return math.log(s) / ((a.value - 1.0) * lnq)
+    return _divergence(p.probs[mask], r.probs[mask], a, math.log(p.base_q))
 
 
 def tv_distance(p: Pmf, r: Pmf) -> float:
@@ -169,25 +173,35 @@ def tv_distance(p: Pmf, r: Pmf) -> float:
     return 0.5 * math.fsum(abs(pi - ri) for pi, ri in zip(p.probs, r.probs))
 
 
-def _require_finite_order(a: Alpha, what: str):
-    if not a.is_finite_order:
-        raise ValueError(f"{what} is defined for finite alpha in (1, inf) only")
+def _columns(arr: np.ndarray):
+    """Yield (w, conditional column) for each column of arr read as
+    (axis 0, rest) whose mass w is positive.
+
+    Columns are the conditioning cells: z for an (x, z) joint, seed s or
+    (s, z) for an output joint.  Each column is normalised in Python floats
+    and must sum to 1, as a pmf would.
+    """
+    for col in arr.reshape(arr.shape[0], -1).T:
+        col = col.tolist()
+        w = math.fsum(col)
+        if w == 0:
+            continue
+        cond = [p / w for p in col]
+        _check_sum(cond)
+        yield w, cond
 
 
 def _conditional_power_sums(joint: JointPmf, a: Alpha, what: str):
     """(P_Z(z), sum_x P(x|z)^alpha) for every z with P_Z(z) > 0, for a 2-axis
     joint (x, z)."""
-    _require_finite_order(a, what)
+    if not a.is_finite_order:
+        raise ValueError(f"{what} is defined for finite alpha in (1, inf) only")
     if joint.probs.ndim != 2:
         raise ValueError(f"{what} requires a 2-axis joint")
-    terms = []
-    for z in range(joint.probs.shape[1]):
-        col = joint.probs[:, z]
-        pz = math.fsum(col.tolist())
-        if pz == 0:
-            continue
-        terms.append((pz, math.fsum((pi / pz) ** a.value for pi in col if pi > 0)))
-    return terms
+    return [
+        (pz, math.fsum(p ** a.value for p in cond if p > 0))
+        for pz, cond in _columns(joint.probs)
+    ]
 
 
 def conditional_renyi_entropy(joint: JointPmf, a) -> float:
@@ -197,7 +211,7 @@ def conditional_renyi_entropy(joint: JointPmf, a) -> float:
     a = as_alpha(a)
     terms = _conditional_power_sums(joint, a, "conditional Renyi entropy")
     total = math.fsum(pz * inner for pz, inner in terms)
-    return math.log(total) / ((1.0 - a.value) * _lnq(joint.base_q))
+    return math.log(total) / ((1.0 - a.value) * math.log(joint.base_q))
 
 
 def tilde_conditional_entropy(joint: JointPmf, a) -> float:
@@ -207,23 +221,7 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     a = as_alpha(a)
     terms = _conditional_power_sums(joint, a, "tilde conditional entropy")
     total = math.fsum(pz * math.log(inner) for pz, inner in terms)
-    return total / ((1.0 - a.value) * _lnq(joint.base_q))
-
-
-def _conditional_slices(joint: JointPmf):
-    """Yield (weight, conditional-output Pmf) per conditioning cell.
-
-    Output axis is 0; conditioning cells are seed s, or (s, z) pairs for a
-    3-axis joint.  Cells with zero mass are skipped.
-    """
-    arr = joint.probs
-    flat = arr.reshape(arr.shape[0], -1)
-    for c in range(flat.shape[1]):
-        col = flat[:, c]
-        w = math.fsum(col.tolist())
-        if w == 0:
-            continue
-        yield w, Pmf(col / w, joint.base_q)
+    return total / ((1.0 - a.value) * math.log(joint.base_q))
 
 
 def conditional_divergence(joint: JointPmf, a) -> float:
@@ -231,10 +229,11 @@ def conditional_divergence(joint: JointPmf, a) -> float:
     sum_s P_S(s) D_alpha(P(.|s) || uniform); over (s, z) cells for 3 axes.
     """
     a = as_alpha(a)
-    n_out = joint.probs.shape[0]
-    uniform = Pmf.uniform(n_out, joint.base_q)
+    uniform = itertools.repeat(1.0 / joint.probs.shape[0])
+    lnq = math.log(joint.base_q)
     return math.fsum(
-        w * renyi_divergence(cond, uniform, a) for w, cond in _conditional_slices(joint)
+        w * _divergence([p for p in cond if p > 0], uniform, a, lnq)
+        for w, cond in _columns(joint.probs)
     )
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -12,6 +14,7 @@ from renyi_extract import bounds as bd
 from renyi_extract.cli import main
 from renyi_extract.config import parse_config
 from renyi_extract.errors import ConfigError
+from renyi_extract.fields import FieldParams
 from renyi_extract.harness import SWEEP_COLUMNS, run_verify
 
 
@@ -195,6 +198,45 @@ class TestConfigValidation:
     def test_missing_config_file(self, capsys):
         assert main(["verify", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"epsilons": [math.nan]},
+            {"epsilons": [0.1, math.inf]},
+            {"source": {"probs": [math.nan] + [1 / 15] * 15}},
+            {"side_channel": [[math.nan, 0.5]] + [[0.5, 0.5]] * 15},
+        ],
+        ids=["nan-epsilon", "inf-epsilon", "nan-prob", "nan-side-channel"],
+    )
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, overrides):
+        # NaN compares False against every bound, so it used to slip past the
+        # checks: a NaN epsilon silently dropped every threshold check.
+        cfg = write_config(
+            tmp_path, family={"q": 2, "n": 4, "k": 2, "m": 1}, **overrides
+        )
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "sweep", "bucket"])
+    def test_oversized_field_exits_2_before_building_it(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def create(cls, q, n):
+            pytest.fail(f"FieldParams.create({q}, {n}) ran despite the budget")
+
+        monkeypatch.setattr(FieldParams, "create", classmethod(create))
+        cfg = write_config(
+            tmp_path,
+            family={"q": 10007, "n": 1, "k": 2, "m": 1},
+            bucket={"subset": [0, 1], "mode": "sampled", "samples": 10},
+        )
+        assert main([command, "--config", cfg, "--budget", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert "exceeds budget 1000" in err
+        assert "Traceback" not in err
+
     def test_bad_alpha_rejected(self):
         raw = {
             "family": {"q": 2, "n": 2, "k": 2, "m": 1},
@@ -317,3 +359,26 @@ class TestTracedRun:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(spans.read_text())["spans"]
         assert traced.read_bytes() == plain.read_bytes()
+
+
+class TestPinnedReports:
+    """The benchmark pins the sha256 of each smoke workload's report at its
+    pinned seed; the CLI must keep writing exactly those bytes."""
+
+    WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", self.WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look themselves up here
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("name", ["certify-k3", "sweep-side", "bucket-sampled"])
+    def test_smoke_report_matches_pinned_sha256(self, tmp_path, capsys, workloads, name):
+        workload = workloads.SMOKE[name]
+        cfg, out = tmp_path / "config.json", tmp_path / "report"
+        cfg.write_text(json.dumps(workload.config(workloads.PINNED_SEED)))
+        assert main([workload.command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == workload.pinned_sha256

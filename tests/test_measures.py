@@ -1,11 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_source, poly_family
+
+from renyi_extract.bounds import SLACK
+from renyi_extract.extraction import extract_joint
+from renyi_extract.families import evaluate, output_to_int
+from renyi_extract.fields import FieldParams
 from renyi_extract.measures import (
+    _columns,
     Alpha,
     JointPmf,
     Pmf,
@@ -53,6 +61,14 @@ class TestPmfValidation:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             Pmf(np.array([1.5, -0.5]), 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        # A NaN or infinite total compares False against any tolerance.
+        with pytest.raises(ValueError):
+            Pmf(np.array([bad, 1.0]), 2)
+        with pytest.raises(ValueError):
+            JointPmf(np.array([[bad, 0.5], [0.25, 0.25]]), 2)
 
     def test_joint_marginals(self):
         j = JointPmf(np.array([[0.4, 0.1], [0.1, 0.4]]), 2)
@@ -245,3 +261,174 @@ class TestJointDivergenceFromUniform:
         assert joint_divergence_from_uniform(j, Alpha(a)) == pytest.approx(
             expected, abs=1e-12
         )
+
+
+def _old_conditional_divergence(joint, a):
+    """The per-cell path: sum_c w_c D_alpha(Pmf(col / w_c) || uniform)."""
+    flat = joint.probs.reshape(joint.probs.shape[0], -1)
+    uniform = Pmf.uniform(flat.shape[0], joint.base_q)
+    terms = []
+    for c in range(flat.shape[1]):
+        col = flat[:, c]
+        w = math.fsum(col.tolist())
+        if w == 0:
+            continue
+        terms.append(w * renyi_divergence(Pmf(col / w, joint.base_q), uniform, a))
+    return math.fsum(terms)
+
+
+def _old_power_sums(joint, a):
+    terms = []
+    for z in range(joint.probs.shape[1]):
+        col = joint.probs[:, z]
+        pz = math.fsum(col.tolist())
+        if pz == 0:
+            continue
+        terms.append((pz, math.fsum((pi / pz) ** a.value for pi in col if pi > 0)))
+    return terms
+
+
+def _random_joints():
+    """2- and 3-axis joints, sparse ones, and ones with zero-mass columns."""
+    rng = np.random.default_rng(11)
+    shapes = [(2, 3), (4, 6), (3, 9), (4, 5, 2), (3, 4, 3), (8, 16)]
+    joints = []
+    for shape in shapes:
+        for zero_cols, sparsity in ((0, 0.0), (2, 0.0), (1, 0.5)):
+            arr = rng.random(shape)
+            arr[rng.random(shape) < sparsity] = 0.0
+            flat = arr.reshape(shape[0], -1)
+            dead = rng.choice(flat.shape[1], zero_cols, replace=False)
+            flat[:, dead] = 0.0
+            flat[0, np.setdiff1d(np.arange(flat.shape[1]), dead)[0]] += 1.0
+            base_q = 3 if shape[0] % 3 == 0 else 2
+            joints.append(JointPmf(arr / arr.sum(), base_q))
+    return joints
+
+
+class TestConditionalBitwiseOracle:
+    """The column reader must give the same bits as the per-cell Pmf path."""
+
+    JOINTS = _random_joints()
+
+    @pytest.mark.parametrize("a", ALPHA_GRID)
+    def test_conditional_divergence(self, a):
+        for j in self.JOINTS:
+            assert conditional_divergence(j, a) == _old_conditional_divergence(j, a)
+
+    def test_conditional_divergence_of_extracted_joints(self, gf4):
+        side = np.array([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5], [1.0, 0.0]])
+        probs = [0.1, 0.2, 0.3, 0.4]
+        for sc in (None, side):
+            j = extract_joint(poly_family(gf4, 2, 1), make_source(gf4, probs, sc)).joint
+            for a in ALPHA_GRID:
+                assert conditional_divergence(j, a) == _old_conditional_divergence(j, a)
+
+    @pytest.mark.parametrize("a", [a for a in ALPHA_GRID if a.is_finite_order])
+    def test_conditional_entropies(self, a):
+        for j in self.JOINTS:
+            if j.probs.ndim != 2:
+                continue
+            terms = _old_power_sums(j, a)
+            scale = (1.0 - a.value) * math.log(j.base_q)
+            cond = math.log(math.fsum(pz * s for pz, s in terms)) / scale
+            tilde = math.fsum(pz * math.log(s) for pz, s in terms) / scale
+            assert conditional_renyi_entropy(j, a) == cond
+            assert tilde_conditional_entropy(j, a) == tilde
+
+    def test_column_reader_checks_normalisation(self):
+        # The check each per-cell Pmf made: a column that cannot be
+        # normalised (here an infinite entry) is refused.
+        with pytest.raises(ValueError):
+            list(_columns(np.array([[math.inf, 0.5], [0.5, 0.0]])))
+        assert [w for w, _ in _columns(np.array([[0.5, 0.0], [0.25, 0.0]]))] == [0.75]
+
+
+def _exact_joint(family, probs, side=None):
+    """P(u, s[, z]) in Fractions, from the scalar reference evaluate."""
+    seeds = family.seed_space_size
+    side = side or [[1.0]] * len(probs)
+    cells = {}
+    for s in range(seeds):
+        for x, px, row in zip(family.field.elements(), probs, side):
+            u = output_to_int(evaluate(family, s, x), family.field.q)
+            for z, pzx in enumerate(row):
+                mass = Fraction(px) * Fraction(pzx) / seeds
+                cells[(u, s, z)] = cells.get((u, s, z), Fraction(0)) + mass
+    return cells
+
+
+def _tiny_instance(q, n, with_side):
+    """A k=2, m=1 polynomial family with a non-dyadic source, as floats."""
+    field = FieldParams.create(q, n)
+    weights = range(1, field.size + 1)
+    probs = [w / sum(weights) for w in weights]
+    side = None
+    if with_side:
+        side = [[0.75, 0.25] if i % 2 else [0.1, 0.9] for i in range(field.size)]
+    source = make_source(field, probs, None if side is None else np.array(side))
+    return poly_family(field, 2, 1), source, probs, side
+
+
+INSTANCES = pytest.mark.parametrize(
+    "q,n,with_side", [(2, 2, False), (2, 2, True), (3, 1, False), (3, 1, True)]
+)
+
+
+class TestExactRationalOracle:
+    """Power sums at integer alpha in exact rationals (Fraction of each float
+    input); the float functionals must agree to far below SLACK."""
+
+    TOL = 1e-12
+
+    def test_tolerance_far_below_slack(self):
+        assert self.TOL <= SLACK * 1e-3
+
+    @INSTANCES
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_divergences_match_exact(self, q, n, with_side, alpha):
+        family, source, probs, side = _tiny_instance(q, n, with_side)
+        joint = extract_joint(family, source).joint
+        cells = _exact_joint(family, probs, side)
+        n_out, lnq = family.output_size, math.log(q)
+        col = {}
+        for (u, s, z), p in cells.items():
+            col[(s, z)] = col.get((s, z), Fraction(0)) + p
+        # Conditional: sum_c w_c (1/(a-1)) log_q(n^(a-1) sum_u P(u|c)^a).
+        sums = {c: Fraction(0) for c in col}
+        for (u, s, z), p in cells.items():
+            sums[(s, z)] += (p / col[(s, z)]) ** alpha
+        exact_cond = math.fsum(
+            float(w) * math.log(float(n_out ** (alpha - 1) * sums[c]))
+            for c, w in col.items()
+            if w
+        ) / ((alpha - 1) * lnq)
+        # Joint against U x P_C: (1/(a-1)) log_q sum P(u,c)^a (n / P_C(c))^(a-1).
+        total = sum(
+            p**alpha * (n_out / col[(s, z)]) ** (alpha - 1)
+            for (u, s, z), p in cells.items()
+            if p
+        )
+        exact_joint = math.log(float(total)) / ((alpha - 1) * lnq)
+        a = Alpha(float(alpha))
+        assert abs(conditional_divergence(joint, a) - exact_cond) <= self.TOL
+        assert abs(joint_divergence_from_uniform(joint, a) - exact_joint) <= self.TOL
+
+    @INSTANCES
+    @pytest.mark.parametrize("alpha", [2, 3])
+    def test_source_entropies_match_exact(self, q, n, with_side, alpha):
+        _, source, probs, side = _tiny_instance(q, n, with_side)
+        side = side or [[1.0]] * len(probs)
+        xz = [[Fraction(p) * Fraction(v) for v in row] for p, row in zip(probs, side)]
+        pz = [sum(row[z] for row in xz) for z in range(len(side[0]))]
+        inner = [sum((row[z] / w) ** alpha for row in xz) for z, w in enumerate(pz)]
+        scale = (1 - alpha) * math.log(q)
+        exact = math.log(float(sum(w * s for w, s in zip(pz, inner)))) / scale
+        exact_tilde = math.fsum(float(w) * math.log(float(s)) for w, s in zip(pz, inner))
+        a = Alpha(float(alpha))
+        if with_side:
+            assert abs(source.conditional_entropy(a) - exact) <= self.TOL
+            tilde = tilde_conditional_entropy(source.xz_joint(), a)
+            assert abs(tilde - exact_tilde / scale) <= self.TOL
+        else:
+            assert abs(source.entropy(a) - exact) <= self.TOL
