@@ -25,9 +25,39 @@ SOURCE_PRESETS = ("uniform", "point-mass", "two-spike", "geometric")
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in {where}")
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _integer(value, where: str, minimum: int | None = None) -> int:
+    """A JSON integer (not a bool), at least ``minimum`` when given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+    return value
+
+
+def _real(value, where: str) -> float:
+    """A finite JSON number as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -132,7 +162,7 @@ def parse_alpha(value) -> Alpha:
         return Alpha.infinity()
     try:
         v = float(value)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad alpha value {value!r}") from e
     try:
         return Alpha(v)
@@ -160,8 +190,6 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     _require_keys(
         raw,
         {
@@ -190,24 +218,30 @@ def parse_config(raw: dict) -> ExperimentConfig:
     kind = fam.get("kind", "polynomial")
     if kind not in KINDS:
         raise ConfigError(f"family kind must be one of {KINDS}, got {kind!r}")
-    family = FamilySpec(
-        int(fam["q"]), int(fam["n"]), int(fam["k"]), int(fam["m"]), kind
-    )
+    q, n, k, m = (_integer(fam[f], f"family {f}", 1) for f in ("q", "n", "k", "m"))
+    family = FamilySpec(q, n, k, m, kind)
 
     src = raw["source"]
     _require_keys(src, {"preset", "param", "probs"}, "source")
     if ("preset" in src) == ("probs" in src):
         raise ConfigError("source needs exactly one of 'preset' or 'probs'")
+    if "probs" in src:
+        for p in _list(src["probs"], "source probs"):
+            _real(p, "source probability")
+    if src.get("param") is not None:
+        _real(src["param"], "source param")
 
-    side = None
-    if raw.get("side_channel") is not None:
-        side = np.asarray(raw["side_channel"], dtype=float)
-        if side.ndim != 2:
+    side = raw.get("side_channel")
+    if side is not None:
+        rows = [_list(r, "side_channel row") for r in _list(side, "side_channel")]
+        if len({len(r) for r in rows}) != 1:
             raise ConfigError("side_channel must be a matrix of rows P(z|x)")
+        side = np.array([[_real(v, "side_channel entry") for v in r] for r in rows])
 
-    alphas = tuple(parse_alpha(a) for a in raw.get("alphas", []))
-    epsilons = tuple(float(e) for e in raw.get("epsilons", []))
-    if not all(0 < e < math.inf for e in epsilons):
+    alphas = tuple(parse_alpha(a) for a in _list(raw.get("alphas", []), "alphas"))
+    epsilons = _list(raw.get("epsilons", []), "epsilons")
+    epsilons = tuple(_real(e, "epsilon") for e in epsilons)
+    if not all(e > 0 for e in epsilons):
         raise ConfigError("epsilons must be positive and finite")
 
     bucket = None
@@ -216,19 +250,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require_keys(b, {"subset", "mode", "samples"}, "bucket")
         subset = b.get("subset", "full")
         if subset != "full":
-            subset = [int(v) for v in subset]
+            subset = [_integer(v, "bucket subset element", 0)
+                      for v in _list(subset, "bucket subset")]
         mode = b.get("mode", "exact")
         if mode not in ("exact", "sampled"):
             raise ConfigError("bucket mode must be 'exact' or 'sampled'")
-        bucket = BucketSpec(subset, mode, int(b.get("samples", 1000)))
+        samples = _integer(b.get("samples", 1000), "bucket samples", 1)
+        bucket = BucketSpec(subset, mode, samples)
 
     sweep = None
     if raw.get("sweep") is not None:
         s = raw["sweep"]
         _require_keys(s, {"m_values"}, "sweep")
-        sweep = SweepSpec(tuple(int(v) for v in s["m_values"]))
+        m_values = _list(s.get("m_values"), "sweep m_values")
+        sweep = SweepSpec(tuple(_integer(v, "sweep m value", 1) for v in m_values))
 
-    budget = int(raw["budget"]) if "budget" in raw else default_budget()
+    budget = _integer(raw["budget"], "budget") if "budget" in raw else default_budget()
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
 
     return ExperimentConfig(
         family=family,
@@ -237,9 +277,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         epsilons=epsilons,
         side_channel=side,
         budget=budget,
-        rng_seed=int(raw.get("rng_seed", 0)),
+        rng_seed=_integer(raw.get("rng_seed", 0), "rng_seed", 0),
         bucket=bucket,
         sweep=sweep,
-        out=raw.get("out"),
+        out=out,
         raw=raw,
     )

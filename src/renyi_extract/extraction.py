@@ -145,24 +145,25 @@ class DivergenceTable:
     rows: tuple[DivergenceRow, ...]
     tv_to_uniform: float
     kl_to_uniform: float
+    conditional_inf: float
 
 
 def empirical_divergences(result: ExtractionResult, alphas: Sequence) -> DivergenceTable:
-    """Joint and conditional D_alpha per requested order, plus TV and KL."""
-    joint = result.joint
-    flat, ref = measures.uniform_product_reference(joint)
+    """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf."""
+    alphas = [as_alpha(a) for a in alphas]
+    flat, ref = measures.uniform_product_reference(result.joint)
+    *conditional, conditional_inf = measures.conditional_divergences(
+        result.joint, alphas + [Alpha.infinity()]
+    )
     rows = tuple(
-        DivergenceRow(
-            as_alpha(a),
-            measures.renyi_divergence(flat, ref, a),
-            measures.conditional_divergence(joint, a),
-        )
-        for a in alphas
+        DivergenceRow(a, measures.renyi_divergence(flat, ref, a), c)
+        for a, c in zip(alphas, conditional)
     )
     return DivergenceTable(
         rows,
         measures.tv_distance(flat, ref),
         measures.renyi_divergence(flat, ref, Alpha.one()),
+        conditional_inf,
     )
 
 
@@ -217,7 +218,11 @@ def expected_max_bucket(
     if mode == "sampled":
         if n_samples * len(subset) > budget:
             raise BudgetExceededError("sample count exceeds budget")
-        draws = np.random.default_rng(rng_seed).integers(0, seeds, size=n_samples)
+        rng = np.random.default_rng(rng_seed)
+        if seeds - 1 <= np.iinfo(np.int64).max:
+            draws = rng.integers(0, seeds, size=n_samples)
+        else:  # seed integers beyond int64: draw their base-q digits
+            draws = rng.integers(0, family.field.q, size=(n_samples, family.seed_digits))
         vals = _largest_buckets(hash_table(family, draws, x_ints)).astype(float)
         stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
         return BucketEstimate(float(vals.mean()), stderr, "sampled", n_samples, rng_seed)

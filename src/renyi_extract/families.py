@@ -104,8 +104,10 @@ def evaluate(family: HashFamily, seed: int, x: FieldElement) -> tuple[int, ...]:
 
 
 def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
-    """h(s, x) as output integers: one row per seed of the 1-d ``seeds``, one
-    column per canonical input integer.
+    """h(s, x) as output integers: one row per seed, one column per canonical
+    input integer.  ``seeds`` is a 1-d array of seed integers or a 2-d matrix
+    of their base-q digits, least significant first, one row per seed (for
+    seed spaces beyond int64).
 
     Every family is Z_q-linear in the base-q digits of its seed (for the
     polynomial kind this is the Wegman-Carter construction), so the table is
@@ -119,13 +121,18 @@ def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
         dtype=np.int64,
     ).reshape(n_digits, len(xs), m)
     seeds = np.asarray(seeds, dtype=np.int64)
-    digits = np.empty((seeds.size, n_digits), dtype=np.int64)
-    rest = seeds
-    for d in range(n_digits):
-        rest, digits[:, d] = np.divmod(rest, q)
-    if np.any(rest):
-        raise ValueError(f"seeds outside [0, {family.seed_space_size})")
-    table = np.zeros((seeds.size, len(xs)), dtype=np.int64)
+    if seeds.ndim == 2:
+        digits = seeds
+        if digits.shape[1] != n_digits or np.any((digits < 0) | (digits >= q)):
+            raise ValueError(f"seed digit rows must hold {n_digits} digits in [0, {q})")
+    else:
+        digits = np.empty((seeds.size, n_digits), dtype=np.int64)
+        rest = seeds
+        for d in range(n_digits):
+            rest, digits[:, d] = np.divmod(rest, q)
+        if np.any(rest):
+            raise ValueError(f"seeds outside [0, {family.seed_space_size})")
+    table = np.zeros((len(digits), len(xs)), dtype=np.int64)
     out = np.empty_like(table)
     for j in reversed(range(m)):
         table *= q

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from . import __version__
 from . import bounds as bd
-from . import measures
 from .config import ExperimentConfig
 from .errors import ConfigError
 from .extraction import (
@@ -88,22 +87,19 @@ def _divergence_section(table: DivergenceTable) -> dict:
 
 def collect_bound_reports(
     result: ExtractionResult,
-    alphas,
     epsilons,
     divergences: DivergenceTable,
 ) -> list[bd.BoundReport]:
     family = result.family
     q, m, k = family.field.q, family.m, family.k
-    emp = {(_alpha_key(r.alpha)): r for r in divergences.rows}
     reports: list[bd.BoundReport] = []
 
     h_k = result.source_entropy(Alpha(float(k)))
 
-    for a in alphas:
+    for row in divergences.rows:
+        a = row.alpha
         if a.is_one:
             continue
-        key = _alpha_key(a)
-        row = emp.get(key)
         if a.is_finite_order and a.value <= k:
             h = result.source_entropy(a)
             inputs = bd.BoundInputs(q, m, k, a, h)
@@ -112,7 +108,7 @@ def collect_bound_reports(
                     "joint-divergence",
                     inputs,
                     bd.bound_real_alpha(q, m, k, a.value, h),
-                    row.joint if row else None,
+                    row.joint,
                 )
             )
         else:
@@ -127,17 +123,16 @@ def collect_bound_reports(
                     "conditional-divergence",
                     inputs,
                     value,
-                    row.conditional if row else None,
+                    row.conditional,
                 )
             )
 
-    cond_inf = measures.conditional_divergence(result.joint, Alpha.infinity())
     for eps in epsilons:
-        for a in alphas:
+        for row in divergences.rows:
+            a = row.alpha
             if not a.is_finite_order or a.value > k:
                 continue
             h = result.source_entropy(a)
-            row = emp[_alpha_key(a)]
             if a.value >= 2 and a.value == int(a.value):
                 thr = bd.m_threshold("integer-alpha", q, h, eps, alpha=a.value)
                 if m <= thr:
@@ -178,7 +173,7 @@ def collect_bound_reports(
                     "threshold-min-entropy",
                     bd.BoundInputs(q, m, k, Alpha.infinity(), h_k, eps),
                     m / k + eps,
-                    cond_inf,
+                    divergences.conditional_inf,
                     note=f"m_threshold={thr!r}",
                 )
             )
@@ -224,7 +219,7 @@ def run_verify(config: ExperimentConfig) -> VerifyOutcome:
 
     result = extract_joint(family, source, budget=config.budget)
     divergences = empirical_divergences(result, config.alphas)
-    reports = collect_bound_reports(result, config.alphas, config.epsilons, divergences)
+    reports = collect_bound_reports(result, config.epsilons, divergences)
     all_ok = all(r.satisfied for r in reports)
     report.update(
         {

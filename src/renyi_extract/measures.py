@@ -4,10 +4,10 @@ All logarithms are base q (the pmf's ``base_q``).  Sums of probability terms
 use ``math.fsum`` so results are stable to well below the documented 1e-9
 comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 
-D_alpha has one formula, ``_divergence``.  The conditional functionals read
-the joint column by column through one helper, ``_columns``, and build no
-per-cell pmfs.  Terms stay scalar Python floats, so reports stay
-byte-identical.
+D_alpha has one formula, ``_divergence``, and H_alpha is minus it against the
+counting measure.  The conditional functionals read the joint column by column
+through ``_columns``, once for every order, and build no per-cell pmfs.  Terms
+stay scalar Python floats, so reports stay byte-identical.
 """
 
 from __future__ import annotations
@@ -128,19 +128,6 @@ class JointPmf:
         return Pmf(self.probs.sum(axis=other), self.base_q)
 
 
-def renyi_entropy(p: Pmf, a) -> float:
-    """H_alpha in base-q units; Shannon at alpha=1, min-entropy at infinity."""
-    a = as_alpha(a)
-    probs = p.probs[p.probs > 0]
-    lnq = math.log(p.base_q)
-    if a.is_one:
-        return -math.fsum(pi * math.log(pi) for pi in probs) / lnq
-    if a.is_infinite:
-        return -math.log(probs.max()) / lnq
-    s = math.fsum(pi ** a.value for pi in probs)
-    return math.log(s) / ((1.0 - a.value) * lnq)
-
-
 def _divergence(ps, rs, a: Alpha, lnq: float) -> float:
     """D_alpha over the terms with p > 0, against reference masses rs.
 
@@ -152,8 +139,20 @@ def _divergence(ps, rs, a: Alpha, lnq: float) -> float:
         return math.fsum(pi * math.log(pi / ri) for pi, ri in zip(ps, rs)) / lnq
     if a.is_infinite:
         return math.log(max(pi / ri for pi, ri in zip(ps, rs))) / lnq
-    s = math.fsum(pi ** a.value * ri ** (1.0 - a.value) for pi, ri in zip(ps, rs))
+    try:
+        s = math.fsum(pi ** a.value * ri ** (1.0 - a.value) for pi, ri in zip(ps, rs))
+    except OverflowError:
+        s = math.inf
+    if not 0.0 < s < math.inf:  # negated so that a NaN sum (numpy's 0 * inf) fails too
+        raise ValueError(f"alpha={a.value} is too large for floating point; use 'inf'")
     return math.log(s) / ((a.value - 1.0) * lnq)
+
+
+def renyi_entropy(p: Pmf, a) -> float:
+    """H_alpha in base-q units: -D_alpha(p || counting measure), so Shannon
+    at alpha=1 and min-entropy at infinity."""
+    probs = p.probs[p.probs > 0]
+    return -_divergence(probs, itertools.repeat(1.0), as_alpha(a), math.log(p.base_q))
 
 
 def renyi_divergence(p: Pmf, r: Pmf, a) -> float:
@@ -224,17 +223,24 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     return total / ((1.0 - a.value) * math.log(joint.base_q))
 
 
-def conditional_divergence(joint: JointPmf, a) -> float:
-    """Seed-averaged divergence from uniform outputs:
+def conditional_divergences(joint: JointPmf, alphas) -> list[float]:
+    """Seed-averaged divergences from uniform outputs, every order from one read:
     sum_s P_S(s) D_alpha(P(.|s) || uniform); over (s, z) cells for 3 axes.
     """
-    a = as_alpha(a)
+    alphas = [as_alpha(a) for a in alphas]
     uniform = itertools.repeat(1.0 / joint.probs.shape[0])
     lnq = math.log(joint.base_q)
-    return math.fsum(
-        w * _divergence([p for p in cond if p > 0], uniform, a, lnq)
-        for w, cond in _columns(joint.probs)
-    )
+    terms = [[] for _ in alphas]
+    for w, cond in _columns(joint.probs):
+        ps = [p for p in cond if p > 0]
+        for a, column_terms in zip(alphas, terms):
+            column_terms.append(w * _divergence(ps, uniform, a, lnq))
+    return [math.fsum(t) for t in terms]
+
+
+def conditional_divergence(joint: JointPmf, a) -> float:
+    """The seed-averaged divergence of one order."""
+    return conditional_divergences(joint, [a])[0]
 
 
 def uniform_product_reference(joint: JointPmf) -> tuple[Pmf, Pmf]:

@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import renyi_extract
 from renyi_extract import bounds as bd
@@ -29,6 +32,19 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(base))
     return str(path)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's workload definitions, loaded from their file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def stdout_value(capsys):
@@ -103,6 +119,34 @@ class TestEntropyCommand:
         assert main(["entropy", "--probs", "0.5,0.6", "--alpha", "2"]) == 2
 
 
+class TestOrderTooLargeForFloats:
+    """A finite order whose power sums leave floating point is a config error
+    (use "inf"), not a NaN in the report or an OverflowError traceback."""
+
+    def test_entropy_command(self, capsys):
+        assert main(["entropy", "--probs", "0.5,0.25,0.25", "--alpha", "2000"]) == 2
+        err = capsys.readouterr().err
+        assert "too large" in err and "Traceback" not in err
+
+    def test_overflowing_conditional_divergence(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alphas=[2000])
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_nan_joint_divergence_writes_no_report(self, tmp_path, capsys, workloads):
+        # alpha = 80 on certify-k3: r ** (1 - alpha) overflows as a numpy
+        # scalar and 0 * inf made the joint divergence NaN.
+        config = dict(workloads.WORKLOADS["certify-k3"].config(0), alphas=[80])
+        cfg, out = tmp_path / "config.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps(config))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_passing_run_exits_0(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -158,6 +202,48 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         assert "wall-clock" in capsys.readouterr().err
         assert "wall" not in out.read_text()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+FUZZED_FIELDS = [
+    (),
+    ("family",),
+    *(("family", key) for key in ("q", "n", "k", "m", "kind")),
+    ("source",),
+    *(("source", key) for key in ("preset", "param", "probs")),
+    ("side_channel",),
+    ("alphas",),
+    ("epsilons",),
+    ("budget",),
+    ("rng_seed",),
+    ("bucket",),
+    *(("bucket", key) for key in ("subset", "mode", "samples")),
+    ("sweep",),
+    ("sweep", "m_values"),
+    ("out",),
+]
+
+
+def fuzz_base_config():
+    """A valid config that sets every field, for the parse_config fuzz."""
+    return {
+        "family": {"q": 2, "n": 2, "k": 2, "m": 1, "kind": "polynomial"},
+        "source": {"preset": "two-spike", "param": 0.75},
+        "side_channel": [[0.5, 0.5], [1.0, 0.0], [0.25, 0.75], [0.0, 1.0]],
+        "alphas": [1.5, 2, "inf"],
+        "epsilons": [0.1],
+        "budget": 1000,
+        "rng_seed": 3,
+        "bucket": {"subset": [0, 1, 3], "mode": "sampled", "samples": 10},
+        "sweep": {"m_values": [1, 2]},
+        "out": "report.json",
+    }
 
 
 class TestConfigValidation:
@@ -237,6 +323,50 @@ class TestConfigValidation:
         assert "exceeds budget 1000" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command,overrides",
+        [
+            ("verify", {"alphas": 2}),
+            ("verify", {"epsilons": 5}),
+            ("bucket", {"bucket": {"subset": 5}}),
+            ("sweep", {"sweep": {"m_values": 3}}),
+            ("sweep", {"sweep": {}}),
+            ("bucket", {"rng_seed": [1], "bucket": {"mode": "sampled"}}),
+            ("verify", {"family": {"q": None, "n": 3, "k": 2, "m": 1}}),
+            ("verify", {"source": {"preset": "geometric", "param": "x"}}),
+            ("bucket", {"bucket": {"mode": "sampled", "samples": 0}}),
+            ("bucket", {"bucket": {"mode": "sampled", "samples": -5}}),
+            ("verify", {"out": 5}),
+        ],
+        ids=["alphas", "epsilons", "subset", "m_values", "no-m_values", "rng_seed",
+             "q", "param", "zero-samples", "negative-samples", "out"],
+    )
+    def test_malformed_value_exits_2(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "report"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
+    @given(st.sampled_from(FUZZED_FIELDS), JSON_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_parse_config_raises_only_config_error(self, path, value):
+        raw = fuzz_base_config()
+        if not path:
+            raw = value
+        else:
+            *parents, leaf = path
+            node = raw
+            for key in parents:
+                node = node[key]
+            node[leaf] = value
+            if path == ("source", "probs"):
+                del raw["source"]["preset"]
+        try:
+            parse_config(raw)
+        except ConfigError:
+            pass
+
     def test_bad_alpha_rejected(self):
         raw = {
             "family": {"q": 2, "n": 2, "k": 2, "m": 1},
@@ -272,6 +402,19 @@ class TestBucketCommand:
         row = json.loads(out.read_text())["rows"][0]
         assert row["rng_seed"] == 7
         assert row["n_samples"] == 100
+
+    def test_sampled_mode_beyond_int64_seed_space(self, tmp_path, capsys):
+        # full_table on GF(2^4) with m=4 has 2^64 seeds.
+        cfg = write_config(
+            tmp_path,
+            family={"q": 2, "n": 4, "k": 2, "m": 4, "kind": "full_table"},
+            bucket={"subset": [0, 3, 5, 7, 9, 14], "mode": "sampled", "samples": 300},
+        )
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["bucket", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["bucket", "--config", cfg, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["rows"][0]["n_samples"] == 300
 
     def test_missing_bucket_section_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -364,16 +507,6 @@ class TestTracedRun:
 class TestPinnedReports:
     """The benchmark pins the sha256 of each smoke workload's report at its
     pinned seed; the CLI must keep writing exactly those bytes."""
-
-    WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-    @pytest.fixture(scope="class")
-    def workloads(self):
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", self.WORKLOADS)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = module  # its dataclasses look themselves up here
-        spec.loader.exec_module(module)
-        return module
 
     @pytest.mark.parametrize("name", ["certify-k3", "sweep-side", "bucket-sampled"])
     def test_smoke_report_matches_pinned_sha256(self, tmp_path, capsys, workloads, name):

@@ -227,6 +227,23 @@ class TestExpectedMaxBucket:
         assert est.stderr == float(vals.std(ddof=1) / math.sqrt(300))
         assert (est.n_seeds, est.rng_seed) == (300, 11)
 
+    def test_sampled_mode_beyond_int64_seed_space(self):
+        # 2^64 seeds: integer draws would overflow int64, so digits are drawn.
+        f = FieldParams.create(2, 4)
+        fam = HashFamily("full_table", f, 2, 4)
+        subset = [f.from_int(v) for v in (0, 3, 5, 7, 9, 14)]
+        est = expected_max_bucket(fam, subset, mode="sampled", n_samples=200, rng_seed=8)
+        again = expected_max_bucket(fam, subset, mode="sampled", n_samples=200, rng_seed=8)
+        assert (est.mean, est.stderr) == (again.mean, again.stderr)
+        digits = np.random.default_rng(8).integers(0, 2, size=(200, fam.seed_digits))
+        seeds = [sum(d * 2**i for i, d in enumerate(row)) for row in digits.tolist()]
+        vals = np.array(
+            [max(Counter(evaluate(fam, s, x) for x in subset).values()) for s in seeds],
+            dtype=float,
+        )
+        assert est.mean == float(vals.mean())
+        assert est.stderr == float(vals.std(ddof=1) / math.sqrt(200))
+
     def test_empty_subset_rejected(self, gf8):
         fam = poly_family(gf8, 2, 2)
         with pytest.raises(ValueError):

@@ -146,6 +146,28 @@ def test_hash_table_rejects_out_of_range_seeds(gf4):
             hash_table(fam, np.array([0, bad]), range(gf4.size))
 
 
+def test_hash_table_takes_digit_rows_beyond_int64():
+    # GF(2^4), m=4: 64 seed digits, so seed integers reach 2^64 - 1.
+    field = FieldParams.create(2, 4)
+    fam = HashFamily("full_table", field, 2, 4)
+    assert fam.seed_space_size > np.iinfo(np.int64).max + 1
+    digits = np.random.default_rng(5).integers(0, 2, size=(40, fam.seed_digits))
+    digits[0] = 1  # the largest seed
+    inputs = [0, 15, 3, 9, 14]
+    table = hash_table(fam, digits, inputs)
+    for r, row in enumerate(digits.tolist()):
+        seed = sum(d * 2**i for i, d in enumerate(row))  # a Python int
+        for c, v in enumerate(inputs):
+            assert table[r, c] == output_to_int(evaluate(fam, seed, field.from_int(v)), 2)
+
+
+def test_hash_table_rejects_bad_digit_rows(gf4):
+    fam = poly_family(gf4, 2, 1)
+    for bad in (np.zeros((2, fam.seed_digits + 1)), np.full((2, fam.seed_digits), 2)):
+        with pytest.raises(ValueError):
+            hash_table(fam, bad.astype(np.int64), range(gf4.size))
+
+
 def test_seed_digits_give_seed_space_sizes(gf4, gf9):
     assert poly_family(gf9, 3, 1).seed_digits == 3 * 2
     assert HashFamily("full_table", gf4, 2, 2).seed_digits == 2 * 4

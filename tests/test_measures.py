@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import make_source, poly_family
 
+from renyi_extract import measures
 from renyi_extract.bounds import SLACK
-from renyi_extract.extraction import extract_joint
+from renyi_extract.extraction import empirical_divergences, extract_joint
 from renyi_extract.families import evaluate, output_to_int
 from renyi_extract.fields import FieldParams
 from renyi_extract.measures import (
@@ -18,6 +19,7 @@ from renyi_extract.measures import (
     JointPmf,
     Pmf,
     conditional_divergence,
+    conditional_divergences,
     conditional_renyi_entropy,
     joint_divergence_from_uniform,
     renyi_divergence,
@@ -263,6 +265,59 @@ class TestJointDivergenceFromUniform:
         )
 
 
+def _old_renyi_entropy(p, a):
+    """The three-branch formula renyi_entropy had before it shared D_alpha's."""
+    probs = p.probs[p.probs > 0]
+    lnq = math.log(p.base_q)
+    if a.is_one:
+        return -math.fsum(pi * math.log(pi) for pi in probs) / lnq
+    if a.is_infinite:
+        return -math.log(probs.max()) / lnq
+    s = math.fsum(pi ** a.value for pi in probs)
+    return math.log(s) / ((1.0 - a.value) * lnq)
+
+
+class TestRenyiEntropyBitwiseOracle:
+    """H_alpha as minus D_alpha against the counting measure must give the
+    same bits as its own three-branch formula, sign of zero included."""
+
+    @given(st.sampled_from([2, 3, 5]).flatmap(lambda q: pmfs(min_size=1, base_q=q)))
+    @settings(max_examples=200)
+    def test_matches_three_branch_formula(self, p):
+        for a in ALPHA_GRID + [Alpha(1.25), Alpha(7.5), Alpha(64.0)]:
+            assert renyi_entropy(p, a) == _old_renyi_entropy(p, a)
+
+    @pytest.mark.parametrize("a", ALPHA_GRID)
+    def test_point_mass_gives_negative_zero(self, a):
+        for probs in ([1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]):
+            p = Pmf(np.array(probs), 3)
+            h = renyi_entropy(p, a)
+            assert h == _old_renyi_entropy(p, a) == 0.0
+            assert math.copysign(1.0, h) == -1.0
+
+
+class TestOrderTooLargeForFloats:
+    """A finite order whose power sum leaves floating point is refused, not
+    reported as NaN or raised as OverflowError."""
+
+    A = Alpha(2000.0)
+
+    def test_renyi_entropy(self):
+        with pytest.raises(ValueError, match="too large"):
+            renyi_entropy(Pmf(np.array([0.5, 0.25, 0.25]), 2), self.A)
+
+    def test_renyi_divergence(self):
+        p, r = Pmf(np.array([0.5, 0.25, 0.25]), 2), Pmf.uniform(3, 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="too large"):
+                renyi_divergence(p, r, self.A)
+
+    def test_conditional_divergence(self):
+        j = JointPmf(np.array([[0.4, 0.1], [0.1, 0.4]]), 2)
+        with pytest.raises(ValueError, match="too large"):
+            conditional_divergence(j, self.A)
+
+
 def _old_conditional_divergence(joint, a):
     """The per-cell path: sum_c w_c D_alpha(Pmf(col / w_c) || uniform)."""
     flat = joint.probs.reshape(joint.probs.shape[0], -1)
@@ -306,6 +361,15 @@ def _random_joints():
     return joints
 
 
+EXTRACTED_SIDE = np.array([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5], [1.0, 0.0]])
+
+
+def _extracted(gf4, side):
+    """A GF(2^2), k=2, m=1 extraction of a skewed source."""
+    source = make_source(gf4, [0.1, 0.2, 0.3, 0.4], side)
+    return extract_joint(poly_family(gf4, 2, 1), source)
+
+
 class TestConditionalBitwiseOracle:
     """The column reader must give the same bits as the per-cell Pmf path."""
 
@@ -317,10 +381,8 @@ class TestConditionalBitwiseOracle:
             assert conditional_divergence(j, a) == _old_conditional_divergence(j, a)
 
     def test_conditional_divergence_of_extracted_joints(self, gf4):
-        side = np.array([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5], [1.0, 0.0]])
-        probs = [0.1, 0.2, 0.3, 0.4]
-        for sc in (None, side):
-            j = extract_joint(poly_family(gf4, 2, 1), make_source(gf4, probs, sc)).joint
+        for sc in (None, EXTRACTED_SIDE):
+            j = _extracted(gf4, sc).joint
             for a in ALPHA_GRID:
                 assert conditional_divergence(j, a) == _old_conditional_divergence(j, a)
 
@@ -335,6 +397,37 @@ class TestConditionalBitwiseOracle:
             tilde = math.fsum(pz * math.log(s) for pz, s in terms) / scale
             assert conditional_renyi_entropy(j, a) == cond
             assert tilde_conditional_entropy(j, a) == tilde
+
+    def test_all_orders_from_one_read(self):
+        for j in self.JOINTS:
+            expected = [_old_conditional_divergence(j, a) for a in ALPHA_GRID]
+            assert conditional_divergences(j, ALPHA_GRID) == expected
+
+    def test_divergence_table_conditional_inf(self, gf4):
+        for sc in (None, EXTRACTED_SIDE):
+            result = _extracted(gf4, sc)
+            table = empirical_divergences(result, ALPHA_GRID)
+            inf = Alpha.infinity()
+            expected = _old_conditional_divergence(result.joint, inf)
+            assert table.conditional_inf == conditional_divergence(result.joint, inf)
+            assert table.conditional_inf == expected
+            for row, a in zip(table.rows, ALPHA_GRID):
+                assert row.conditional == _old_conditional_divergence(result.joint, a)
+
+    def test_one_column_walk_per_divergence_table(self, gf4, monkeypatch):
+        walks = []
+        columns = measures._columns
+
+        def counting(arr):
+            walks.append(arr.shape)
+            return columns(arr)
+
+        monkeypatch.setattr(measures, "_columns", counting)
+        for sc in (None, EXTRACTED_SIDE):
+            result = _extracted(gf4, sc)
+            walks.clear()
+            empirical_divergences(result, ALPHA_GRID + [Alpha(2.0)])
+            assert walks == [result.joint.probs.shape]
 
     def test_column_reader_checks_normalisation(self):
         # The check each per-cell Pmf made: a column that cannot be
