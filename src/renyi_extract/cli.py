@@ -21,17 +21,20 @@ from .errors import BudgetExceededError, ConfigError
 from .harness import run_bucket, run_sweep, run_verify
 from .measures import Pmf, renyi_entropy
 
-BOUND_NAMES = (
-    "joint-real",
-    "joint-integer",
-    "simplified",
-    "dk-simple",
-    "dk-sharp",
-    "alpha-above-k",
-    "infty",
-    "bucket",
-    "gamma",
-)
+# --name -> (calculator, the flags it takes in order).  Every bound on a log
+# quantity takes the entropy --H and is scaled by --units; bucket sizes and
+# the gamma inverse take no --H and are plain numbers.
+BOUNDS = {
+    "joint-real": (bd.bound_real_alpha, ("q", "m", "k", "alpha", "H")),
+    "joint-integer": (bd.bound_integer_alpha, ("q", "m", "alpha", "H")),
+    "simplified": (bd.bound_real_alpha_simplified, ("q", "m", "k", "alpha", "H")),
+    "dk-simple": (bd.dk_bound_simple, ("q", "m", "k", "H")),
+    "dk-sharp": (bd.dk_bound_sharp, ("q", "m", "k", "H")),
+    "alpha-above-k": (bd.bound_alpha_above_k, ("q", "m", "k", "alpha", "H")),
+    "infty": (bd.bound_infty, ("q", "m", "k", "H")),
+    "bucket": (bd.bucket_bound, ("q", "m", "k", "A")),
+    "gamma": (bd.gamma_fn, ("y",)),
+}
 
 
 def _units_factor(units: str, q: int) -> float:
@@ -67,40 +70,12 @@ def _cmd_bound(args) -> int:
         return 0
 
     name = args.name
-    need = {
-        "joint-real": ("m", "k", "alpha", "H"),
-        "joint-integer": ("m", "alpha", "H"),
-        "simplified": ("m", "k", "alpha", "H"),
-        "dk-simple": ("m", "k", "H"),
-        "dk-sharp": ("m", "k", "H"),
-        "alpha-above-k": ("m", "k", "alpha", "H"),
-        "infty": ("m", "k", "H"),
-        "bucket": ("m", "k", "A"),
-        "gamma": ("y",),
-    }[name]
-    missing = [f"--{f}" for f in need if getattr(args, f) is None]
+    calculator, flags = BOUNDS[name]
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
     if missing:
         raise ConfigError(f"--name {name} requires {' '.join(missing)}")
-
-    if name == "joint-real":
-        value = bd.bound_real_alpha(q, args.m, args.k, args.alpha, args.H)
-    elif name == "joint-integer":
-        value = bd.bound_integer_alpha(q, args.m, int(args.alpha), args.H)
-    elif name == "simplified":
-        value = bd.bound_real_alpha_simplified(q, args.m, args.k, args.alpha, args.H)
-    elif name == "dk-simple":
-        value = bd.dk_bound_simple(q, args.m, args.k, args.H)
-    elif name == "dk-sharp":
-        value = bd.dk_bound_sharp(q, args.m, args.k, args.H)
-    elif name == "alpha-above-k":
-        value = bd.bound_alpha_above_k(q, args.m, args.k, args.alpha, args.H)
-    elif name == "infty":
-        value = bd.bound_infty(q, args.m, args.k, args.H)
-    elif name == "bucket":
-        value = bd.bucket_bound(q, args.m, args.k, args.A)
-        factor = 1.0  # bucket sizes are counts, not log quantities
-    else:
-        value = bd.gamma_fn(args.y)
+    value = calculator(*(getattr(args, f) for f in flags))
+    if "H" not in flags:
         factor = 1.0
     print(f"{name} = {value * factor:.12g}")
     return 0
@@ -173,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bound", help="evaluate a closed-form bound or threshold")
     group = pb.add_mutually_exclusive_group(required=True)
     group.add_argument("--regime", choices=bd.THRESHOLD_REGIMES)
-    group.add_argument("--name", choices=BOUND_NAMES)
+    group.add_argument("--name", choices=BOUNDS)
     pb.add_argument("--q", type=int, default=2)
     pb.add_argument("--m", type=int)
     pb.add_argument("--k", type=int)

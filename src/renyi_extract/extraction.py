@@ -151,18 +151,18 @@ class DivergenceTable:
 def empirical_divergences(result: ExtractionResult, alphas: Sequence) -> DivergenceTable:
     """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf."""
     alphas = [as_alpha(a) for a in alphas]
-    flat, ref = measures.uniform_product_reference(result.joint)
+    joint = result.joint
     *conditional, conditional_inf = measures.conditional_divergences(
-        result.joint, alphas + [Alpha.infinity()]
+        joint, alphas + [Alpha.infinity()]
     )
     rows = tuple(
-        DivergenceRow(a, measures.renyi_divergence(flat, ref, a), c)
+        DivergenceRow(a, measures.joint_divergence_from_uniform(joint, a), c)
         for a, c in zip(alphas, conditional)
     )
     return DivergenceTable(
         rows,
-        measures.tv_distance(flat, ref),
-        measures.renyi_divergence(flat, ref, Alpha.one()),
+        measures.joint_tv_from_uniform(joint),
+        measures.joint_divergence_from_uniform(joint, Alpha.one()),
         conditional_inf,
     )
 

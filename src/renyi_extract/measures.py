@@ -4,10 +4,12 @@ All logarithms are base q (the pmf's ``base_q``).  Sums of probability terms
 use ``math.fsum`` so results are stable to well below the documented 1e-9
 comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 
-D_alpha has one formula, ``_divergence``, and H_alpha is minus it against the
-counting measure.  The conditional functionals read the joint column by column
-through ``_columns``, once for every order, and build no per-cell pmfs.  Terms
-stay scalar Python floats, so reports stay byte-identical.
+D_alpha has one formula, ``_divergence``: every power sum, log-ratio and max
+is formed there, on Python floats.  H_alpha is minus D_alpha against the
+counting measure.  The conditional functionals read the joint column by
+column through ``_columns``, once for every order; the joint divergence, KL
+and TV read it row by row against the cycled reference.  No per-cell or
+flattened pmfs are built.
 """
 
 from __future__ import annotations
@@ -128,48 +130,58 @@ class JointPmf:
         return Pmf(self.probs.sum(axis=other), self.base_q)
 
 
-def _divergence(ps, rs, a: Alpha, lnq: float) -> float:
-    """D_alpha over the terms with p > 0, against reference masses rs.
+def _divergence(ps, rs, a: Alpha, lnq: float | None) -> float:
+    """D_alpha of masses ps against reference masses rs, both Python floats,
+    over the terms with p > 0; +inf when some p > 0 has r = 0.  With lnq None,
+    the power sum sum p^alpha r^(1-alpha) of a finite order itself.
 
     Terms stay scalar ``**`` and ``math.log`` under ``math.fsum``: numpy's
     vectorized power and log may differ in the last bit, and reports are
-    pinned byte for byte.
+    pinned byte for byte.  A finite order whose power sum leaves floating
+    point is refused.
     """
-    if a.is_one:
-        return math.fsum(pi * math.log(pi / ri) for pi, ri in zip(ps, rs)) / lnq
-    if a.is_infinite:
-        return math.log(max(pi / ri for pi, ri in zip(ps, rs))) / lnq
+    pairs = zip(ps, rs)
     try:
-        s = math.fsum(pi ** a.value * ri ** (1.0 - a.value) for pi, ri in zip(ps, rs))
+        if a.is_one:
+            return math.fsum(pi * math.log(pi / ri) for pi, ri in pairs if pi > 0) / lnq
+        if a.is_infinite:
+            return math.log(max(pi / ri for pi, ri in pairs if pi > 0)) / lnq
+        b = a.value
+        s = math.fsum(pi ** b * ri ** (1.0 - b) for pi, ri in pairs if pi > 0)
+    except ZeroDivisionError:  # p > 0 over r = 0
+        return math.inf
     except OverflowError:
+        if any(ri == 0 for pi, ri in pairs if pi > 0):  # the terms after the overflow
+            return math.inf
         s = math.inf
-    if not 0.0 < s < math.inf:  # negated so that a NaN sum (numpy's 0 * inf) fails too
+    if not 0.0 < s < math.inf:
         raise ValueError(f"alpha={a.value} is too large for floating point; use 'inf'")
-    return math.log(s) / ((a.value - 1.0) * lnq)
+    return s if lnq is None else math.log(s) / ((a.value - 1.0) * lnq)
 
 
 def renyi_entropy(p: Pmf, a) -> float:
     """H_alpha in base-q units: -D_alpha(p || counting measure), so Shannon
     at alpha=1 and min-entropy at infinity."""
-    probs = p.probs[p.probs > 0]
-    return -_divergence(probs, itertools.repeat(1.0), as_alpha(a), math.log(p.base_q))
+    return -_divergence(
+        p.probs.tolist(), itertools.repeat(1.0), as_alpha(a), math.log(p.base_q)
+    )
 
 
 def renyi_divergence(p: Pmf, r: Pmf, a) -> float:
     """D_alpha(p || r) in base-q units; +inf when p is not dominated by r."""
-    a = as_alpha(a)
     if p.support_size != r.support_size:
         raise ValueError("pmfs must share a support size")
-    mask = p.probs > 0
-    if np.any(r.probs[mask] == 0):
-        return math.inf
-    return _divergence(p.probs[mask], r.probs[mask], a, math.log(p.base_q))
+    return _divergence(p.probs.tolist(), r.probs.tolist(), as_alpha(a), math.log(p.base_q))
+
+
+def _tv(ps, rs) -> float:
+    return 0.5 * math.fsum(abs(pi - ri) for pi, ri in zip(ps, rs))
 
 
 def tv_distance(p: Pmf, r: Pmf) -> float:
     if p.support_size != r.support_size:
         raise ValueError("pmfs must share a support size")
-    return 0.5 * math.fsum(abs(pi - ri) for pi, ri in zip(p.probs, r.probs))
+    return _tv(p.probs.tolist(), r.probs.tolist())
 
 
 def _columns(arr: np.ndarray):
@@ -198,7 +210,7 @@ def _conditional_power_sums(joint: JointPmf, a: Alpha, what: str):
     if joint.probs.ndim != 2:
         raise ValueError(f"{what} requires a 2-axis joint")
     return [
-        (pz, math.fsum(p ** a.value for p in cond if p > 0))
+        (pz, _divergence(cond, itertools.repeat(1.0), a, None))
         for pz, cond in _columns(joint.probs)
     ]
 
@@ -232,9 +244,8 @@ def conditional_divergences(joint: JointPmf, alphas) -> list[float]:
     lnq = math.log(joint.base_q)
     terms = [[] for _ in alphas]
     for w, cond in _columns(joint.probs):
-        ps = [p for p in cond if p > 0]
         for a, column_terms in zip(alphas, terms):
-            column_terms.append(w * _divergence(ps, uniform, a, lnq))
+            column_terms.append(w * _divergence(cond, uniform, a, lnq))
     return [math.fsum(t) for t in terms]
 
 
@@ -243,14 +254,21 @@ def conditional_divergence(joint: JointPmf, a) -> float:
     return conditional_divergences(joint, [a])[0]
 
 
-def uniform_product_reference(joint: JointPmf) -> tuple[Pmf, Pmf]:
-    """The flattened joint and its reference: uniform outputs x the joint's
-    own seed[,z] marginal, flattened the same way."""
+def _against_uniform_product(joint: JointPmf):
+    """The joint's cells, one output row at a time, and the matching masses of
+    uniform outputs x the joint's own seed[,z] marginal (the same for every
+    row, so cycled).  Only one row is held as a list at a time."""
     arr = joint.probs
-    ref = np.broadcast_to(arr.sum(axis=0) / arr.shape[0], arr.shape).reshape(-1)
-    return Pmf(arr.reshape(-1), joint.base_q), Pmf(ref, joint.base_q)
+    ref = (arr.sum(axis=0) / arr.shape[0]).reshape(-1).tolist()
+    cells = itertools.chain.from_iterable(row.reshape(-1).tolist() for row in arr)
+    return cells, itertools.cycle(ref)
 
 
 def joint_divergence_from_uniform(joint: JointPmf, a) -> float:
     """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)."""
-    return renyi_divergence(*uniform_product_reference(joint), a)
+    return _divergence(*_against_uniform_product(joint), as_alpha(a), math.log(joint.base_q))
+
+
+def joint_tv_from_uniform(joint: JointPmf) -> float:
+    """TV distance from the same reference."""
+    return _tv(*_against_uniform_product(joint))

@@ -89,6 +89,40 @@ class TestBoundCommand:
         assert main(args + ["--units", "bits"]) == 0
         assert stdout_value(capsys) == pytest.approx(qary * math.log2(3), rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "name,flags,expected",
+        [
+            ("joint-real", ["--m", "1", "--k", "3", "--alpha", "2.5", "--H", "2"],
+             bd.bound_real_alpha(3, 1, 3, 2.5, 2.0)),
+            ("joint-integer", ["--m", "1", "--alpha", "3", "--H", "2"],
+             bd.bound_integer_alpha(3, 1, 3, 2.0)),
+            ("simplified", ["--m", "1", "--k", "3", "--alpha", "2.5", "--H", "2"],
+             bd.bound_real_alpha_simplified(3, 1, 3, 2.5, 2.0)),
+            ("dk-simple", ["--m", "1", "--k", "3", "--H", "2"],
+             bd.dk_bound_simple(3, 1, 3, 2.0)),
+            ("dk-sharp", ["--m", "1", "--k", "3", "--H", "2"],
+             bd.dk_bound_sharp(3, 1, 3, 2.0)),
+            ("alpha-above-k", ["--m", "1", "--k", "3", "--alpha", "4.5", "--H", "2"],
+             bd.bound_alpha_above_k(3, 1, 3, 4.5, 2.0)),
+            ("infty", ["--m", "1", "--k", "3", "--H", "2"], bd.bound_infty(3, 1, 3, 2.0)),
+            ("bucket", ["--m", "2", "--k", "3", "--A", "20"], bd.bucket_bound(3, 2, 3, 20)),
+            ("gamma", ["--y", "3"], bd.gamma_fn(3.0)),
+        ],
+    )
+    def test_every_name_matches_library(self, capsys, name, flags, expected):
+        # Log quantities scale with --units; bucket sizes and gamma do not.
+        factor = 1.0 if name in ("bucket", "gamma") else math.log2(3)
+        assert main(["bound", "--name", name, "--q", "3"] + flags) == 0
+        assert stdout_value(capsys) == pytest.approx(expected, rel=1e-10)
+        assert main(["bound", "--name", name, "--q", "3", "--units", "bits"] + flags) == 0
+        assert stdout_value(capsys) == pytest.approx(expected * factor, rel=1e-10)
+
+    def test_joint_integer_refuses_fractional_alpha(self, capsys):
+        args = ["bound", "--name", "joint-integer", "--m", "1", "--alpha", "2.5", "--H", "2"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "integer alpha" in captured.err
+
     def test_missing_flag_exits_2(self, capsys):
         assert main(["bound", "--name", "bucket", "--q", "2", "--m", "4"]) == 2
         assert "requires" in capsys.readouterr().err
@@ -141,10 +175,30 @@ class TestOrderTooLargeForFloats:
         config = dict(workloads.WORKLOADS["certify-k3"].config(0), alphas=[80])
         cfg, out = tmp_path / "config.json", tmp_path / "report.json"
         cfg.write_text(json.dumps(config))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_refusal_prints_no_runtime_warning(self, tmp_path):
+        # Run in a fresh interpreter so that the default warning filters, not
+        # the test suite's, decide what reaches stderr.
+        cfg = write_config(
+            tmp_path,
+            family={"q": 2, "n": 4, "k": 2, "m": 1, "kind": "polynomial"},
+            side_channel=[[0.5, 0.5]] * 16,
+            alphas=[300],
+        )
+        src = str(Path(renyi_extract.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "renyi_extract.cli", "verify", "--config", cfg],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "error: alpha=300.0 is too large" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestVerifyCommand:

@@ -308,14 +308,25 @@ class TestOrderTooLargeForFloats:
 
     def test_renyi_divergence(self):
         p, r = Pmf(np.array([0.5, 0.25, 0.25]), 2), Pmf.uniform(3, 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="too large"):
-                renyi_divergence(p, r, self.A)
+        with pytest.raises(ValueError, match="too large"):
+            renyi_divergence(p, r, self.A)
+
+    def test_undominated_is_infinite_even_past_an_overflow(self):
+        # The first term overflows; the zero reference mass comes after it.
+        p, r = Pmf(np.array([0.4, 0.3, 0.3]), 2), Pmf(np.array([0.25, 0.75, 0.0]), 2)
+        assert renyi_divergence(p, r, self.A) == math.inf
 
     def test_conditional_divergence(self):
         j = JointPmf(np.array([[0.4, 0.1], [0.1, 0.4]]), 2)
         with pytest.raises(ValueError, match="too large"):
             conditional_divergence(j, self.A)
+
+    @pytest.mark.parametrize("entropy", [conditional_renyi_entropy, tilde_conditional_entropy])
+    def test_conditional_entropies(self, entropy):
+        # Every (1/16)^300 underflows to 0, so each column's power sum is 0.
+        j = JointPmf(np.full((16, 2), 1 / 32), 2)
+        with pytest.raises(ValueError, match="too large"):
+            entropy(j, Alpha(300.0))
 
 
 def _old_conditional_divergence(joint, a):
@@ -330,6 +341,14 @@ def _old_conditional_divergence(joint, a):
             continue
         terms.append(w * renyi_divergence(Pmf(col / w, joint.base_q), uniform, a))
     return math.fsum(terms)
+
+
+def _old_flattened(joint):
+    """The joint flattened to one Pmf and its reference U x P_S[,Z] flattened
+    the same way, as whole-joint copies."""
+    arr = joint.probs
+    ref = np.broadcast_to(arr.sum(axis=0) / arr.shape[0], arr.shape).reshape(-1)
+    return Pmf(arr.reshape(-1), joint.base_q), Pmf(ref, joint.base_q)
 
 
 def _old_power_sums(joint, a):
@@ -429,6 +448,28 @@ class TestConditionalBitwiseOracle:
             empirical_divergences(result, ALPHA_GRID + [Alpha(2.0)])
             assert walks == [result.joint.probs.shape]
 
+    def test_joint_read_in_place(self, gf4):
+        # Row by row against the cycled reference gives the same bits as the
+        # flattened copies: fsum is correctly rounded, whatever the order.
+        joints = self.JOINTS + [_extracted(gf4, sc).joint for sc in (None, EXTRACTED_SIDE)]
+        for j in joints:
+            flat, ref = _old_flattened(j)
+            for a in ALPHA_GRID + [Alpha(7.5)]:
+                assert joint_divergence_from_uniform(j, a) == renyi_divergence(flat, ref, a)
+            assert measures.joint_tv_from_uniform(j) == tv_distance(flat, ref)
+
+    def test_divergence_table_builds_no_pmf(self, gf4, monkeypatch):
+        for sc in (None, EXTRACTED_SIDE):
+            result = _extracted(gf4, sc)
+            monkeypatch.setattr(measures, "_freeze_probs", None)  # any build fails
+            table = empirical_divergences(result, ALPHA_GRID)
+            monkeypatch.undo()
+            flat, ref = _old_flattened(result.joint)
+            assert table.tv_to_uniform == tv_distance(flat, ref)
+            assert table.kl_to_uniform == renyi_divergence(flat, ref, Alpha.one())
+            for row, a in zip(table.rows, ALPHA_GRID):
+                assert row.joint == renyi_divergence(flat, ref, a)
+
     def test_column_reader_checks_normalisation(self):
         # The check each per-cell Pmf made: a column that cannot be
         # normalised (here an infinite entry) is refused.
@@ -506,6 +547,15 @@ class TestExactRationalOracle:
         a = Alpha(float(alpha))
         assert abs(conditional_divergence(joint, a) - exact_cond) <= self.TOL
         assert abs(joint_divergence_from_uniform(joint, a) - exact_joint) <= self.TOL
+
+    @INSTANCES
+    def test_joint_matches_exact(self, q, n, with_side):
+        family, source, probs, side = _tiny_instance(q, n, with_side)
+        joint = extract_joint(family, source).joint.probs
+        cells = _exact_joint(family, probs, side)
+        cube = joint if with_side else joint[..., None]
+        for (u, s, z), p in np.ndenumerate(cube):
+            assert abs(p - float(cells.get((u, s, z), 0))) <= self.TOL
 
     @INSTANCES
     @pytest.mark.parametrize("alpha", [2, 3])
