@@ -148,21 +148,41 @@ class DivergenceTable:
     conditional_inf: float
 
 
+def _check_seed_orbits(probs: np.ndarray, orbit: int):
+    """Every block of orbit consecutive seeds must hold output permutations
+    of its first seed's columns, bit for bit: sorted along the outputs, each
+    member's column equals the first's."""
+    blocks = np.sort(probs.reshape(probs.shape[0], -1, orbit, *probs.shape[2:]), axis=0)
+    bits = blocks.view(np.int64)
+    if not (bits == bits[:, :, :1]).all():
+        raise RuntimeError(
+            f"seeds in blocks of {orbit} do not hash to output-permuted columns"
+        )
+
+
 def empirical_divergences(result: ExtractionResult, alphas: Sequence) -> DivergenceTable:
-    """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf."""
+    """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf.
+
+    Seeds that differ only in their lowest ``shift_digits`` digits give
+    output-permuted columns; that is checked, and then each such orbit is read
+    once.
+    """
     alphas = [as_alpha(a) for a in alphas]
     joint = result.joint
+    orbit = result.family.field.q ** result.family.shift_digits
+    _check_seed_orbits(joint.probs, orbit)
     *conditional, conditional_inf = measures.conditional_divergences(
-        joint, alphas + [Alpha.infinity()]
+        joint, alphas + [Alpha.infinity()], orbit
     )
+    terms = measures.uniform_product_terms(joint, orbit)
     rows = tuple(
-        DivergenceRow(a, measures.joint_divergence_from_uniform(joint, a), c)
+        DivergenceRow(a, measures.joint_divergence_from_uniform(joint, a, terms), c)
         for a, c in zip(alphas, conditional)
     )
     return DivergenceTable(
         rows,
-        measures.joint_tv_from_uniform(joint),
-        measures.joint_divergence_from_uniform(joint, Alpha.one()),
+        measures.joint_tv_from_uniform(joint, terms),
+        measures.joint_divergence_from_uniform(joint, Alpha.one(), terms),
         conditional_inf,
     )
 

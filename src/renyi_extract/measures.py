@@ -8,8 +8,14 @@ D_alpha has one formula, ``_divergence``: every power sum, log-ratio and max
 is formed there, on Python floats.  H_alpha is minus D_alpha against the
 counting measure.  The conditional functionals read the joint column by
 column through ``_columns``, once for every order; the joint divergence, KL
-and TV read it row by row against the cycled reference.  No per-cell or
-flattened pmfs are built.
+and TV read one list of distinct (cell, reference) pairs with counts from
+``uniform_product_terms``.  No per-cell or flattened pmfs are built.
+
+Seeds in one orbit (``HashFamily.shift_digits``) give output-permuted
+columns, so the divergence table reads one seed per orbit: the conditional
+terms count once per member, and the joint terms once per member sharing a
+reference float.  fsum sees the same multiset of terms as a walk over every
+seed, so the correctly rounded results are the same bits.
 """
 
 from __future__ import annotations
@@ -130,28 +136,35 @@ class JointPmf:
         return Pmf(self.probs.sum(axis=other), self.base_q)
 
 
-def _divergence(ps, rs, a: Alpha, lnq: float | None) -> float:
+def _divergence(ps, rs, a: Alpha, lnq: float | None, counts=None) -> float:
     """D_alpha of masses ps against reference masses rs, both Python floats,
-    over the terms with p > 0; +inf when some p > 0 has r = 0.  With lnq None,
-    the power sum sum p^alpha r^(1-alpha) of a finite order itself.
+    over the terms with p > 0; +inf when some p > 0 has r = 0.  With counts,
+    pair i stands for counts[i] equal terms: each is formed once and fed to
+    fsum that often (the max of D_inf ignores counts).  With lnq None, the
+    power sum sum p^alpha r^(1-alpha) of a finite order itself.
 
     Terms stay scalar ``**`` and ``math.log`` under ``math.fsum``: numpy's
     vectorized power and log may differ in the last bit, and reports are
     pinned byte for byte.  A finite order whose power sum leaves floating
     point is refused.
     """
-    pairs = zip(ps, rs)
+    pairs = zip(ps, rs, itertools.repeat(1) if counts is None else counts)
+    repeated = itertools.chain.from_iterable
     try:
         if a.is_one:
-            return math.fsum(pi * math.log(pi / ri) for pi, ri in pairs if pi > 0) / lnq
+            return math.fsum(repeated(
+                itertools.repeat(pi * math.log(pi / ri), c) for pi, ri, c in pairs if pi > 0
+            )) / lnq
         if a.is_infinite:
-            return math.log(max(pi / ri for pi, ri in pairs if pi > 0)) / lnq
+            return math.log(max(pi / ri for pi, ri, _ in pairs if pi > 0)) / lnq
         b = a.value
-        s = math.fsum(pi ** b * ri ** (1.0 - b) for pi, ri in pairs if pi > 0)
+        s = math.fsum(repeated(
+            itertools.repeat(pi ** b * ri ** (1.0 - b), c) for pi, ri, c in pairs if pi > 0
+        ))
     except ZeroDivisionError:  # p > 0 over r = 0
         return math.inf
     except OverflowError:
-        if any(ri == 0 for pi, ri in pairs if pi > 0):  # the terms after the overflow
+        if any(ri == 0 for pi, ri, _ in pairs if pi > 0):  # the terms after the overflow
             return math.inf
         s = math.inf
     if not 0.0 < s < math.inf:
@@ -174,8 +187,12 @@ def renyi_divergence(p: Pmf, r: Pmf, a) -> float:
     return _divergence(p.probs.tolist(), r.probs.tolist(), as_alpha(a), math.log(p.base_q))
 
 
-def _tv(ps, rs) -> float:
-    return 0.5 * math.fsum(abs(pi - ri) for pi, ri in zip(ps, rs))
+def _tv(ps, rs, counts=None) -> float:
+    """Half the L1 distance; with counts as in ``_divergence``."""
+    pairs = zip(ps, rs, itertools.repeat(1) if counts is None else counts)
+    return 0.5 * math.fsum(itertools.chain.from_iterable(
+        itertools.repeat(abs(pi - ri), c) for pi, ri, c in pairs
+    ))
 
 
 def tv_distance(p: Pmf, r: Pmf) -> float:
@@ -186,7 +203,8 @@ def tv_distance(p: Pmf, r: Pmf) -> float:
 
 def _columns(arr: np.ndarray):
     """Yield (w, conditional column) for each column of arr read as
-    (axis 0, rest) whose mass w is positive.
+    (axis 0, rest) whose mass w is positive; the conditional column holds the
+    positive masses only, each divided by w.
 
     Columns are the conditioning cells: z for an (x, z) joint, seed s or
     (s, z) for an output joint.  Each column is normalised in Python floats
@@ -197,7 +215,7 @@ def _columns(arr: np.ndarray):
         w = math.fsum(col)
         if w == 0:
             continue
-        cond = [p / w for p in col]
+        cond = [p / w for p in col if p > 0]
         _check_sum(cond)
         yield w, cond
 
@@ -235,18 +253,25 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     return total / ((1.0 - a.value) * math.log(joint.base_q))
 
 
-def conditional_divergences(joint: JointPmf, alphas) -> list[float]:
+def conditional_divergences(joint: JointPmf, alphas, orbit: int = 1) -> list[float]:
     """Seed-averaged divergences from uniform outputs, every order from one read:
     sum_s P_S(s) D_alpha(P(.|s) || uniform); over (s, z) cells for 3 axes.
+
+    Each block of ``orbit`` consecutive seeds must hold output-permuted
+    columns (``HashFamily.shift_digits``): only the block's first seed is read,
+    and its terms count ``orbit`` times, so fsum sees the same multiset.
     """
     alphas = [as_alpha(a) for a in alphas]
     uniform = itertools.repeat(1.0 / joint.probs.shape[0])
     lnq = math.log(joint.base_q)
     terms = [[] for _ in alphas]
-    for w, cond in _columns(joint.probs):
+    for w, cond in _columns(joint.probs[:, ::orbit]):
         for a, column_terms in zip(alphas, terms):
             column_terms.append(w * _divergence(cond, uniform, a, lnq))
-    return [math.fsum(t) for t in terms]
+    return [
+        math.fsum(itertools.chain.from_iterable(itertools.repeat(t, orbit) for t in column_terms))
+        for column_terms in terms
+    ]
 
 
 def conditional_divergence(joint: JointPmf, a) -> float:
@@ -254,21 +279,46 @@ def conditional_divergence(joint: JointPmf, a) -> float:
     return conditional_divergences(joint, [a])[0]
 
 
-def _against_uniform_product(joint: JointPmf):
-    """The joint's cells, one output row at a time, and the matching masses of
-    uniform outputs x the joint's own seed[,z] marginal (the same for every
-    row, so cycled).  Only one row is held as a list at a time."""
+def uniform_product_terms(joint: JointPmf, orbit: int = 1):
+    """The joint's (cell, reference) pairs against uniform outputs x the
+    joint's own seed[,z] marginal, as (cells, refs, counts) lists.
+
+    The reference is arr.sum(axis=0) / U over the whole joint; its last bit
+    may differ between seeds whose columns are permutations of each other.
+    So within each block of ``orbit`` consecutive seeds (output-permuted
+    columns, as for ``conditional_divergences``) and each z, the members are
+    grouped by distinct reference float: each group contributes the block's
+    first column against that reference, counted once per member.  With
+    orbit 1 every (s, z) is its own group of count 1.
+    """
     arr = joint.probs
-    ref = (arr.sum(axis=0) / arr.shape[0]).reshape(-1).tolist()
-    cells = itertools.chain.from_iterable(row.reshape(-1).tolist() for row in arr)
-    return cells, itertools.cycle(ref)
+    n_out = arr.shape[0]
+    ref = arr.sum(axis=0) / n_out
+    n_z = ref[0].size  # 1 without a side channel
+    # One row per (block, z): its members' references, sorted; each run of
+    # equal floats is one group.
+    members = np.sort(ref.reshape(-1, orbit, n_z).transpose(0, 2, 1), axis=2)
+    new = np.ones(members.shape, dtype=bool)
+    new[..., 1:] = members[..., 1:] != members[..., :-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=new.size)
+    first = arr.reshape(n_out, -1, orbit, n_z)[:, :, 0, :].reshape(n_out, -1)
+    cells = first[:, starts // orbit].T  # one row per group
+    return (
+        cells.ravel().tolist(),
+        np.repeat(members.ravel()[starts], n_out).tolist(),
+        np.repeat(counts, n_out).tolist(),
+    )
 
 
-def joint_divergence_from_uniform(joint: JointPmf, a) -> float:
-    """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)."""
-    return _divergence(*_against_uniform_product(joint), as_alpha(a), math.log(joint.base_q))
+def joint_divergence_from_uniform(joint: JointPmf, a, terms=None) -> float:
+    """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal);
+    ``terms`` is ``uniform_product_terms(joint, orbit)``, shared between calls
+    (by default that of orbit 1)."""
+    cells, refs, counts = uniform_product_terms(joint) if terms is None else terms
+    return _divergence(cells, refs, as_alpha(a), math.log(joint.base_q), counts)
 
 
-def joint_tv_from_uniform(joint: JointPmf) -> float:
+def joint_tv_from_uniform(joint: JointPmf, terms=None) -> float:
     """TV distance from the same reference."""
-    return _tv(*_against_uniform_product(joint))
+    return _tv(*(uniform_product_terms(joint) if terms is None else terms))

@@ -559,12 +559,21 @@ class TestTracedRun:
 
 
 class TestPinnedReports:
-    """The benchmark pins the sha256 of each smoke workload's report at its
-    pinned seed; the CLI must keep writing exactly those bytes."""
+    """The benchmark pins the sha256 of each workload's report, and of its
+    GF(2^3) smoke instance, at the pinned seed; the CLI must keep writing
+    exactly those bytes."""
 
     @pytest.mark.parametrize("name", ["certify-k3", "sweep-side", "bucket-sampled"])
     def test_smoke_report_matches_pinned_sha256(self, tmp_path, capsys, workloads, name):
         workload = workloads.SMOKE[name]
+        cfg, out = tmp_path / "config.json", tmp_path / "report"
+        cfg.write_text(json.dumps(workload.config(workloads.PINNED_SEED)))
+        assert main([workload.command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == workload.pinned_sha256
+
+    @pytest.mark.parametrize("name", ["certify-k3", "sweep-side", "bucket-sampled"])
+    def test_workload_report_matches_pinned_sha256(self, tmp_path, capsys, workloads, name):
+        workload = workloads.WORKLOADS[name]
         cfg, out = tmp_path / "config.json", tmp_path / "report"
         cfg.write_text(json.dumps(workload.config(workloads.PINNED_SEED)))
         assert main([workload.command, "--config", str(cfg), "--out", str(out)]) == 0

@@ -176,6 +176,32 @@ def test_seed_digits_give_seed_space_sizes(gf4, gf9):
         assert fam.seed_space_size == fam.field.q ** fam.seed_digits
 
 
+SHIFT_FAMILIES = (
+    [
+        ("polynomial", q, n, k, m)
+        for q, n in ((2, 3), (3, 2), (5, 1))
+        for k in (2, 3)
+        for m in range(1, n + 1)
+    ]
+    + [("full_table", 2, 2, 2, m) for m in (1, 2)]
+    + [("constant", 2, 3, 2, 2)]
+)
+
+
+@pytest.mark.parametrize("kind,q,n,k,m", SHIFT_FAMILIES)
+def test_shift_digits_only_shift_outputs(kind, q, n, k, m):
+    # Within each block of q**shift_digits consecutive seeds, every row is the
+    # block's first row plus one constant digit vector mod q.
+    field = FieldParams.create(q, n)
+    fam = HashFamily(kind, field, k, m)
+    assert fam.shift_digits == (n if kind == "polynomial" else 0)
+    table = hash_table(fam, np.arange(fam.seed_space_size), range(field.size))
+    digits = table[..., None] // q ** np.arange(m) % q  # (seed, input, output digit)
+    blocks = digits.reshape(-1, q**fam.shift_digits, field.size, m)
+    shift = (blocks - blocks[:, :1]) % q
+    assert (shift == shift[:, :, :1]).all()
+
+
 def test_output_encoding_round_trip():
     assert output_to_int((1, 0, 1), 2) == 5
     assert output_to_int((2, 1), 3) == 5

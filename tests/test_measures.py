@@ -10,8 +10,8 @@ from conftest import make_source, poly_family
 
 from renyi_extract import measures
 from renyi_extract.bounds import SLACK
-from renyi_extract.extraction import empirical_divergences, extract_joint
-from renyi_extract.families import evaluate, output_to_int
+from renyi_extract.extraction import ExtractionResult, empirical_divergences, extract_joint
+from renyi_extract.families import HashFamily, evaluate, output_to_int
 from renyi_extract.fields import FieldParams
 from renyi_extract.measures import (
     _columns,
@@ -389,6 +389,30 @@ def _extracted(gf4, side):
     return extract_joint(poly_family(gf4, 2, 1), source)
 
 
+# (q, n, k, m): q = 2 and 3, m < n and m = n.
+ORBIT_FAMILIES = [(2, 2, 2, 1), (2, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 1), (3, 2, 2, 1), (3, 2, 2, 2)]
+
+
+def _orbit_instance(q, n, k, m, source, side):
+    """An extraction on GF(q^n) from a seeded source, zero masses included
+    for 'point-mass' and 'sparse', with a side channel of `side` symbols."""
+    field = FieldParams.create(q, n)
+    rng = np.random.default_rng([q, n, k, m, side])
+    probs = rng.dirichlet(np.full(field.size, 0.5))
+    if source == "point-mass":
+        probs = np.eye(field.size)[1]
+    elif source == "sparse":
+        probs[rng.random(field.size) < 0.5] = 0.0
+        probs[0] += 0.1
+        probs /= probs.sum()
+    channel = None
+    if side:
+        channel = rng.dirichlet(np.full(side, 0.7), size=field.size)
+        channel[::2, 0] = 0.0  # every other row misses a symbol
+        channel /= channel.sum(axis=1, keepdims=True)
+    return extract_joint(HashFamily("polynomial", field, k, m), make_source(field, probs, channel))
+
+
 class TestConditionalBitwiseOracle:
     """The column reader must give the same bits as the per-cell Pmf path."""
 
@@ -446,7 +470,9 @@ class TestConditionalBitwiseOracle:
             result = _extracted(gf4, sc)
             walks.clear()
             empirical_divergences(result, ALPHA_GRID + [Alpha(2.0)])
-            assert walks == [result.joint.probs.shape]
+            # Only the first seed of each s_0-orbit: seeds / q^n columns.
+            u, seeds, *z = result.joint.probs.shape
+            assert walks == [(u, seeds // gf4.size, *z)]
 
     def test_joint_read_in_place(self, gf4):
         # Row by row against the cycled reference gives the same bits as the
@@ -469,6 +495,29 @@ class TestConditionalBitwiseOracle:
             assert table.kl_to_uniform == renyi_divergence(flat, ref, Alpha.one())
             for row, a in zip(table.rows, ALPHA_GRID):
                 assert row.joint == renyi_divergence(flat, ref, a)
+
+    @pytest.mark.parametrize("q,n,k,m", ORBIT_FAMILIES)
+    @pytest.mark.parametrize("source", ["dirichlet", "point-mass", "sparse"])
+    @pytest.mark.parametrize("side", [0, 3])
+    def test_orbit_reduced_table_matches_full_walk(self, monkeypatch, q, n, k, m, source, side):
+        result = _orbit_instance(q, n, k, m, source, side)
+        assert result.family.shift_digits == n
+        reduced = empirical_divergences(result, ALPHA_GRID + [Alpha(7.5)])
+        monkeypatch.setattr(HashFamily, "shift_digits", property(lambda fam: 0))
+        full = empirical_divergences(result, ALPHA_GRID + [Alpha(7.5)])
+        assert reduced.rows == full.rows
+        assert reduced.tv_to_uniform == full.tv_to_uniform
+        assert reduced.kl_to_uniform == full.kl_to_uniform
+        assert reduced.conditional_inf == full.conditional_inf
+
+    def test_unpermuted_seed_orbit_is_refused(self):
+        result = _orbit_instance(2, 2, 2, 1, "dirichlet", 0)
+        arr = result.joint.probs.copy()
+        arr[:, 1] = arr[:, 1].sum() / 2  # seed 1 shares seed 0's orbit
+        assert sorted(arr[:, 1]) != sorted(arr[:, 0])
+        tampered = ExtractionResult(JointPmf(arr, 2), result.family, result.source)
+        with pytest.raises(RuntimeError, match="output-permuted"):
+            empirical_divergences(tampered, ALPHA_GRID)
 
     def test_column_reader_checks_normalisation(self):
         # The check each per-cell Pmf made: a column that cannot be
