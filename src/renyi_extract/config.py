@@ -114,12 +114,9 @@ class ExperimentConfig:
         return self.family.build()
 
     def build_source(self, family: HashFamily) -> Source:
-        n_elems = family.field.size
-        probs = _source_probs(self.source, n_elems)
-        support = tuple(family.field.elements())
+        probs = _source_probs(self.source, family.field.size)
         try:
-            pmf = Pmf(probs, family.field.q)
-            return Source(support, pmf, self.side_channel)
+            return Source(Pmf(probs, family.field.q), self.side_channel)
         except ValueError as e:
             raise ConfigError(str(e)) from e
 

@@ -4,10 +4,12 @@ For a family h and source X (with optional side channel Z), builds the dense
 joint P(u, s) = P_S(s) sum_{x : h(s,x)=u} P_X(x), or its (u, s, z) analogue
 P_S(s) sum_x 1{h(s,x)=u} P_X(x) P_{Z|X}(z|x).  The seed S is always uniform.
 
-Both the joint and the largest-bucket experiment read h(s, x) from one
-``families.hash_table`` (rows are seeds, columns are inputs).  The joint adds
-one support point's mass at a time, so every cell sums its terms in support
-order and the result is deterministic.
+Sources and bucket subsets are canonical input integers: index i is the
+field element whose canonical integer is i.  Both the joint and the
+largest-bucket experiment read h(s, x) from one ``families.hash_table`` (rows
+are seeds, columns are inputs).  The joint adds one input's mass at a time, so
+every cell sums its terms in canonical input order and the result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -21,46 +23,35 @@ import numpy as np
 from .errors import BudgetExceededError
 from .families import DEFAULT_BUDGET, HashFamily, hash_table
 from .families import evaluate  # noqa: F401  re-exported so perfbench/tracing.py can count calls here
-from .fields import FieldElement
 from . import measures
 from .measures import Alpha, JointPmf, Pmf, as_alpha
 
 
 @dataclass(frozen=True)
 class Source:
-    """A pmf over distinct field elements, optionally with a side channel.
+    """A pmf over a field's canonical input integers 0 .. q^n - 1, optionally
+    with a side channel.
 
-    ``side_channel[i, z]`` is P(Z=z | X=support[i]); each row sums to 1.
+    ``probs.probs[i]`` is P(X=i); ``side_channel[i, z]`` is P(Z=z | X=i) and
+    each row sums to 1.
     """
 
-    support: tuple[FieldElement, ...]
     probs: Pmf
     side_channel: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.support) != self.probs.support_size:
-            raise ValueError("support and probability vector lengths differ")
-        if len({x.to_int() for x in self.support}) != len(self.support):
-            raise ValueError("support elements must be distinct")
-        fields = {x.field for x in self.support}
-        if len(fields) != 1:
-            raise ValueError("support elements must share one field")
         if self.side_channel is not None:
             sc = np.asarray(self.side_channel, dtype=float)
             sc.setflags(write=False)
             object.__setattr__(self, "side_channel", sc)
-            if sc.ndim != 2 or sc.shape[0] != len(self.support):
-                raise ValueError("side channel needs one row per support element")
+            if sc.ndim != 2 or sc.shape[0] != self.probs.support_size:
+                raise ValueError("side channel needs one row per source symbol")
             if np.any(sc < 0):
                 raise ValueError("side channel entries must be non-negative")
             for row in sc:
                 # Negated so that a NaN or infinite entry fails too.
                 if not abs(math.fsum(row.tolist()) - 1.0) <= measures.NORMALIZATION_TOL:
                     raise ValueError("each side-channel row must sum to 1")
-
-    @property
-    def field_params(self):
-        return self.support[0].field
 
     @property
     def n_side(self) -> int:
@@ -99,37 +90,35 @@ class ExtractionResult:
         return self.source.entropy(a)
 
 
-def _check_source_field(family: HashFamily, source: Source):
-    if source.field_params != family.field:
-        raise ValueError("source support lies outside the family's field")
-
-
 def extract_joint(
     family: HashFamily,
     source: Source,
     budget: int = DEFAULT_BUDGET,
 ) -> ExtractionResult:
     """Exhaustively enumerate P(u, s[, z]); deterministic up to float summation."""
-    _check_source_field(family, source)
+    f, n_inputs, base = family.field, source.probs.support_size, source.probs.base_q
+    if (n_inputs, base) != (f.size, f.q):
+        raise ValueError(
+            f"source of {n_inputs} symbols in base {base} does not fit GF({f.q}^{f.n})"
+        )
     seeds = family.seed_space_size
-    n_sup = len(source.support)
-    if seeds * n_sup > budget:
+    if seeds * n_inputs > budget:
         raise BudgetExceededError(
-            f"{seeds} seeds x {n_sup} support points exceeds budget {budget}"
+            f"{seeds} seeds x {n_inputs} inputs exceeds budget {budget}"
         )
     all_seeds = np.arange(seeds)
-    table = hash_table(family, all_seeds, [x.to_int() for x in source.support])
+    table = hash_table(family, all_seeds, range(n_inputs))
     px = source.probs.probs
     sc = source.side_channel
     shape = (family.output_size, seeds)
     if sc is not None:
         shape += (source.n_side,)
     acc = np.zeros(shape)
-    # One support point at a time touches each seed's column once, so every
-    # cell sums its terms in support order.
-    for i in range(n_sup):
+    # One input at a time touches each seed's column once, so every cell sums
+    # its terms in canonical input order.
+    for i in range(n_inputs):
         acc[table[:, i], all_seeds] += px[i] if sc is None else px[i] * sc[i]
-    joint = JointPmf(acc * (1.0 / seeds), family.field.q)
+    joint = JointPmf(acc * (1.0 / seeds), f.q)
     return ExtractionResult(joint, family, source)
 
 
@@ -208,32 +197,30 @@ def _largest_buckets(table: np.ndarray) -> np.ndarray:
 
 def expected_max_bucket(
     family: HashFamily,
-    subset: Sequence[FieldElement],
+    subset: Sequence[int],
     mode: str = "exact",
     n_samples: int = 1000,
     rng_seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> BucketEstimate:
-    """E_S[max bucket occupancy] when hashing every element of the subset.
+    """E_S[max bucket occupancy] when hashing every canonical input integer of
+    the subset.
 
     Exact mode averages over the whole seed space; sampled mode draws seeds
     with a seeded generator and reports the standard error of the mean.
+    ``hash_table`` refuses an integer outside the field.
     """
     if not subset:
         raise ValueError("subset must be non-empty")
-    x_ints = [x.to_int() for x in subset]
-    if len(set(x_ints)) != len(x_ints):
+    if len(set(subset)) != len(subset):
         raise ValueError("subset elements must be distinct")
-    for x in subset:
-        if x.field != family.field:
-            raise ValueError("subset element from the wrong field")
     seeds = family.seed_space_size
     if mode == "exact":
         if seeds * len(subset) > budget:
             raise BudgetExceededError(
                 f"{seeds} seeds x {len(subset)} elements exceeds budget {budget}"
             )
-        loads = _largest_buckets(hash_table(family, np.arange(seeds), x_ints))
+        loads = _largest_buckets(hash_table(family, np.arange(seeds), subset))
         return BucketEstimate(math.fsum(loads.tolist()) / seeds, None, "exact", seeds)
     if mode == "sampled":
         if n_samples * len(subset) > budget:
@@ -243,7 +230,7 @@ def expected_max_bucket(
             draws = rng.integers(0, seeds, size=n_samples)
         else:  # seed integers beyond int64: draw their base-q digits
             draws = rng.integers(0, family.field.q, size=(n_samples, family.seed_digits))
-        vals = _largest_buckets(hash_table(family, draws, x_ints)).astype(float)
+        vals = _largest_buckets(hash_table(family, draws, subset)).astype(float)
         stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
         return BucketEstimate(float(vals.mean()), stderr, "sampled", n_samples, rng_seed)
     raise ValueError(f"unknown mode {mode!r}")

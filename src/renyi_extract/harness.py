@@ -237,10 +237,7 @@ def run_bucket(config: ExperimentConfig) -> dict:
         raise ConfigError("config has no 'bucket' section")
     family = config.build_family()
     spec = config.bucket
-    if spec.subset == "full":
-        subset = family.field.elements()
-    else:
-        subset = [family.field.from_int(v) for v in spec.subset]
+    subset = range(family.field.size) if spec.subset == "full" else spec.subset
     est = expected_max_bucket(
         family,
         subset,
@@ -299,9 +296,9 @@ def run_sweep(config: ExperimentConfig) -> tuple[str, bool]:
     lines = [",".join(SWEEP_COLUMNS)]
     all_ok = True
     base = config.build_family()
+    source = config.build_source(base)
     for m in m_values:
         family = HashFamily(base.kind, base.field, base.k, m)
-        source = config.build_source(family)
         result = extract_joint(family, source, budget=config.budget)
         grid = _finite_alphas_in_range(config.alphas, family.k)
         divergences = empirical_divergences(result, grid)

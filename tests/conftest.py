@@ -21,9 +21,7 @@ def gf9():
 
 
 def make_source(field, probs, side_channel=None):
-    return Source(
-        tuple(field.elements()), Pmf(np.asarray(probs, dtype=float), field.q), side_channel
-    )
+    return Source(Pmf(np.asarray(probs, dtype=float), field.q), side_channel)
 
 
 def uniform_source(field, side_channel=None):

@@ -17,8 +17,10 @@ from renyi_extract import bounds as bd
 from renyi_extract.cli import main
 from renyi_extract.config import parse_config
 from renyi_extract.errors import ConfigError
-from renyi_extract.fields import FieldParams
-from renyi_extract.harness import SWEEP_COLUMNS, run_verify
+from renyi_extract import harness
+from renyi_extract.config import ExperimentConfig
+from renyi_extract.fields import FieldElement, FieldParams
+from renyi_extract.harness import SWEEP_COLUMNS, run_bucket, run_sweep, run_verify
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -474,6 +476,21 @@ class TestBucketCommand:
         cfg = write_config(tmp_path)
         assert main(["bucket", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "subset,message",
+        [([0, 99], "outside [0, 8)"), ([1, 1], "distinct"), ([], "non-empty")],
+        ids=["out-of-range", "duplicate", "empty"],
+    )
+    def test_bad_subset_exits_2(self, tmp_path, capsys, subset, message):
+        cfg = write_config(tmp_path, bucket={"subset": subset})
+        out = tmp_path / "bucket.json"
+        assert main(["bucket", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
 
 class TestSweepCommand:
     def test_csv_structure_and_slack(self, tmp_path, capsys):
@@ -496,6 +513,76 @@ class TestSweepCommand:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_text().strip() == ",".join(SWEEP_COLUMNS)
+
+
+@pytest.fixture
+def field_element_builds(monkeypatch):
+    """Every FieldElement constructed while the test runs."""
+    built = []
+    post_init = FieldElement.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(FieldElement, "__post_init__", counted)
+    return built
+
+
+class TestIntegerInputs:
+    """Sources and bucket subsets are canonical input integers; only the hash
+    family decodes them into field elements."""
+
+    def test_build_source_builds_no_field_element(self, field_element_builds):
+        config = parse_config(
+            {"family": {"q": 2, "n": 8, "k": 2, "m": 1}, "source": {"preset": "geometric", "param": 0.9}}
+        )
+        family = config.build_family()
+        field_element_builds.clear()
+        source = config.build_source(family)
+        assert field_element_builds == []
+        assert source.probs.support_size == 256
+
+    @pytest.mark.parametrize("subset", ["full", [6, 1, 3]])
+    def test_run_bucket_passes_integers(self, monkeypatch, field_element_builds, subset):
+        seen = []
+        real = harness.expected_max_bucket
+
+        def spy(family, subset, **kwargs):
+            seen.append((list(subset), len(field_element_builds)))
+            return real(family, subset, **kwargs)
+
+        monkeypatch.setattr(harness, "expected_max_bucket", spy)
+        config = parse_config(
+            {
+                "family": {"q": 2, "n": 3, "k": 2, "m": 2},
+                "source": {"preset": "uniform"},
+                "bucket": {"subset": subset},
+            }
+        )
+        run_bucket(config)
+        assert seen == [(list(range(8)) if subset == "full" else subset, 0)]
+
+    def test_sweep_builds_source_once(self, monkeypatch):
+        calls = []
+        build_source = ExperimentConfig.build_source
+
+        def counted(self, family):
+            calls.append(family.m)
+            return build_source(self, family)
+
+        monkeypatch.setattr(ExperimentConfig, "build_source", counted)
+        config = parse_config(
+            {
+                "family": {"q": 2, "n": 3, "k": 2, "m": 1},
+                "source": {"preset": "uniform"},
+                "alphas": [2],
+                "sweep": {"m_values": [1, 2]},
+            }
+        )
+        csv_text, ok = run_sweep(config)
+        assert ok and len(csv_text.strip().splitlines()) == 1 + 2
+        assert len(calls) == 1
 
 
 class TestVerifyReportContents:

@@ -24,14 +24,15 @@ SIDE_ROWS_8 = np.array([[0.8, 0.2], [0.3, 0.7]] * 4)
 
 
 def oracle_joint(family, source):
-    """Direct double loop over (seed, support), independent of extract_joint."""
+    """Direct double loop over (seed, input), independent of extract_joint."""
     seeds = family.seed_space_size
     shape = (family.output_size, seeds)
     if source.side_channel is not None:
         shape += (source.side_channel.shape[1],)
     arr = np.zeros(shape)
     for s in range(seeds):
-        for i, x in enumerate(source.support):
+        for i in range(source.probs.support_size):
+            x = family.field.from_int(i)
             u = output_to_int(evaluate(family, s, x), family.field.q)
             if source.side_channel is None:
                 arr[u, s] += source.probs.probs[i] / seeds
@@ -102,11 +103,20 @@ class TestExtractJoint:
         with pytest.raises(ValueError):
             extract_joint(fam, uniform_source(gf8))
 
+    def test_source_log_base_must_match_family_q(self, gf9):
+        # Nine symbols fit GF(3^2), but entropies in bits would be compared
+        # with a joint and bounds in base 3.
+        fam = poly_family(gf9, 2, 1)
+        src = Source(Pmf(np.full(9, 1 / 9), base_q=2))
+        with pytest.raises(ValueError, match=r"base 2 does not fit GF\(3\^2\)"):
+            extract_joint(fam, src)
+
 
 class TestSourceValidation:
-    def test_duplicate_support_rejected(self, gf4):
+    def test_side_channel_row_count_checked(self, gf4):
+        rows = np.array([[0.5, 0.5]] * 3)
         with pytest.raises(ValueError):
-            Source((gf4.zero(), gf4.zero()), Pmf(np.array([0.5, 0.5]), 2))
+            uniform_source(gf4, side_channel=rows)
 
     def test_side_channel_row_sums_checked(self, gf4):
         rows = np.array([[0.5, 0.4]] * 4)
@@ -181,34 +191,34 @@ def oracle_full_table_max_load(n_items, n_buckets):
 class TestExpectedMaxBucket:
     def test_singleton_subset(self, gf8):
         fam = poly_family(gf8, 2, 2)
-        est = expected_max_bucket(fam, [gf8.from_int(3)])
+        est = expected_max_bucket(fam, [3])
         assert est.mean == 1.0
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_full_table_matches_balls_into_bins(self, m):
         f = FieldParams.create(2, 2)
         fam = HashFamily("full_table", f, 2, m)
-        est = expected_max_bucket(fam, f.elements())
+        est = expected_max_bucket(fam, range(f.size))
         assert est.mean == pytest.approx(oracle_full_table_max_load(4, 2**m), abs=1e-12)
 
     def test_polynomial_family_worked_value(self, gf8):
         # Degree-1 seeds are bijections (max load 2 into 4 buckets); the 8
         # constant seeds pile all 8 elements into one bucket.
         fam = poly_family(gf8, 2, 2)
-        est = expected_max_bucket(fam, gf8.elements())
+        est = expected_max_bucket(fam, range(gf8.size))
         assert est.mean == pytest.approx((8 * 8 + 56 * 2) / 64)
 
     def test_subset_permutation_invariance(self, gf8):
         fam = poly_family(gf8, 2, 2)
-        subset = gf8.elements()[:5]
+        subset = list(range(5))
         a = expected_max_bucket(fam, subset)
         b = expected_max_bucket(fam, list(reversed(subset)))
         assert a.mean == b.mean
 
     def test_sampled_mode_reproducible(self, gf8):
         fam = poly_family(gf8, 2, 2)
-        a = expected_max_bucket(fam, gf8.elements(), mode="sampled", n_samples=200, rng_seed=42)
-        b = expected_max_bucket(fam, gf8.elements(), mode="sampled", n_samples=200, rng_seed=42)
+        a = expected_max_bucket(fam, range(gf8.size), mode="sampled", n_samples=200, rng_seed=42)
+        b = expected_max_bucket(fam, range(gf8.size), mode="sampled", n_samples=200, rng_seed=42)
         assert a.mean == b.mean
         assert a.stderr == b.stderr
         assert a.stderr is not None and a.stderr > 0
@@ -216,11 +226,12 @@ class TestExpectedMaxBucket:
     @pytest.mark.parametrize("kind,k,m", [("polynomial", 3, 2), ("full_table", 2, 1)])
     def test_sampled_mode_matches_evaluate_on_same_draws(self, gf8, kind, k, m):
         fam = HashFamily(kind, gf8, k, m)
-        subset = [gf8.from_int(v) for v in (6, 1, 3, 7, 0)]
+        subset = [6, 1, 3, 7, 0]
         est = expected_max_bucket(fam, subset, mode="sampled", n_samples=300, rng_seed=11)
         draws = np.random.default_rng(11).integers(0, fam.seed_space_size, size=300)
+        xs = [gf8.from_int(v) for v in subset]
         vals = np.array(
-            [max(Counter(evaluate(fam, int(s), x) for x in subset).values()) for s in draws],
+            [max(Counter(evaluate(fam, int(s), x) for x in xs).values()) for s in draws],
             dtype=float,
         )
         assert est.mean == float(vals.mean())
@@ -231,14 +242,15 @@ class TestExpectedMaxBucket:
         # 2^64 seeds: integer draws would overflow int64, so digits are drawn.
         f = FieldParams.create(2, 4)
         fam = HashFamily("full_table", f, 2, 4)
-        subset = [f.from_int(v) for v in (0, 3, 5, 7, 9, 14)]
+        subset = [0, 3, 5, 7, 9, 14]
         est = expected_max_bucket(fam, subset, mode="sampled", n_samples=200, rng_seed=8)
         again = expected_max_bucket(fam, subset, mode="sampled", n_samples=200, rng_seed=8)
         assert (est.mean, est.stderr) == (again.mean, again.stderr)
         digits = np.random.default_rng(8).integers(0, 2, size=(200, fam.seed_digits))
         seeds = [sum(d * 2**i for i, d in enumerate(row)) for row in digits.tolist()]
+        xs = [f.from_int(v) for v in subset]
         vals = np.array(
-            [max(Counter(evaluate(fam, s, x) for x in subset).values()) for s in seeds],
+            [max(Counter(evaluate(fam, s, x) for x in xs).values()) for s in seeds],
             dtype=float,
         )
         assert est.mean == float(vals.mean())
@@ -248,3 +260,9 @@ class TestExpectedMaxBucket:
         fam = poly_family(gf8, 2, 2)
         with pytest.raises(ValueError):
             expected_max_bucket(fam, [])
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_subset_outside_field_rejected(self, gf8, mode):
+        fam = poly_family(gf8, 2, 2)
+        with pytest.raises(ValueError, match=r"outside \[0, 8\)"):
+            expected_max_bucket(fam, [0, 8], mode=mode)
