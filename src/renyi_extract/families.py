@@ -56,14 +56,6 @@ class HashFamily:
         return 0
 
     @property
-    def shift_digits(self) -> int:
-        """Number of lowest seed digits that only shift every output by one
-        constant: the n digits of s_0 for the polynomial kind, none otherwise.
-        Each block of q**shift_digits consecutive seeds therefore hashes to
-        output-permuted columns."""
-        return self.field.n if self.kind == "polynomial" else 0
-
-    @property
     def seed_space_size(self) -> int:
         return self.field.q ** self.seed_digits
 

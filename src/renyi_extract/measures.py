@@ -6,16 +6,13 @@ comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 
 D_alpha has one formula, ``_divergence``: every power sum, log-ratio and max
 is formed there, on Python floats.  H_alpha is minus D_alpha against the
-counting measure.  The conditional functionals read the joint column by
-column through ``_columns``, once for every order; the joint divergence, KL
-and TV read one list of distinct (cell, reference) pairs with counts from
-``uniform_product_terms``.  No per-cell or flattened pmfs are built.
-
-Seeds in one orbit (``HashFamily.shift_digits``) give output-permuted
-columns, so the divergence table reads one seed per orbit: the conditional
-terms count once per member, and the joint terms once per member sharing a
-reference float.  fsum sees the same multiset of terms as a walk over every
-seed, so the correctly rounded results are the same bits.
+counting measure.  The output joint's functionals read its columns grouped by
+content (``distinct_columns``): the conditional ones each group's sorted
+column, normalised once for every order, and the joint divergence, KL and TV
+each group's (cell, reference) pairs (``uniform_product_terms``).  Each term
+is formed once per group and fed to fsum once per member column, so fsum sees
+the multiset of terms of a walk over every column, and the correctly rounded
+results are the same bits.  No per-cell or flattened pmfs are built.
 """
 
 from __future__ import annotations
@@ -201,23 +198,25 @@ def tv_distance(p: Pmf, r: Pmf) -> float:
     return _tv(p.probs.tolist(), r.probs.tolist())
 
 
-def _columns(arr: np.ndarray):
-    """Yield (w, conditional column) for each column of arr read as
+def _columns(arr: np.ndarray, counts=None):
+    """Yield (w, conditional column, count) for each column of arr read as
     (axis 0, rest) whose mass w is positive; the conditional column holds the
-    positive masses only, each divided by w.
+    positive masses only, each divided by w, and count is the column's entry
+    of ``counts`` (1 without them).
 
     Columns are the conditioning cells: z for an (x, z) joint, seed s or
     (s, z) for an output joint.  Each column is normalised in Python floats
     and must sum to 1, as a pmf would.
     """
-    for col in arr.reshape(arr.shape[0], -1).T:
+    counts = itertools.repeat(1) if counts is None else counts
+    for col, c in zip(arr.reshape(arr.shape[0], -1).T, counts):
         col = col.tolist()
         w = math.fsum(col)
         if w == 0:
             continue
         cond = [p / w for p in col if p > 0]
         _check_sum(cond)
-        yield w, cond
+        yield w, cond, c
 
 
 def _conditional_power_sums(joint: JointPmf, a: Alpha, what: str):
@@ -229,7 +228,7 @@ def _conditional_power_sums(joint: JointPmf, a: Alpha, what: str):
         raise ValueError(f"{what} requires a 2-axis joint")
     return [
         (pz, _divergence(cond, itertools.repeat(1.0), a, None))
-        for pz, cond in _columns(joint.probs)
+        for pz, cond, _ in _columns(joint.probs)
     ]
 
 
@@ -253,25 +252,46 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     return total / ((1.0 - a.value) * math.log(joint.base_q))
 
 
-def conditional_divergences(joint: JointPmf, alphas, orbit: int = 1) -> list[float]:
+def distinct_columns(joint: JointPmf):
+    """The output joint's columns grouped by content, as (columns, refs,
+    counts).
+
+    A column is a seed s, or an (s, z) cell, and its reference is its entry of
+    arr.sum(axis=0) / U, the mass each output has under the uniform product
+    reference.  Columns whose outputs, sorted, and reference are the same
+    floats bit for bit form one group: ``columns`` holds each group's sorted
+    column (one column per group), ``refs`` its reference and ``counts`` its
+    number of members.  The groups come in no meaningful order.
+    """
+    arr = joint.probs
+    n_out = arr.shape[0]
+    rows = np.empty((arr[0].size, n_out + 1))
+    rows[:, :n_out] = arr.reshape(n_out, -1).T
+    rows[:, :n_out].sort(axis=1)
+    rows[:, n_out] = (arr.sum(axis=0) / n_out).ravel()
+    # One opaque key per row, so np.unique compares whole rows as raw bytes.
+    keys = rows.view(np.dtype((np.void, rows.itemsize * (n_out + 1)))).ravel()
+    keys, counts = np.unique(keys, return_counts=True)
+    groups = keys.view(float).reshape(-1, n_out + 1)
+    return groups[:, :n_out].T, groups[:, n_out], counts
+
+
+def conditional_divergences(joint: JointPmf, alphas, columns=None) -> list[float]:
     """Seed-averaged divergences from uniform outputs, every order from one read:
     sum_s P_S(s) D_alpha(P(.|s) || uniform); over (s, z) cells for 3 axes.
 
-    Each block of ``orbit`` consecutive seeds must hold output-permuted
-    columns (``HashFamily.shift_digits``): only the block's first seed is read,
-    and its terms count ``orbit`` times, so fsum sees the same multiset.
+    ``columns`` is ``distinct_columns(joint)``, shared between calls: each
+    group's column is read once and its terms count once per member.
     """
     alphas = [as_alpha(a) for a in alphas]
-    uniform = itertools.repeat(1.0 / joint.probs.shape[0])
+    cols, _, counts = distinct_columns(joint) if columns is None else columns
+    uniform = itertools.repeat(1.0 / cols.shape[0])
     lnq = math.log(joint.base_q)
     terms = [[] for _ in alphas]
-    for w, cond in _columns(joint.probs[:, ::orbit]):
+    for w, cond, c in _columns(cols, counts.tolist()):
         for a, column_terms in zip(alphas, terms):
-            column_terms.append(w * _divergence(cond, uniform, a, lnq))
-    return [
-        math.fsum(itertools.chain.from_iterable(itertools.repeat(t, orbit) for t in column_terms))
-        for column_terms in terms
-    ]
+            column_terms.append(itertools.repeat(w * _divergence(cond, uniform, a, lnq), c))
+    return [math.fsum(itertools.chain.from_iterable(t)) for t in terms]
 
 
 def conditional_divergence(joint: JointPmf, a) -> float:
@@ -279,42 +299,23 @@ def conditional_divergence(joint: JointPmf, a) -> float:
     return conditional_divergences(joint, [a])[0]
 
 
-def uniform_product_terms(joint: JointPmf, orbit: int = 1):
+def uniform_product_terms(joint: JointPmf, columns=None):
     """The joint's (cell, reference) pairs against uniform outputs x the
-    joint's own seed[,z] marginal, as (cells, refs, counts) lists.
-
-    The reference is arr.sum(axis=0) / U over the whole joint; its last bit
-    may differ between seeds whose columns are permutations of each other.
-    So within each block of ``orbit`` consecutive seeds (output-permuted
-    columns, as for ``conditional_divergences``) and each z, the members are
-    grouped by distinct reference float: each group contributes the block's
-    first column against that reference, counted once per member.  With
-    orbit 1 every (s, z) is its own group of count 1.
-    """
-    arr = joint.probs
-    n_out = arr.shape[0]
-    ref = arr.sum(axis=0) / n_out
-    n_z = ref[0].size  # 1 without a side channel
-    # One row per (block, z): its members' references, sorted; each run of
-    # equal floats is one group.
-    members = np.sort(ref.reshape(-1, orbit, n_z).transpose(0, 2, 1), axis=2)
-    new = np.ones(members.shape, dtype=bool)
-    new[..., 1:] = members[..., 1:] != members[..., :-1]
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=new.size)
-    first = arr.reshape(n_out, -1, orbit, n_z)[:, :, 0, :].reshape(n_out, -1)
-    cells = first[:, starts // orbit].T  # one row per group
+    joint's own seed[,z] marginal, as (cells, refs, counts) lists: one pair per
+    cell of each group of ``columns`` (``distinct_columns(joint)``), counted
+    once per member of its group."""
+    cols, refs, counts = distinct_columns(joint) if columns is None else columns
+    n_out = cols.shape[0]
     return (
-        cells.ravel().tolist(),
-        np.repeat(members.ravel()[starts], n_out).tolist(),
+        cols.T.ravel().tolist(),
+        np.repeat(refs, n_out).tolist(),
         np.repeat(counts, n_out).tolist(),
     )
 
 
 def joint_divergence_from_uniform(joint: JointPmf, a, terms=None) -> float:
     """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal);
-    ``terms`` is ``uniform_product_terms(joint, orbit)``, shared between calls
-    (by default that of orbit 1)."""
+    ``terms`` is ``uniform_product_terms(joint)``, shared between calls."""
     cells, refs, counts = uniform_product_terms(joint) if terms is None else terms
     return _divergence(cells, refs, as_alpha(a), math.log(joint.base_q), counts)
 

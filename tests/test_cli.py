@@ -223,6 +223,22 @@ class TestVerifyCommand:
         assert not report["certification"]["is_k_star_universal"]
         assert "certification FAILED" in capsys.readouterr().err
 
+    def test_rounding_negative_conditional_entropy_exits_0(self, tmp_path, capsys):
+        # A point mass whose side-channel rows each sum one ulp over 1: its
+        # H_2(X|Z) rounds to about -3.2e-16, which reads 0, not a config error.
+        cfg = write_config(
+            tmp_path,
+            family={"q": 2, "n": 4, "k": 3, "m": 4, "kind": "polynomial"},
+            source={"preset": "point-mass"},
+            side_channel=[[0.1, 0.9000000000000001]] * 16,
+            alphas=[2],
+        )
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["entropies"]["2"]["conditional"] == 0.0
+        assert report["all_satisfied"]
+
     def test_reports_byte_identical_across_runs(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

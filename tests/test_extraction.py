@@ -14,7 +14,10 @@ from renyi_extract import (
     expected_max_bucket,
     extract_joint,
 )
+from renyi_extract import measures
+from renyi_extract.bounds import SLACK
 from renyi_extract.errors import BudgetExceededError
+from renyi_extract.extraction import _nonnegative
 from renyi_extract.families import evaluate, output_to_int
 from renyi_extract.fields import FieldParams
 
@@ -127,6 +130,28 @@ class TestSourceValidation:
         src = uniform_source(gf4)
         with pytest.raises(ValueError):
             src.conditional_entropy(Alpha(2.0))
+
+
+class TestSourceEntropies:
+    # Every row sums one ulp over 1, within NORMALIZATION_TOL.
+    ROWS = np.array([[0.1, 0.9000000000000001]] * 16)
+
+    def test_rounding_negative_conditional_entropy_reads_0(self):
+        field = FieldParams.create(2, 4)
+        src = make_source(field, np.eye(16)[3], self.ROWS)
+        a = Alpha(2.0)
+        assert -SLACK <= measures.conditional_renyi_entropy(src.xz_joint(), a) < 0
+        assert src.conditional_entropy(a) == 0.0
+
+    def test_point_mass_entropy_keeps_its_bits(self, gf4):
+        # -0.0 is not below 0, so the point mass still reads -0.0.
+        h = make_source(gf4, np.eye(4)[1]).entropy(Alpha(2.0))
+        assert h == 0.0 and math.copysign(1.0, h) == -1.0
+
+    def test_only_rounding_is_forgiven(self):
+        assert _nonnegative(-SLACK) == 0.0
+        assert _nonnegative(-2 * SLACK) == -2 * SLACK
+        assert _nonnegative(0.5) == 0.5
 
 
 class TestEmpiricalDivergences:

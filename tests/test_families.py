@@ -190,14 +190,16 @@ SHIFT_FAMILIES = (
 
 @pytest.mark.parametrize("kind,q,n,k,m", SHIFT_FAMILIES)
 def test_shift_digits_only_shift_outputs(kind, q, n, k, m):
-    # Within each block of q**shift_digits consecutive seeds, every row is the
-    # block's first row plus one constant digit vector mod q.
+    # For the polynomial kind the n lowest seed digits are those of s_0, which
+    # adds one constant to every output: within each block of q**n
+    # consecutive seeds, every row is the block's first row plus one constant
+    # digit vector mod q.  The other kinds have no such digits.
     field = FieldParams.create(q, n)
     fam = HashFamily(kind, field, k, m)
-    assert fam.shift_digits == (n if kind == "polynomial" else 0)
+    block = q**n if kind == "polynomial" else 1
     table = hash_table(fam, np.arange(fam.seed_space_size), range(field.size))
     digits = table[..., None] // q ** np.arange(m) % q  # (seed, input, output digit)
-    blocks = digits.reshape(-1, q**fam.shift_digits, field.size, m)
+    blocks = digits.reshape(-1, block, field.size, m)
     shift = (blocks - blocks[:, :1]) % q
     assert (shift == shift[:, :, :1]).all()
 

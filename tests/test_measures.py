@@ -389,11 +389,22 @@ def _extracted(gf4, side):
     return extract_joint(poly_family(gf4, 2, 1), source)
 
 
-# (q, n, k, m): q = 2 and 3, m < n and m = n.
-ORBIT_FAMILIES = [(2, 2, 2, 1), (2, 2, 2, 2), (2, 3, 2, 2), (2, 2, 3, 1), (3, 2, 2, 1), (3, 2, 2, 2)]
+# (kind, q, n, k, m): polynomial with q = 2 and 3, m < n and m = n; the
+# full-table kind with m = 1 and 2; the constant kind.
+TABLE_FAMILIES = [
+    ("polynomial", 2, 2, 2, 1),
+    ("polynomial", 2, 2, 2, 2),
+    ("polynomial", 2, 3, 2, 2),
+    ("polynomial", 2, 2, 3, 1),
+    ("polynomial", 3, 2, 2, 1),
+    ("polynomial", 3, 2, 2, 2),
+    ("full_table", 2, 2, 2, 1),
+    ("full_table", 2, 2, 2, 2),
+    ("constant", 2, 3, 2, 2),
+]
 
 
-def _orbit_instance(q, n, k, m, source, side):
+def _instance(kind, q, n, k, m, source, side):
     """An extraction on GF(q^n) from a seeded source, zero masses included
     for 'point-mass' and 'sparse', with a side channel of `side` symbols."""
     field = FieldParams.create(q, n)
@@ -410,7 +421,94 @@ def _orbit_instance(q, n, k, m, source, side):
         channel = rng.dirichlet(np.full(side, 0.7), size=field.size)
         channel[::2, 0] = 0.0  # every other row misses a symbol
         channel /= channel.sum(axis=1, keepdims=True)
-    return extract_joint(HashFamily("polynomial", field, k, m), make_source(field, probs, channel))
+    return extract_joint(HashFamily(kind, field, k, m), make_source(field, probs, channel))
+
+
+def ungrouped_table(joint, alphas):
+    """The divergence table walked over every column in order, with no
+    grouping: _divergence once per column for the conditional functionals and
+    once over every cell against its column's reference for the joint ones.
+    Returns ([(joint, conditional) per order], tv, kl, conditional_inf)."""
+    arr = joint.probs
+    n_out = arr.shape[0]
+    lnq = math.log(joint.base_q)
+    flat = arr.reshape(n_out, -1)
+    cells = flat.T.ravel().tolist()
+    refs = np.repeat((arr.sum(axis=0) / n_out).ravel(), n_out).tolist()
+    uniform = [1.0 / n_out] * n_out
+
+    def conditional(a):
+        terms = []
+        for col in flat.T.tolist():
+            w = math.fsum(col)
+            if w == 0:
+                continue
+            cond = [p / w for p in col if p > 0]
+            measures._check_sum(cond)
+            terms.append(w * measures._divergence(cond, uniform, a, lnq))
+        return math.fsum(terms)
+
+    rows = [(measures._divergence(cells, refs, a, lnq), conditional(a)) for a in alphas]
+    kl = measures._divergence(cells, refs, Alpha.one(), lnq)
+    return rows, measures._tv(cells, refs), kl, conditional(Alpha.infinity())
+
+
+def assert_matches_ungrouped(table, joint, alphas):
+    rows, tv, kl, conditional_inf = ungrouped_table(joint, alphas)
+    assert [(r.joint, r.conditional) for r in table.rows] == rows
+    assert [r.alpha for r in table.rows] == alphas
+    assert table.tv_to_uniform == tv
+    assert table.kl_to_uniform == kl
+    assert table.conditional_inf == conditional_inf
+
+
+def _group_count(joint):
+    """Distinct (sorted column, reference) byte strings, counted in Python."""
+    arr = joint.probs
+    n_out = arr.shape[0]
+    refs = (arr.sum(axis=0) / n_out).ravel()
+    columns = arr.reshape(n_out, -1).T
+    return len({(np.sort(col).tobytes(), ref.tobytes()) for col, ref in zip(columns, refs)})
+
+
+@st.composite
+def repeated_joints(draw):
+    """2- and 3-axis joints whose columns repeat: each is a copy, a permuted
+    copy or a one-ulp nudge of a few base columns, or all zero.  Permuted
+    copies sum in another order, so their references may differ by an ulp."""
+    n_out = draw(st.integers(2, 5))
+    mass = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    base = draw(st.lists(
+        st.lists(mass, min_size=n_out, max_size=n_out), min_size=1, max_size=4
+    ))
+    n_z = draw(st.sampled_from([None, 2, 3]))
+    n_s = draw(st.integers(2, 6))
+    columns = []
+    for _ in range(n_s * (n_z or 1)):
+        col = np.array(draw(st.sampled_from(base)))
+        how = draw(st.sampled_from(["copy", "permute", "zero", "ulp"]))
+        if how == "permute":
+            col = col[draw(st.permutations(range(n_out)))]
+        elif how == "zero":
+            col = np.zeros(n_out)
+        elif how == "ulp" and col.any():
+            i = draw(st.sampled_from(np.flatnonzero(col).tolist()))
+            col[i] = np.nextafter(col[i], 2.0)
+        columns.append(col)
+    flat = np.array(columns).T
+    if flat.sum() == 0:
+        flat[0, 0] = 1.0
+    shape = (n_out, n_s) if n_z is None else (n_out, n_s, n_z)
+    return JointPmf((flat / flat.sum()).reshape(shape), draw(st.sampled_from([2, 3])))
+
+
+@given(repeated_joints())
+@settings(max_examples=150, deadline=None)
+def test_grouped_table_matches_ungrouped_walk_on_repeated_columns(joint):
+    alphas = [Alpha.one(), Alpha(1.5), Alpha(2.0), Alpha(3.0), Alpha(7.5), Alpha.infinity()]
+    # empirical_divergences reads only the joint.
+    table = empirical_divergences(ExtractionResult(joint, None, None), alphas)
+    assert_matches_ungrouped(table, joint, alphas)
 
 
 class TestConditionalBitwiseOracle:
@@ -461,18 +559,19 @@ class TestConditionalBitwiseOracle:
         walks = []
         columns = measures._columns
 
-        def counting(arr):
+        def counting(arr, *args):
             walks.append(arr.shape)
-            return columns(arr)
+            return columns(arr, *args)
 
         monkeypatch.setattr(measures, "_columns", counting)
         for sc in (None, EXTRACTED_SIDE):
             result = _extracted(gf4, sc)
             walks.clear()
             empirical_divergences(result, ALPHA_GRID + [Alpha(2.0)])
-            # Only the first seed of each s_0-orbit: seeds / q^n columns.
-            u, seeds, *z = result.joint.probs.shape
-            assert walks == [(u, seeds // gf4.size, *z)]
+            # One walk, over one column per distinct (column, reference) group.
+            groups = _group_count(result.joint)
+            assert groups < result.joint.probs[0].size
+            assert walks == [(result.joint.probs.shape[0], groups)]
 
     def test_joint_read_in_place(self, gf4):
         # Row by row against the cycled reference gives the same bits as the
@@ -496,35 +595,33 @@ class TestConditionalBitwiseOracle:
             for row, a in zip(table.rows, ALPHA_GRID):
                 assert row.joint == renyi_divergence(flat, ref, a)
 
-    @pytest.mark.parametrize("q,n,k,m", ORBIT_FAMILIES)
+    @pytest.mark.parametrize("kind,q,n,k,m", TABLE_FAMILIES)
     @pytest.mark.parametrize("source", ["dirichlet", "point-mass", "sparse"])
     @pytest.mark.parametrize("side", [0, 3])
-    def test_orbit_reduced_table_matches_full_walk(self, monkeypatch, q, n, k, m, source, side):
-        result = _orbit_instance(q, n, k, m, source, side)
-        assert result.family.shift_digits == n
-        reduced = empirical_divergences(result, ALPHA_GRID + [Alpha(7.5)])
-        monkeypatch.setattr(HashFamily, "shift_digits", property(lambda fam: 0))
-        full = empirical_divergences(result, ALPHA_GRID + [Alpha(7.5)])
-        assert reduced.rows == full.rows
-        assert reduced.tv_to_uniform == full.tv_to_uniform
-        assert reduced.kl_to_uniform == full.kl_to_uniform
-        assert reduced.conditional_inf == full.conditional_inf
+    def test_grouped_table_matches_ungrouped_walk(self, kind, q, n, k, m, source, side):
+        result = _instance(kind, q, n, k, m, source, side)
+        alphas = ALPHA_GRID + [Alpha(7.5)]
+        table = empirical_divergences(result, alphas)
+        assert_matches_ungrouped(table, result.joint, alphas)
 
-    def test_unpermuted_seed_orbit_is_refused(self):
-        result = _orbit_instance(2, 2, 2, 1, "dirichlet", 0)
+    def test_unpermuted_columns_match_the_oracle(self):
+        # Seeds 0 and 1 share an s_0-orbit, but seed 1's column is no longer
+        # a permutation of seed 0's: the grouping assumes nothing of the
+        # family, so the table still has the ungrouped walk's bits.
+        result = _instance("polynomial", 2, 2, 2, 1, "dirichlet", 0)
         arr = result.joint.probs.copy()
-        arr[:, 1] = arr[:, 1].sum() / 2  # seed 1 shares seed 0's orbit
+        arr[:, 1] = arr[:, 1].sum() / 2
         assert sorted(arr[:, 1]) != sorted(arr[:, 0])
         tampered = ExtractionResult(JointPmf(arr, 2), result.family, result.source)
-        with pytest.raises(RuntimeError, match="output-permuted"):
-            empirical_divergences(tampered, ALPHA_GRID)
+        table = empirical_divergences(tampered, ALPHA_GRID)
+        assert_matches_ungrouped(table, tampered.joint, ALPHA_GRID)
 
     def test_column_reader_checks_normalisation(self):
         # The check each per-cell Pmf made: a column that cannot be
         # normalised (here an infinite entry) is refused.
         with pytest.raises(ValueError):
             list(_columns(np.array([[math.inf, 0.5], [0.5, 0.0]])))
-        assert [w for w, _ in _columns(np.array([[0.5, 0.0], [0.25, 0.0]]))] == [0.75]
+        assert [w for w, *_ in _columns(np.array([[0.5, 0.0], [0.25, 0.0]]))] == [0.75]
 
 
 def _exact_joint(family, probs, side=None):
