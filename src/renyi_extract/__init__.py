@@ -31,7 +31,7 @@ from .families import (
     is_k_star_universal,
     verify_universality,
 )
-from .fields import FieldElement, FieldParams, find_irreducible, gf_add, gf_mul, gf_pow
+from .fields import FieldParams, find_irreducible, gf_add, gf_mul
 from .measures import (
     Alpha,
     JointPmf,

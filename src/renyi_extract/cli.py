@@ -85,8 +85,6 @@ def _load(args):
     config = load_config(args.config)
     if args.budget is not None:
         config = dataclasses.replace(config, budget=args.budget)
-    if args.rng_seed is not None:
-        config = dataclasses.replace(config, rng_seed=args.rng_seed)
     return config
 
 
@@ -110,6 +108,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bucket(args) -> int:
     config = _load(args)
+    if args.rng_seed is not None:
+        config = dataclasses.replace(config, rng_seed=args.rng_seed)
     start = time.monotonic()
     report = run_bucket(config)
     elapsed = time.monotonic() - start
@@ -171,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget", type=int, help=f"evaluation budget (env {BUDGET_ENV_VAR})"
         )
-        p.add_argument("--rng-seed", type=int, dest="rng_seed")
+        if name == "bucket":  # only sampled buckets draw random seeds
+            p.add_argument("--rng-seed", type=int, dest="rng_seed")
         p.set_defaults(func=func)
 
     pe = sub.add_parser("entropy", help="Renyi entropy of an explicit pmf")

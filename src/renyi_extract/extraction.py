@@ -4,8 +4,8 @@ For a family h and source X (with optional side channel Z), builds the dense
 joint P(u, s) = P_S(s) sum_{x : h(s,x)=u} P_X(x), or its (u, s, z) analogue
 P_S(s) sum_x 1{h(s,x)=u} P_X(x) P_{Z|X}(z|x).  The seed S is always uniform.
 
-Sources and bucket subsets are canonical input integers: index i is the
-field element whose canonical integer is i.  Both the joint and the
+Sources and bucket subsets are canonical input integers 0 .. q^n - 1, the
+field's elements.  Both the joint and the
 largest-bucket experiment read h(s, x) from one ``families.hash_table`` (rows
 are seeds, columns are inputs).  The joint adds one input's mass at a time, so
 every cell sums its terms in canonical input order and the result is

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError
-from .fields import FieldElement, FieldParams, gf_add, gf_mul
+from .fields import FieldParams, gf_add, gf_mul
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -64,43 +64,27 @@ class HashFamily:
         return self.field.q ** self.m
 
 
-def output_to_int(symbols: tuple[int, ...], q: int) -> int:
-    v = 0
-    for s in reversed(symbols):
-        v = v * q + s
-    return v
+def _check_input(field: FieldParams, x: int):
+    if not 0 <= x < field.size:
+        raise ValueError(f"input {x} outside [0, {field.size})")
 
 
-def _int_to_output(value: int, q: int, m: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(m):
-        value, s = divmod(value, q)
-        out.append(s)
-    return tuple(out)
-
-
-def evaluate(family: HashFamily, seed: int, x: FieldElement) -> tuple[int, ...]:
-    """h(seed, x) as a length-m tuple of Z_q symbols."""
+def evaluate(family: HashFamily, seed: int, x: int) -> int:
+    """h(seed, x) as an output integer in [0, q^m) for a canonical input
+    integer x; output digit j is the coefficient of x^j."""
     if not 0 <= seed < family.seed_space_size:
         raise ValueError(f"seed {seed} outside [0, {family.seed_space_size})")
-    if x.field != family.field:
-        raise ValueError("input element from the wrong field")
     f = family.field
+    _check_input(f, x)
     if family.kind == "polynomial":
-        # Decode base-q^n, s_0 least significant, then Horner.
-        coeffs = []
-        v = seed
-        for _ in range(family.k):
-            v, digit = divmod(v, f.size)
-            coeffs.append(f.from_int(digit))
-        acc = f.zero()
-        for c in reversed(coeffs):
-            acc = gf_add(gf_mul(acc, x), c)
-        return acc.coeffs[: family.m]
+        # Seed digits base q^n are s_0 (least significant) .. s_{k-1}; Horner.
+        acc = 0
+        for i in reversed(range(family.k)):
+            acc = gf_add(f, gf_mul(f, acc, x), seed // f.size**i % f.size)
+        return acc % family.output_size
     if family.kind == "full_table":
-        entry = (seed // (family.output_size ** x.to_int())) % family.output_size
-        return _int_to_output(entry, f.q, family.m)
-    return (0,) * family.m
+        return seed // family.output_size**x % family.output_size
+    return 0
 
 
 def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
@@ -115,9 +99,14 @@ def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
     """
     f = family.field
     q, m, n_digits = f.q, family.m, family.seed_digits
-    xs = [f.from_int(int(v)) for v in inputs]
+    xs = [int(v) for v in inputs]
+    for x in xs:
+        _check_input(f, x)
     basis = np.array(
-        [[evaluate(family, q**d, x) for x in xs] for d in range(n_digits)],
+        [
+            [[u // q**j % q for j in range(m)] for u in (evaluate(family, q**d, x) for x in xs)]
+            for d in range(n_digits)
+        ],
         dtype=np.int64,
     ).reshape(n_digits, len(xs), m)
     seeds = np.asarray(seeds, dtype=np.int64)

@@ -1,7 +1,8 @@
-"""Arithmetic in GF(q^n) with coefficient-vector elements.
+"""Arithmetic in GF(q^n) on canonical integers.
 
-Elements are length-n coefficient vectors over Z_q (coefficient of x^i at
-index i).  The modulus polynomial is monic of degree n and is stored as its
+An element is a canonical integer in [0, q^n).  Its base-q digits, least
+significant first, are the coefficients of 1, x, ..., x^(n-1) of a polynomial
+over Z_q.  The modulus polynomial is monic of degree n and is stored as its
 n low-order coefficients, constant term first; the leading coefficient 1 is
 implicit.  Fields stay small (n <= 16), so schoolbook arithmetic is plenty.
 """
@@ -116,90 +117,34 @@ class FieldParams:
     def size(self) -> int:
         return self.q ** self.n
 
-    def element(self, coeffs) -> "FieldElement":
-        return FieldElement(tuple(int(c) for c in coeffs), self)
-
-    def from_int(self, value: int) -> "FieldElement":
-        """Decode a canonical integer in [0, q^n): base-q digits, coefficient
-        of x^i at digit i (least significant)."""
+    def digits(self, value: int) -> list[int]:
+        """The n base-q digits of a canonical integer in [0, q^n), least
+        significant first: the coefficient of x^i is digit i."""
         if not 0 <= value < self.size:
             raise ValueError(f"value {value} outside [0, {self.size})")
-        coeffs = []
+        digits = []
         for _ in range(self.n):
             value, c = divmod(value, self.q)
-            coeffs.append(c)
-        return FieldElement(tuple(coeffs), self)
+            digits.append(c)
+        return digits
 
-    def elements(self):
-        """All q^n field elements in canonical integer order."""
-        return [self.from_int(v) for v in range(self.size)]
-
-    def zero(self) -> "FieldElement":
-        return self.from_int(0)
-
-    def one(self) -> "FieldElement":
-        return self.from_int(1)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    coeffs: tuple[int, ...]
-    field: FieldParams
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.field.n:
-            raise ValueError("coefficient vector length must equal n")
-        if any(not 0 <= c < self.field.q for c in self.coeffs):
-            raise ValueError("coefficients must lie in [0, q)")
-
-    def to_int(self) -> int:
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.field.q + c
-        return v
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        return gf_add(self, other)
-
-    def __mul__(self, other):
-        return gf_mul(self, other)
-
-    def __pow__(self, e):
-        return gf_pow(self, e)
+    def from_digits(self, digits: list[int]) -> int:
+        """The canonical integer of at most n base-q digits, least significant
+        first."""
+        if len(digits) > self.n or any(not 0 <= c < self.q for c in digits):
+            raise ValueError(f"need at most {self.n} digits in [0, {self.q})")
+        value = 0
+        for c in reversed(digits):
+            value = value * self.q + c
+        return value
 
 
-def _check_same_field(a: FieldElement, b: FieldElement):
-    if a.field != b.field:
-        raise ValueError("elements belong to different fields")
+def gf_add(field: FieldParams, a: int, b: int) -> int:
+    q = field.q
+    return field.from_digits([(x + y) % q for x, y in zip(field.digits(a), field.digits(b))])
 
 
-def gf_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same_field(a, b)
-    q = a.field.q
-    return FieldElement(tuple((x + y) % q for x, y in zip(a.coeffs, b.coeffs)), a.field)
-
-
-def gf_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same_field(a, b)
-    f = a.field
-    prod = _poly_mul(list(a.coeffs), list(b.coeffs), f.q)
-    mod = list(f.modulus) + [1]
-    rem = _poly_mod(prod, mod, f.q)
-    rem += [0] * (f.n - len(rem))
-    return FieldElement(tuple(rem), f)
-
-
-def gf_pow(a: FieldElement, e: int) -> FieldElement:
-    if e < 0:
-        raise ValueError("negative exponents not supported")
-    result = a.field.one()
-    base = a
-    while e:
-        if e & 1:
-            result = gf_mul(result, base)
-        base = gf_mul(base, base)
-        e >>= 1
-    return result
+def gf_mul(field: FieldParams, a: int, b: int) -> int:
+    q = field.q
+    prod = _poly_mul(field.digits(a), field.digits(b), q)
+    return field.from_digits(_poly_mod(prod, list(field.modulus) + [1], q))

@@ -19,7 +19,7 @@ from renyi_extract.config import parse_config
 from renyi_extract.errors import ConfigError
 from renyi_extract import harness
 from renyi_extract.config import ExperimentConfig
-from renyi_extract.fields import FieldElement, FieldParams
+from renyi_extract.fields import FieldParams
 from renyi_extract.harness import SWEEP_COLUMNS, run_bucket, run_sweep, run_verify
 
 
@@ -463,17 +463,28 @@ class TestBucketCommand:
         assert row["empirical"] == pytest.approx(2.75)
         assert row["empirical"] <= row["bound"]
 
-    def test_sampled_mode_records_seed(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "config_seed,flag", [(7, []), (3, ["--rng-seed", "7"])], ids=["config", "flag"]
+    )
+    def test_sampled_mode_records_seed(self, tmp_path, capsys, config_seed, flag):
+        # --rng-seed overrides the config's rng_seed.
         cfg = write_config(
             tmp_path,
             bucket={"subset": "full", "mode": "sampled", "samples": 100},
-            rng_seed=7,
+            rng_seed=config_seed,
         )
         out = tmp_path / "bucket.json"
-        assert main(["bucket", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["bucket", "--config", cfg, "--out", str(out), *flag]) == 0
         row = json.loads(out.read_text())["rows"][0]
         assert row["rng_seed"] == 7
         assert row["n_samples"] == 100
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_rng_seed_flag_refused_where_nothing_is_drawn(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--rng-seed", "7"])
+        assert exc.value.code == 2
 
     def test_sampled_mode_beyond_int64_seed_space(self, tmp_path, capsys):
         # full_table on GF(2^4) with m=4 has 2^64 seeds.
@@ -531,41 +542,16 @@ class TestSweepCommand:
         assert out.read_text().strip() == ",".join(SWEEP_COLUMNS)
 
 
-@pytest.fixture
-def field_element_builds(monkeypatch):
-    """Every FieldElement constructed while the test runs."""
-    built = []
-    post_init = FieldElement.__post_init__
-
-    def counted(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(FieldElement, "__post_init__", counted)
-    return built
-
-
 class TestIntegerInputs:
-    """Sources and bucket subsets are canonical input integers; only the hash
-    family decodes them into field elements."""
-
-    def test_build_source_builds_no_field_element(self, field_element_builds):
-        config = parse_config(
-            {"family": {"q": 2, "n": 8, "k": 2, "m": 1}, "source": {"preset": "geometric", "param": 0.9}}
-        )
-        family = config.build_family()
-        field_element_builds.clear()
-        source = config.build_source(family)
-        assert field_element_builds == []
-        assert source.probs.support_size == 256
+    """Sources and bucket subsets are canonical input integers."""
 
     @pytest.mark.parametrize("subset", ["full", [6, 1, 3]])
-    def test_run_bucket_passes_integers(self, monkeypatch, field_element_builds, subset):
+    def test_run_bucket_passes_integers(self, monkeypatch, subset):
         seen = []
         real = harness.expected_max_bucket
 
         def spy(family, subset, **kwargs):
-            seen.append((list(subset), len(field_element_builds)))
+            seen.append(list(subset))
             return real(family, subset, **kwargs)
 
         monkeypatch.setattr(harness, "expected_max_bucket", spy)
@@ -577,7 +563,7 @@ class TestIntegerInputs:
             }
         )
         run_bucket(config)
-        assert seen == [(list(range(8)) if subset == "full" else subset, 0)]
+        assert seen == [list(range(8)) if subset == "full" else subset]
 
     def test_sweep_builds_source_once(self, monkeypatch):
         calls = []

@@ -7,7 +7,7 @@ import pytest
 
 from renyi_extract import HashFamily, certify_k_star, evaluate, verify_universality
 from renyi_extract.errors import BudgetExceededError
-from renyi_extract.families import hash_table, output_to_int
+from renyi_extract.families import KINDS, hash_table
 from renyi_extract.fields import FieldParams
 
 from conftest import poly_family
@@ -15,38 +15,40 @@ from conftest import poly_family
 
 def test_zero_seed_maps_everything_to_zero(gf8):
     fam = poly_family(gf8, 3, 2)
-    for x in gf8.elements():
-        assert evaluate(fam, 0, x) == (0, 0)
+    for x in range(gf8.size):
+        assert evaluate(fam, 0, x) == 0
 
 
 def test_hand_evaluated_linear_seed(gf4):
     # seed = (s_0 = 0, s_1 = x): base-q^n decoding puts s_1 in the second digit.
     fam = poly_family(gf4, 2, 1)
     seed = 2 * gf4.size  # s_0 = 0, s_1 = element 2 = "x"
-    x = gf4.from_int(2)
-    assert evaluate(fam, seed, x) == (1,)  # x * x = x + 1, first coefficient 1
+    assert evaluate(fam, seed, 2) == 1  # x * x = x + 1, first coefficient 1
+    # At m = n the output integer holds every coefficient: x + 1 is 1 + 1*2.
+    assert evaluate(poly_family(gf4, 2, 2), seed, 2) == 3
 
 
 def test_degree_one_seeds_are_bijective(gf8):
     fam = poly_family(gf8, 2, 3)  # m = n: no truncation
     for s1 in range(1, gf8.size):
         seed = s1 * gf8.size + 3  # s_0 = 3, s_1 = s1 != 0
-        outputs = {evaluate(fam, seed, x) for x in gf8.elements()}
+        outputs = {evaluate(fam, seed, x) for x in range(gf8.size)}
         assert len(outputs) == gf8.size
 
 
 def test_evaluate_is_pure(gf8):
     fam = poly_family(gf8, 2, 2)
-    x = gf8.from_int(5)
-    assert evaluate(fam, 17, x) == evaluate(fam, 17, x)
+    assert evaluate(fam, 17, 5) == evaluate(fam, 17, 5)
 
 
-def test_evaluate_rejects_bad_inputs(gf4, gf8):
-    fam = poly_family(gf4, 2, 1)
+@pytest.mark.parametrize("kind", KINDS)
+def test_evaluate_rejects_bad_inputs(gf4, kind):
+    fam = HashFamily(kind, gf4, 2, 1)
     with pytest.raises(ValueError):
-        evaluate(fam, fam.seed_space_size, gf4.zero())
-    with pytest.raises(ValueError):
-        evaluate(fam, 0, gf8.zero())
+        evaluate(fam, fam.seed_space_size, 0)
+    for x in (-1, gf4.size, 7):  # 7 is an element of GF(8), not of GF(4)
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            evaluate(fam, 0, x)
 
 
 def test_polynomial_family_k_tuple_joint_is_uniform(gf4):
@@ -136,7 +138,7 @@ def test_hash_table_matches_evaluate(kind, q, n, k, m):
     assert table.shape == (len(seeds), len(inputs))
     for r, s in enumerate(seeds.tolist()):
         for c, v in enumerate(inputs):
-            assert table[r, c] == output_to_int(evaluate(fam, s, field.from_int(v)), q)
+            assert table[r, c] == evaluate(fam, s, v)
 
 
 def test_hash_table_rejects_out_of_range_seeds(gf4):
@@ -144,6 +146,15 @@ def test_hash_table_rejects_out_of_range_seeds(gf4):
     for bad in (-1, fam.seed_space_size):
         with pytest.raises(ValueError):
             hash_table(fam, np.array([0, bad]), range(gf4.size))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_hash_table_rejects_inputs_outside_field(gf4, kind):
+    # The constant kind never evaluates a basis row, so the check is separate.
+    fam = HashFamily(kind, gf4, 2, 1)
+    for bad in (-1, gf4.size):
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            hash_table(fam, np.arange(2), [0, bad])
 
 
 def test_hash_table_takes_digit_rows_beyond_int64():
@@ -158,7 +169,7 @@ def test_hash_table_takes_digit_rows_beyond_int64():
     for r, row in enumerate(digits.tolist()):
         seed = sum(d * 2**i for i, d in enumerate(row))  # a Python int
         for c, v in enumerate(inputs):
-            assert table[r, c] == output_to_int(evaluate(fam, seed, field.from_int(v)), 2)
+            assert table[r, c] == evaluate(fam, seed, v)
 
 
 def test_hash_table_rejects_bad_digit_rows(gf4):
@@ -203,7 +214,3 @@ def test_shift_digits_only_shift_outputs(kind, q, n, k, m):
     shift = (blocks - blocks[:, :1]) % q
     assert (shift == shift[:, :, :1]).all()
 
-
-def test_output_encoding_round_trip():
-    assert output_to_int((1, 0, 1), 2) == 5
-    assert output_to_int((2, 1), 3) == 5

@@ -11,7 +11,7 @@ from conftest import make_source, poly_family
 from renyi_extract import measures
 from renyi_extract.bounds import SLACK
 from renyi_extract.extraction import ExtractionResult, empirical_divergences, extract_joint
-from renyi_extract.families import HashFamily, evaluate, output_to_int
+from renyi_extract.families import HashFamily, evaluate
 from renyi_extract.fields import FieldParams
 from renyi_extract.measures import (
     _columns,
@@ -630,8 +630,8 @@ def _exact_joint(family, probs, side=None):
     side = side or [[1.0]] * len(probs)
     cells = {}
     for s in range(seeds):
-        for x, px, row in zip(family.field.elements(), probs, side):
-            u = output_to_int(evaluate(family, s, x), family.field.q)
+        for x, px, row in zip(range(family.field.size), probs, side):
+            u = evaluate(family, s, x)
             for z, pzx in enumerate(row):
                 mass = Fraction(px) * Fraction(pzx) / seeds
                 cells[(u, s, z)] = cells.get((u, s, z), Fraction(0)) + mass

@@ -1,13 +1,44 @@
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from renyi_extract.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+TEXT = README.read_text(encoding="utf-8")
+
+
+def _block(lang: str, after: str = "") -> str:
+    """The first ``lang`` code block after the heading ``after``."""
+    start = TEXT.index(after) if after else 0
+    block = re.compile(rf"```{lang}\n(.*?)```", re.S).search(TEXT, start)
+    assert block is not None
+    return block.group(1)
+
+
+CLI_LINES = [
+    line
+    for line in _block("sh", "## Quick start (CLI)").splitlines()
+    if line.startswith("renyi-extract ")
+]
 
 
 def test_library_quick_start_runs(capsys):
     """The README's first python block is the library example; it must run."""
-    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-    assert block is not None
-    exec(compile(block.group(1), str(README), "exec"), {})
+    exec(compile(_block("python"), str(README), "exec"), {})
     rows = capsys.readouterr().out.strip().splitlines()
     assert [r.split()[0] for r in rows] == ["1.5", "2.0"]
+
+
+@pytest.mark.parametrize("line", CLI_LINES, ids=[" ".join(l.split()[1:3]) for l in CLI_LINES])
+def test_cli_quick_start_runs(tmp_path, monkeypatch, capsys, line):
+    """Each CLI example runs beside the README's minimal config and passes."""
+    (tmp_path / "config.json").write_text(_block("json", "A minimal config"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) == 0
+
+
+def test_every_cli_example_is_collected():
+    assert len(CLI_LINES) == 6
