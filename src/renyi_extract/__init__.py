@@ -20,7 +20,6 @@ from .extraction import (
     BucketEstimate,
     ExtractionResult,
     Source,
-    empirical_divergences,
     expected_max_bucket,
     extract_joint,
 )
@@ -28,7 +27,6 @@ from .families import (
     HashFamily,
     certify_k_star,
     evaluate,
-    is_k_star_universal,
     verify_universality,
 )
 from .fields import FieldParams, find_irreducible, gf_add, gf_mul
@@ -38,6 +36,7 @@ from .measures import (
     Pmf,
     conditional_divergence,
     conditional_renyi_entropy,
+    empirical_divergences,
     joint_divergence_from_uniform,
     renyi_divergence,
     renyi_entropy,

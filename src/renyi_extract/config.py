@@ -235,7 +235,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("side_channel must be a matrix of rows P(z|x)")
         side = np.array([[_real(v, "side_channel entry") for v in r] for r in rows])
 
-    alphas = tuple(parse_alpha(a) for a in _list(raw.get("alphas", []), "alphas"))
+    alphas = _list(raw.get("alphas", []), "alphas")
+    # Orders are JSON numbers or "inf": true would otherwise read as 1.
+    if any(isinstance(a, (bool, str)) and a not in ("inf", "infinity") for a in alphas):
+        raise ConfigError(f"alphas must be numbers or 'inf', got {alphas!r}")
+    alphas = tuple(parse_alpha(a) for a in alphas)
     epsilons = _list(raw.get("epsilons", []), "epsilons")
     epsilons = tuple(_real(e, "epsilon") for e in epsilons)
     if not all(e > 0 for e in epsilons):
@@ -252,6 +256,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         mode = b.get("mode", "exact")
         if mode not in ("exact", "sampled"):
             raise ConfigError("bucket mode must be 'exact' or 'sampled'")
+        if mode == "exact" and "samples" in b:
+            raise ConfigError("bucket samples applies to sampled mode only")
         samples = _integer(b.get("samples", 1000), "bucket samples", 1)
         bucket = BucketSpec(subset, mode, samples)
 

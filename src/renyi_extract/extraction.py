@@ -9,7 +9,7 @@ field's elements.  Both the joint and the
 largest-bucket experiment read h(s, x) from one ``families.hash_table`` (rows
 are seeds, columns are inputs).  The joint adds one input's mass at a time, so
 every cell sums its terms in canonical input order and the result is
-deterministic.
+deterministic.  Its divergences are ``measures.empirical_divergences``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import BudgetExceededError
 from .families import DEFAULT_BUDGET, HashFamily, hash_table
 from .families import evaluate  # noqa: F401  re-exported so perfbench/tracing.py can count calls here
 from . import measures
-from .measures import Alpha, JointPmf, Pmf, as_alpha
+from .measures import JointPmf, Pmf
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,11 @@ def extract_joint(
             f"source of {n_inputs} symbols in base {base} does not fit GF({f.q}^{f.n})"
         )
     seeds = family.seed_space_size
-    if seeds * n_inputs > budget:
+    # One charge covers the seeds x inputs table and the seeds x outputs x Z joint.
+    width = max(n_inputs, family.output_size) * max(1, source.n_side)
+    if seeds * width > budget:
         raise BudgetExceededError(
-            f"{seeds} seeds x {n_inputs} inputs exceeds budget {budget}"
+            f"{seeds} seeds x {width} cells per seed exceeds budget {budget}"
         )
     all_seeds = np.arange(seeds)
     table = hash_table(family, all_seeds, range(n_inputs))
@@ -127,43 +129,6 @@ def extract_joint(
         acc[table[:, i], all_seeds] += px[i] if sc is None else px[i] * sc[i]
     joint = JointPmf(acc * (1.0 / seeds), f.q)
     return ExtractionResult(joint, family, source)
-
-
-@dataclass(frozen=True)
-class DivergenceRow:
-    alpha: Alpha
-    joint: float
-    conditional: float
-
-
-@dataclass(frozen=True)
-class DivergenceTable:
-    rows: tuple[DivergenceRow, ...]
-    tv_to_uniform: float
-    kl_to_uniform: float
-    conditional_inf: float
-
-
-def empirical_divergences(result: ExtractionResult, alphas: Sequence) -> DivergenceTable:
-    """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf,
-    all from one grouping of the joint's columns by content."""
-    alphas = [as_alpha(a) for a in alphas]
-    joint = result.joint
-    columns = measures.distinct_columns(joint)
-    *conditional, conditional_inf = measures.conditional_divergences(
-        joint, alphas + [Alpha.infinity()], columns
-    )
-    terms = measures.uniform_product_terms(joint, columns)
-    rows = tuple(
-        DivergenceRow(a, measures.joint_divergence_from_uniform(joint, a, terms), c)
-        for a, c in zip(alphas, conditional)
-    )
-    return DivergenceTable(
-        rows,
-        measures.joint_tv_from_uniform(joint, terms),
-        measures.joint_divergence_from_uniform(joint, Alpha.one(), terms),
-        conditional_inf,
-    )
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,3 @@ def certify_k_star(
         threshold = Fraction(1, family.output_size ** (l - 1))
         verdicts.append(UniversalityVerdict(l, ratio, threshold, ratio <= threshold))
     return verdicts
-
-
-def is_k_star_universal(family: HashFamily, budget: int = DEFAULT_BUDGET) -> bool:
-    return all(v.passed for v in certify_k_star(family, budget=budget))

@@ -15,15 +15,9 @@ from . import __version__
 from . import bounds as bd
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .extraction import (
-    DivergenceTable,
-    ExtractionResult,
-    empirical_divergences,
-    expected_max_bucket,
-    extract_joint,
-)
+from .extraction import ExtractionResult, expected_max_bucket, extract_joint
 from .families import HashFamily, certify_k_star
-from .measures import Alpha
+from .measures import Alpha, DivergenceTable, empirical_divergences
 
 SCHEMA_VERSION = 1
 
@@ -218,7 +212,7 @@ def run_verify(config: ExperimentConfig) -> VerifyOutcome:
         return VerifyOutcome(report, False)
 
     result = extract_joint(family, source, budget=config.budget)
-    divergences = empirical_divergences(result, config.alphas)
+    divergences = empirical_divergences(result.joint, config.alphas)
     reports = collect_bound_reports(result, config.epsilons, divergences)
     all_ok = all(r.satisfied for r in reports)
     report.update(
@@ -301,7 +295,7 @@ def run_sweep(config: ExperimentConfig) -> tuple[str, bool]:
         family = HashFamily(base.kind, base.field, base.k, m)
         result = extract_joint(family, source, budget=config.budget)
         grid = _finite_alphas_in_range(config.alphas, family.k)
-        divergences = empirical_divergences(result, grid)
+        divergences = empirical_divergences(result.joint, grid)
         for row in divergences.rows:
             h = result.source_entropy(row.alpha)
             bound = bd.bound_real_alpha(

@@ -6,13 +6,14 @@ comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 
 D_alpha has one formula, ``_divergence``: every power sum, log-ratio and max
 is formed there, on Python floats.  H_alpha is minus D_alpha against the
-counting measure.  The output joint's functionals read its columns grouped by
-content (``distinct_columns``): the conditional ones each group's sorted
-column, normalised once for every order, and the joint divergence, KL and TV
-each group's (cell, reference) pairs (``uniform_product_terms``).  Each term
-is formed once per group and fed to fsum once per member column, so fsum sees
-the multiset of terms of a walk over every column, and the correctly rounded
-results are the same bits.  No per-cell or flattened pmfs are built.
+counting measure.  This module alone groups an output joint's columns by
+content (``distinct_columns``), once per divergence table
+(``empirical_divergences``): the conditional divergences read each group's
+sorted column, normalised once for every order, and the joint divergence, KL
+and TV each group's (cell, reference) pairs.  Each term is formed once per
+group and fed to fsum once per member column, so fsum sees the multiset of
+terms of a walk over every column, and the correctly rounded results are the
+same bits.  No per-cell or flattened pmfs are built.
 """
 
 from __future__ import annotations
@@ -276,17 +277,13 @@ def distinct_columns(joint: JointPmf):
     return groups[:, :n_out].T, groups[:, n_out], counts
 
 
-def conditional_divergences(joint: JointPmf, alphas, columns=None) -> list[float]:
-    """Seed-averaged divergences from uniform outputs, every order from one read:
+def _seed_averaged_divergences(columns, alphas: list[Alpha], lnq: float) -> list[float]:
+    """Seed-averaged divergences from uniform outputs, every order from one read
+    of the grouping ``columns`` (``distinct_columns``):
     sum_s P_S(s) D_alpha(P(.|s) || uniform); over (s, z) cells for 3 axes.
-
-    ``columns`` is ``distinct_columns(joint)``, shared between calls: each
-    group's column is read once and its terms count once per member.
-    """
-    alphas = [as_alpha(a) for a in alphas]
-    cols, _, counts = distinct_columns(joint) if columns is None else columns
+    Each group's column is read once and its terms count once per member."""
+    cols, _, counts = columns
     uniform = itertools.repeat(1.0 / cols.shape[0])
-    lnq = math.log(joint.base_q)
     terms = [[] for _ in alphas]
     for w, cond, c in _columns(cols, counts.tolist()):
         for a, column_terms in zip(alphas, terms):
@@ -294,17 +291,12 @@ def conditional_divergences(joint: JointPmf, alphas, columns=None) -> list[float
     return [math.fsum(itertools.chain.from_iterable(t)) for t in terms]
 
 
-def conditional_divergence(joint: JointPmf, a) -> float:
-    """The seed-averaged divergence of one order."""
-    return conditional_divergences(joint, [a])[0]
-
-
-def uniform_product_terms(joint: JointPmf, columns=None):
-    """The joint's (cell, reference) pairs against uniform outputs x the
-    joint's own seed[,z] marginal, as (cells, refs, counts) lists: one pair per
-    cell of each group of ``columns`` (``distinct_columns(joint)``), counted
-    once per member of its group."""
-    cols, refs, counts = distinct_columns(joint) if columns is None else columns
+def _reference_pairs(columns):
+    """The (cell, reference) pairs against uniform outputs x the joint's own
+    seed[,z] marginal, as (cells, refs, counts) lists: one pair per cell of
+    each group of ``columns`` (``distinct_columns``), counted once per member
+    of its group."""
+    cols, refs, counts = columns
     n_out = cols.shape[0]
     return (
         cols.T.ravel().tolist(),
@@ -313,13 +305,51 @@ def uniform_product_terms(joint: JointPmf, columns=None):
     )
 
 
-def joint_divergence_from_uniform(joint: JointPmf, a, terms=None) -> float:
-    """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal);
-    ``terms`` is ``uniform_product_terms(joint)``, shared between calls."""
-    cells, refs, counts = uniform_product_terms(joint) if terms is None else terms
+def conditional_divergence(joint: JointPmf, a) -> float:
+    """The seed-averaged divergence of one order."""
+    return _seed_averaged_divergences(
+        distinct_columns(joint), [as_alpha(a)], math.log(joint.base_q)
+    )[0]
+
+
+def joint_divergence_from_uniform(joint: JointPmf, a) -> float:
+    """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)."""
+    cells, refs, counts = _reference_pairs(distinct_columns(joint))
     return _divergence(cells, refs, as_alpha(a), math.log(joint.base_q), counts)
 
 
-def joint_tv_from_uniform(joint: JointPmf, terms=None) -> float:
-    """TV distance from the same reference."""
-    return _tv(*(uniform_product_terms(joint) if terms is None else terms))
+@dataclass(frozen=True)
+class DivergenceRow:
+    alpha: Alpha
+    joint: float
+    conditional: float
+
+
+@dataclass(frozen=True)
+class DivergenceTable:
+    rows: tuple[DivergenceRow, ...]
+    tv_to_uniform: float
+    kl_to_uniform: float
+    conditional_inf: float
+
+
+def empirical_divergences(joint: JointPmf, alphas) -> DivergenceTable:
+    """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf
+    of an output joint, all from one grouping of its columns by content."""
+    alphas = [as_alpha(a) for a in alphas]
+    lnq = math.log(joint.base_q)
+    columns = distinct_columns(joint)
+    *conditional, conditional_inf = _seed_averaged_divergences(
+        columns, alphas + [Alpha.infinity()], lnq
+    )
+    cells, refs, counts = _reference_pairs(columns)
+    rows = tuple(
+        DivergenceRow(a, _divergence(cells, refs, a, lnq, counts), c)
+        for a, c in zip(alphas, conditional)
+    )
+    return DivergenceTable(
+        rows,
+        _tv(cells, refs, counts),
+        _divergence(cells, refs, Alpha.one(), lnq, counts),
+        conditional_inf,
+    )

@@ -13,17 +13,14 @@ from fractions import Fraction
 import numpy as np
 
 from renyi_extract import bounds as bd
-from renyi_extract.extraction import (
-    empirical_divergences,
-    expected_max_bucket,
-    extract_joint,
-)
+from renyi_extract.extraction import expected_max_bucket, extract_joint
 from renyi_extract.families import HashFamily, certify_k_star
 from renyi_extract.fields import FieldParams
 from renyi_extract.measures import (
     Alpha,
     Pmf,
     conditional_divergence,
+    empirical_divergences,
     joint_divergence_from_uniform,
     renyi_divergence,
     renyi_entropy,
@@ -76,7 +73,7 @@ def test_01_joint_divergence_dominated_by_closed_form_bound():
     ok = True
     for _, result in grid_results():
         family = result.family
-        table = empirical_divergences(result, grid_alphas(family.k))
+        table = empirical_divergences(result.joint, grid_alphas(family.k))
         for row in table.rows:
             h = result.source_entropy(row.alpha)
             bound = bd.bound_real_alpha(2, family.m, family.k, row.alpha.value, h)
@@ -89,7 +86,7 @@ def test_02_output_length_thresholds_deliver_epsilon_closeness():
     for _, result in grid_results():
         family = result.family
         m = family.m
-        table = empirical_divergences(result, grid_alphas(family.k))
+        table = empirical_divergences(result.joint, grid_alphas(family.k))
         for row in table.rows:
             a = row.alpha.value
             h = result.source_entropy(row.alpha)
@@ -135,7 +132,7 @@ def test_04_bounds_hold_under_binary_side_information():
     for _, result in grid_results(side_channel=SIDE_ROWS):
         family = result.family
         m = family.m
-        table = empirical_divergences(result, grid_alphas(family.k))
+        table = empirical_divergences(result.joint, grid_alphas(family.k))
         for row in table.rows:
             a = row.alpha.value
             h = result.source.conditional_entropy(row.alpha)

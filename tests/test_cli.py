@@ -409,9 +409,13 @@ class TestConfigValidation:
             ("bucket", {"bucket": {"mode": "sampled", "samples": 0}}),
             ("bucket", {"bucket": {"mode": "sampled", "samples": -5}}),
             ("verify", {"out": 5}),
+            ("verify", {"alphas": [True]}),
+            ("verify", {"alphas": ["2"]}),
+            ("bucket", {"bucket": {"mode": "exact", "samples": 7}}),
         ],
         ids=["alphas", "epsilons", "subset", "m_values", "no-m_values", "rng_seed",
-             "q", "param", "zero-samples", "negative-samples", "out"],
+             "q", "param", "zero-samples", "negative-samples", "out",
+             "bool-alpha", "string-alpha", "exact-samples"],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -438,6 +442,23 @@ class TestConfigValidation:
             parse_config(raw)
         except ConfigError:
             pass
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_joint_over_budget_exits_2(self, tmp_path, capsys, command):
+        # 64 seeds x 8 inputs fit a budget of 600, but the joint has
+        # 4 outputs x 64 seeds x 100 side symbols = 25,600 cells.
+        cfg = write_config(
+            tmp_path,
+            family={"q": 2, "n": 3, "k": 2, "m": 2},
+            side_channel=[[0.01] * 100] * 8,
+            budget=600,
+        )
+        out = tmp_path / "report"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "exceeds budget 600" in err
+        assert "Traceback" not in err
 
     def test_bad_alpha_rejected(self):
         raw = {
@@ -615,6 +636,21 @@ class TestTracedRun:
 
     TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
+    def _traced(self, spans, *args):
+        """Run the CLI under the tracer; every traced name is wrapped before
+        the command runs, so a name that is gone fails any command."""
+        src = str(Path(renyi_extract.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, str(self.TRACER), str(spans), *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(spans.read_text())["spans"]
+        return proc
+
     @pytest.mark.parametrize(
         "command,overrides",
         [
@@ -633,18 +669,14 @@ class TestTracedRun:
         cfg = write_config(tmp_path, **overrides)
         plain, traced, spans = (tmp_path / n for n in ("plain", "traced", "spans.json"))
         assert main([command, "--config", cfg, "--out", str(plain)]) == 0
-        src = str(Path(renyi_extract.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, str(self.TRACER), str(spans),
-             command, "--config", cfg, "--out", str(traced)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=src),
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(spans.read_text())["spans"]
+        self._traced(spans, command, "--config", cfg, "--out", str(traced))
         assert traced.read_bytes() == plain.read_bytes()
+
+    def test_traced_entropy_matches_untraced(self, tmp_path, capsys):
+        args = ["entropy", "--probs", "0.5,0.5", "--alpha", "2"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert self._traced(tmp_path / "spans.json", *args).stdout == plain
 
 
 class TestPinnedReports:

@@ -159,7 +159,7 @@ class TestEmpiricalDivergences:
         fam = HashFamily("full_table", gf4, 2, 1)
         result = extract_joint(fam, uniform_source(gf4))
         table = empirical_divergences(
-            result, [Alpha(1.5), Alpha(2.0), Alpha.infinity()]
+            result.joint, [Alpha(1.5), Alpha(2.0), Alpha.infinity()]
         )
         assert table.tv_to_uniform == pytest.approx(0.1875, abs=1e-12)
         assert table.kl_to_uniform > 0.0
@@ -173,7 +173,7 @@ class TestEmpiricalDivergences:
             fam, make_source(gf8, [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05])
         )
         grid = [Alpha(1.25), Alpha(1.5), Alpha(2.0), Alpha(3.0), Alpha.infinity()]
-        table = empirical_divergences(result, grid)
+        table = empirical_divergences(result.joint, grid)
         joints = [r.joint for r in table.rows]
         conds = [r.conditional for r in table.rows]
         for lo, hi in zip(joints, joints[1:]):
@@ -194,7 +194,7 @@ class TestEmpiricalDivergences:
             for s in range(seeds)
         )
         expected = math.log2(total) / (a - 1)
-        table = empirical_divergences(result, [Alpha(a)])
+        table = empirical_divergences(result.joint, [Alpha(a)])
         assert table.rows[0].joint == pytest.approx(expected, abs=1e-12)
 
 

@@ -10,7 +10,7 @@ from conftest import make_source, poly_family
 
 from renyi_extract import measures
 from renyi_extract.bounds import SLACK
-from renyi_extract.extraction import ExtractionResult, empirical_divergences, extract_joint
+from renyi_extract.extraction import extract_joint
 from renyi_extract.families import HashFamily, evaluate
 from renyi_extract.fields import FieldParams
 from renyi_extract.measures import (
@@ -19,8 +19,8 @@ from renyi_extract.measures import (
     JointPmf,
     Pmf,
     conditional_divergence,
-    conditional_divergences,
     conditional_renyi_entropy,
+    empirical_divergences,
     joint_divergence_from_uniform,
     renyi_divergence,
     renyi_entropy,
@@ -506,8 +506,7 @@ def repeated_joints(draw):
 @settings(max_examples=150, deadline=None)
 def test_grouped_table_matches_ungrouped_walk_on_repeated_columns(joint):
     alphas = [Alpha.one(), Alpha(1.5), Alpha(2.0), Alpha(3.0), Alpha(7.5), Alpha.infinity()]
-    # empirical_divergences reads only the joint.
-    table = empirical_divergences(ExtractionResult(joint, None, None), alphas)
+    table = empirical_divergences(joint, alphas)
     assert_matches_ungrouped(table, joint, alphas)
 
 
@@ -542,12 +541,14 @@ class TestConditionalBitwiseOracle:
     def test_all_orders_from_one_read(self):
         for j in self.JOINTS:
             expected = [_old_conditional_divergence(j, a) for a in ALPHA_GRID]
-            assert conditional_divergences(j, ALPHA_GRID) == expected
+            table = empirical_divergences(j, ALPHA_GRID)
+            assert [row.conditional for row in table.rows] == expected
+            assert table.conditional_inf == expected[-1]
 
     def test_divergence_table_conditional_inf(self, gf4):
         for sc in (None, EXTRACTED_SIDE):
             result = _extracted(gf4, sc)
-            table = empirical_divergences(result, ALPHA_GRID)
+            table = empirical_divergences(result.joint, ALPHA_GRID)
             inf = Alpha.infinity()
             expected = _old_conditional_divergence(result.joint, inf)
             assert table.conditional_inf == conditional_divergence(result.joint, inf)
@@ -567,7 +568,7 @@ class TestConditionalBitwiseOracle:
         for sc in (None, EXTRACTED_SIDE):
             result = _extracted(gf4, sc)
             walks.clear()
-            empirical_divergences(result, ALPHA_GRID + [Alpha(2.0)])
+            empirical_divergences(result.joint, ALPHA_GRID + [Alpha(2.0)])
             # One walk, over one column per distinct (column, reference) group.
             groups = _group_count(result.joint)
             assert groups < result.joint.probs[0].size
@@ -581,13 +582,13 @@ class TestConditionalBitwiseOracle:
             flat, ref = _old_flattened(j)
             for a in ALPHA_GRID + [Alpha(7.5)]:
                 assert joint_divergence_from_uniform(j, a) == renyi_divergence(flat, ref, a)
-            assert measures.joint_tv_from_uniform(j) == tv_distance(flat, ref)
+            assert empirical_divergences(j, []).tv_to_uniform == tv_distance(flat, ref)
 
     def test_divergence_table_builds_no_pmf(self, gf4, monkeypatch):
         for sc in (None, EXTRACTED_SIDE):
             result = _extracted(gf4, sc)
             monkeypatch.setattr(measures, "_freeze_probs", None)  # any build fails
-            table = empirical_divergences(result, ALPHA_GRID)
+            table = empirical_divergences(result.joint, ALPHA_GRID)
             monkeypatch.undo()
             flat, ref = _old_flattened(result.joint)
             assert table.tv_to_uniform == tv_distance(flat, ref)
@@ -601,7 +602,7 @@ class TestConditionalBitwiseOracle:
     def test_grouped_table_matches_ungrouped_walk(self, kind, q, n, k, m, source, side):
         result = _instance(kind, q, n, k, m, source, side)
         alphas = ALPHA_GRID + [Alpha(7.5)]
-        table = empirical_divergences(result, alphas)
+        table = empirical_divergences(result.joint, alphas)
         assert_matches_ungrouped(table, result.joint, alphas)
 
     def test_unpermuted_columns_match_the_oracle(self):
@@ -612,9 +613,9 @@ class TestConditionalBitwiseOracle:
         arr = result.joint.probs.copy()
         arr[:, 1] = arr[:, 1].sum() / 2
         assert sorted(arr[:, 1]) != sorted(arr[:, 0])
-        tampered = ExtractionResult(JointPmf(arr, 2), result.family, result.source)
+        tampered = JointPmf(arr, 2)
         table = empirical_divergences(tampered, ALPHA_GRID)
-        assert_matches_ungrouped(table, tampered.joint, ALPHA_GRID)
+        assert_matches_ungrouped(table, tampered, ALPHA_GRID)
 
     def test_column_reader_checks_normalisation(self):
         # The check each per-cell Pmf made: a column that cannot be
