@@ -159,12 +159,11 @@ def parse_alpha(value) -> Alpha:
         return Alpha.infinity()
     try:
         v = float(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"bad alpha value {value!r}") from e
-    try:
+        if not math.isfinite(v):  # JSON reads 1e400 and Infinity as inf
+            raise ValueError("a numeric order must be finite; use 'inf' for the limit")
         return Alpha(v)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"bad alpha value {value!r}: {e}") from e
 
 
 def default_budget() -> int:
@@ -240,6 +239,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if any(isinstance(a, (bool, str)) and a not in ("inf", "infinity") for a in alphas):
         raise ConfigError(f"alphas must be numbers or 'inf', got {alphas!r}")
     alphas = tuple(parse_alpha(a) for a in alphas)
+    for i, a in enumerate(alphas):
+        if a in alphas[:i]:
+            raise ConfigError(f"alphas must be distinct; order {a.value:g} repeats")
     epsilons = _list(raw.get("epsilons", []), "epsilons")
     epsilons = tuple(_real(e, "epsilon") for e in epsilons)
     if not all(e > 0 for e in epsilons):

@@ -10,12 +10,16 @@ Three kinds are supported:
 * ``constant`` -- a single seed mapping everything to 0^m.  Deliberately
   broken; useful as a negative control for the certifier.
 
-Collision probabilities are exact rationals (Fraction), never floats.
+Every family is Z_q-linear in its seed digits, so an l-subset collides with
+probability exactly q^{-r}, r the GF(q)-rank of its stacked basis differences
+(Carter & Wegman 1979): certification reads one basis and builds no seed
+table.  Collision probabilities are exact rationals (Fraction), never floats.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,6 +135,20 @@ def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
     return table
 
 
+def _ranks_mod_q(a: np.ndarray, q: int) -> np.ndarray:
+    """GF(q)-rank of each matrix in a stack with entries in [0, q), q prime."""
+    if a.shape[1] > a.shape[2]:  # eliminate along the shorter side
+        a = a.transpose(0, 2, 1)
+    for i in range(a.shape[1]):
+        row, below = a[:, i : i + 1], a[:, i + 1 :]
+        col = (row != 0).argmax(axis=2)[..., None]
+        pivot = np.take_along_axis(row, col, axis=2)
+        factor = np.take_along_axis(below, col, axis=2)
+        # Scaling a row by a unit keeps the rank, so no inverse mod q is needed.
+        below[...] = (np.where(pivot, pivot, 1) * below - factor * row) % q
+    return np.count_nonzero(a.any(axis=2), axis=1)
+
+
 def verify_universality(
     family: HashFamily, l: int, budget: int = DEFAULT_BUDGET
 ) -> Fraction:
@@ -138,24 +156,29 @@ def verify_universality(
 
     The family is l-universal iff the returned ratio is <= q^{-m(l-1)}.
     The all-equal event is symmetric in the tuple, so unordered l-subsets
-    suffice.
+    suffice.  For a uniform seed it has probability q^{-r}, where r is the
+    GF(q)-rank of the D x m(l-1) matrix [B_{x_2} - B_{x_1} | ... | B_{x_l} -
+    B_{x_1}] over ``hash_table``'s basis B, so no seed is enumerated.
     """
     if l < 2:
         raise ValueError("universality order l must be >= 2")
     n_inputs = family.field.size
     if l > n_inputs:
         raise ValueError(f"l={l} exceeds domain size {n_inputs}")
-    seeds = family.seed_space_size
-    if seeds * n_inputs > budget:
+    q, m, n_digits = family.field.q, family.m, family.seed_digits
+    n_subsets = math.comb(n_inputs, l)
+    if n_digits * (n_inputs + n_subsets * m * (l - 1)) > budget:
         raise BudgetExceededError(
-            f"{seeds} seeds x {n_inputs} inputs exceeds budget {budget}"
+            f"{n_digits} seed digits x ({n_inputs} inputs + {n_subsets} {l}-subsets"
+            f" x {m * (l - 1)} output digits) exceeds budget {budget}"
         )
-    columns = hash_table(family, np.arange(seeds), range(n_inputs)).T.copy()
-    worst = 0
-    for first, *rest in itertools.combinations(range(n_inputs), l):
-        same = np.all(columns[rest] == columns[first], axis=0)
-        worst = max(worst, int(np.count_nonzero(same)))
-    return Fraction(worst, seeds)
+    table = hash_table(family, np.eye(n_digits, dtype=np.int64), range(n_inputs))
+    basis = (table[..., None] // q ** np.arange(m) % q).transpose(1, 2, 0)
+    basis = basis.astype(np.min_scalar_type(-q * q))  # signed, holds +-q^2
+    subsets = np.array(list(itertools.combinations(range(n_inputs), l)))
+    stacked = basis[subsets[:, 1:]] - basis[subsets[:, :1]]  # (subset, l-1, m, D)
+    ranks = _ranks_mod_q(stacked.reshape(n_subsets, m * (l - 1), n_digits) % q, q)
+    return Fraction(1, q ** int(ranks.min()))
 
 
 @dataclass(frozen=True)

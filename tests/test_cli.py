@@ -140,8 +140,9 @@ class TestEntropyCommand:
         assert main(["entropy", "--probs", "0.75,0.25", "--alpha", "2"]) == 0
         assert stdout_value(capsys) == pytest.approx(-math.log2(10 / 16), abs=1e-10)
 
-    def test_infinite_order(self, capsys):
-        assert main(["entropy", "--probs", "0.5,0.25,0.25", "--alpha", "inf"]) == 0
+    @pytest.mark.parametrize("alpha", ["inf", "infinity"])
+    def test_infinite_order(self, capsys, alpha):
+        assert main(["entropy", "--probs", "0.5,0.25,0.25", "--alpha", alpha]) == 0
         assert stdout_value(capsys) == pytest.approx(1.0, abs=1e-10)
 
     def test_units_bits(self, capsys):
@@ -153,6 +154,12 @@ class TestEntropyCommand:
 
     def test_unnormalized_exits_2(self, capsys):
         assert main(["entropy", "--probs", "0.5,0.6", "--alpha", "2"]) == 2
+
+    @pytest.mark.parametrize("alpha", ["1e400", "Infinity", "nan"])
+    def test_non_finite_numeric_order_exits_2(self, capsys, alpha):
+        # Only the names "inf" and "infinity" select the limit.
+        assert main(["entropy", "--probs", "0.5,0.5", "--alpha", alpha]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
 
 class TestOrderTooLargeForFloats:
@@ -412,13 +419,20 @@ class TestConfigValidation:
             ("verify", {"alphas": [True]}),
             ("verify", {"alphas": ["2"]}),
             ("bucket", {"bucket": {"mode": "exact", "samples": 7}}),
+            ("verify", {"alphas": [math.inf, 2]}),
+            ("verify", {"alphas": ["1e400", 2]}),
+            ("verify", {"alphas": [2, 2.0, 1.5]}),
         ],
         ids=["alphas", "epsilons", "subset", "m_values", "no-m_values", "rng_seed",
              "q", "param", "zero-samples", "negative-samples", "out",
-             "bool-alpha", "string-alpha", "exact-samples"],
+             "bool-alpha", "string-alpha", "exact-samples",
+             "infinity-literal-alpha", "overflowing-alpha", "repeated-alpha"],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
+        # json.dumps writes math.inf as the literal Infinity; the overflowing
+        # case needs the bare number 1e400, which JSON also reads as inf.
+        Path(cfg).write_text(Path(cfg).read_text().replace('"1e400"', "1e400"))
         out = tmp_path / "report"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
@@ -459,6 +473,11 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "exceeds budget 600" in err
         assert "Traceback" not in err
+
+    def test_repeated_order_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alphas=[2, 2.0, 1.5])
+        assert main(["verify", "--config", cfg]) == 2
+        assert "order 2 repeats" in capsys.readouterr().err
 
     def test_bad_alpha_rejected(self):
         raw = {

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from renyi_extract import HashFamily, certify_k_star, evaluate, verify_universality
 from renyi_extract.errors import BudgetExceededError
+from renyi_extract import families
 from renyi_extract.families import KINDS, hash_table
 from renyi_extract.fields import FieldParams
 
@@ -104,10 +106,16 @@ def test_certify_full_table(gf4):
     assert all(v.passed for v in certify_k_star(fam))
 
 
-def test_budget_enforced(gf8):
-    fam = poly_family(gf8, 3, 2)
-    with pytest.raises(BudgetExceededError):
-        verify_universality(fam, 2, budget=10)
+def test_budget_is_the_certification_charge():
+    # GF(2^5), k=3, m=2 at l=3: D = 15 seed digits, N = 32 inputs, so the
+    # basis (D x N) and the C(32, 3) stacked D x m(l-1) matrices cost 298,080
+    # cells.  Scanning every seed was charged 2^15 x 32 and did far more.
+    fam = poly_family(FieldParams.create(2, 5), 3, 2)
+    charge = 15 * 32 + math.comb(32, 3) * 15 * 2 * 2
+    assert charge == 298_080
+    with pytest.raises(BudgetExceededError, match="exceeds budget 298079"):
+        verify_universality(fam, 3, budget=charge - 1)
+    assert verify_universality(fam, 3, budget=charge) == Fraction(1, 16)
 
 
 def test_seed_space_sizes(gf4):
@@ -214,3 +222,57 @@ def test_shift_digits_only_shift_outputs(kind, q, n, k, m):
     shift = (blocks - blocks[:, :1]) % q
     assert (shift == shift[:, :, :1]).all()
 
+
+
+def seed_scan(family, l):
+    """Max over l-subsets of Pr_S[h(S,x_1) = ... = h(S,x_l)], by counting the
+    colliding seeds in the whole seed table: the oracle for the rank."""
+    n_inputs, seeds = family.field.size, family.seed_space_size
+    columns = hash_table(family, np.arange(seeds), range(n_inputs)).T.copy()
+    worst = 0
+    for first, *rest in itertools.combinations(range(n_inputs), l):
+        same = np.all(columns[rest] == columns[first], axis=0)
+        worst = max(worst, int(np.count_nonzero(same)))
+    return Fraction(worst, seeds)
+
+
+ORACLE_FAMILIES = (
+    [
+        ("polynomial", q, n, k, m)
+        # q = 11 is the largest prime whose products fit int8; 13 needs int16.
+        for q, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1),
+                     (11, 1), (13, 1))
+        for k in (2, 3, 4)
+        for m in range(1, n + 1)
+    ]
+    + [("polynomial", 5, 2, 2, m) for m in (1, 2)]
+    + [("full_table", q, n, 2, m) for q, n in ((2, 2), (3, 1)) for m in (1, 2)]
+    + [("constant", q, n, 3, 1) for q, n in ((2, 2), (3, 1), (5, 1))]
+)
+
+
+@pytest.mark.parametrize("kind,q,n,k,m", ORACLE_FAMILIES)
+def test_rank_matches_seed_scan(kind, q, n, k, m):
+    # Every order the certifier checks, plus k + 1 where the domain allows:
+    # polynomial families fail there, so the ratio is not just the threshold.
+    # 126 (family, l) cases in all.
+    fam = HashFamily(kind, FieldParams.create(q, n), k, m)
+    for l in range(2, min(k + 1, fam.field.size) + 1):
+        assert verify_universality(fam, l) == seed_scan(fam, l), l
+
+
+def test_certification_reads_only_the_basis(monkeypatch):
+    # Certification must not tabulate the seed space: hash_table sees at most
+    # one row per seed digit (the single-digit seeds), however large q^D is.
+    calls = []
+
+    def spy(family, seeds, inputs):
+        calls.append((family.seed_digits, len(seeds)))
+        return hash_table(family, seeds, inputs)
+
+    monkeypatch.setattr(families, "hash_table", spy)
+    for kind, q, n, k, m in [("polynomial", 2, 4, 3, 2), ("polynomial", 3, 2, 4, 1),
+                             ("full_table", 2, 2, 3, 2), ("constant", 2, 2, 2, 1)]:
+        certify_k_star(HashFamily(kind, FieldParams.create(q, n), k, m))
+    assert calls
+    assert all(rows <= digits for digits, rows in calls)
