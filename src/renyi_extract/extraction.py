@@ -169,23 +169,27 @@ def expected_max_bucket(
         raise ValueError("subset must be non-empty")
     if len(set(subset)) != len(subset):
         raise ValueError("subset elements must be distinct")
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     seeds = family.seed_space_size
+    rows = seeds if mode == "exact" else n_samples
+    # hash_table holds a rows x D digit matrix, a D x |subset| x m basis and
+    # the rows x |subset| table; D = m * q^n for full_table.
+    n_digits, size = family.seed_digits, len(subset)
+    if rows * (n_digits + size) + n_digits * size * family.m > budget:
+        raise BudgetExceededError(
+            f"{rows} {'seeds' if mode == 'exact' else 'samples'} x ({n_digits} seed digits"
+            f" + {size} elements) + {n_digits} x {size} x {family.m} basis cells"
+            f" exceeds budget {budget}"
+        )
     if mode == "exact":
-        if seeds * len(subset) > budget:
-            raise BudgetExceededError(
-                f"{seeds} seeds x {len(subset)} elements exceeds budget {budget}"
-            )
         loads = _largest_buckets(hash_table(family, np.arange(seeds), subset))
         return BucketEstimate(math.fsum(loads.tolist()) / seeds, None, "exact", seeds)
-    if mode == "sampled":
-        if n_samples * len(subset) > budget:
-            raise BudgetExceededError("sample count exceeds budget")
-        rng = np.random.default_rng(rng_seed)
-        if seeds - 1 <= np.iinfo(np.int64).max:
-            draws = rng.integers(0, seeds, size=n_samples)
-        else:  # seed integers beyond int64: draw their base-q digits
-            draws = rng.integers(0, family.field.q, size=(n_samples, family.seed_digits))
-        vals = _largest_buckets(hash_table(family, draws, subset)).astype(float)
-        stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-        return BucketEstimate(float(vals.mean()), stderr, "sampled", n_samples, rng_seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    rng = np.random.default_rng(rng_seed)
+    if seeds - 1 <= np.iinfo(np.int64).max:
+        draws = rng.integers(0, seeds, size=n_samples)
+    else:  # seed integers beyond int64: draw their base-q digits
+        draws = rng.integers(0, family.field.q, size=(n_samples, family.seed_digits))
+    vals = _largest_buckets(hash_table(family, draws, subset)).astype(float)
+    stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
+    return BucketEstimate(float(vals.mean()), stderr, "sampled", n_samples, rng_seed)

@@ -10,10 +10,14 @@ Three kinds are supported:
 * ``constant`` -- a single seed mapping everything to 0^m.  Deliberately
   broken; useful as a negative control for the certifier.
 
-Every family is Z_q-linear in its seed digits, so an l-subset collides with
-probability exactly q^{-r}, r the GF(q)-rank of its stacked basis differences
-(Carter & Wegman 1979): certification reads one basis and builds no seed
-table.  Collision probabilities are exact rationals (Fraction), never floats.
+Every family is Z_q-linear in its seed digits, so ``hash_table`` is a digit
+matrix times a basis B, which it builds in closed form with numpy.  An
+l-subset collides with probability exactly q^{-r}, r the GF(q)-rank of its
+stacked basis differences (Carter & Wegman 1979): certification reads one
+basis and builds no seed table.  Collision probabilities are exact rationals
+(Fraction), never floats.  The scalar ``evaluate`` (Horner with ``gf_mul`` and
+``gf_add``) is the public single-value API and the tests' oracle; no run path
+calls it.
 """
 
 from __future__ import annotations
@@ -91,6 +95,39 @@ def evaluate(family: HashFamily, seed: int, x: int) -> int:
     return 0
 
 
+def _basis(family: HashFamily, xs: np.ndarray) -> np.ndarray:
+    """B[d, c, j] = digit j of h(q^d, xs[c]), in closed form: no field
+    arithmetic on scalars, and any inputs, in any order, with repeats."""
+    f, m, n_digits = family.field, family.m, family.seed_digits
+    q, n = f.q, f.n
+    if family.kind == "full_table":
+        # Seed q^d sets output digit d % m of input d // m to 1.
+        d = np.arange(n_digits)[:, None]
+        at_input = xs == d // m  # (D, inputs)
+        at_digit = np.arange(m) == d % m  # (D, m)
+        return (at_input[:, :, None] & at_digit[:, None, :]).astype(np.int64)
+    basis = np.empty((n_digits, len(xs), m), dtype=np.int64)
+    if family.kind == "constant":
+        return basis
+    # Seed q^(i*n + t) is the polynomial with s_i = X^t, so row i*n + t holds
+    # X^t * x^i.  Each power of x is an (input, coefficient) digit matrix.
+    x_digits = xs[:, None] // q ** np.arange(n) % q
+    modulus = np.array(f.modulus, dtype=np.int64)
+    power = np.zeros((len(xs), n), dtype=np.int64)
+    power[:, 0] = 1  # x^0
+    for i in range(family.k):
+        term, nxt = power, np.zeros_like(power)
+        for t in range(n):
+            basis[i * n + t] = term[:, :m]
+            nxt += x_digits[:, t : t + 1] * term  # x^(i+1) = sum_t x_t X^t x^i
+            # Times X: shift the coefficients up; X^n = -(modulus) mod q.
+            top = term[:, -1:]
+            term = np.concatenate([np.zeros_like(top), term[:, :-1]], axis=1)
+            term = (term - top * modulus) % q
+        power = nxt % q
+    return basis
+
+
 def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
     """h(s, x) as output integers: one row per seed, one column per canonical
     input integer.  ``seeds`` is a 1-d array of seed integers or a 2-d matrix
@@ -100,19 +137,16 @@ def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
     Every family is Z_q-linear in the base-q digits of its seed (for the
     polynomial kind this is the Wegman-Carter construction), so the table is
     digits(seeds) @ B mod q, where row d of B holds h(q^d, x) over the inputs.
+    B is built in closed form for the requested inputs only: X^t x^i for the
+    polynomial kind, one indicator per digit for full_table, nothing for the
+    constant kind.
     """
     f = family.field
     q, m, n_digits = f.q, family.m, family.seed_digits
     xs = [int(v) for v in inputs]
     for x in xs:
         _check_input(f, x)
-    basis = np.array(
-        [
-            [[u // q**j % q for j in range(m)] for u in (evaluate(family, q**d, x) for x in xs)]
-            for d in range(n_digits)
-        ],
-        dtype=np.int64,
-    ).reshape(n_digits, len(xs), m)
+    basis = _basis(family, np.array(xs, dtype=np.int64))
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.ndim == 2:
         digits = seeds

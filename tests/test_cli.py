@@ -474,6 +474,23 @@ class TestConfigValidation:
         assert "exceeds budget 600" in err
         assert "Traceback" not in err
 
+    def test_bucket_digit_matrix_over_budget_exits_2(self, tmp_path, capsys):
+        # 2000 samples x 4 elements fit 8000, but the full_table family on
+        # GF(2^10) with m=4 has 4096 seed digits: hash_table would hold a
+        # 2000 x 4096 digit matrix.
+        cfg = write_config(
+            tmp_path,
+            family={"q": 2, "n": 10, "k": 2, "m": 4, "kind": "full_table"},
+            bucket={"subset": [0, 1, 2, 3], "mode": "sampled", "samples": 2000},
+            budget=8000,
+        )
+        out = tmp_path / "report"
+        assert main(["bucket", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "exceeds budget 8000" in err
+        assert "Traceback" not in err
+
     def test_repeated_order_is_named(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alphas=[2, 2.0, 1.5])
         assert main(["verify", "--config", cfg]) == 2
@@ -557,6 +574,48 @@ class TestBucketCommand:
         assert "Traceback" not in err
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+class TestNoScalarFieldArithmetic:
+    """Every run path reads h(s, x) from hash_table's closed-form basis; the
+    scalar evaluate, gf_mul and gf_add are only the tests' oracle."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_scalar_arithmetic(self, monkeypatch):
+        from renyi_extract import extraction, families, fields
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scalar field arithmetic on a run path")
+
+        for module in (families, fields):
+            monkeypatch.setattr(module, "gf_mul", forbidden)
+            monkeypatch.setattr(module, "gf_add", forbidden)
+        for module in (families, extraction):
+            monkeypatch.setattr(module, "evaluate", forbidden)
+
+    @pytest.mark.parametrize(
+        "kind,family,status",
+        [
+            ("polynomial", {"q": 2, "n": 3, "k": 3, "m": 2}, 0),
+            ("polynomial", {"q": 3, "n": 2, "k": 2, "m": 1}, 0),
+            ("full_table", {"q": 2, "n": 2, "k": 3, "m": 1}, 0),
+            ("constant", {"q": 2, "n": 2, "k": 2, "m": 1}, 1),
+        ],
+        ids=["poly-gf8", "poly-gf9", "full_table", "constant"],
+    )
+    def test_commands_run_without_scalar_arithmetic(
+        self, tmp_path, capsys, kind, family, status
+    ):
+        cfg = write_config(tmp_path, family={**family, "kind": kind},
+                           alphas=[1.5, 2, 3], sweep={"m_values": [1]})
+        # The constant kind fails certification and the sweep's bounds.
+        assert main(["verify", "--config", cfg]) == status
+        assert main(["sweep", "--config", cfg]) == status
+        for bucket in ({"subset": "full", "mode": "exact"},
+                       {"subset": "full", "mode": "sampled", "samples": 50}):
+            cfg = write_config(tmp_path, family={**family, "kind": kind}, bucket=bucket)
+            assert main(["bucket", "--config", cfg]) == 0
+        assert "scalar field arithmetic" not in capsys.readouterr().err
 
 
 class TestSweepCommand:

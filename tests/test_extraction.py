@@ -277,6 +277,29 @@ class TestExpectedMaxBucket:
         assert est.mean == float(vals.mean())
         assert est.stderr == float(vals.std(ddof=1) / math.sqrt(200))
 
+    @pytest.mark.parametrize(
+        "kind,n,k,m,mode,rows",
+        [("polynomial", 8, 3, 4, "sampled", 1500), ("polynomial", 3, 2, 2, "exact", 64),
+         ("full_table", 3, 2, 2, "sampled", 40), ("full_table", 2, 2, 1, "exact", 16)],
+    )
+    def test_budget_is_the_table_charge(self, kind, n, k, m, mode, rows):
+        # rows x (D seed digits + |subset|) + D x |subset| x m: hash_table's
+        # digit matrix, output table and basis.  The first case is the
+        # benchmark's sampled bucket: 87,072 cells.
+        fam = HashFamily(kind, FieldParams.create(2, n), k, m)
+        subset = list(range(min(32, fam.field.size)))
+        d = fam.seed_digits
+        charge = rows * (d + len(subset)) + d * len(subset) * m
+
+        def run(budget):
+            return expected_max_bucket(fam, subset, mode=mode, n_samples=rows, budget=budget)
+
+        with pytest.raises(BudgetExceededError, match=f"exceeds budget {charge - 1}$"):
+            run(charge - 1)
+        assert run(charge).n_seeds == rows
+        if n == 8:
+            assert charge == 87_072
+
     def test_empty_subset_rejected(self, gf8):
         fam = poly_family(gf8, 2, 2)
         with pytest.raises(ValueError):

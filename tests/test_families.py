@@ -124,29 +124,49 @@ def test_seed_space_sizes(gf4):
     assert HashFamily("constant", gf4, 2, 1).seed_space_size == 1
 
 
-TABLE_FAMILIES = [
-    ("polynomial", 2, 3, 3, 2),
-    ("polynomial", 3, 2, 2, 1),
-    ("full_table", 2, 2, 2, 1),
-    ("full_table", 2, 2, 2, 2),
-    ("constant", 2, 3, 2, 2),
-]
+TABLE_FAMILIES = (
+    [
+        ("polynomial", q, n, k, m)
+        for q, n in [(2, n) for n in range(1, 9)] + [(3, 1), (3, 2), (3, 3), (5, 1),
+                                                      (5, 2), (7, 1), (7, 2), (11, 1),
+                                                      (13, 1)]
+        for k in (2, 3, 4)
+        for m in range(1, n + 1)
+    ]
+    + [("full_table", q, n, 2, m) for q, n in ((2, 1), (2, 2), (3, 2), (5, 1))
+       for m in (1, 2, 3)]
+    + [("constant", 2, 3, 2, 2), ("constant", 7, 1, 3, 1)]
+    # Seed spaces beyond int64: 64, 64, 40 and 96 seed digits.
+    + [("polynomial", 2, 8, 8, 8), ("full_table", 2, 4, 2, 4),
+       ("polynomial", 3, 8, 5, 2), ("full_table", 2, 5, 2, 3)]
+)
 
 
 @pytest.mark.parametrize("kind,q,n,k,m", TABLE_FAMILIES)
 def test_hash_table_matches_evaluate(kind, q, n, k, m):
+    # The closed-form basis against the scalar oracle on every cell, for
+    # shuffled and repeated inputs.  Seeds come as base-q digit rows and,
+    # where the seed space fits int64, as a repeated, unordered, strided array.
     field = FieldParams.create(q, n)
     fam = HashFamily(kind, field, k, m)
+    rng = np.random.default_rng([q, n, k, m])
+    inputs = rng.integers(0, field.size, size=min(field.size, 12) + 4).tolist()
+    inputs += [inputs[0], field.size - 1, 0, field.size - 1]
+    digits = rng.integers(0, q, size=(6, fam.seed_digits))
+    digits[0] = q - 1  # the largest seed
+    seeds = [sum(d * q**i for i, d in enumerate(row)) for row in digits.tolist()]
+    tables = [(seeds, hash_table(fam, digits, inputs))]
     last = fam.seed_space_size - 1
-    order = [last, 0, last, *range(last, -1, -max(1, last // 37)), 1 % (last + 1), 0]
-    seeds = np.stack([order, order], axis=1)[:, 0]  # repeated, unordered, strided
-    assert not seeds.flags.c_contiguous
-    inputs = [field.size - 1, 0, 2 % field.size, 1]
-    table = hash_table(fam, seeds, inputs)
-    assert table.shape == (len(seeds), len(inputs))
-    for r, s in enumerate(seeds.tolist()):
-        for c, v in enumerate(inputs):
-            assert table[r, c] == evaluate(fam, s, v)
+    if last <= np.iinfo(np.int64).max:
+        order = [last, 0, last, *range(last, -1, -max(1, last // 11)), 1 % (last + 1), 0]
+        strided = np.stack([order, order], axis=1)[:, 0]
+        assert not strided.flags.c_contiguous
+        tables.append((order, hash_table(fam, strided, inputs)))
+    for seeds, table in tables:
+        assert table.shape == (len(seeds), len(inputs))
+        for r, s in enumerate(seeds):
+            for c, v in enumerate(inputs):
+                assert table[r, c] == evaluate(fam, s, v)
 
 
 def test_hash_table_rejects_out_of_range_seeds(gf4):
@@ -163,21 +183,6 @@ def test_hash_table_rejects_inputs_outside_field(gf4, kind):
     for bad in (-1, gf4.size):
         with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
             hash_table(fam, np.arange(2), [0, bad])
-
-
-def test_hash_table_takes_digit_rows_beyond_int64():
-    # GF(2^4), m=4: 64 seed digits, so seed integers reach 2^64 - 1.
-    field = FieldParams.create(2, 4)
-    fam = HashFamily("full_table", field, 2, 4)
-    assert fam.seed_space_size > np.iinfo(np.int64).max + 1
-    digits = np.random.default_rng(5).integers(0, 2, size=(40, fam.seed_digits))
-    digits[0] = 1  # the largest seed
-    inputs = [0, 15, 3, 9, 14]
-    table = hash_table(fam, digits, inputs)
-    for r, row in enumerate(digits.tolist()):
-        seed = sum(d * 2**i for i, d in enumerate(row))  # a Python int
-        for c, v in enumerate(inputs):
-            assert table[r, c] == evaluate(fam, seed, v)
 
 
 def test_hash_table_rejects_bad_digit_rows(gf4):
