@@ -108,12 +108,14 @@ def extract_joint(
         raise ValueError(
             f"source of {n_inputs} symbols in base {base} does not fit GF({f.q}^{f.n})"
         )
-    seeds = family.seed_space_size
-    # One charge covers the seeds x inputs table and the seeds x outputs x Z joint.
+    seeds, n_digits = family.seed_space_size, family.seed_digits
+    # hash_table holds a seeds x D digit matrix; one width covers its seeds x
+    # inputs table and the seeds x outputs x Z joint.
     width = max(n_inputs, family.output_size) * max(1, source.n_side)
-    if seeds * width > budget:
+    if seeds * (n_digits + width) > budget:
         raise BudgetExceededError(
-            f"{seeds} seeds x {width} cells per seed exceeds budget {budget}"
+            f"{seeds} seeds x ({n_digits} seed digits + {width} cells per seed)"
+            f" exceeds budget {budget}"
         )
     all_seeds = np.arange(seeds)
     table = hash_table(family, all_seeds, range(n_inputs))

@@ -8,12 +8,13 @@ D_alpha has one formula, ``_divergence``: every power sum, log-ratio and max
 is formed there, on Python floats.  H_alpha is minus D_alpha against the
 counting measure.  This module alone groups an output joint's columns by
 content (``distinct_columns``), once per divergence table
-(``empirical_divergences``): the conditional divergences read each group's
+(``empirical_divergences``): the conditional divergences read each distinct
 sorted column, normalised once for every order, and the joint divergence, KL
-and TV each group's (cell, reference) pairs.  Each term is formed once per
-group and fed to fsum once per member column, so fsum sees the multiset of
-terms of a walk over every column, and the correctly rounded results are the
-same bits.  No per-cell or flattened pmfs are built.
+and TV each distinct (cell, reference) pair.  Each term is formed once per
+distinct value and carries the number of cells it stands for;
+``_counted_fsum`` adds count x term exactly, so the correctly rounded results
+are the bits of a walk over every column.  No per-cell or flattened pmfs are
+built.
 """
 
 from __future__ import annotations
@@ -134,35 +135,55 @@ class JointPmf:
         return Pmf(self.probs.sum(axis=other), self.base_q)
 
 
+def _counted_fsum(terms, counts=None) -> float:
+    """The correctly rounded sum_i counts[i] * terms[i]; each term once without
+    counts.
+
+    Each count is split into its binary digits, and fsum gets the exact value
+    ldexp(terms[i], j) for each set bit j of counts[i]: about log2(count)
+    inputs in place of count copies.  fsum rounds the exact sum of its inputs
+    once, so the result has the bits of fsum over the copies.  A product that
+    leaves floating point enters as inf (numpy's overflow warning is silenced),
+    so the sum is inf or fsum's OverflowError.
+    """
+    if counts is None:
+        return math.fsum(terms)
+    t = np.asarray(terms, dtype=float)[:, None]
+    c = np.asarray(counts, dtype=np.int64)[:, None]
+    bits = np.arange(int(c.max(initial=0)).bit_length(), dtype=np.intc)
+    with np.errstate(over="ignore"):
+        parts = np.ldexp(t, bits)[(c >> bits) & 1 == 1]
+    return math.fsum(parts.tolist())
+
+
 def _divergence(ps, rs, a: Alpha, lnq: float | None, counts=None) -> float:
     """D_alpha of masses ps against reference masses rs, both Python floats,
     over the terms with p > 0; +inf when some p > 0 has r = 0.  With counts,
-    pair i stands for counts[i] equal terms: each is formed once and fed to
-    fsum that often (the max of D_inf ignores counts).  With lnq None, the
-    power sum sum p^alpha r^(1-alpha) of a finite order itself.
+    pair i stands for counts[i] equal terms: each is formed once and summed
+    by ``_counted_fsum`` (the max of D_inf ignores counts).  With lnq None,
+    the power sum sum p^alpha r^(1-alpha) of a finite order itself.
 
-    Terms stay scalar ``**`` and ``math.log`` under ``math.fsum``: numpy's
-    vectorized power and log may differ in the last bit, and reports are
-    pinned byte for byte.  A finite order whose power sum leaves floating
-    point is refused.
+    Terms stay scalar ``**`` and ``math.log``: numpy's vectorized power and
+    log may differ in the last bit, and reports are pinned byte for byte.  A
+    zero mass adds a 0.0 term, which leaves fsum unchanged.  A finite order
+    whose power sum leaves floating point is refused.
     """
-    pairs = zip(ps, rs, itertools.repeat(1) if counts is None else counts)
-    repeated = itertools.chain.from_iterable
+    pairs = zip(ps, rs)
     try:
         if a.is_one:
-            return math.fsum(repeated(
-                itertools.repeat(pi * math.log(pi / ri), c) for pi, ri, c in pairs if pi > 0
-            )) / lnq
+            return _counted_fsum(
+                [pi * math.log(pi / ri) if pi > 0 else 0.0 for pi, ri in pairs], counts
+            ) / lnq
         if a.is_infinite:
-            return math.log(max(pi / ri for pi, ri, _ in pairs if pi > 0)) / lnq
+            return math.log(max(pi / ri for pi, ri in pairs if pi > 0)) / lnq
         b = a.value
-        s = math.fsum(repeated(
-            itertools.repeat(pi ** b * ri ** (1.0 - b), c) for pi, ri, c in pairs if pi > 0
-        ))
+        s = _counted_fsum(
+            [pi ** b * ri ** (1.0 - b) if pi > 0 else 0.0 for pi, ri in pairs], counts
+        )
     except ZeroDivisionError:  # p > 0 over r = 0
         return math.inf
     except OverflowError:
-        if any(ri == 0 for pi, ri, _ in pairs if pi > 0):  # the terms after the overflow
+        if any(ri == 0 for pi, ri in pairs if pi > 0):  # the terms after the overflow
             return math.inf
         s = math.inf
     if not 0.0 < s < math.inf:
@@ -187,10 +208,7 @@ def renyi_divergence(p: Pmf, r: Pmf, a) -> float:
 
 def _tv(ps, rs, counts=None) -> float:
     """Half the L1 distance; with counts as in ``_divergence``."""
-    pairs = zip(ps, rs, itertools.repeat(1) if counts is None else counts)
-    return 0.5 * math.fsum(itertools.chain.from_iterable(
-        itertools.repeat(abs(pi - ri), c) for pi, ri, c in pairs
-    ))
+    return 0.5 * _counted_fsum([abs(pi - ri) for pi, ri in zip(ps, rs)], counts)
 
 
 def tv_distance(p: Pmf, r: Pmf) -> float:
@@ -262,7 +280,9 @@ def distinct_columns(joint: JointPmf):
     reference.  Columns whose outputs, sorted, and reference are the same
     floats bit for bit form one group: ``columns`` holds each group's sorted
     column (one column per group), ``refs`` its reference and ``counts`` its
-    number of members.  The groups come in no meaningful order.
+    number of members.  The groups come in ``np.unique``'s raw-byte order of
+    the sorted column followed by the reference, so groups that differ only in
+    their reference are neighbours.
     """
     arr = joint.probs
     n_out = arr.shape[0]
@@ -270,39 +290,56 @@ def distinct_columns(joint: JointPmf):
     rows[:, :n_out] = arr.reshape(n_out, -1).T
     rows[:, :n_out].sort(axis=1)
     rows[:, n_out] = (arr.sum(axis=0) / n_out).ravel()
-    # One opaque key per row, so np.unique compares whole rows as raw bytes.
-    keys = rows.view(np.dtype((np.void, rows.itemsize * (n_out + 1)))).ravel()
-    keys, counts = np.unique(keys, return_counts=True)
+    keys, counts = np.unique(_row_keys(rows), return_counts=True)
     groups = keys.view(float).reshape(-1, n_out + 1)
     return groups[:, :n_out].T, groups[:, n_out], counts
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a C-contiguous float matrix, so that sorting
+    compares whole rows as raw bytes."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _merge_runs(rows: np.ndarray, counts: np.ndarray):
+    """(first row of each run, summed counts) over the runs of neighbouring
+    rows that are equal bit for bit."""
+    bits = rows.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    return rows[starts], np.add.reduceat(counts, starts)
+
+
+def _distinct_pairs(columns):
+    """The distinct (cell, reference) pairs of the grouping ``columns``
+    (``distinct_columns``) against uniform outputs x the joint's own seed[,z]
+    marginal, as (cells, refs, counts): a pair's count is the number of the
+    joint's cells it stands for."""
+    cols, refs, counts = columns
+    n_out = cols.shape[0]
+    pairs = np.empty((cols.size, 2))
+    pairs[:, 0] = cols.T.ravel()
+    pairs[:, 1] = np.repeat(refs, n_out)
+    order = np.argsort(_row_keys(pairs))
+    merged, summed = _merge_runs(pairs[order], np.repeat(counts, n_out)[order])
+    return merged[:, 0].tolist(), merged[:, 1].tolist(), summed
 
 
 def _seed_averaged_divergences(columns, alphas: list[Alpha], lnq: float) -> list[float]:
     """Seed-averaged divergences from uniform outputs, every order from one read
     of the grouping ``columns`` (``distinct_columns``):
     sum_s P_S(s) D_alpha(P(.|s) || uniform); over (s, z) cells for 3 axes.
-    Each group's column is read once and its terms count once per member."""
+    Each distinct sorted column is read once and its terms count once per
+    column that holds it: groups that differ only in their reference are
+    neighbours, so one compare of neighbours merges them."""
     cols, _, counts = columns
-    uniform = itertools.repeat(1.0 / cols.shape[0])
-    terms = [[] for _ in alphas]
-    for w, cond, c in _columns(cols, counts.tolist()):
+    cols, counts = _merge_runs(cols.T, counts)
+    uniform = itertools.repeat(1.0 / cols.shape[1])
+    kept, terms = [], [[] for _ in alphas]
+    for w, cond, c in _columns(cols.T, counts.tolist()):
+        kept.append(c)
         for a, column_terms in zip(alphas, terms):
-            column_terms.append(itertools.repeat(w * _divergence(cond, uniform, a, lnq), c))
-    return [math.fsum(itertools.chain.from_iterable(t)) for t in terms]
-
-
-def _reference_pairs(columns):
-    """The (cell, reference) pairs against uniform outputs x the joint's own
-    seed[,z] marginal, as (cells, refs, counts) lists: one pair per cell of
-    each group of ``columns`` (``distinct_columns``), counted once per member
-    of its group."""
-    cols, refs, counts = columns
-    n_out = cols.shape[0]
-    return (
-        cols.T.ravel().tolist(),
-        np.repeat(refs, n_out).tolist(),
-        np.repeat(counts, n_out).tolist(),
-    )
+            column_terms.append(w * _divergence(cond, uniform, a, lnq))
+    return [_counted_fsum(t, kept) for t in terms]
 
 
 def conditional_divergence(joint: JointPmf, a) -> float:
@@ -314,7 +351,7 @@ def conditional_divergence(joint: JointPmf, a) -> float:
 
 def joint_divergence_from_uniform(joint: JointPmf, a) -> float:
     """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)."""
-    cells, refs, counts = _reference_pairs(distinct_columns(joint))
+    cells, refs, counts = _distinct_pairs(distinct_columns(joint))
     return _divergence(cells, refs, as_alpha(a), math.log(joint.base_q), counts)
 
 
@@ -342,7 +379,7 @@ def empirical_divergences(joint: JointPmf, alphas) -> DivergenceTable:
     *conditional, conditional_inf = _seed_averaged_divergences(
         columns, alphas + [Alpha.infinity()], lnq
     )
-    cells, refs, counts = _reference_pairs(columns)
+    cells, refs, counts = _distinct_pairs(columns)
     rows = tuple(
         DivergenceRow(a, _divergence(cells, refs, a, lnq, counts), c)
         for a, c in zip(alphas, conditional)

@@ -178,6 +178,23 @@ class TestOrderTooLargeForFloats:
         assert not out.exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_counted_power_sum_beyond_floats_exits_2(self, tmp_path, capsys):
+        # A point mass on GF(2^4), k=3, m=4 at alpha = 258: every seed's
+        # column is a point mass, so each column's power sum is 16^257 and
+        # the joint's is 4096 seeds x 2^1016, both beyond floating point.
+        cfg = write_config(
+            tmp_path,
+            family={"q": 2, "n": 4, "k": 3, "m": 4},
+            source={"preset": "point-mass"},
+            alphas=[258],
+        )
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "alpha=258.0 is too large for floating point" in err
+        assert "Traceback" not in err
+
     def test_nan_joint_divergence_writes_no_report(self, tmp_path, capsys, workloads):
         # alpha = 80 on certify-k3: r ** (1 - alpha) overflows as a numpy
         # scalar and 0 * inf made the joint divergence NaN.

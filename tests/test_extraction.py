@@ -99,6 +99,29 @@ class TestExtractJoint:
         with pytest.raises(BudgetExceededError):
             extract_joint(fam, uniform_source(gf8), budget=100)
 
+    @pytest.mark.parametrize(
+        "kind,q,n,k,m,side",
+        [("full_table", 2, 3, 2, 2, 0), ("polynomial", 2, 1, 4, 1, 0),
+         ("polynomial", 3, 2, 2, 1, 3), ("polynomial", 2, 3, 2, 2, 2)],
+    )
+    def test_budget_is_the_table_and_joint_charge(self, kind, q, n, k, m, side):
+        # seeds x (D seed digits + max(q^n, q^m) x max(1, Z)): hash_table's
+        # digit matrix, plus one width for its table and the joint.  The
+        # full_table GF(2^3), m=2 family has D = 16 digits, twice its width,
+        # and polynomial GF(2), k=4 has D = 4 against a width of 2.
+        field = FieldParams.create(q, n)
+        fam = HashFamily(kind, field, k, m)
+        rows = np.full((field.size, side), 1.0 / side) if side else None
+        source = uniform_source(field, side_channel=rows)
+        width = max(field.size, fam.output_size) * max(1, side)
+        charge = fam.seed_space_size * (fam.seed_digits + width)
+        with pytest.raises(BudgetExceededError, match=f"exceeds budget {charge - 1}$"):
+            extract_joint(fam, source, budget=charge - 1)
+        joint = extract_joint(fam, source, budget=charge).joint
+        assert joint.probs.shape[1] == fam.seed_space_size
+        if kind == "full_table":
+            assert charge == 2**16 * (16 + 8)
+
     def test_wrong_field_rejected(self, gf4, gf8):
         fam = poly_family(gf4, 2, 1)
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -329,6 +330,72 @@ class TestOrderTooLargeForFloats:
             entropy(j, Alpha(300.0))
 
 
+def _terms(bound):
+    """Finite floats of magnitude at most bound: negative, subnormal and both
+    zeros included."""
+    return st.one_of(
+        st.floats(-bound, bound, allow_nan=False),
+        st.floats(-1e-300, 1e-300),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    )
+
+
+def _signed(x):
+    return x, math.copysign(1.0, x)
+
+
+class TestCountedFsum:
+    """count x term summed through each count's binary digits must give the
+    correctly rounded exact sum, so the bits of fsum over explicit copies."""
+
+    @given(st.lists(st.tuples(_terms(1e290), st.integers(0, 300)), max_size=12))
+    @settings(max_examples=300)
+    def test_matches_fsum_over_copies(self, pairs):
+        terms, counts = [t for t, _ in pairs], [c for _, c in pairs]
+        copies = math.fsum(
+            itertools.chain.from_iterable(itertools.repeat(t, c) for t, c in pairs)
+        )
+        assert _signed(measures._counted_fsum(terms, counts)) == _signed(copies)
+
+    @given(st.lists(st.tuples(_terms(1e280), st.integers(0, 2**62)), max_size=12))
+    @settings(max_examples=300)
+    def test_matches_exact_rational_sum(self, pairs):
+        terms, counts = [t for t, _ in pairs], [c for _, c in pairs]
+        exact = float(sum(Fraction(t) * c for t, c in pairs))
+        assert measures._counted_fsum(terms, counts) == exact
+
+    @given(
+        st.floats(1e300, 1e308),
+        st.integers(2**30, 2**62),
+        st.sampled_from([1.0, -1.0]),
+        st.lists(st.tuples(_terms(1.0), st.integers(0, 300)), max_size=4),
+    )
+    @settings(max_examples=100)
+    def test_product_beyond_floats_overflows(self, t, c, sign, rest):
+        # The term is finite, count x term is not: the sum is an infinity
+        # of the term's sign or fsum's OverflowError, never a finite value.
+        terms = [sign * t] + [x for x, _ in rest]
+        counts = [c] + [n for _, n in rest]
+        with pytest.raises(OverflowError):
+            float(sum(Fraction(x) * n for x, n in zip(terms, counts)))
+        try:
+            total = measures._counted_fsum(terms, counts)
+        except OverflowError:
+            return
+        assert total == sign * math.inf
+
+    def test_without_counts_each_term_once(self):
+        assert measures._counted_fsum([0.1, 0.2, 0.3]) == math.fsum([0.1, 0.2, 0.3])
+        assert measures._counted_fsum([], []) == 0.0
+
+    def test_counted_power_sum_beyond_floats_is_refused(self):
+        # One finite term, 2^1000, standing for 2^62 cells.
+        args = [1.0], [2.0**-1000], Alpha(2.0), None
+        assert measures._divergence(*args) == 2.0**1000
+        with pytest.raises(ValueError, match="too large for floating point"):
+            measures._divergence(*args, [2**62])
+
+
 def _old_conditional_divergence(joint, a):
     """The per-cell path: sum_c w_c D_alpha(Pmf(col / w_c) || uniform)."""
     flat = joint.probs.reshape(joint.probs.shape[0], -1)
@@ -471,6 +538,34 @@ def _group_count(joint):
     return len({(np.sort(col).tobytes(), ref.tobytes()) for col, ref in zip(columns, refs)})
 
 
+def _sorted_column_count(joint):
+    """Distinct sorted-column byte strings, references ignored."""
+    arr = joint.probs
+    return len({np.sort(col).tobytes() for col in arr.reshape(arr.shape[0], -1).T})
+
+
+def _pair_count(joint):
+    """Distinct (cell, reference) byte strings over every cell of the joint."""
+    arr = joint.probs
+    n_out = arr.shape[0]
+    refs = (arr.sum(axis=0) / n_out).ravel()
+    return len({
+        (cell.tobytes(), ref.tobytes())
+        for col, ref in zip(arr.reshape(n_out, -1).T, refs)
+        for cell in col
+    })
+
+
+# Joints in which some groups differ only in their reference, and some
+# groups' sorted columns repeat a cell.
+MERGING_INSTANCES = [
+    ("polynomial", 2, 3, 2, 2, "dirichlet", 0),
+    ("polynomial", 2, 3, 2, 2, "dirichlet", 3),
+    ("polynomial", 3, 2, 2, 2, "dirichlet", 0),
+    ("polynomial", 3, 2, 2, 2, "dirichlet", 3),
+]
+
+
 @st.composite
 def repeated_joints(draw):
     """2- and 3-axis joints whose columns repeat: each is a copy, a permuted
@@ -556,7 +651,7 @@ class TestConditionalBitwiseOracle:
             for row, a in zip(table.rows, ALPHA_GRID):
                 assert row.conditional == _old_conditional_divergence(result.joint, a)
 
-    def test_one_column_walk_per_divergence_table(self, gf4, monkeypatch):
+    def test_one_column_walk_per_divergence_table(self, monkeypatch):
         walks = []
         columns = measures._columns
 
@@ -565,14 +660,40 @@ class TestConditionalBitwiseOracle:
             return columns(arr, *args)
 
         monkeypatch.setattr(measures, "_columns", counting)
-        for sc in (None, EXTRACTED_SIDE):
-            result = _extracted(gf4, sc)
+        for instance in MERGING_INSTANCES:
+            joint = _instance(*instance).joint
             walks.clear()
-            empirical_divergences(result.joint, ALPHA_GRID + [Alpha(2.0)])
-            # One walk, over one column per distinct (column, reference) group.
-            groups = _group_count(result.joint)
-            assert groups < result.joint.probs[0].size
-            assert walks == [(result.joint.probs.shape[0], groups)]
+            empirical_divergences(joint, ALPHA_GRID + [Alpha(2.0)])
+            # One walk, over one column per distinct sorted column: groups
+            # that differ only in their reference share it.
+            distinct = _sorted_column_count(joint)
+            assert distinct < _group_count(joint)
+            assert walks == [(joint.probs.shape[0], distinct)]
+
+    def test_one_term_per_distinct_pair(self, monkeypatch):
+        sums = []
+        counted_fsum = measures._counted_fsum
+
+        def recording(terms, counts=None):
+            if counts is not None:
+                sums.append((len(terms), int(np.sum(counts))))
+            return counted_fsum(terms, counts)
+
+        monkeypatch.setattr(measures, "_counted_fsum", recording)
+        for instance in MERGING_INSTANCES:
+            joint = _instance(*instance).joint
+            sums.clear()
+            empirical_divergences(joint, ALPHA_GRID)
+            pairs, n_out = _pair_count(joint), joint.probs.shape[0]
+            assert pairs < _group_count(joint) * n_out
+            # The joint D_alpha at 1, 1.5, 2 and 3 (D_inf is a max), KL and
+            # TV each form one term per distinct (cell, reference) pair,
+            # counted once per cell; the conditional D_alpha at all five
+            # orders and the conditional D_inf one term per distinct sorted
+            # column, counted once per column.
+            joint_sums = [(pairs, joint.probs.size)] * 6
+            conditional_sums = [(_sorted_column_count(joint), joint.probs[0].size)] * 6
+            assert sorted(sums) == sorted(joint_sums + conditional_sums)
 
     def test_joint_read_in_place(self, gf4):
         # Row by row against the cycled reference gives the same bits as the
