@@ -1,8 +1,6 @@
 """Renyi-divergence uniformity certification for k*-universal leftover hashing."""
 
 from .bounds import (
-    BoundInputs,
-    BoundReport,
     bound_alpha_above_k,
     bound_infty,
     bound_integer_alpha,

@@ -8,13 +8,16 @@ overflow.  Stirling numbers are exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-
-from .measures import Alpha
 
 MAX_STIRLING_K = 64
 SLACK = 1e-9
+GAMMA_REL_TOL = 1e-12
+
+
+def satisfied(empirical: float, bound: float) -> bool:
+    """The one verdict rule: an empirical value meets its bound up to SLACK."""
+    return empirical <= bound + SLACK
 
 
 @lru_cache(maxsize=None)
@@ -29,10 +32,6 @@ def stirling2(k: int, l: int) -> int:
     if l == 0:
         return 0
     return l * stirling2(k - 1, l) + stirling2(k - 1, l - 1)
-
-
-def bell_number(k: int) -> int:
-    return sum(stirling2(k, l) for l in range(k + 1))
 
 
 def logq_sum_exp(terms: list[float], q: int) -> float:
@@ -107,7 +106,7 @@ def dk_bound_simple(q: int, m: int, k: int, entropy: float) -> float:
     return k * k / (2.0 * q ** (entropy - m) * (k - 1) * math.log(q))
 
 
-def gamma_fn(y: float, rel_tol: float = 1e-12) -> float:
+def gamma_fn(y: float) -> float:
     """Inverse of x -> x / ln(x + 1) on y >= 1, by bracketed bisection."""
     if y < 1.0:
         raise ValueError(f"gamma_fn requires y >= 1, got {y}")
@@ -127,7 +126,7 @@ def gamma_fn(y: float, rel_tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * max(1.0, abs(hi)):
+        if hi - lo <= GAMMA_REL_TOL * max(1.0, abs(hi)):
             break
     return 0.5 * (lo + hi)
 
@@ -210,50 +209,3 @@ def bucket_bound(q: int, m: int, k: int, subset_size: int) -> float:
     if subset_size < 1:
         raise ValueError("subset_size must be >= 1")
     return k * q ** (m / k) / math.log1p(k * q**m / subset_size)
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    q: int
-    m: int
-    k: int
-    alpha: Alpha
-    entropy: float
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.m < 1 or self.k < 2 or self.entropy < 0:
-            raise ValueError("require m >= 1, k >= 2, entropy >= 0")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound with its verdict against an empirical value."""
-
-    name: str
-    inputs: BoundInputs
-    bound: float
-    empirical: float | None = None
-    note: str = ""
-
-    @property
-    def satisfied(self) -> bool:
-        if self.empirical is None:
-            return True
-        return self.empirical <= self.bound + SLACK
-
-    def as_dict(self) -> dict:
-        a = self.inputs.alpha
-        return {
-            "name": self.name,
-            "q": self.inputs.q,
-            "m": self.inputs.m,
-            "k": self.inputs.k,
-            "alpha": "inf" if a.is_infinite else a.value,
-            "entropy": self.inputs.entropy,
-            "epsilon": self.inputs.epsilon,
-            "bound": self.bound,
-            "empirical": self.empirical,
-            "satisfied": self.satisfied,
-            "note": self.note,
-        }

@@ -224,6 +224,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "probs" in src:
         for p in _list(src["probs"], "source probs"):
             _real(p, "source probability")
+    if "param" in src and src.get("preset") not in ("two-spike", "geometric"):
+        raise ConfigError("source param applies to the two-spike and geometric presets")
     if src.get("param") is not None:
         _real(src["param"], "source param")
 

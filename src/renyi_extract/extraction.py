@@ -23,7 +23,8 @@ import numpy as np
 from .bounds import SLACK
 from .errors import BudgetExceededError
 from .families import DEFAULT_BUDGET, HashFamily, hash_table
-from .families import evaluate  # noqa: F401  re-exported so perfbench/tracing.py can count calls here
+# Re-exported so perfbench/tracing.py can count calls here.
+from .families import evaluate  # noqa: F401
 from . import measures
 from .measures import JointPmf, Pmf
 
@@ -137,9 +138,6 @@ def extract_joint(
 class BucketEstimate:
     mean: float
     stderr: float | None
-    mode: str
-    n_seeds: int
-    rng_seed: int | None = None
 
 
 def _largest_buckets(table: np.ndarray) -> np.ndarray:
@@ -180,13 +178,14 @@ def expected_max_bucket(
     n_digits, size = family.seed_digits, len(subset)
     if rows * (n_digits + size) + n_digits * size * family.m > budget:
         raise BudgetExceededError(
-            f"{rows} {'seeds' if mode == 'exact' else 'samples'} x ({n_digits} seed digits"
-            f" + {size} elements) + {n_digits} x {size} x {family.m} basis cells"
+            f"{rows} {'seeds' if mode == 'exact' else 'samples'} x"
+            f" ({n_digits} seed digits + {size} elements)"
+            f" + {n_digits} x {size} x {family.m} basis cells"
             f" exceeds budget {budget}"
         )
     if mode == "exact":
         loads = _largest_buckets(hash_table(family, np.arange(seeds), subset))
-        return BucketEstimate(math.fsum(loads.tolist()) / seeds, None, "exact", seeds)
+        return BucketEstimate(math.fsum(loads.tolist()) / seeds, None)
     rng = np.random.default_rng(rng_seed)
     if seeds - 1 <= np.iinfo(np.int64).max:
         draws = rng.integers(0, seeds, size=n_samples)
@@ -194,4 +193,4 @@ def expected_max_bucket(
         draws = rng.integers(0, family.field.q, size=(n_samples, family.seed_digits))
     vals = _largest_buckets(hash_table(family, draws, subset)).astype(float)
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return BucketEstimate(float(vals.mean()), stderr, "sampled", n_samples, rng_seed)
+    return BucketEstimate(float(vals.mean()), stderr)

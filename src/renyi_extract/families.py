@@ -206,8 +206,7 @@ def verify_universality(
             f"{n_digits} seed digits x ({n_inputs} inputs + {n_subsets} {l}-subsets"
             f" x {m * (l - 1)} output digits) exceeds budget {budget}"
         )
-    table = hash_table(family, np.eye(n_digits, dtype=np.int64), range(n_inputs))
-    basis = (table[..., None] // q ** np.arange(m) % q).transpose(1, 2, 0)
+    basis = _basis(family, np.arange(n_inputs)).transpose(1, 2, 0)  # (x, j, d)
     basis = basis.astype(np.min_scalar_type(-q * q))  # signed, holds +-q^2
     subsets = np.array(list(itertools.combinations(range(n_inputs), l)))
     stacked = basis[subsets[:, 1:]] - basis[subsets[:, :1]]  # (subset, l-1, m, D)

@@ -141,7 +141,8 @@ class FieldParams:
 
 def gf_add(field: FieldParams, a: int, b: int) -> int:
     q = field.q
-    return field.from_digits([(x + y) % q for x, y in zip(field.digits(a), field.digits(b))])
+    digits = zip(field.digits(a), field.digits(b))
+    return field.from_digits([(x + y) % q for x, y in digits])
 
 
 def gf_mul(field: FieldParams, a: int, b: int) -> int:

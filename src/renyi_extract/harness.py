@@ -9,7 +9,7 @@ never into the report).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from fractions import Fraction
 
 from . import __version__
 from . import bounds as bd
@@ -33,10 +33,8 @@ def _finite_alphas_in_range(alphas, k: int) -> list[Alpha]:
     return [a for a in alphas if a.is_finite_order and a.value <= k]
 
 
-@dataclass
-class VerifyOutcome:
-    report: dict
-    passed: bool
+def _ratio(r: Fraction) -> str:
+    return f"{r.numerator}/{r.denominator}"  # "1/1", where str(r) gives "1"
 
 
 def _certification_section(family: HashFamily, budget: int) -> tuple[dict, bool]:
@@ -47,8 +45,8 @@ def _certification_section(family: HashFamily, budget: int) -> tuple[dict, bool]
         "per_order": [
             {
                 "l": v.l,
-                "collision_probability": f"{v.collision_probability.numerator}/{v.collision_probability.denominator}",
-                "threshold": f"{v.threshold.numerator}/{v.threshold.denominator}",
+                "collision_probability": _ratio(v.collision_probability),
+                "threshold": _ratio(v.threshold),
                 "passed": v.passed,
             }
             for v in verdicts
@@ -83,10 +81,32 @@ def collect_bound_reports(
     result: ExtractionResult,
     epsilons,
     divergences: DivergenceTable,
-) -> list[bd.BoundReport]:
+) -> list[dict]:
+    """One report row per bound the paper's guarantees give for this result."""
     family = result.family
     q, m, k = family.field.q, family.m, family.k
-    reports: list[bd.BoundReport] = []
+    one, inf = Alpha.one(), Alpha.infinity()
+    kl, tv = divergences.kl_to_uniform, divergences.tv_to_uniform
+    reports: list[dict] = []
+
+    def add(name, a, entropy, bound, empirical, epsilon=None, threshold=None):
+        if entropy < 0:
+            raise ValueError(f"{name} needs entropy >= 0, got {entropy!r}")
+        reports.append(
+            {
+                "name": name,
+                "q": q,
+                "m": m,
+                "k": k,
+                "alpha": "inf" if a.is_infinite else a.value,
+                "entropy": entropy,
+                "epsilon": epsilon,
+                "bound": bound,
+                "empirical": empirical,
+                "satisfied": bd.satisfied(empirical, bound),
+                "note": "" if threshold is None else f"m_threshold={threshold!r}",
+            }
+        )
 
     h_k = result.source_entropy(Alpha(float(k)))
 
@@ -96,30 +116,15 @@ def collect_bound_reports(
             continue
         if a.is_finite_order and a.value <= k:
             h = result.source_entropy(a)
-            inputs = bd.BoundInputs(q, m, k, a, h)
-            reports.append(
-                bd.BoundReport(
-                    "joint-divergence",
-                    inputs,
-                    bd.bound_real_alpha(q, m, k, a.value, h),
-                    row.joint,
-                )
-            )
+            bound = bd.bound_real_alpha(q, m, k, a.value, h)
+            add("joint-divergence", a, h, bound, row.joint)
         else:
-            inputs = bd.BoundInputs(q, m, k, a, h_k)
-            value = (
+            bound = (
                 bd.bound_infty(q, m, k, h_k)
                 if a.is_infinite
                 else bd.bound_alpha_above_k(q, m, k, a.value, h_k)
             )
-            reports.append(
-                bd.BoundReport(
-                    "conditional-divergence",
-                    inputs,
-                    value,
-                    row.conditional,
-                )
-            )
+            add("conditional-divergence", a, h_k, bound, row.conditional)
 
     for eps in epsilons:
         for row in divergences.rows:
@@ -130,73 +135,30 @@ def collect_bound_reports(
             if a.value >= 2 and a.value == int(a.value):
                 thr = bd.m_threshold("integer-alpha", q, h, eps, alpha=a.value)
                 if m <= thr:
-                    reports.append(
-                        bd.BoundReport(
-                            "threshold-integer-alpha",
-                            bd.BoundInputs(q, m, k, a, h, eps),
-                            eps,
-                            row.joint,
-                            note=f"m_threshold={thr!r}",
-                        )
-                    )
+                    add("threshold-integer-alpha", a, h, eps, row.joint, eps, thr)
             if a.value <= 2:
                 thr = bd.m_threshold("corollary", q, h, eps, alpha=a.value)
                 if m <= thr:
-                    reports.append(
-                        bd.BoundReport(
-                            "threshold-corollary",
-                            bd.BoundInputs(q, m, k, a, h, eps),
-                            eps,
-                            row.joint,
-                            note=f"m_threshold={thr!r}",
-                        )
-                    )
+                    add("threshold-corollary", a, h, eps, row.joint, eps, thr)
                     # KL <= D_alpha, so the epsilon guarantee cascades down.
-                    reports.append(
-                        bd.BoundReport(
-                            "threshold-corollary-kl",
-                            bd.BoundInputs(q, m, k, Alpha.one(), h, eps),
-                            eps,
-                            divergences.kl_to_uniform,
-                        )
-                    )
+                    add("threshold-corollary-kl", one, h, eps, kl, eps)
         thr = bd.m_threshold("min-entropy", q, h_k, eps, k=k)
         if m <= thr:
-            reports.append(
-                bd.BoundReport(
-                    "threshold-min-entropy",
-                    bd.BoundInputs(q, m, k, Alpha.infinity(), h_k, eps),
-                    m / k + eps,
-                    divergences.conditional_inf,
-                    note=f"m_threshold={thr!r}",
-                )
-            )
+            d_inf = divergences.conditional_inf
+            add("threshold-min-entropy", inf, h_k, m / k + eps, d_inf, eps, thr)
         if not result.has_side_channel:
             # Baselines from classical leftover hashing.
-            h_inf = result.source.entropy(Alpha.infinity())
-            if m <= h_inf - math.log(1.0 / eps) / math.log(q):
-                reports.append(
-                    bd.BoundReport(
-                        "baseline-tv",
-                        bd.BoundInputs(q, m, k, Alpha.infinity(), h_inf, eps),
-                        math.sqrt(eps) / 2.0,
-                        divergences.tv_to_uniform,
-                    )
-                )
+            log_inv_eps = math.log(1.0 / eps) / math.log(q)
+            h_inf = result.source.entropy(inf)
+            if m <= h_inf - log_inv_eps:
+                add("baseline-tv", inf, h_inf, math.sqrt(eps) / 2.0, tv, eps)
             h2 = result.source.entropy(Alpha(2.0))
-            if m <= h2 - math.log(1.0 / eps) / math.log(q):
-                reports.append(
-                    bd.BoundReport(
-                        "baseline-kl",
-                        bd.BoundInputs(q, m, k, Alpha.one(), h2, eps),
-                        eps / math.log(q),
-                        divergences.kl_to_uniform,
-                    )
-                )
+            if m <= h2 - log_inv_eps:
+                add("baseline-kl", one, h2, eps / math.log(q), kl, eps)
     return reports
 
 
-def run_verify(config: ExperimentConfig) -> VerifyOutcome:
+def run_verify(config: ExperimentConfig) -> dict:
     family = config.build_family()
     source = config.build_source(family)
     certification, cert_ok = _certification_section(family, config.budget)
@@ -209,21 +171,20 @@ def run_verify(config: ExperimentConfig) -> VerifyOutcome:
     }
     if not cert_ok:
         report["error"] = "family failed k*-universality certification"
-        return VerifyOutcome(report, False)
+        return report
 
     result = extract_joint(family, source, budget=config.budget)
     divergences = empirical_divergences(result.joint, config.alphas)
-    reports = collect_bound_reports(result, config.epsilons, divergences)
-    all_ok = all(r.satisfied for r in reports)
+    rows = collect_bound_reports(result, config.epsilons, divergences)
     report.update(
         {
             "entropies": _entropy_table(result, config.alphas),
             "divergences": _divergence_section(divergences),
-            "bounds": [r.as_dict() for r in reports],
-            "all_satisfied": all_ok,
+            "bounds": rows,
+            "all_satisfied": all(r["satisfied"] for r in rows),
         }
     )
-    return VerifyOutcome(report, all_ok)
+    return report
 
 
 def run_bucket(config: ExperimentConfig) -> dict:
@@ -247,13 +208,13 @@ def run_bucket(config: ExperimentConfig) -> dict:
         "subset_size": len(subset),
         "empirical": est.mean,
         "stderr": est.stderr,
-        "mode": est.mode,
+        "mode": spec.mode,
         "bound": bound,
-        "satisfied": est.mean <= bound + bd.SLACK,
+        "satisfied": bd.satisfied(est.mean, bound),
     }
-    if est.mode == "sampled":
-        row["rng_seed"] = est.rng_seed
-        row["n_samples"] = est.n_seeds
+    if spec.mode == "sampled":
+        row["rng_seed"] = config.rng_seed
+        row["n_samples"] = spec.samples
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -301,7 +262,7 @@ def run_sweep(config: ExperimentConfig) -> tuple[str, bool]:
             bound = bd.bound_real_alpha(
                 family.field.q, m, family.k, row.alpha.value, h
             )
-            ok = row.joint <= bound + bd.SLACK
+            ok = bd.satisfied(row.joint, bound)
             all_ok = all_ok and ok
             lines.append(
                 ",".join(

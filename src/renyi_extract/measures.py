@@ -203,7 +203,8 @@ def renyi_divergence(p: Pmf, r: Pmf, a) -> float:
     """D_alpha(p || r) in base-q units; +inf when p is not dominated by r."""
     if p.support_size != r.support_size:
         raise ValueError("pmfs must share a support size")
-    return _divergence(p.probs.tolist(), r.probs.tolist(), as_alpha(a), math.log(p.base_q))
+    lnq = math.log(p.base_q)
+    return _divergence(p.probs.tolist(), r.probs.tolist(), as_alpha(a), lnq)
 
 
 def _tv(ps, rs, counts=None) -> float:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from renyi_extract.bounds import (
-    bell_number,
+    SLACK,
     bound_alpha_above_k,
     bound_infty,
     bound_integer_alpha,
@@ -16,6 +16,7 @@ from renyi_extract.bounds import (
     gamma_fn,
     logq_sum_exp,
     m_threshold,
+    satisfied,
     stirling2,
 )
 
@@ -101,7 +102,7 @@ class TestIntegerAlphaBound:
         # m = H collapses every term to its Stirling coefficient.
         val = bound_integer_alpha(2, 4, 3, 4.0)
         assert val == pytest.approx(math.log2(5) / 2, abs=1e-12)
-        assert bell_number(3) == 5
+        assert sum(stirling2(3, l) for l in range(4)) == 5  # Bell number B_3
 
     @pytest.mark.parametrize("k", range(2, 9))
     @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 8.0])
@@ -168,7 +169,7 @@ class TestSimplifiedBound:
 
     def test_zero_gap_bell(self):
         alpha = 2.5
-        expected = math.log2(bell_number(3)) / (alpha - 1)
+        expected = math.log2(sum(stirling2(3, l) for l in range(4))) / (alpha - 1)
         assert bound_real_alpha_simplified(2, 3, 3, alpha, 3.0) == pytest.approx(
             expected, abs=1e-12
         )
@@ -307,3 +308,14 @@ class TestBucketBound:
     def test_rejects_empty_subset(self):
         with pytest.raises(ValueError):
             bucket_bound(2, 2, 2, 0)
+
+
+class TestSatisfied:
+    def test_slack_is_the_only_allowance(self):
+        assert satisfied(1.0, 1.0) and satisfied(1.0 + SLACK, 1.0)
+        assert satisfied(1.0 + 0.5 * SLACK, 1.0)
+        assert not satisfied(1.0 + 2 * SLACK, 1.0)
+
+    def test_nan_never_satisfies(self):
+        assert not satisfied(math.nan, 1.0)
+        assert not satisfied(0.0, math.nan)

@@ -439,11 +439,15 @@ class TestConfigValidation:
             ("verify", {"alphas": [math.inf, 2]}),
             ("verify", {"alphas": ["1e400", 2]}),
             ("verify", {"alphas": [2, 2.0, 1.5]}),
+            ("verify", {"source": {"preset": "uniform", "param": 0.3}}),
+            ("verify", {"source": {"preset": "point-mass", "param": 0.3}}),
+            ("verify", {"source": {"probs": [0.125] * 8, "param": 0.3}}),
         ],
         ids=["alphas", "epsilons", "subset", "m_values", "no-m_values", "rng_seed",
              "q", "param", "zero-samples", "negative-samples", "out",
              "bool-alpha", "string-alpha", "exact-samples",
-             "infinity-literal-alpha", "overflowing-alpha", "repeated-alpha"],
+             "infinity-literal-alpha", "overflowing-alpha", "repeated-alpha",
+             "uniform-param", "point-mass-param", "probs-param"],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -453,7 +457,10 @@ class TestConfigValidation:
         out = tmp_path / "report"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if "param" in overrides.get("source", {}):
+            assert "param" in err  # a stray param is named, not ignored
 
     @given(st.sampled_from(FUZZED_FIELDS), JSON_VALUES)
     @settings(max_examples=400, deadline=None)
@@ -709,20 +716,48 @@ class TestVerifyReportContents:
         cfg = write_config(tmp_path, side_channel=side, alphas=[2])
         from renyi_extract.config import load_config
 
-        outcome = run_verify(load_config(cfg))
-        assert outcome.passed
-        assert "conditional" in outcome.report["entropies"]["2"]
-        names = {b["name"] for b in outcome.report["bounds"]}
+        report = run_verify(load_config(cfg))
+        assert report["all_satisfied"]
+        assert "conditional" in report["entropies"]["2"]
+        names = {b["name"] for b in report["bounds"]}
         assert "baseline-tv" not in names  # marginal baselines need no side info
 
     def test_baselines_present_without_side_channel(self, tmp_path):
         from renyi_extract.config import load_config
 
         cfg = write_config(tmp_path, epsilons=[0.5])
-        outcome = run_verify(load_config(cfg))
-        names = {b["name"] for b in outcome.report["bounds"]}
+        report = run_verify(load_config(cfg))
+        names = {b["name"] for b in report["bounds"]}
         assert "baseline-tv" in names
         assert "baseline-kl" in names
+
+
+    def test_negative_entropy_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A bound row refuses a negative entropy rather than report a verdict.
+        from renyi_extract.extraction import ExtractionResult
+
+        monkeypatch.setattr(ExtractionResult, "source_entropy", lambda self, a: -1.0)
+        cfg, out = write_config(tmp_path), tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "entropy >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "sweep", "bucket"])
+    def test_every_verdict_comes_from_bounds_satisfied(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # The same passing config fails everywhere once the one rule says no.
+        cfg, out = write_config(tmp_path, bucket={"subset": "full"}), tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        monkeypatch.setattr(bd, "satisfied", lambda empirical, bound: False)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        if command == "sweep":
+            rows = out.read_text().splitlines()[1:]
+            assert rows and all(r.endswith(",false") for r in rows)
+        else:
+            report = json.loads(out.read_text())
+            rows = report["bounds" if command == "verify" else "rows"]
+            assert rows and not any(r["satisfied"] for r in rows)
 
 
 class TestTracedRun:
@@ -774,10 +809,77 @@ class TestTracedRun:
         assert self._traced(tmp_path / "spans.json", *args).stdout == plain
 
 
+GEOMETRIC_GF9 = {
+    "family": {"q": 3, "n": 2, "k": 2, "m": 1},
+    "source": {"preset": "geometric", "param": 0.9},
+    "alphas": [1.25, 1.5, 2, 2.5, 3, "inf"],
+    "epsilons": [0.1, 2.0, 5.0],
+}
+CONSTANT_GF8 = {
+    "family": {"q": 2, "n": 3, "k": 2, "m": 1, "kind": "constant"},
+    "source": {"preset": "uniform"},
+    "alphas": [1.5, 2, "inf"],
+    "epsilons": [0.1],
+}
+
+# (command, config, exit code, sha256 of the report, bound names it reaches).
+PINNED_BOUND_REPORTS = {
+    "all-bound-names": (
+        "verify",
+        GEOMETRIC_GF9,
+        0,
+        "1970802f4500c7503ab25ce703bcc2eac9090d81f6387ec6e59a3a6e09658415",
+        8,
+    ),
+    "side-channel": (
+        "verify",
+        dict(GEOMETRIC_GF9, side_channel=[[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]] * 3),
+        0,
+        "9a4895c34b8d1faae6b0d02565d198109282bf09e1b9e7db0373872f0e45ede6",
+        6,
+    ),
+    "constant-verify": (
+        "verify",
+        CONSTANT_GF8,
+        1,
+        "2ac57d1166e7e2718f3a9a38dd94fd96b93c30f904164b23913873ac9236e2d4",
+        0,
+    ),
+    "constant-sweep": (
+        "sweep",
+        dict(CONSTANT_GF8, sweep={"m_values": [1, 2]}),
+        1,
+        "7af6e026fd4847d887c78815761a724a8c6d508ae86b426e3b9351c996ef6ead",
+        None,
+    ),
+    "constant-bucket": (
+        "bucket",
+        dict(CONSTANT_GF8, bucket={"subset": "full"}),
+        1,
+        "be271a2349a5c55aee29cd5d23f45f49fc45e488ddbdedf761dcfd87fa1b6ddf",
+        None,
+    ),
+}
+
+
 class TestPinnedReports:
     """The benchmark pins the sha256 of each workload's report, and of its
     GF(2^3) smoke instance, at the pinned seed; the CLI must keep writing
     exactly those bytes."""
+
+    @pytest.mark.parametrize("case", PINNED_BOUND_REPORTS)
+    def test_bound_report_matches_pinned_sha256(self, tmp_path, capsys, case):
+        # Every bound row name, a side channel, and each command's failing
+        # verdict, pinned byte for byte with its exit code.
+        command, config, code, sha256, n_names = PINNED_BOUND_REPORTS[case]
+        cfg, out = tmp_path / "config.json", tmp_path / "report"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+        if command == "verify":
+            report = json.loads(out.read_text())
+            assert len({b["name"] for b in report.get("bounds", [])}) == n_names
+            assert ("error" in report) == (code == 1)
 
     @pytest.mark.parametrize("name", ["certify-k3", "sweep-side", "bucket-sampled"])
     def test_smoke_report_matches_pinned_sha256(self, tmp_path, capsys, workloads, name):

@@ -281,7 +281,6 @@ class TestExpectedMaxBucket:
         )
         assert est.mean == float(vals.mean())
         assert est.stderr == float(vals.std(ddof=1) / math.sqrt(300))
-        assert (est.n_seeds, est.rng_seed) == (300, 11)
 
     def test_sampled_mode_beyond_int64_seed_space(self):
         # 2^64 seeds: integer draws would overflow int64, so digits are drawn.
@@ -319,7 +318,7 @@ class TestExpectedMaxBucket:
 
         with pytest.raises(BudgetExceededError, match=f"exceeds budget {charge - 1}$"):
             run(charge - 1)
-        assert run(charge).n_seeds == rows
+        assert run(charge).mean >= 1  # every row's largest bucket holds an input
         if n == 8:
             assert charge == 87_072
 

@@ -267,17 +267,23 @@ def test_rank_matches_seed_scan(kind, q, n, k, m):
 
 
 def test_certification_reads_only_the_basis(monkeypatch):
-    # Certification must not tabulate the seed space: hash_table sees at most
-    # one row per seed digit (the single-digit seeds), however large q^D is.
-    calls = []
+    # Certification tabulates no seed, not even the single-digit ones: it
+    # reads one basis per order and never calls hash_table.
+    bases = []
 
-    def spy(family, seeds, inputs):
-        calls.append((family.seed_digits, len(seeds)))
-        return hash_table(family, seeds, inputs)
+    def spy_basis(family, xs):
+        bases.append(len(xs))
+        return basis(family, xs)
 
-    monkeypatch.setattr(families, "hash_table", spy)
+    def no_table(family, seeds, inputs):
+        pytest.fail("certification called hash_table")
+
+    basis = families._basis
+    monkeypatch.setattr(families, "_basis", spy_basis)
+    monkeypatch.setattr(families, "hash_table", no_table)
     for kind, q, n, k, m in [("polynomial", 2, 4, 3, 2), ("polynomial", 3, 2, 4, 1),
                              ("full_table", 2, 2, 3, 2), ("constant", 2, 2, 2, 1)]:
-        certify_k_star(HashFamily(kind, FieldParams.create(q, n), k, m))
-    assert calls
-    assert all(rows <= digits for digits, rows in calls)
+        fam = HashFamily(kind, FieldParams.create(q, n), k, m)
+        bases.clear()
+        certify_k_star(fam)
+        assert bases == [fam.field.size] * (k - 1)
