@@ -50,27 +50,47 @@ class Source:
                 raise ValueError("side channel needs one row per source symbol")
             if np.any(sc < 0):
                 raise ValueError("side channel entries must be non-negative")
-            for row in sc:
-                # Negated so that a NaN or infinite entry fails too.
-                if not abs(math.fsum(row.tolist()) - 1.0) <= measures.NORMALIZATION_TOL:
-                    raise ValueError("each side-channel row must sum to 1")
+            for i, row in enumerate(sc):
+                what = f"side-channel row {i}'s entries"
+                measures._check_sum(row.tolist(), what=what)
+        object.__setattr__(self, "_computed", {})
 
     @property
     def n_side(self) -> int:
         return 0 if self.side_channel is None else self.side_channel.shape[1]
 
+    def _once(self, key, compute):
+        """compute() on the first call with key, its stored value after: a
+        source is immutable, so a run computes each of its values once."""
+        if key not in self._computed:
+            self._computed[key] = compute()
+        return self._computed[key]
+
     def xz_joint(self) -> JointPmf:
         """Joint pmf of (X, Z); requires a side channel."""
         if self.side_channel is None:
             raise ValueError("source has no side channel")
-        arr = self.probs.probs[:, None] * self.side_channel
-        return JointPmf(arr, self.probs.base_q)
+        return self._once(
+            "xz",
+            lambda: JointPmf(
+                self.probs.probs[:, None] * self.side_channel, self.probs.base_q
+            ),
+        )
 
     def entropy(self, a) -> float:
-        return _nonnegative(measures.renyi_entropy(self.probs, a))
+        a = measures.as_alpha(a)
+        return self._once(
+            ("H", a), lambda: _nonnegative(measures.renyi_entropy(self.probs, a))
+        )
 
     def conditional_entropy(self, a) -> float:
-        return _nonnegative(measures.conditional_renyi_entropy(self.xz_joint(), a))
+        a = measures.as_alpha(a)
+        return self._once(
+            ("H|Z", a),
+            lambda: _nonnegative(
+                measures.conditional_renyi_entropy(self.xz_joint(), a)
+            ),
+        )
 
 
 def _nonnegative(h: float) -> float:
@@ -130,8 +150,11 @@ def extract_joint(
     # its terms in canonical input order.
     for i in range(n_inputs):
         acc[table[:, i], all_seeds] += px[i] if sc is None else px[i] * sc[i]
-    joint = JointPmf(acc * (1.0 / seeds), f.q)
-    return ExtractionResult(joint, family, source)
+    # Scaled in place, with the table gone: the joint is the one dense copy
+    # alive while JointPmf groups its columns.
+    del table
+    acc *= 1.0 / seeds
+    return ExtractionResult(JointPmf(acc, f.q), family, source)
 
 
 @dataclass(frozen=True)

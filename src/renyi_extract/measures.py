@@ -5,16 +5,19 @@ use ``math.fsum`` so results are stable to well below the documented 1e-9
 comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 
 D_alpha has one formula, ``_divergence``: every power sum, log-ratio and max
-is formed there, on Python floats.  H_alpha is minus D_alpha against the
-counting measure.  This module alone groups an output joint's columns by
-content (``distinct_columns``), once per divergence table
-(``empirical_divergences``): the conditional divergences read each distinct
-sorted column, normalised once for every order, and the joint divergence, KL
-and TV each distinct (cell, reference) pair.  Each term is formed once per
-distinct value and carries the number of cells it stands for;
-``_counted_fsum`` adds count x term exactly, so the correctly rounded results
-are the bits of a walk over every column.  No per-cell or flattened pmfs are
-built.
+is formed there, on Python floats, for one or many columns at a time.  H_alpha
+is minus D_alpha against the counting measure.  A ``JointPmf`` groups its
+columns by content once, when it is built (``_group_columns``): one
+``np.lexsort`` over the int64 bit patterns of each sorted column and its
+reference, then one compare of neighbours.  Its sum-to-1 check adds each
+group's cells times the group's size, and the divergence table
+(``empirical_divergences``) reads the same groups: the conditional divergences
+each distinct sorted column, normalised once and walked order by order, and
+the joint divergence, KL and TV each distinct (cell, reference) pair.  Each
+term is formed once per distinct value and carries the number of cells it
+stands for; ``_counted_fsum`` adds count x term exactly, so the correctly
+rounded results are the bits of a walk over every cell.  No per-cell or
+flattened pmfs and no Python list of every cell are built.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ def as_alpha(a) -> Alpha:
     return a if isinstance(a, Alpha) else Alpha(float(a))
 
 
-def _freeze_probs(pmf, ndims: tuple[int, ...], shape_error: str):
-    """Store pmf.probs as a read-only float array and validate it."""
+def _freeze_probs(pmf, ndims: tuple[int, ...], shape_error: str) -> np.ndarray:
+    """Store pmf.probs as a read-only float array, check its shape and signs
+    and return it."""
     arr = np.asarray(pmf.probs, dtype=float)
     arr.setflags(write=False)
     object.__setattr__(pmf, "probs", arr)
@@ -86,14 +90,20 @@ def _freeze_probs(pmf, ndims: tuple[int, ...], shape_error: str):
         raise ValueError("empty probability array")
     if np.any(arr < 0):
         raise ValueError("negative probability entry")
-    _check_sum(arr.ravel().tolist())
+    return arr
 
 
-def _check_sum(probs: list[float]):
-    total = math.fsum(probs)
+def _check_sum(terms, counts=None, what: str = "probabilities") -> float:
+    """The exact total of the terms (``_counted_fsum``), which must be 1
+    within NORMALIZATION_TOL.  A total beyond floating point reads inf."""
+    try:
+        total = _counted_fsum(terms, counts)
+    except OverflowError:
+        total = math.inf
     # Negated so that a NaN total (a NaN or infinite entry) fails too.
     if not abs(total - 1.0) <= NORMALIZATION_TOL:
-        raise ValueError(f"probabilities sum to {total}, not 1")
+        raise ValueError(f"{what} sum to {total}, not 1")
+    return total
 
 
 @dataclass(frozen=True)
@@ -104,7 +114,8 @@ class Pmf:
     base_q: int = 2
 
     def __post_init__(self):
-        _freeze_probs(self, (1,), "Pmf requires a 1-d probability vector")
+        arr = _freeze_probs(self, (1,), "Pmf requires a 1-d probability vector")
+        _check_sum(arr.tolist())
 
     @property
     def support_size(self) -> int:
@@ -122,13 +133,21 @@ class JointPmf:
     Axis roles by position: 0 = hash output u, 1 = seed s, 2 = side info z
     (when present).  For the entropy helpers the generic reading is
     (x, z) with the conditioning variable last.
+
+    Construction groups the columns by content once (``_group_columns``) and
+    keeps the groups; the sum-to-1 check and the divergence table read them.
     """
 
     probs: np.ndarray
     base_q: int = 2
 
     def __post_init__(self):
-        _freeze_probs(self, (2, 3), "JointPmf requires 2 or 3 axes")
+        arr = _freeze_probs(self, (2, 3), "JointPmf requires 2 or 3 axes")
+        groups = _group_columns(arr)
+        cols, _, counts = groups
+        # Every cell is a cell of its group's sorted column: the same multiset.
+        _check_sum(cols.T.ravel(), np.repeat(counts, cols.shape[0]))
+        object.__setattr__(self, "_groups", groups)
 
     def marginal(self, axis: int) -> Pmf:
         other = tuple(i for i in range(self.probs.ndim) if i != axis)
@@ -156,47 +175,67 @@ def _counted_fsum(terms, counts=None) -> float:
     return math.fsum(parts.tolist())
 
 
-def _divergence(ps, rs, a: Alpha, lnq: float | None, counts=None) -> float:
-    """D_alpha of masses ps against reference masses rs, both Python floats,
-    over the terms with p > 0; +inf when some p > 0 has r = 0.  With counts,
-    pair i stands for counts[i] equal terms: each is formed once and summed
-    by ``_counted_fsum`` (the max of D_inf ignores counts).  With lnq None,
-    the power sum sum p^alpha r^(1-alpha) of a finite order itself.
+def _divergence(columns, rs, a: Alpha, lnq: float | None, counts=None) -> list[float]:
+    """D_alpha of each column of masses ps against reference masses, all Python
+    floats, over the terms with p > 0; +inf for a column where some p > 0 has
+    r = 0.  ``rs`` is one positive reference shared by every mass of every
+    column, or a list with one reference mass per entry of a single column.
+    With counts (a single column), pair i stands for counts[i] equal terms:
+    each is formed once and summed by ``_counted_fsum`` (the max of D_inf
+    ignores counts).  With lnq None, the power sum sum p^alpha r^(1-alpha) of
+    a finite order itself.
 
     Terms stay scalar ``**`` and ``math.log``: numpy's vectorized power and
     log may differ in the last bit, and reports are pinned byte for byte.  A
-    zero mass adds a 0.0 term, which leaves fsum unchanged.  A finite order
-    whose power sum leaves floating point is refused.
+    shared reference's r^(1-alpha) is formed once per call, and each term is
+    p^alpha times it, as with one reference per mass.  A zero mass adds a 0.0
+    term, which leaves fsum unchanged.  A finite order whose power sum leaves
+    floating point is refused.
     """
-    pairs = zip(ps, rs)
-    try:
-        if a.is_one:
-            return _counted_fsum(
-                [pi * math.log(pi / ri) if pi > 0 else 0.0 for pi, ri in pairs], counts
-            ) / lnq
-        if a.is_infinite:
-            return math.log(max(pi / ri for pi, ri in pairs if pi > 0)) / lnq
-        b = a.value
-        s = _counted_fsum(
-            [pi ** b * ri ** (1.0 - b) if pi > 0 else 0.0 for pi, ri in pairs], counts
-        )
-    except ZeroDivisionError:  # p > 0 over r = 0
-        return math.inf
-    except OverflowError:
-        if any(ri == 0 for pi, ri in pairs if pi > 0):  # the terms after the overflow
+    b = a.value
+    shared = not isinstance(rs, list)
+    if shared:
+        if a.is_finite_order:
+            try:
+                r_power = rs ** (1.0 - b)
+            except OverflowError:  # every term is inf or NaN: refused below
+                r_power = math.inf
+        rs = itertools.repeat(rs)
+
+    def column(ps) -> float:
+        pairs = zip(ps, rs)
+        try:
+            if a.is_one:
+                return _counted_fsum(
+                    [pi * math.log(pi / ri) if pi > 0 else 0.0 for pi, ri in pairs],
+                    counts,
+                ) / lnq
+            if a.is_infinite:
+                return math.log(max(pi / ri for pi, ri in pairs if pi > 0)) / lnq
+            if shared:
+                terms = [pi ** b * r_power if pi > 0 else 0.0 for pi in ps]
+            else:
+                terms = [
+                    pi ** b * ri ** (1.0 - b) if pi > 0 else 0.0 for pi, ri in pairs
+                ]
+            s = _counted_fsum(terms, counts)
+        except ZeroDivisionError:  # p > 0 over r = 0
             return math.inf
-        s = math.inf
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"alpha={a.value} is too large for floating point; use 'inf'")
-    return s if lnq is None else math.log(s) / ((a.value - 1.0) * lnq)
+        except OverflowError:
+            if any(ri == 0 for pi, ri in pairs if pi > 0):  # the terms after it
+                return math.inf
+            s = math.inf
+        if not 0.0 < s < math.inf:
+            raise ValueError(f"alpha={b} is too large for floating point; use 'inf'")
+        return s if lnq is None else math.log(s) / ((b - 1.0) * lnq)
+
+    return [column(ps) for ps in columns]
 
 
 def renyi_entropy(p: Pmf, a) -> float:
     """H_alpha in base-q units: -D_alpha(p || counting measure), so Shannon
     at alpha=1 and min-entropy at infinity."""
-    return -_divergence(
-        p.probs.tolist(), itertools.repeat(1.0), as_alpha(a), math.log(p.base_q)
-    )
+    return -_divergence([p.probs.tolist()], 1.0, as_alpha(a), math.log(p.base_q))[0]
 
 
 def renyi_divergence(p: Pmf, r: Pmf, a) -> float:
@@ -204,7 +243,7 @@ def renyi_divergence(p: Pmf, r: Pmf, a) -> float:
     if p.support_size != r.support_size:
         raise ValueError("pmfs must share a support size")
     lnq = math.log(p.base_q)
-    return _divergence(p.probs.tolist(), r.probs.tolist(), as_alpha(a), lnq)
+    return _divergence([p.probs.tolist()], r.probs.tolist(), as_alpha(a), lnq)[0]
 
 
 def _tv(ps, rs, counts=None) -> float:
@@ -246,10 +285,8 @@ def _conditional_power_sums(joint: JointPmf, a: Alpha, what: str):
         raise ValueError(f"{what} is defined for finite alpha in (1, inf) only")
     if joint.probs.ndim != 2:
         raise ValueError(f"{what} requires a 2-axis joint")
-    return [
-        (pz, _divergence(cond, itertools.repeat(1.0), a, None))
-        for pz, cond, _ in _columns(joint.probs)
-    ]
+    pzs, conds, _ = zip(*_columns(joint.probs))
+    return list(zip(pzs, _divergence(conds, 1.0, a, None)))
 
 
 def conditional_renyi_entropy(joint: JointPmf, a) -> float:
@@ -272,34 +309,28 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     return total / ((1.0 - a.value) * math.log(joint.base_q))
 
 
-def distinct_columns(joint: JointPmf):
-    """The output joint's columns grouped by content, as (columns, refs,
-    counts).
+def _group_columns(arr: np.ndarray):
+    """A joint's columns grouped by content, as (columns, refs, counts).
 
-    A column is a seed s, or an (s, z) cell, and its reference is its entry of
-    arr.sum(axis=0) / U, the mass each output has under the uniform product
-    reference.  Columns whose outputs, sorted, and reference are the same
-    floats bit for bit form one group: ``columns`` holds each group's sorted
-    column (one column per group), ``refs`` its reference and ``counts`` its
-    number of members.  The groups come in ``np.unique``'s raw-byte order of
-    the sorted column followed by the reference, so groups that differ only in
-    their reference are neighbours.
+    A column is a seed s, or an (s, z) cell, of an output joint (a z of an
+    (x, z) joint), and its reference is its entry of arr.sum(axis=0) / U, the
+    mass each output has under the uniform product reference.  Columns whose
+    outputs, sorted, and reference are the same floats bit for bit form one
+    group: ``columns`` holds each group's sorted column (one column per
+    group), ``refs`` its reference and ``counts`` its number of members.  One
+    ``np.lexsort`` of the int64 bit patterns, keyed on the sorted column first
+    and the reference last, makes equal rows neighbours, so groups that differ
+    only in their reference are neighbours too.
     """
-    arr = joint.probs
     n_out = arr.shape[0]
     rows = np.empty((arr[0].size, n_out + 1))
     rows[:, :n_out] = arr.reshape(n_out, -1).T
     rows[:, :n_out].sort(axis=1)
-    rows[:, n_out] = (arr.sum(axis=0) / n_out).ravel()
-    keys, counts = np.unique(_row_keys(rows), return_counts=True)
-    groups = keys.view(float).reshape(-1, n_out + 1)
+    with np.errstate(over="ignore"):  # an overflowing total fails the sum check
+        rows[:, n_out] = (arr.sum(axis=0) / n_out).ravel()
+    order = np.lexsort(rows.view(np.int64).T[::-1])
+    groups, counts = _merge_runs(rows[order], np.ones(len(order), dtype=np.int64))
     return groups[:, :n_out].T, groups[:, n_out], counts
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row of a C-contiguous float matrix, so that sorting
-    compares whole rows as raw bytes."""
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def _merge_runs(rows: np.ndarray, counts: np.ndarray):
@@ -310,50 +341,53 @@ def _merge_runs(rows: np.ndarray, counts: np.ndarray):
     return rows[starts], np.add.reduceat(counts, starts)
 
 
-def _distinct_pairs(columns):
-    """The distinct (cell, reference) pairs of the grouping ``columns``
-    (``distinct_columns``) against uniform outputs x the joint's own seed[,z]
+def _distinct_pairs(groups):
+    """The distinct (cell, reference) pairs of a joint's column ``groups``
+    (``_group_columns``) against uniform outputs x the joint's own seed[,z]
     marginal, as (cells, refs, counts): a pair's count is the number of the
     joint's cells it stands for."""
-    cols, refs, counts = columns
+    cols, refs, counts = groups
     n_out = cols.shape[0]
     pairs = np.empty((cols.size, 2))
     pairs[:, 0] = cols.T.ravel()
     pairs[:, 1] = np.repeat(refs, n_out)
-    order = np.argsort(_row_keys(pairs))
+    bits = pairs.view(np.int64)
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
     merged, summed = _merge_runs(pairs[order], np.repeat(counts, n_out)[order])
     return merged[:, 0].tolist(), merged[:, 1].tolist(), summed
 
 
-def _seed_averaged_divergences(columns, alphas: list[Alpha], lnq: float) -> list[float]:
+def _seed_averaged_divergences(groups, alphas: list[Alpha], lnq: float) -> list[float]:
     """Seed-averaged divergences from uniform outputs, every order from one read
-    of the grouping ``columns`` (``distinct_columns``):
+    of a joint's column ``groups`` (``_group_columns``):
     sum_s P_S(s) D_alpha(P(.|s) || uniform); over (s, z) cells for 3 axes.
-    Each distinct sorted column is read once and its terms count once per
-    column that holds it: groups that differ only in their reference are
-    neighbours, so one compare of neighbours merges them."""
-    cols, _, counts = columns
+    Groups that differ only in their reference are neighbours, so one compare
+    of neighbours gives the distinct sorted columns.  Each is normalised once,
+    and each order reads them all in one ``_divergence`` call; its terms count
+    once per column that holds it."""
+    cols, _, counts = groups
     cols, counts = _merge_runs(cols.T, counts)
-    uniform = itertools.repeat(1.0 / cols.shape[1])
-    kept, terms = [], [[] for _ in alphas]
-    for w, cond, c in _columns(cols.T, counts.tolist()):
-        kept.append(c)
-        for a, column_terms in zip(alphas, terms):
-            column_terms.append(w * _divergence(cond, uniform, a, lnq))
-    return [_counted_fsum(t, kept) for t in terms]
+    weights, conds, kept = zip(*_columns(cols.T, counts.tolist()))
+    uniform = 1.0 / cols.shape[1]
+    return [
+        _counted_fsum(
+            [w * d for w, d in zip(weights, _divergence(conds, uniform, a, lnq))], kept
+        )
+        for a in alphas
+    ]
 
 
 def conditional_divergence(joint: JointPmf, a) -> float:
     """The seed-averaged divergence of one order."""
     return _seed_averaged_divergences(
-        distinct_columns(joint), [as_alpha(a)], math.log(joint.base_q)
+        joint._groups, [as_alpha(a)], math.log(joint.base_q)
     )[0]
 
 
 def joint_divergence_from_uniform(joint: JointPmf, a) -> float:
     """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)."""
-    cells, refs, counts = _distinct_pairs(distinct_columns(joint))
-    return _divergence(cells, refs, as_alpha(a), math.log(joint.base_q), counts)
+    cells, refs, counts = _distinct_pairs(joint._groups)
+    return _divergence([cells], refs, as_alpha(a), math.log(joint.base_q), counts)[0]
 
 
 @dataclass(frozen=True)
@@ -373,21 +407,21 @@ class DivergenceTable:
 
 def empirical_divergences(joint: JointPmf, alphas) -> DivergenceTable:
     """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf
-    of an output joint, all from one grouping of its columns by content."""
+    of an output joint, all from the grouping of its columns that it was
+    built with."""
     alphas = [as_alpha(a) for a in alphas]
     lnq = math.log(joint.base_q)
-    columns = distinct_columns(joint)
     *conditional, conditional_inf = _seed_averaged_divergences(
-        columns, alphas + [Alpha.infinity()], lnq
+        joint._groups, alphas + [Alpha.infinity()], lnq
     )
-    cells, refs, counts = _distinct_pairs(columns)
+    cells, refs, counts = _distinct_pairs(joint._groups)
+
+    def joint_d(a):
+        return _divergence([cells], refs, a, lnq, counts)[0]
+
     rows = tuple(
-        DivergenceRow(a, _divergence(cells, refs, a, lnq, counts), c)
-        for a, c in zip(alphas, conditional)
+        DivergenceRow(a, joint_d(a), c) for a, c in zip(alphas, conditional)
     )
     return DivergenceTable(
-        rows,
-        _tv(cells, refs, counts),
-        _divergence(cells, refs, Alpha.one(), lnq, counts),
-        conditional_inf,
+        rows, _tv(cells, refs, counts), joint_d(Alpha.one()), conditional_inf
     )

@@ -17,10 +17,11 @@ from renyi_extract import bounds as bd
 from renyi_extract.cli import main
 from renyi_extract.config import parse_config
 from renyi_extract.errors import ConfigError
-from renyi_extract import harness
+from renyi_extract import harness, measures
 from renyi_extract.config import ExperimentConfig
 from renyi_extract.fields import FieldParams
 from renyi_extract.harness import SWEEP_COLUMNS, run_bucket, run_sweep, run_verify
+from renyi_extract.measures import Alpha
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -225,6 +226,52 @@ class TestOrderTooLargeForFloats:
         assert proc.returncode == 2
         assert "error: alpha=300.0 is too large" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+
+class TestOverflowingSum:
+    """Probabilities whose sum leaves floating point are a config error (exit
+    2), not fsum's OverflowError traceback."""
+
+    FAMILY = {"q": 2, "n": 1, "k": 2, "m": 1}
+
+    def _run(self, tmp_path, *args):
+        src = str(Path(renyi_extract.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, "-m", "renyi_extract.cli", *args],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+
+    def test_entropy_command(self, tmp_path):
+        proc = self._run(tmp_path, "entropy", "--probs", "1e308,1e308", "--alpha", "2")
+        assert proc.returncode == 2
+        assert "error: probabilities sum to inf, not 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"source": {"probs": [1e308, 1e308]}}, "probabilities sum to inf"),
+            (
+                {
+                    "source": {"probs": [0.5, 0.5]},
+                    "side_channel": [[1e308, 1e308], [0.5, 0.5]],
+                },
+                "side-channel row 0's entries sum to inf",
+            ),
+        ],
+    )
+    def test_verify(self, tmp_path, config, message):
+        cfg, out = tmp_path / "config.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps({"family": self.FAMILY, **config}))
+        proc = self._run(tmp_path, "verify", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestVerifyCommand:
@@ -708,6 +755,71 @@ class TestIntegerInputs:
         csv_text, ok = run_sweep(config)
         assert ok and len(csv_text.strip().splitlines()) == 1 + 2
         assert len(calls) == 1
+
+
+class TestEntropiesOncePerOrder:
+    """A run computes each source entropy once per order and builds the
+    (X, Z) joint once, however many bounds, epsilons or output lengths read
+    them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"renyi_entropy": [], "conditional_renyi_entropy": [], "xz": 0}
+        for name in ("renyi_entropy", "conditional_renyi_entropy"):
+            original = getattr(measures, name)
+
+            def spy(dist, a, _original=original, _name=name):
+                calls[_name].append(measures.as_alpha(a))
+                return _original(dist, a)
+
+            monkeypatch.setattr(measures, name, spy)
+        init = measures.JointPmf.__post_init__
+
+        def counted(joint):
+            calls["xz"] += joint.probs.ndim == 2  # output joints have 3 axes here
+            init(joint)
+
+        monkeypatch.setattr(measures.JointPmf, "__post_init__", counted)
+        return calls
+
+    def test_verify(self, calls, workloads):
+        report = run_verify(parse_config(workloads.WORKLOADS["certify-k3"].config(0)))
+        # The entropy table, the bound rows and the baselines read these 6
+        # orders 26 times in all.
+        orders = calls["renyi_entropy"]
+        assert report["all_satisfied"]
+        assert len(orders) == len(set(orders)) == 6
+
+    def test_verify_with_side_channel(self, calls):
+        config = parse_config(
+            {
+                "family": {"q": 2, "n": 3, "k": 3, "m": 1},
+                "source": {"preset": "geometric", "param": 0.8},
+                "side_channel": [[0.25, 0.75], [0.5, 0.5]] * 4,
+                "alphas": [1.5, 2, 3, "inf"],
+                "epsilons": [0.1, 0.2, 0.3],
+            }
+        )
+        run_verify(config)
+        for name in ("renyi_entropy", "conditional_renyi_entropy"):
+            assert len(calls[name]) == len(set(calls[name]))
+        assert len(calls["conditional_renyi_entropy"]) == 3
+        assert calls["xz"] == 1
+
+    def test_sweep(self, calls):
+        config = parse_config(
+            {
+                "family": {"q": 2, "n": 3, "k": 3, "m": 1},
+                "source": {"preset": "geometric", "param": 0.8},
+                "side_channel": [[0.25, 0.75], [0.5, 0.5]] * 4,
+                "alphas": [1.5, 2, 3],
+                "sweep": {"m_values": [1, 2, 3]},
+            }
+        )
+        csv_text, _ = run_sweep(config)
+        assert len(csv_text.strip().splitlines()) == 1 + 3 * 3
+        assert calls["conditional_renyi_entropy"] == [Alpha(1.5), Alpha(2.0), Alpha(3.0)]
+        assert calls["xz"] == 1
 
 
 class TestVerifyReportContents:

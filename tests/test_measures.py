@@ -1,6 +1,9 @@
+import collections
 import itertools
 import math
+import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,8 +393,8 @@ class TestCountedFsum:
 
     def test_counted_power_sum_beyond_floats_is_refused(self):
         # One finite term, 2^1000, standing for 2^62 cells.
-        args = [1.0], [2.0**-1000], Alpha(2.0), None
-        assert measures._divergence(*args) == 2.0**1000
+        args = [[1.0]], [2.0**-1000], Alpha(2.0), None
+        assert measures._divergence(*args) == [2.0**1000]
         with pytest.raises(ValueError, match="too large for floating point"):
             measures._divergence(*args, [2**62])
 
@@ -512,11 +515,11 @@ def ungrouped_table(joint, alphas):
                 continue
             cond = [p / w for p in col if p > 0]
             measures._check_sum(cond)
-            terms.append(w * measures._divergence(cond, uniform, a, lnq))
+            terms.append(w * measures._divergence([cond], uniform, a, lnq)[0])
         return math.fsum(terms)
 
-    rows = [(measures._divergence(cells, refs, a, lnq), conditional(a)) for a in alphas]
-    kl = measures._divergence(cells, refs, Alpha.one(), lnq)
+    rows = [(measures._divergence([cells], refs, a, lnq)[0], conditional(a)) for a in alphas]
+    kl = measures._divergence([cells], refs, Alpha.one(), lnq)[0]
     return rows, measures._tv(cells, refs), kl, conditional(Alpha.infinity())
 
 
@@ -603,6 +606,194 @@ def test_grouped_table_matches_ungrouped_walk_on_repeated_columns(joint):
     alphas = [Alpha.one(), Alpha(1.5), Alpha(2.0), Alpha(3.0), Alpha(7.5), Alpha.infinity()]
     table = empirical_divergences(joint, alphas)
     assert_matches_ungrouped(table, joint, alphas)
+
+
+def _fsum_verdict(arr):
+    """What the sum check must give: math.fsum over every cell as a Python
+    list (beyond floating point, inf), or the message it must raise."""
+    try:
+        total = math.fsum(arr.ravel().tolist())
+    except OverflowError:
+        total = math.inf
+    if not abs(total - 1.0) <= measures.NORMALIZATION_TOL:
+        return f"probabilities sum to {total}, not 1"
+    return _signed(total)
+
+
+def _constructor_verdict(arr, base_q):
+    """The total that building a JointPmf from arr checks, or its message."""
+    totals = []
+    check = measures._check_sum
+
+    def recording(*args, **kwargs):
+        totals.append(check(*args, **kwargs))
+        return totals[-1]
+
+    with mock.patch.object(measures, "_check_sum", recording):
+        try:
+            JointPmf(arr, base_q)
+        except ValueError as e:
+            return str(e)
+    [total] = totals
+    return _signed(total)
+
+
+def _group_counter(joint):
+    """Members per distinct (sorted column, reference) byte string, counted in
+    Python: the grouping a raw-byte np.unique gives."""
+    arr = joint.probs
+    n_out = arr.shape[0]
+    refs = (arr.sum(axis=0) / n_out).ravel()
+    columns = arr.reshape(n_out, -1).T
+    return collections.Counter(
+        (np.sort(col).tobytes(), ref.tobytes()) for col, ref in zip(columns, refs)
+    )
+
+
+def _stored_groups(joint):
+    cols, refs, counts = joint._groups
+    return collections.Counter(
+        {(col.tobytes(), ref.tobytes()): int(c) for col, ref, c in zip(cols.T, refs, counts)}
+    )
+
+
+TABLE_JOINTS = [
+    _instance(*family, "dirichlet", side) for family in TABLE_FAMILIES for side in (0, 3)
+]
+SCALES = [1 - 2e-9, 1 - 5e-10, 1 + 5e-10, 1 + 2e-9]
+
+
+class TestGroupedConstruction:
+    """A JointPmf groups its columns once, when it is built, by a lexsort of
+    their bit patterns; its sum check reads the groups."""
+
+    @given(repeated_joints(), st.sampled_from(SCALES + [1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_sum_check_matches_fsum_over_every_cell(self, joint, scale):
+        arr = joint.probs * scale
+        assert _constructor_verdict(arr, joint.base_q) == _fsum_verdict(arr)
+
+    @pytest.mark.parametrize("scale", SCALES + [1.0])
+    def test_sum_check_on_extracted_joints(self, scale):
+        # 1 +- 2e-9 is refused, 1 +- 5e-10 passes: same message or same bits.
+        for result in TABLE_JOINTS:
+            arr = result.joint.probs * scale
+            assert _constructor_verdict(arr, 2) == _fsum_verdict(arr)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            [[1e308, 1e308], [0.0, 0.0]],
+            [[1e308, 0.0], [1e308, 0.0]],
+            [[math.inf, 0.5], [0.25, 0.25]],
+            [[math.nan, 0.5], [0.25, 0.25]],
+        ],
+    )
+    def test_sum_beyond_floats_or_not_a_number_is_refused(self, arr):
+        arr = np.array(arr)
+        verdict = _fsum_verdict(arr)
+        assert verdict.endswith(", not 1")
+        with pytest.raises(ValueError) as refused:
+            JointPmf(arr, 2)
+        assert str(refused.value) == verdict
+
+    @given(repeated_joints())
+    @settings(max_examples=150, deadline=None)
+    def test_groups_match_raw_byte_grouping(self, joint):
+        assert _stored_groups(joint) == _group_counter(joint)
+        cols, _, counts = joint._groups
+        distinct, _ = measures._merge_runs(cols.T, counts)
+        assert len(distinct) == _sorted_column_count(joint)
+
+    def test_groups_of_extracted_joints(self):
+        for result in TABLE_JOINTS:
+            joint = result.joint
+            assert _stored_groups(joint) == _group_counter(joint)
+            assert len(joint._groups[2]) == _group_count(joint)
+            cols, _, counts = joint._groups
+            distinct, _ = measures._merge_runs(cols.T, counts)
+            assert len(distinct) == _sorted_column_count(joint)
+
+    def test_negative_zero_column_is_a_group_apart(self):
+        # The columns differ only in the sign of a zero; their references are
+        # equal.  As raw bytes they differ, so they stay two groups.
+        arr = np.array([[0.25, 0.25], [0.0, -0.0], [0.25, 0.25]])
+        joint = JointPmf(arr, 2)
+        assert _group_count(joint) == 2
+        assert _stored_groups(joint) == _group_counter(joint)
+        assert sorted(joint._groups[2].tolist()) == [1, 1]
+        assert_matches_ungrouped(empirical_divergences(joint, ALPHA_GRID), joint, ALPHA_GRID)
+
+    def test_each_output_joint_is_grouped_once(self, monkeypatch):
+        calls = []
+        group = measures._group_columns
+
+        def counting(arr):
+            calls.append(arr.shape)
+            return group(arr)
+
+        monkeypatch.setattr(measures, "_group_columns", counting)
+        for instance in MERGING_INSTANCES:
+            calls.clear()
+            joint = _instance(*instance).joint
+            assert calls == [joint.probs.shape]
+            empirical_divergences(joint, ALPHA_GRID)
+            for a in ALPHA_GRID:
+                conditional_divergence(joint, a)
+                joint_divergence_from_uniform(joint, a)
+            assert calls == [joint.probs.shape]
+
+    def test_no_list_of_every_cell(self, monkeypatch):
+        # Every list of terms goes through math.fsum; on joints whose columns
+        # repeat, none is as long as the joint, from extraction to table.
+        sizes = []
+
+        class RecordingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def fsum(self, terms):
+                terms = list(terms)
+                sizes.append(len(terms))
+                return math.fsum(terms)
+
+        monkeypatch.setattr(measures, "math", RecordingMath())
+        instances = MERGING_INSTANCES + [("polynomial", 3, 2, 4, 2, "dirichlet", 3)]
+        for instance in instances:
+            sizes.clear()
+            joint = _instance(*instance).joint
+            empirical_divergences(joint, ALPHA_GRID)
+            assert sizes and max(sizes) < joint.probs.size
+
+
+# Columns of masses with at least one positive mass, as every pmf column has.
+MASS_COLUMNS = st.lists(
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6).filter(any),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(
+    MASS_COLUMNS,
+    st.sampled_from([1 / 3, 0.25, 1.0]),
+    st.sampled_from(ALPHA_GRID + [Alpha(7.5), Alpha(300.0), Alpha(2000.0)]),
+)
+@settings(max_examples=300, deadline=None)
+def test_shared_reference_keeps_each_columns_bits(columns, r, a):
+    # Many columns against one reference give, column by column, the bits of
+    # each column against a list of that reference, or the same refusal.
+    def each():
+        lnq = math.log(3)
+        return [measures._divergence([ps], [r] * len(ps), a, lnq)[0] for ps in columns]
+
+    try:
+        expected = each()
+    except ValueError as refused:
+        with pytest.raises(ValueError, match=re.escape(str(refused))):
+            measures._divergence(columns, r, a, math.log(3))
+        return
+    assert measures._divergence(columns, r, a, math.log(3)) == expected
 
 
 class TestConditionalBitwiseOracle:
