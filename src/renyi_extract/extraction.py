@@ -5,11 +5,16 @@ joint P(u, s) = P_S(s) sum_{x : h(s,x)=u} P_X(x), or its (u, s, z) analogue
 P_S(s) sum_x 1{h(s,x)=u} P_X(x) P_{Z|X}(z|x).  The seed S is always uniform.
 
 Sources and bucket subsets are canonical input integers 0 .. q^n - 1, the
-field's elements.  Both the joint and the
-largest-bucket experiment read h(s, x) from one ``families.hash_table`` (rows
-are seeds, columns are inputs).  The joint adds one input's mass at a time, so
-every cell sums its terms in canonical input order and the result is
-deterministic.  Its divergences are ``measures.empirical_divergences``.
+field's elements.  Both the joint and the exact largest-bucket experiment
+hash one seed per coset of the translate group T (``families._translates``):
+adding a t in T to a seed shifts each of its outputs by one constant, so the
+other seeds of a coset are output permutations of its representative, bit for
+bit.  The joint reads the representatives' h(s, x) from ``hash_table``, adds
+one input's mass at a time, so every cell sums its terms in canonical input
+order, and copies each representative's column, shifted, to the seeds of its
+coset; its columns are grouped from the representatives' sorted columns.  A
+shift permutes the buckets too, so a coset shares its largest bucket.  The
+joint's divergences are ``measures.empirical_divergences``.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ import numpy as np
 
 from .bounds import SLACK
 from .errors import BudgetExceededError
-from .families import DEFAULT_BUDGET, HashFamily, hash_table
+from .families import (
+    DEFAULT_BUDGET, HashFamily, _all_digit_rows, _translates, hash_table,
+)
 # Re-exported so perfbench/tracing.py can count calls here.
 from .families import evaluate  # noqa: F401
 from . import measures
@@ -123,38 +130,52 @@ def extract_joint(
     source: Source,
     budget: int = DEFAULT_BUDGET,
 ) -> ExtractionResult:
-    """Exhaustively enumerate P(u, s[, z]); deterministic up to float summation."""
+    """P(u, s[, z]) over every seed, exactly as tabulating every seed would
+    give it, bit for bit, from one hashed seed per translate coset."""
     f, n_inputs, base = family.field, source.probs.support_size, source.probs.base_q
     if (n_inputs, base) != (f.size, f.q):
         raise ValueError(
             f"source of {n_inputs} symbols in base {base} does not fit GF({f.q}^{f.n})"
         )
     seeds, n_digits = family.seed_space_size, family.seed_digits
-    # hash_table holds a seeds x D digit matrix; one width covers its seeds x
-    # inputs table and the seeds x outputs x Z joint.
+    # Charged as a seeds x D digit matrix, a seeds x inputs table and the
+    # seeds x outputs x Z joint; the matrix and table cover only the
+    # representatives.
     width = max(n_inputs, family.output_size) * max(1, source.n_side)
     if seeds * (n_digits + width) > budget:
         raise BudgetExceededError(
             f"{seeds} seeds x ({n_digits} seed digits + {width} cells per seed)"
             f" exceeds budget {budget}"
         )
-    all_seeds = np.arange(seeds)
-    table = hash_table(family, all_seeds, range(n_inputs))
+    q, n_out = f.q, family.output_size
+    reps, translates, shifts = _translates(family, range(n_inputs))
+    table = hash_table(family, reps, range(n_inputs))
     px = source.probs.probs
     sc = source.side_channel
-    shape = (family.output_size, seeds)
-    if sc is not None:
-        shape += (source.n_side,)
-    acc = np.zeros(shape)
+    rep_seeds = np.arange(len(reps))
+    tail = () if sc is None else (source.n_side,)
+    rep_joint = np.zeros((n_out, len(reps)) + tail)
     # One input at a time touches each seed's column once, so every cell sums
     # its terms in canonical input order.
     for i in range(n_inputs):
-        acc[table[:, i], all_seeds] += px[i] if sc is None else px[i] * sc[i]
-    # Scaled in place, with the table gone: the joint is the one dense copy
-    # alive while JointPmf groups its columns.
-    del table
-    acc *= 1.0 / seeds
-    return ExtractionResult(JointPmf(acc, f.q), family, source)
+        rep_joint[table[:, i], rep_seeds] += px[i] if sc is None else px[i] * sc[i]
+    rep_joint *= 1.0 / seeds
+    # Seed rep + t (digitwise) is at index at[t, rep]; its column is rep's
+    # moved from output u to lands[t, u] = u + shift(t) digitwise.
+    at = np.zeros((len(translates), len(reps)), dtype=np.int64)
+    for d in range(n_digits):
+        at += (reps[:, d] + translates[:, d, None]) % q * q**d
+    powers = q ** np.arange(family.m)
+    lands = (_all_digit_rows(family.m, q)[None] + shifts[:, None]) % q @ powers
+    acc = np.empty((n_out, seeds) + tail)
+    for u in range(n_out):
+        acc[lands[:, u, None], at] = rep_joint[u]
+    rep_of = np.empty(seeds, dtype=np.int64)
+    rep_of[at] = rep_seeds
+    if sc is not None:  # column (s, z) holds the entries of column (rep, z)
+        rep_of = (rep_of[:, None] * source.n_side + np.arange(source.n_side)).ravel()
+    groups = measures._group_columns(acc, rep_joint, rep_of)
+    return ExtractionResult(JointPmf._with_groups(acc, q, groups), family, source)
 
 
 @dataclass(frozen=True)
@@ -207,8 +228,11 @@ def expected_max_bucket(
             f" exceeds budget {budget}"
         )
     if mode == "exact":
-        loads = _largest_buckets(hash_table(family, np.arange(seeds), subset))
-        return BucketEstimate(math.fsum(loads.tolist()) / seeds, None)
+        # A translate permutes the buckets, so all seeds of a coset share the
+        # largest bucket; the integer sum over all seeds stays exact.
+        reps, translates, _ = _translates(family, subset)
+        loads = _largest_buckets(hash_table(family, reps, subset))
+        return BucketEstimate(math.fsum(loads.tolist()) * len(translates) / seeds, None)
     rng = np.random.default_rng(rng_seed)
     if seeds - 1 <= np.iinfo(np.int64).max:
         draws = rng.integers(0, seeds, size=n_samples)

@@ -14,10 +14,13 @@ Every family is Z_q-linear in its seed digits, so ``hash_table`` is a digit
 matrix times a basis B, which it builds in closed form with numpy.  An
 l-subset collides with probability exactly q^{-r}, r the GF(q)-rank of its
 stacked basis differences (Carter & Wegman 1979): certification reads one
-basis and builds no seed table.  Collision probabilities are exact rationals
-(Fraction), never floats.  The scalar ``evaluate`` (Horner with ``gf_mul`` and
-``gf_add``) is the public single-value API and the tests' oracle; no run path
-calls it.
+basis and builds no seed table.  The seeds t with t . B_x the same for every
+input x form a group T; adding t to a seed shifts all its outputs by one
+constant, so extraction and the exact bucket experiment hash one seed per
+coset of T (``_translates``, one row reduction of the basis differences).
+Collision probabilities are exact rationals (Fraction), never floats.  The
+scalar ``evaluate`` (Horner with ``gf_mul`` and ``gf_add``) is the public
+single-value API and the tests' oracle; no run path calls it.
 """
 
 from __future__ import annotations
@@ -75,6 +78,15 @@ class HashFamily:
 def _check_input(field: FieldParams, x: int):
     if not 0 <= x < field.size:
         raise ValueError(f"input {x} outside [0, {field.size})")
+
+
+def _input_array(field: FieldParams, inputs) -> np.ndarray:
+    """Canonical input integers as an int64 array; ValueError for one outside
+    the field."""
+    xs = [int(v) for v in inputs]
+    for x in xs:
+        _check_input(field, x)
+    return np.array(xs, dtype=np.int64)
 
 
 def evaluate(family: HashFamily, seed: int, x: int) -> int:
@@ -143,10 +155,8 @@ def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
     """
     f = family.field
     q, m, n_digits = f.q, family.m, family.seed_digits
-    xs = [int(v) for v in inputs]
-    for x in xs:
-        _check_input(f, x)
-    basis = _basis(family, np.array(xs, dtype=np.int64))
+    xs = _input_array(f, inputs)
+    basis = _basis(family, xs)
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.ndim == 2:
         digits = seeds
@@ -167,6 +177,56 @@ def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
         out %= q
         table += out
     return table
+
+
+def _all_digit_rows(n: int, q: int) -> np.ndarray:
+    """Every row of n base-q digits, least significant first, in the order of
+    the integers they spell."""
+    return np.arange(q**n)[:, None] // q ** np.arange(n) % q
+
+
+def _translates(family: HashFamily, inputs):
+    """(reps, translates, shifts): one seed per coset of the translate group T
+    on the given inputs, T as digit rows, and each translate's output shift.
+
+    T holds the seeds t with t . (B_x - B_{x_0}) = 0 mod q for every input x,
+    so h(r + t, x) = h(r, x) + t . B_{x_0} digitwise: adding t shifts every
+    output of a seed by one constant.  Row reduction of the D x (inputs * m)
+    matrix [B_x - B_{x_0}]_x mod q finds its pivot digits; ``reps`` assigns
+    them every value (q^rank rows, the other digits 0), and every seed is
+    r + t (digitwise mod q) for exactly one rep r and one t in ``translates``
+    (q^(D - rank) rows).  ``shifts`` holds t . B_{x_0} mod q, one row of m
+    digits per translate.  The inputs must be non-empty.
+    """
+    q, n_digits = family.field.q, family.seed_digits
+    xs = _input_array(family.field, inputs)
+    basis = _basis(family, xs)  # (D, inputs, m)
+    a = (basis - basis[:, :1]).transpose(1, 2, 0) % q  # a row per (x, j)
+    a = a.reshape(xs.size * family.m, n_digits)
+    pivots, row = [], 0
+    for d in range(n_digits):
+        below = np.flatnonzero(a[row:, d])
+        if not below.size:
+            continue
+        a[[row, row + below[0]]] = a[[row + below[0], row]]
+        a[row] = a[row] * pow(int(a[row, d]), -1, q) % q
+        factor = a[:, d].copy()
+        factor[row] = 0
+        a = (a - factor[:, None] * a[row]) % q
+        pivots.append(d)
+        row += 1
+        if row == len(a):
+            break
+    free = [d for d in range(n_digits) if d not in pivots]
+    reps = np.zeros((q ** len(pivots), n_digits), dtype=np.int64)
+    reps[:, pivots] = _all_digit_rows(len(pivots), q)
+    # T's basis: one vector per free digit f, e_f minus the pivot digits that
+    # cancel column f of the reduced rows.
+    t_basis = np.zeros((len(free), n_digits), dtype=np.int64)
+    t_basis[np.arange(len(free)), free] = 1
+    t_basis[:, pivots] = -a[: len(pivots), free].T % q
+    translates = _all_digit_rows(len(free), q) @ t_basis % q
+    return reps, translates, translates @ basis[:, 0] % q
 
 
 def _ranks_mod_q(a: np.ndarray, q: int) -> np.ndarray:

@@ -8,8 +8,10 @@ D_alpha has one formula, ``_divergence``: every power sum, log-ratio and max
 is formed there, on Python floats, for one or many columns at a time.  H_alpha
 is minus D_alpha against the counting measure.  A ``JointPmf`` groups its
 columns by content once, when it is built (``_group_columns``): one
-``np.lexsort`` over the int64 bit patterns of each sorted column and its
-reference, then one compare of neighbours.  Its sum-to-1 check adds each
+``np.lexsort`` over the int64 bit patterns of the sorted columns ranks them,
+and one lexsort of (rank, reference) and a compare of neighbours groups them.
+An extracted joint is built with groups ranked from its coset
+representatives' columns alone.  Its sum-to-1 check adds each
 group's cells times the group's size, and the divergence table
 (``empirical_divergences``) reads the same groups: the conditional divergences
 each distinct sorted column, normalised once and walked order by order, and
@@ -134,8 +136,9 @@ class JointPmf:
     (when present).  For the entropy helpers the generic reading is
     (x, z) with the conditioning variable last.
 
-    Construction groups the columns by content once (``_group_columns``) and
-    keeps the groups; the sum-to-1 check and the divergence table read them.
+    Construction groups the columns by content once (``_group_columns``),
+    unless ``_with_groups`` supplies them, and keeps the groups; the sum-to-1
+    check and the divergence table read them.
     """
 
     probs: np.ndarray
@@ -143,11 +146,21 @@ class JointPmf:
 
     def __post_init__(self):
         arr = _freeze_probs(self, (2, 3), "JointPmf requires 2 or 3 axes")
-        groups = _group_columns(arr)
-        cols, _, counts = groups
+        if not hasattr(self, "_groups"):  # else set by _with_groups
+            object.__setattr__(self, "_groups", _group_columns(arr))
+        cols, _, counts = self._groups
         # Every cell is a cell of its group's sorted column: the same multiset.
         _check_sum(cols.T.ravel(), np.repeat(counts, cols.shape[0]))
-        object.__setattr__(self, "_groups", groups)
+
+    @classmethod
+    def _with_groups(cls, probs: np.ndarray, base_q: int, groups) -> "JointPmf":
+        """The joint over probs, with the column groups, as ``_group_columns``
+        returns them, that the caller has built."""
+        joint = cls.__new__(cls)
+        for name, value in (("probs", probs), ("base_q", base_q), ("_groups", groups)):
+            object.__setattr__(joint, name, value)
+        joint.__post_init__()
+        return joint
 
     def marginal(self, axis: int) -> Pmf:
         other = tuple(i for i in range(self.probs.ndim) if i != axis)
@@ -309,7 +322,7 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     return total / ((1.0 - a.value) * math.log(joint.base_q))
 
 
-def _group_columns(arr: np.ndarray):
+def _group_columns(arr: np.ndarray, reps=None, rep_of=None):
     """A joint's columns grouped by content, as (columns, refs, counts).
 
     A column is a seed s, or an (s, z) cell, of an output joint (a z of an
@@ -317,20 +330,36 @@ def _group_columns(arr: np.ndarray):
     mass each output has under the uniform product reference.  Columns whose
     outputs, sorted, and reference are the same floats bit for bit form one
     group: ``columns`` holds each group's sorted column (one column per
-    group), ``refs`` its reference and ``counts`` its number of members.  One
-    ``np.lexsort`` of the int64 bit patterns, keyed on the sorted column first
-    and the reference last, makes equal rows neighbours, so groups that differ
-    only in their reference are neighbours too.
+    group), ``refs`` its reference and ``counts`` its number of members.
+
+    With ``reps``, a joint over the same outputs, column c of arr holds the
+    entries of column rep_of[c] of reps in some order, so only reps' columns
+    are sorted.  One ``np.lexsort`` of the sorted columns' int64 bit patterns,
+    first entry first, ranks them; one two-key lexsort of (rank, reference)
+    over arr's columns then makes equal columns neighbours, in the order of a
+    lexsort keyed on the sorted column first and the reference last.  Groups
+    that differ only in their reference are neighbours too.
     """
     n_out = arr.shape[0]
-    rows = np.empty((arr[0].size, n_out + 1))
-    rows[:, :n_out] = arr.reshape(n_out, -1).T
-    rows[:, :n_out].sort(axis=1)
+    cols = (arr if reps is None else reps).reshape(n_out, -1).T
+    bits = np.sort(cols, axis=1).view(np.int64)
+    order = np.lexsort(bits.T[::-1])
+    bits = bits[order]
+    new = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(new) - 1
+    distinct = bits[new]
+    if rep_of is not None:
+        rank = rank[rep_of]
     with np.errstate(over="ignore"):  # an overflowing total fails the sum check
-        rows[:, n_out] = (arr.sum(axis=0) / n_out).ravel()
-    order = np.lexsort(rows.view(np.int64).T[::-1])
-    groups, counts = _merge_runs(rows[order], np.ones(len(order), dtype=np.int64))
-    return groups[:, :n_out].T, groups[:, n_out], counts
+        refs = (arr.sum(axis=0) / n_out).ravel()
+    order = np.lexsort((refs.view(np.int64), rank))
+    rank, refs = rank[order], refs[order]
+    ref_bits = refs.view(np.int64)
+    new = (rank[1:] != rank[:-1]) | (ref_bits[1:] != ref_bits[:-1])
+    starts = np.flatnonzero(np.r_[True, new])
+    counts = np.diff(np.r_[starts, len(order)])
+    return distinct[rank[starts]].view(float).T, refs[starts], counts
 
 
 def _merge_runs(rows: np.ndarray, counts: np.ndarray):

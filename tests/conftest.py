@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from renyi_extract import HashFamily, Pmf, Source
+from renyi_extract.families import hash_table
 from renyi_extract.fields import FieldParams
 
 
@@ -31,3 +32,41 @@ def uniform_source(field, side_channel=None):
 
 def poly_family(field, k, m):
     return HashFamily("polynomial", field, k, m)
+
+
+def dense_joint(family, source):
+    """P(u, s[, z]) by tabulating every seed: the all-seed ``hash_table``, one
+    input's mass at a time in input order, then one in-place scale by
+    1/seeds.  The oracle that coset extraction must match bit for bit."""
+    seeds, n_inputs = family.seed_space_size, family.field.size
+    all_seeds = np.arange(seeds)
+    table = hash_table(family, all_seeds, range(n_inputs))
+    px, sc = source.probs.probs, source.side_channel
+    shape = (family.output_size, seeds) + (() if sc is None else (source.n_side,))
+    acc = np.zeros(shape)
+    for i in range(n_inputs):
+        acc[table[:, i], all_seeds] += px[i] if sc is None else px[i] * sc[i]
+    acc *= 1.0 / seeds
+    return acc
+
+
+def lexsorted_groups(arr):
+    """A joint's column groups by one lexsort of every column's sorted
+    entries with its reference arr.sum(axis=0) / U appended, as int64 bit
+    patterns: the order and bits ``JointPmf`` must reproduce."""
+    n_out = arr.shape[0]
+    rows = np.empty((arr[0].size, n_out + 1))
+    rows[:, :n_out] = np.sort(arr.reshape(n_out, -1).T, axis=1)
+    rows[:, n_out] = (arr.sum(axis=0) / n_out).ravel()
+    bits = rows.view(np.int64)
+    bits = bits[np.lexsort(bits.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(bits)])
+    groups = bits[starts].view(float)
+    return groups[:, :n_out].T, groups[:, n_out], counts
+
+
+def bits(a):
+    """Shape, dtype and raw bytes of an array: equal only when bit-identical."""
+    a = np.ascontiguousarray(a)
+    return a.shape, a.dtype, a.tobytes()

@@ -18,10 +18,12 @@ from renyi_extract import measures
 from renyi_extract.bounds import SLACK
 from renyi_extract.errors import BudgetExceededError
 from renyi_extract.extraction import _nonnegative
-from renyi_extract.families import evaluate
+from renyi_extract.families import evaluate, hash_table
 from renyi_extract.fields import FieldParams
 
-from conftest import make_source, poly_family, uniform_source
+from conftest import (
+    bits, dense_joint, lexsorted_groups, make_source, poly_family, uniform_source,
+)
 
 SIDE_ROWS_8 = np.array([[0.8, 0.2], [0.3, 0.7]] * 4)
 
@@ -134,6 +136,45 @@ class TestExtractJoint:
         src = Source(Pmf(np.full(9, 1 / 9), base_q=2))
         with pytest.raises(ValueError, match=r"base 2 does not fit GF\(3\^2\)"):
             extract_joint(fam, src)
+
+
+def _family(kind, q, n, k, m):
+    return HashFamily(kind, FieldParams.create(q, n), k, m)
+
+
+COSET_FAMILIES = [
+    (kind, q, n, k, m)
+    for q, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1))
+    for k in (2, 3, 4)
+    for kind, ms in (("polynomial", range(1, n + 1)), ("full_table", (1, 2)),
+                     ("constant", (1,)))
+    for m in ms
+    if _family(kind, q, n, k, m).seed_space_size <= 2**14
+] + [  # the benchmark's extractions
+    ("polynomial", 2, 4, 3, 2), ("polynomial", 3, 2, 4, 1), ("polynomial", 3, 2, 4, 2),
+]
+
+
+class TestCosetExtraction:
+    """extract_joint hashes one seed per translate coset and fills the other
+    seeds by output shifts; the joint and its groups are those of tabulating
+    every seed, bit for bit."""
+
+    @pytest.mark.parametrize("side", [0, 3])
+    @pytest.mark.parametrize("kind,q,n,k,m", COSET_FAMILIES)
+    def test_matches_every_seed_enumeration(self, kind, q, n, k, m, side):
+        fam = _family(kind, q, n, k, m)
+        field = fam.field
+        rng = np.random.default_rng([q, n, k, m, side])
+        probs = rng.dirichlet(np.ones(field.size))
+        probs[0] = 0.0  # a zero mass
+        rows = rng.dirichlet(np.ones(side), size=field.size) if side else None
+        source = make_source(field, probs / probs.sum(), side_channel=rows)
+        joint = extract_joint(fam, source).joint
+        dense = dense_joint(fam, source)
+        assert bits(joint.probs) == bits(dense)
+        for got, want in zip(joint._groups, lexsorted_groups(dense)):
+            assert bits(got) == bits(want)
 
 
 class TestSourceValidation:
@@ -260,6 +301,21 @@ class TestExpectedMaxBucket:
         a = expected_max_bucket(fam, subset)
         b = expected_max_bucket(fam, list(reversed(subset)))
         assert a.mean == b.mean
+
+    @pytest.mark.parametrize(
+        "kind,q,n,k,m", [f for f in COSET_FAMILIES if _family(*f).seed_space_size <= 2**12]
+    )
+    def test_exact_mode_matches_every_seed(self, kind, q, n, k, m):
+        # One seed per coset of the subset's translate group, weighted by the
+        # group's size: the same float as the mean over every seed.
+        fam = _family(kind, q, n, k, m)
+        field, seeds = fam.field, fam.seed_space_size
+        rng = np.random.default_rng([q, n, k, m])
+        for size in sorted({2, min(3, field.size), field.size}):
+            subset = sorted(rng.choice(field.size, size, replace=False).tolist())
+            table = hash_table(fam, np.arange(seeds), subset)
+            loads = [max(Counter(row).values()) for row in table.tolist()]
+            assert expected_max_bucket(fam, subset).mean == math.fsum(loads) / seeds
 
     def test_sampled_mode_reproducible(self, gf8):
         fam = poly_family(gf8, 2, 2)

@@ -229,6 +229,51 @@ def test_shift_digits_only_shift_outputs(kind, q, n, k, m):
 
 
 
+@pytest.mark.parametrize("kind,q,n,k,m", SHIFT_FAMILIES)
+def test_translates_reach_every_seed_once_by_output_shifts(kind, q, n, k, m):
+    # Every seed is rep + t digitwise for exactly one (rep, t), and its table
+    # row is rep's shifted digitwise by t's output shift, on the whole domain
+    # and on a subset (whose translate group is larger).
+    field = FieldParams.create(q, n)
+    fam = HashFamily(kind, field, k, m)
+    for inputs in (range(field.size), [field.size - 1, 1]):
+        reps, translates, shifts = families._translates(fam, inputs)
+        assert len(reps) * len(translates) == fam.seed_space_size
+        digits = (reps[None] + translates[:, None]) % q  # (t, rep, seed digit)
+        seeds = digits @ q ** np.arange(fam.seed_digits)
+        assert np.array_equal(np.sort(seeds, axis=None), np.arange(fam.seed_space_size))
+
+        def out_digits(table):
+            return table[..., None] // q ** np.arange(m) % q
+
+        rows = out_digits(hash_table(fam, seeds.ravel(), inputs))
+        shifted = (out_digits(hash_table(fam, reps, inputs))[None] + shifts[:, None, None]) % q
+        assert np.array_equal(rows.reshape(shifted.shape), shifted)
+
+
+@pytest.mark.parametrize(
+    "kind,q,n,k,m,dim_t,dim_ker",
+    [("polynomial", 3, 2, 4, 1, 4, 3), ("polynomial", 3, 2, 4, 2, 2, 0),
+     ("polynomial", 2, 4, 3, 2, 4, 2), ("polynomial", 2, 6, 3, 3, 6, 3),
+     ("full_table", 2, 2, 2, 1, 1, 0), ("full_table", 2, 2, 2, 2, 2, 0),
+     ("full_table", 3, 1, 2, 2, 2, 0)],
+)
+def test_translate_group_dimensions(kind, q, n, k, m, dim_t, dim_ker):
+    # T holds the seeds that shift every output by one constant; the kernel,
+    # the translates whose shift is 0, those that change no output at all.
+    fam = HashFamily(kind, FieldParams.create(q, n), k, m)
+    reps, translates, shifts = families._translates(fam, range(q**n))
+    assert len(translates) == q**dim_t
+    assert len(reps) == q ** (fam.seed_digits - dim_t)
+    assert np.count_nonzero(~shifts.any(axis=1)) == q**dim_ker
+
+
+def test_constant_family_has_no_seed_digits(gf4):
+    reps, translates, shifts = families._translates(HashFamily("constant", gf4, 2, 2), range(4))
+    assert reps.shape == translates.shape == (1, 0)
+    assert shifts.tolist() == [[0, 0]]
+
+
 def seed_scan(family, l):
     """Max over l-subsets of Pr_S[h(S,x_1) = ... = h(S,x_l)], by counting the
     colliding seeds in the whole seed table: the oracle for the rank."""

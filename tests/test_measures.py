@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_source, poly_family
+from conftest import bits, lexsorted_groups, make_source, poly_family
 
 from renyi_extract import measures
 from renyi_extract.bounds import SLACK
@@ -701,6 +701,9 @@ class TestGroupedConstruction:
     @settings(max_examples=150, deadline=None)
     def test_groups_match_raw_byte_grouping(self, joint):
         assert _stored_groups(joint) == _group_counter(joint)
+        # Ranked, then grouped by (rank, reference): the one-lexsort order.
+        for got, want in zip(joint._groups, lexsorted_groups(joint.probs)):
+            assert bits(got) == bits(want)
         cols, _, counts = joint._groups
         distinct, _ = measures._merge_runs(cols.T, counts)
         assert len(distinct) == _sorted_column_count(joint)
@@ -728,9 +731,10 @@ class TestGroupedConstruction:
         calls = []
         group = measures._group_columns
 
-        def counting(arr):
+        # Extraction passes its coset representatives as well.
+        def counting(arr, *reps):
             calls.append(arr.shape)
-            return group(arr)
+            return group(arr, *reps)
 
         monkeypatch.setattr(measures, "_group_columns", counting)
         for instance in MERGING_INSTANCES:
