@@ -1,7 +1,7 @@
 """Exact extracted-output joints by exhaustive seed/source enumeration.
 
-For a family h and source X (with optional side channel Z), builds the dense
-joint P(u, s) = P_S(s) sum_{x : h(s,x)=u} P_X(x), or its (u, s, z) analogue
+For a family h and source X (with optional side channel Z), the joint is
+P(u, s) = P_S(s) sum_{x : h(s,x)=u} P_X(x), or its (u, s, z) analogue
 P_S(s) sum_x 1{h(s,x)=u} P_X(x) P_{Z|X}(z|x).  The seed S is always uniform.
 
 Sources and bucket subsets are canonical input integers 0 .. q^n - 1, the
@@ -9,18 +9,19 @@ field's elements.  Both the joint and the exact largest-bucket experiment
 hash one seed per coset of the translate group T (``families._translates``):
 adding a t in T to a seed shifts each of its outputs by one constant, so the
 other seeds of a coset are output permutations of its representative, bit for
-bit.  The joint reads the representatives' h(s, x) from ``hash_table``, adds
-one input's mass at a time, so every cell sums its terms in canonical input
-order, and copies each representative's column, shifted, to the seeds of its
-coset; its columns are grouped from the representatives' sorted columns.  A
-shift permutes the buckets too, so a coset shares its largest bucket.  The
-joint's divergences are ``measures.empirical_divergences``.
+bit.  The joint reads the representatives' h(s, x) from ``hash_table`` and
+adds one input's mass at a time, so every cell sums its terms in canonical
+input order.  It is kept as its column groups (``ExtractedJoint``), ranked
+from the representatives' columns, each coset's references summed once per
+distinct shift; its dense U x seeds [x Z] array is built only when read.  A
+shift permutes the buckets too, so a coset shares its largest bucket.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -107,16 +108,45 @@ def _nonnegative(h: float) -> float:
 
 
 @dataclass(frozen=True)
+class ExtractedJoint:
+    """An output joint P(u, s[, z]) as its column groups, from
+    ``measures._group_columns``, its coset representatives' columns and its
+    coset layout (``_translates``); ``probs``, the dense U x seeds [x Z]
+    array, is built on first read."""
+
+    base_q: int
+    _groups: tuple
+    _rep_columns: np.ndarray
+    _layout: tuple
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        (reps, translates, shifts), q = self._layout, self.base_q
+        # Seed rep + t (digitwise) is at index at[t, rep]; its column is rep's
+        # moved from output u to lands[t, u] = u + shift(t) digitwise.
+        at = np.zeros((len(translates), len(reps)), dtype=np.int64)
+        for d in range(reps.shape[1]):
+            at += (reps[:, d] + translates[:, d, None]) % q * q**d
+        digits = _all_digit_rows(shifts.shape[1], q)
+        lands = (digits + shifts[:, None]) % q @ q ** np.arange(shifts.shape[1])
+        acc = np.empty((len(digits), at.size) + self._rep_columns.shape[2:])
+        for u, column in enumerate(self._rep_columns):
+            acc[lands[:, u, None], at] = column
+        acc.setflags(write=False)
+        return acc
+
+
+@dataclass(frozen=True)
 class ExtractionResult:
     """The exact joint over (u, s[, z]) together with its provenance."""
 
-    joint: JointPmf
+    joint: ExtractedJoint
     family: HashFamily
     source: Source
 
     @property
     def has_side_channel(self) -> bool:
-        return self.joint.probs.ndim == 3
+        return self.source.side_channel is not None
 
     def source_entropy(self, a) -> float:
         """H_alpha(X|Z) when a side channel is present, else H_alpha(X)."""
@@ -130,8 +160,8 @@ def extract_joint(
     source: Source,
     budget: int = DEFAULT_BUDGET,
 ) -> ExtractionResult:
-    """P(u, s[, z]) over every seed, exactly as tabulating every seed would
-    give it, bit for bit, from one hashed seed per translate coset."""
+    """P(u, s[, z]) over every seed, grouped exactly as tabulating every seed
+    would give it, bit for bit, from one hashed seed per translate coset."""
     f, n_inputs, base = family.field, source.probs.support_size, source.probs.base_q
     if (n_inputs, base) != (f.size, f.q):
         raise ValueError(
@@ -139,8 +169,8 @@ def extract_joint(
         )
     seeds, n_digits = family.seed_space_size, family.seed_digits
     # Charged as a seeds x D digit matrix, a seeds x inputs table and the
-    # seeds x outputs x Z joint; the matrix and table cover only the
-    # representatives.
+    # seeds x outputs x Z joint.  Extraction holds less: the matrix, table and
+    # columns cover only the representatives, and no dense joint is built.
     width = max(n_inputs, family.output_size) * max(1, source.n_side)
     if seeds * (n_digits + width) > budget:
         raise BudgetExceededError(
@@ -148,7 +178,7 @@ def extract_joint(
             f" exceeds budget {budget}"
         )
     q, n_out = f.q, family.output_size
-    reps, translates, shifts = _translates(family, range(n_inputs))
+    layout = reps, translates, shifts = _translates(family, range(n_inputs))
     table = hash_table(family, reps, range(n_inputs))
     px = source.probs.probs
     sc = source.side_channel
@@ -159,23 +189,21 @@ def extract_joint(
     # its terms in canonical input order.
     for i in range(n_inputs):
         rep_joint[table[:, i], rep_seeds] += px[i] if sc is None else px[i] * sc[i]
+    del table
     rep_joint *= 1.0 / seeds
-    # Seed rep + t (digitwise) is at index at[t, rep]; its column is rep's
-    # moved from output u to lands[t, u] = u + shift(t) digitwise.
-    at = np.zeros((len(translates), len(reps)), dtype=np.int64)
-    for d in range(n_digits):
-        at += (reps[:, d] + translates[:, d, None]) % q * q**d
-    powers = q ** np.arange(family.m)
-    lands = (_all_digit_rows(family.m, q)[None] + shifts[:, None]) % q @ powers
-    acc = np.empty((n_out, seeds) + tail)
-    for u in range(n_out):
-        acc[lands[:, u, None], at] = rep_joint[u]
-    rep_of = np.empty(seeds, dtype=np.int64)
-    rep_of[at] = rep_seeds
-    if sc is not None:  # column (s, z) holds the entries of column (rep, z)
-        rep_of = (rep_of[:, None] * source.n_side + np.arange(source.n_side)).ravel()
-    groups = measures._group_columns(acc, rep_joint, rep_of)
-    return ExtractionResult(JointPmf._with_groups(acc, q, groups), family, source)
+    # Seed rep + t holds rep's column moved by shift(t): its total adds rep's
+    # entries at u - shift(t) for u = 0 .. U-1, as arr.sum(axis=0) adds the
+    # dense joint.  t -> shift(t) is linear, so each of its V values is hit
+    # |T| / V times.
+    powers, digits = q ** np.arange(family.m), _all_digit_rows(family.m, q)
+    hit = np.bincount(shifts @ powers, minlength=n_out) > 0
+    back = (digits - digits[hit][:, None]) % q @ powers  # back[v, u] = u - v
+    totals = rep_joint[back[:, 0]]
+    for u in range(1, n_out):
+        totals += rep_joint[back[:, u]]
+    groups = measures._group_columns(rep_joint, totals, len(translates) // len(back))
+    joint = ExtractedJoint(q, groups, rep_joint, layout)
+    return ExtractionResult(joint, family, source)
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,20 @@ comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 
 D_alpha has one formula, ``_divergence``: every power sum, log-ratio and max
 is formed there, on Python floats, for one or many columns at a time.  H_alpha
-is minus D_alpha against the counting measure.  A ``JointPmf`` groups its
-columns by content once, when it is built (``_group_columns``): one
+is minus D_alpha against the counting measure.  An output joint's columns are
+grouped by content once, when it is built (``_group_columns``): one
 ``np.lexsort`` over the int64 bit patterns of the sorted columns ranks them,
 and one lexsort of (rank, reference) and a compare of neighbours groups them.
-An extracted joint is built with groups ranked from its coset
-representatives' columns alone.  Its sum-to-1 check adds each
-group's cells times the group's size, and the divergence table
-(``empirical_divergences``) reads the same groups: the conditional divergences
-each distinct sorted column, normalised once and walked order by order, and
-the joint divergence, KL and TV each distinct (cell, reference) pair.  Each
-term is formed once per distinct value and carries the number of cells it
-stands for; ``_counted_fsum`` adds count x term exactly, so the correctly
-rounded results are the bits of a walk over every cell.  No per-cell or
-flattened pmfs and no Python list of every cell are built.
+A ``JointPmf`` ranks all its columns, an extracted joint only its coset
+representatives'.  The sum-to-1 check adds each group's cells times the
+group's size, and the divergence table (``empirical_divergences``) reads the
+same groups: the conditional divergences each distinct sorted column,
+normalised once and walked order by order, and the joint divergence, KL and
+TV each distinct (cell, reference) pair.  Each term is formed once per
+distinct value and carries the number of cells it stands for;
+``_counted_fsum`` adds count x term exactly, so the correctly rounded results
+are the bits of a walk over every cell.  No per-cell or flattened pmfs and no
+Python list of every cell are built.
 """
 
 from __future__ import annotations
@@ -134,11 +134,8 @@ class JointPmf:
 
     Axis roles by position: 0 = hash output u, 1 = seed s, 2 = side info z
     (when present).  For the entropy helpers the generic reading is
-    (x, z) with the conditioning variable last.
-
-    Construction groups the columns by content once (``_group_columns``),
-    unless ``_with_groups`` supplies them, and keeps the groups; the sum-to-1
-    check and the divergence table read them.
+    (x, z) with the conditioning variable last.  Construction groups the
+    columns (``_group_columns``); the divergence table reads the groups.
     """
 
     probs: np.ndarray
@@ -146,21 +143,7 @@ class JointPmf:
 
     def __post_init__(self):
         arr = _freeze_probs(self, (2, 3), "JointPmf requires 2 or 3 axes")
-        if not hasattr(self, "_groups"):  # else set by _with_groups
-            object.__setattr__(self, "_groups", _group_columns(arr))
-        cols, _, counts = self._groups
-        # Every cell is a cell of its group's sorted column: the same multiset.
-        _check_sum(cols.T.ravel(), np.repeat(counts, cols.shape[0]))
-
-    @classmethod
-    def _with_groups(cls, probs: np.ndarray, base_q: int, groups) -> "JointPmf":
-        """The joint over probs, with the column groups, as ``_group_columns``
-        returns them, that the caller has built."""
-        joint = cls.__new__(cls)
-        for name, value in (("probs", probs), ("base_q", base_q), ("_groups", groups)):
-            object.__setattr__(joint, name, value)
-        joint.__post_init__()
-        return joint
+        object.__setattr__(self, "_groups", _group_columns(arr))
 
     def marginal(self, axis: int) -> Pmf:
         other = tuple(i for i in range(self.probs.ndim) if i != axis)
@@ -322,44 +305,44 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     return total / ((1.0 - a.value) * math.log(joint.base_q))
 
 
-def _group_columns(arr: np.ndarray, reps=None, rep_of=None):
-    """A joint's columns grouped by content, as (columns, refs, counts).
+def _group_columns(arr: np.ndarray, totals=None, weight: int = 1):
+    """A joint's columns grouped by content, as (columns, refs, counts),
+    checked to sum to 1.
 
-    A column is a seed s, or an (s, z) cell, of an output joint (a z of an
-    (x, z) joint), and its reference is its entry of arr.sum(axis=0) / U, the
-    mass each output has under the uniform product reference.  Columns whose
-    outputs, sorted, and reference are the same floats bit for bit form one
-    group: ``columns`` holds each group's sorted column (one column per
-    group), ``refs`` its reference and ``counts`` its number of members.
-
-    With ``reps``, a joint over the same outputs, column c of arr holds the
-    entries of column rep_of[c] of reps in some order, so only reps' columns
-    are sorted.  One ``np.lexsort`` of the sorted columns' int64 bit patterns,
-    first entry first, ranks them; one two-key lexsort of (rank, reference)
-    over arr's columns then makes equal columns neighbours, in the order of a
-    lexsort keyed on the sorted column first and the reference last.  Groups
-    that differ only in their reference are neighbours too.
+    A column is a seed s or an (s, z) cell of an output joint (a z of an
+    (x, z) joint); its reference is its total over the U outputs, over U.
+    Columns whose sorted outputs and reference are the same bit for bit form
+    a group, kept as its sorted column, reference and member count.  The
+    joint's columns are V variants of each column c of arr: variant v holds
+    c's entries in some order, totals totals[v, c] and stands for ``weight``
+    columns; without totals, arr is its own one variant.  One ``np.lexsort``
+    of the int64 bits of arr's sorted columns ranks them, and one of (rank,
+    reference) over the variants makes equal columns neighbours, in the order
+    of a lexsort on the sorted column, then the reference; groups that differ
+    only in their reference are neighbours too.  The sum check adds each
+    group's cells once per member: the joint's cells.
     """
     n_out = arr.shape[0]
-    cols = (arr if reps is None else reps).reshape(n_out, -1).T
-    bits = np.sort(cols, axis=1).view(np.int64)
+    bits = np.sort(arr.reshape(n_out, -1).T, axis=1).view(np.int64)
     order = np.lexsort(bits.T[::-1])
     bits = bits[order]
     new = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
     rank = np.empty_like(order)
     rank[order] = np.cumsum(new) - 1
     distinct = bits[new]
-    if rep_of is not None:
-        rank = rank[rep_of]
     with np.errstate(over="ignore"):  # an overflowing total fails the sum check
-        refs = (arr.sum(axis=0) / n_out).ravel()
+        refs = ((arr.sum(axis=0) if totals is None else totals) / n_out).ravel()
+    rank = np.tile(rank, len(refs) // len(rank))
     order = np.lexsort((refs.view(np.int64), rank))
     rank, refs = rank[order], refs[order]
     ref_bits = refs.view(np.int64)
     new = (rank[1:] != rank[:-1]) | (ref_bits[1:] != ref_bits[:-1])
     starts = np.flatnonzero(np.r_[True, new])
-    counts = np.diff(np.r_[starts, len(order)])
-    return distinct[rank[starts]].view(float).T, refs[starts], counts
+    counts = np.diff(np.r_[starts, len(order)]) * weight
+    cols, refs = distinct[rank[starts]].view(float).T, refs[starts]
+    del bits, distinct, new, order, rank, ref_bits  # freed before the check allocates
+    _check_sum(cols.T.ravel(), np.repeat(counts, cols.shape[0]))
+    return cols, refs, counts
 
 
 def _merge_runs(rows: np.ndarray, counts: np.ndarray):
@@ -406,14 +389,14 @@ def _seed_averaged_divergences(groups, alphas: list[Alpha], lnq: float) -> list[
     ]
 
 
-def conditional_divergence(joint: JointPmf, a) -> float:
+def conditional_divergence(joint, a) -> float:
     """The seed-averaged divergence of one order."""
     return _seed_averaged_divergences(
         joint._groups, [as_alpha(a)], math.log(joint.base_q)
     )[0]
 
 
-def joint_divergence_from_uniform(joint: JointPmf, a) -> float:
+def joint_divergence_from_uniform(joint, a) -> float:
     """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)."""
     cells, refs, counts = _distinct_pairs(joint._groups)
     return _divergence([cells], refs, as_alpha(a), math.log(joint.base_q), counts)[0]
@@ -434,10 +417,10 @@ class DivergenceTable:
     conditional_inf: float
 
 
-def empirical_divergences(joint: JointPmf, alphas) -> DivergenceTable:
+def empirical_divergences(joint, alphas) -> DivergenceTable:
     """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf
-    of an output joint, all from the grouping of its columns that it was
-    built with."""
+    of an output joint (a ``JointPmf`` or an extracted joint), all from the
+    grouping of its columns that it was built with."""
     alphas = [as_alpha(a) for a in alphas]
     lnq = math.log(joint.base_q)
     *conditional, conditional_inf = _seed_averaged_divergences(

@@ -776,7 +776,7 @@ class TestEntropiesOncePerOrder:
         init = measures.JointPmf.__post_init__
 
         def counted(joint):
-            calls["xz"] += joint.probs.ndim == 2  # output joints have 3 axes here
+            calls["xz"] += joint.probs.ndim == 2  # output joints are not JointPmfs
             init(joint)
 
         monkeypatch.setattr(measures.JointPmf, "__post_init__", counted)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,12 +15,14 @@ from renyi_extract import (
     expected_max_bucket,
     extract_joint,
 )
-from renyi_extract import measures
+from renyi_extract import harness, measures
 from renyi_extract.bounds import SLACK
+from renyi_extract.config import parse_config
 from renyi_extract.errors import BudgetExceededError
 from renyi_extract.extraction import _nonnegative
 from renyi_extract.families import evaluate, hash_table
 from renyi_extract.fields import FieldParams
+from renyi_extract.harness import run_sweep, run_verify
 
 from conftest import (
     bits, dense_joint, lexsorted_groups, make_source, poly_family, uniform_source,
@@ -172,9 +175,67 @@ class TestCosetExtraction:
         source = make_source(field, probs / probs.sum(), side_channel=rows)
         joint = extract_joint(fam, source).joint
         dense = dense_joint(fam, source)
-        assert bits(joint.probs) == bits(dense)
         for got, want in zip(joint._groups, lexsorted_groups(dense)):
             assert bits(got) == bits(want)
+        # The dense array is built only now, when it is read.
+        assert "probs" not in vars(joint)
+        assert bits(joint.probs) == bits(dense)
+        assert not joint.probs.flags.writeable
+
+
+class TestNoDenseJoint:
+    """An extracted joint is its column groups: no run path builds the dense
+    U x seeds [x Z] array, which ``probs`` builds (and caches) on first read."""
+
+    @pytest.mark.parametrize("side", [None, [[0.25, 0.75], [0.5, 0.5]] * 4])
+    def test_runs_read_only_the_groups(self, monkeypatch, side):
+        results, extract = [], harness.extract_joint
+
+        def capturing(*args, **kwargs):
+            results.append(extract(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "extract_joint", capturing)
+        raw = {
+            "family": {"q": 2, "n": 3, "k": 3, "m": 2},
+            "source": {"preset": "geometric", "param": 0.8},
+            "alphas": [1.5, 2, 3, "inf"],
+        }
+        if side is not None:
+            raw["side_channel"] = side
+        assert run_verify(parse_config(dict(raw, epsilons=[0.1, 0.3])))["all_satisfied"]
+        run_sweep(parse_config(dict(raw, sweep={"m_values": [1, 2, 3]})))
+        assert len(results) == 1 + 3
+        for result in results:
+            assert result.has_side_channel == (side is not None)
+            assert "probs" not in vars(result.joint)
+
+    @pytest.mark.parametrize("side", [None, SIDE_ROWS_8[:, ::-1]])
+    def test_divergence_readers_read_only_the_groups(self, gf8, side):
+        result = extract_joint(poly_family(gf8, 3, 2), uniform_source(gf8, side))
+        empirical_divergences(result.joint, [Alpha(2.0), Alpha.infinity()])
+        for a in (Alpha.one(), Alpha(1.5), Alpha.infinity()):
+            measures.conditional_divergence(result.joint, a)
+            measures.joint_divergence_from_uniform(result.joint, a)
+        assert result.has_side_channel == (side is not None)
+        assert "probs" not in vars(result.joint)
+        assert result.joint.probs.ndim == (2 if side is None else 3)
+
+    def test_extraction_holds_less_than_the_dense_joint(self):
+        # Polynomial GF(2^6), k=3, m=3: 2^18 seeds x 8 outputs, so the dense
+        # joint alone would be 16 MiB.
+        field = FieldParams.create(2, 6)
+        family = poly_family(field, 3, 3)
+        probs = np.random.default_rng(0).dirichlet(np.full(field.size, 0.3))
+        source = make_source(field, probs)
+        tracemalloc.start()
+        try:
+            result = extract_joint(family, source, budget=30_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < family.output_size * family.seed_space_size * 8
+        assert "probs" not in vars(result.joint)
 
 
 class TestSourceValidation:

@@ -728,24 +728,26 @@ class TestGroupedConstruction:
         assert_matches_ungrouped(empirical_divergences(joint, ALPHA_GRID), joint, ALPHA_GRID)
 
     def test_each_output_joint_is_grouped_once(self, monkeypatch):
+        # Extraction groups its coset representatives' columns, each standing
+        # for its translates, once, when it is built; no reader groups again.
         calls = []
         group = measures._group_columns
 
-        # Extraction passes its coset representatives as well.
-        def counting(arr, *reps):
-            calls.append(arr.shape)
-            return group(arr, *reps)
+        def counting(arr, *variants):
+            calls.append(arr)
+            return group(arr, *variants)
 
         monkeypatch.setattr(measures, "_group_columns", counting)
         for instance in MERGING_INSTANCES:
             calls.clear()
             joint = _instance(*instance).joint
-            assert calls == [joint.probs.shape]
+            assert len(calls) == 1 and calls[0] is joint._rep_columns
             empirical_divergences(joint, ALPHA_GRID)
             for a in ALPHA_GRID:
                 conditional_divergence(joint, a)
                 joint_divergence_from_uniform(joint, a)
-            assert calls == [joint.probs.shape]
+            assert len(calls) == 1
+            assert calls[0].shape[1] < joint.probs.shape[1]  # fewer than every seed
 
     def test_no_list_of_every_cell(self, monkeypatch):
         # Every list of terms goes through math.fsum; on joints whose columns
