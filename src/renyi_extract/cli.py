@@ -7,7 +7,6 @@ when every certification and bound check passes; config errors exit 2.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -43,8 +42,11 @@ def _units_factor(units: str, q: int) -> float:
 
 def _write_out(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:  # a directory, a missing parent, no permission
+            raise ConfigError(f"cannot write report to {out}: {e}") from e
     else:
         sys.stdout.write(text)
 
@@ -84,7 +86,7 @@ def _cmd_bound(args) -> int:
 def _load(args):
     config = load_config(args.config)
     if args.budget is not None:
-        config = dataclasses.replace(config, budget=args.budget)
+        config = config._replace(budget=args.budget)
     return config
 
 
@@ -106,7 +108,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bucket(args) -> int:
     config = _load(args)
     if args.rng_seed is not None:
-        config = dataclasses.replace(config, rng_seed=args.rng_seed)
+        config = config._replace(rng_seed=args.rng_seed)
     start = time.monotonic()
     report = run_bucket(config)
     elapsed = time.monotonic() - start

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ def _real(value, where: str) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     q: int
     n: int
     k: int
@@ -76,20 +75,17 @@ class FamilySpec:
             raise ConfigError(str(e)) from e
 
 
-@dataclass(frozen=True)
-class BucketSpec:
+class BucketSpec(NamedTuple):
     subset: list[int] | str = "full"
     mode: str = "exact"
     samples: int = 1000
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     m_values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     family: FamilySpec
     source: dict
     alphas: tuple[Alpha, ...]
@@ -121,12 +117,12 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from e
 
 
-def _source_probs(spec: dict, n: int) -> np.ndarray:
-    if "probs" in spec:
-        probs = np.asarray(spec["probs"], dtype=float)
-        if probs.size != n:
+def _source_probs(spec: dict, n: int) -> list | np.ndarray:
+    if "probs" in spec:  # the list as given: Pmf makes its own array
+        probs = spec["probs"]
+        if len(probs) != n:
             raise ConfigError(
-                f"explicit probs must list {n} entries (full domain), got {probs.size}"
+                f"explicit probs must list {n} entries (full domain), got {len(probs)}"
             )
         return probs
     preset = spec["preset"]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +37,8 @@ from . import measures
 from .measures import JointPmf, Pmf
 
 
-@dataclass(frozen=True)
+# eq=False: equality and hashing by value fail on an ndarray field.
+@dataclass(frozen=True, eq=False)
 class Source:
     """A pmf over a field's canonical input integers 0 .. q^n - 1, optionally
     with a side channel.
@@ -51,7 +52,7 @@ class Source:
 
     def __post_init__(self):
         if self.side_channel is not None:
-            sc = np.asarray(self.side_channel, dtype=float)
+            sc = np.array(self.side_channel, dtype=float)  # a private copy
             sc.setflags(write=False)
             object.__setattr__(self, "side_channel", sc)
             if sc.ndim != 2 or sc.shape[0] != self.probs.support_size:
@@ -107,7 +108,7 @@ def _nonnegative(h: float) -> float:
     return 0.0 if -SLACK <= h < 0 else h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtractedJoint:
     """An output joint P(u, s[, z]) as its column groups, from
     ``measures._group_columns``, its coset representatives' columns and its
@@ -136,8 +137,7 @@ class ExtractedJoint:
         return acc
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     """The exact joint over (u, s[, z]) together with its provenance."""
 
     joint: ExtractedJoint
@@ -206,8 +206,7 @@ def extract_joint(
     return ExtractionResult(joint, family, source)
 
 
-@dataclass(frozen=True)
-class BucketEstimate:
+class BucketEstimate(NamedTuple):
     mean: float
     stderr: float | None
 

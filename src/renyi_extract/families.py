@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -274,8 +275,7 @@ def verify_universality(
     return Fraction(1, q ** int(ranks.min()))
 
 
-@dataclass(frozen=True)
-class UniversalityVerdict:
+class UniversalityVerdict(NamedTuple):
     l: int
     collision_probability: Fraction
     threshold: Fraction

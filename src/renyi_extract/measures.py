@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,9 +80,9 @@ def as_alpha(a) -> Alpha:
 
 
 def _freeze_probs(pmf, ndims: tuple[int, ...], shape_error: str) -> np.ndarray:
-    """Store pmf.probs as a read-only float array, check its shape and signs
-    and return it."""
-    arr = np.asarray(pmf.probs, dtype=float)
+    """Store a read-only float copy of pmf.probs, check its shape and signs
+    and return it.  The copy leaves the caller's array writeable."""
+    arr = np.array(pmf.probs, dtype=float)
     arr.setflags(write=False)
     object.__setattr__(pmf, "probs", arr)
     if pmf.base_q < 2:
@@ -108,7 +109,8 @@ def _check_sum(terms, counts=None, what: str = "probabilities") -> float:
     return total
 
 
-@dataclass(frozen=True)
+# eq=False: equality and hashing by value fail on an ndarray field.
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """Finitely supported pmf; ``base_q`` fixes the log base for reporting."""
 
@@ -128,7 +130,7 @@ class Pmf:
         return cls(np.full(n, 1.0 / n), base_q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPmf:
     """Dense pmf over 2 or 3 finite axes.
 
@@ -402,15 +404,13 @@ def joint_divergence_from_uniform(joint, a) -> float:
     return _divergence([cells], refs, as_alpha(a), math.log(joint.base_q), counts)[0]
 
 
-@dataclass(frozen=True)
-class DivergenceRow:
+class DivergenceRow(NamedTuple):
     alpha: Alpha
     joint: float
     conditional: float
 
 
-@dataclass(frozen=True)
-class DivergenceTable:
+class DivergenceTable(NamedTuple):
     rows: tuple[DivergenceRow, ...]
     tv_to_uniform: float
     kl_to_uniform: float

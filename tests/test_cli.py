@@ -647,6 +647,34 @@ class TestBucketCommand:
         assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
 
 
+class TestUnwritableReport:
+    """A report path that cannot be opened is a usage error: exit 2 with one
+    `error:` line naming the path, not exit 1 with a traceback."""
+
+    CONFIGS = {
+        "verify": {},
+        "sweep": {"sweep": {"m_values": [1]}},
+        "bucket": {"bucket": {"subset": "full", "mode": "exact"}},
+    }
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("command", ["verify", "sweep", "bucket"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, command, target, where):
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "report"
+        overrides = dict(self.CONFIGS[command])
+        flag = ["--out", str(out)]
+        if where == "config":
+            overrides["out"], flag = str(out), []
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", cfg, *flag]) == 2
+        assert not (tmp_path / "missing").exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        line = err.strip().splitlines()[-1]
+        assert line.startswith(f"error: cannot write report to {out}: ")
+
+
 class TestNoScalarFieldArithmetic:
     """Every run path reads h(s, x) from hash_table's closed-form basis; the
     scalar evaluate, gf_mul and gf_add are only the tests' oracle."""

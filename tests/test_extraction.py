@@ -249,6 +249,17 @@ class TestSourceValidation:
         with pytest.raises(ValueError):
             uniform_source(gf4, side_channel=rows)
 
+    def test_stores_a_read_only_copy_of_the_side_channel(self, gf4):
+        # The caller's rows stay writeable; the source keeps its own frozen copy.
+        rows = np.array([[0.25, 0.75]] * 4)
+        src = uniform_source(gf4, side_channel=rows)
+        assert rows.flags.writeable
+        assert not src.side_channel.flags.writeable
+        assert src.side_channel.tobytes() == rows.tobytes()
+        assert not np.shares_memory(src.side_channel, rows)
+        rows[0] = [0.5, 0.5]
+        assert src.side_channel[0].tolist() == [0.25, 0.75]
+
     def test_conditional_entropy_requires_side_channel(self, gf4):
         src = uniform_source(gf4)
         with pytest.raises(ValueError):

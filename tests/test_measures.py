@@ -76,6 +76,23 @@ class TestPmfValidation:
         with pytest.raises(ValueError):
             JointPmf(np.array([[bad, 0.5], [0.25, 0.25]]), 2)
 
+    @pytest.mark.parametrize(
+        "cls,probs",
+        [(Pmf, [0.1, 0.2, 0.3, 0.4]), (JointPmf, [[0.1, 0.2], [0.3, 0.4]])],
+        ids=["Pmf", "JointPmf"],
+    )
+    def test_stores_a_read_only_copy(self, cls, probs):
+        # The caller's array stays writeable; the pmf keeps its own frozen copy.
+        arr = np.array(probs)
+        pmf = cls(arr, 2)
+        assert arr.flags.writeable
+        assert not pmf.probs.flags.writeable
+        assert pmf.probs.dtype == arr.dtype and pmf.probs.shape == arr.shape
+        assert pmf.probs.tobytes() == arr.tobytes()
+        assert not np.shares_memory(pmf.probs, arr)
+        arr.flat[0] = 0.5
+        assert pmf.probs.flat[0] == 0.1
+
     def test_joint_marginals(self):
         j = JointPmf(np.array([[0.4, 0.1], [0.1, 0.4]]), 2)
         assert np.allclose(j.marginal(0).probs, [0.5, 0.5])
