@@ -3,7 +3,6 @@
 from .bounds import (
     bound_alpha_above_k,
     bound_infty,
-    bound_integer_alpha,
     bound_real_alpha,
     bound_real_alpha_simplified,
     bucket_bound,

@@ -39,8 +39,8 @@ def logq_sum_exp(terms: list[float], q: int) -> float:
     if not terms:
         return -math.inf
     top = max(terms)
-    if top == -math.inf:
-        return -math.inf
+    if math.isinf(top):
+        return top
     lnq = math.log(q)
     acc = math.fsum(math.exp((t - top) * lnq) for t in terms)
     return top + math.log(acc) / lnq
@@ -50,25 +50,13 @@ def _logq(x: float, q: int) -> float:
     return math.log(x) / math.log(q)
 
 
-def bound_integer_alpha(q: int, m: int, alpha: int, entropy: float) -> float:
-    """Moment-sum bound on D_alpha for integer alpha in {2, ..., k}:
-    (1/(alpha-1)) log_q sum_{l=1}^{alpha} S(alpha, l) q^{(alpha-l)(m-H)}.
-    """
-    if alpha < 2 or alpha != int(alpha):
-        raise ValueError("integer alpha >= 2 required")
-    alpha = int(alpha)
-    gap = m - entropy
-    terms = [
-        _logq(stirling2(alpha, l), q) + (alpha - l) * gap for l in range(1, alpha + 1)
-    ]
-    return logq_sum_exp(terms, q) / (alpha - 1)
-
-
 def bound_real_alpha(q: int, m: int, k: int, alpha: float, entropy: float) -> float:
     """Bound on the joint D_alpha for real alpha in (1, k]:
     (1/(alpha-1)) log_q [ sum_{l=1}^{c-1} l S(c-1, l) q^{(alpha-l)(m-H)}
                         + sum_{l=2}^{c}  S(c-1, l-1) q^{(c-l)(m-H)} ],
-    with c = ceil(alpha).
+    with c = ceil(alpha).  At integer alpha it is the moment-sum bound
+    (1/(alpha-1)) log_q sum_{l=1}^{alpha} S(alpha, l) q^{(alpha-l)(m-H)},
+    by S(c, l) = l S(c-1, l) + S(c-1, l-1).
     """
     if not 1.0 < alpha <= k:
         raise ValueError(f"alpha must lie in (1, k], got alpha={alpha}, k={k}")
@@ -103,12 +91,17 @@ def dk_bound_simple(q: int, m: int, k: int, entropy: float) -> float:
     """Exponential Poisson-moment majorant: k^2 / (2 q^{H-m} (k-1) ln q)."""
     if k < 2:
         raise ValueError("k >= 2 required")
-    return k * k / (2.0 * q ** (entropy - m) * (k - 1) * math.log(q))
+    try:
+        return k * k / (2.0 * q ** (entropy - m) * (k - 1) * math.log(q))
+    except ZeroDivisionError:  # q^{H-m} underflowed: the bound is beyond floats
+        return math.inf
+    except OverflowError:  # q^{H-m} overflowed: the bound underflows
+        return 0.0
 
 
 def gamma_fn(y: float) -> float:
     """Inverse of x -> x / ln(x + 1) on y >= 1, by bracketed bisection."""
-    if y < 1.0:
+    if not y >= 1.0:
         raise ValueError(f"gamma_fn requires y >= 1, got {y}")
     if y == 1.0:
         return 0.0
@@ -132,9 +125,17 @@ def gamma_fn(y: float) -> float:
 
 
 def _logq_x_over_ln1p(q: int, m: int, k: int, entropy: float) -> float:
-    """log_q(x / ln(1 + x)) with x = k q^{m-H}, shared by the sharp bounds."""
-    x = k * q ** (m - entropy)
-    return _logq(x / math.log1p(x), q)
+    """log_q(x / ln(1 + x)) with x = k q^{m-H}, shared by the sharp bounds;
+    its limit 0 where x underflows, and in logs where x overflows."""
+    gap = m - entropy
+    try:
+        x = k * q**gap
+    except OverflowError:
+        x = math.inf
+    if x == math.inf:  # ln(1 + x) = ln x to the last bit
+        log_x = _logq(k, q) + gap
+        return log_x - _logq(log_x * math.log(q), q)
+    return _logq(x / math.log1p(x), q) if x > 0 else 0.0
 
 
 def dk_bound_sharp(q: int, m: int, k: int, entropy: float) -> float:
@@ -161,6 +162,15 @@ def bound_infty(q: int, m: int, k: int, entropy: float) -> float:
     return m / k + _logq_x_over_ln1p(q, m, k, entropy)
 
 
+def _logq_ratio(num: float, den: float, q: int) -> float:
+    """log_q(num / den) for num >= 0 and den > 0; +inf where den underflowed
+    to 0 and -inf where the quotient did."""
+    if den == 0:
+        return math.inf
+    ratio = num / den
+    return -math.inf if ratio == 0 else _logq(ratio, q)
+
+
 THRESHOLD_REGIMES = ("integer-alpha", "corollary", "min-entropy", "sharp-gamma")
 
 
@@ -178,27 +188,33 @@ def m_threshold(
     * ``corollary``:   alpha in (1, 2];        guarantees joint D_alpha <= eps.
     * ``min-entropy``: needs k; guarantees conditional D_inf <= m/k + eps.
     * ``sharp-gamma``: needs k; sharper threshold for joint D_k <= eps.
+
+    Where epsilon takes a quotient out of floating point, the threshold is
+    its limit: -inf (no m) or +inf (every m).
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     lnq = math.log(q)
     if regime == "integer-alpha":
         if alpha is None or alpha < 2 or alpha != int(alpha):
             raise ValueError("integer-alpha regime requires integer alpha >= 2")
-        return entropy - _logq(alpha * alpha / (2.0 * epsilon * (alpha - 1) * lnq), q)
+        return entropy - _logq_ratio(alpha * alpha, 2.0 * epsilon * (alpha - 1) * lnq, q)
     if regime == "corollary":
         if alpha is None or not 1.0 < alpha <= 2.0:
             raise ValueError("corollary regime requires alpha in (1, 2]")
-        return entropy - _logq(1.0 / (epsilon * (alpha - 1.0) * lnq), q) / (alpha - 1.0)
+        return entropy - _logq_ratio(1.0, epsilon * (alpha - 1.0) * lnq, q) / (alpha - 1.0)
     if regime == "min-entropy":
         if k is None:
             raise ValueError("min-entropy regime requires k")
-        return entropy - _logq(k / (2.0 * epsilon * lnq), q)
+        return entropy - _logq_ratio(k, 2.0 * epsilon * lnq, q)
     if regime == "sharp-gamma":
         if k is None:
             raise ValueError("sharp-gamma regime requires k")
-        y = q ** (epsilon * (k - 1) / k)
-        return entropy + _logq(gamma_fn(y) / k, q)
+        try:
+            y = q ** (epsilon * (k - 1) / k)
+        except OverflowError:
+            return math.inf
+        return entropy + _logq_ratio(gamma_fn(y), k, q)
     raise ValueError(f"unknown regime {regime!r}; expected one of {THRESHOLD_REGIMES}")
 
 
@@ -208,4 +224,12 @@ def bucket_bound(q: int, m: int, k: int, subset_size: int) -> float:
     """
     if subset_size < 1:
         raise ValueError("subset_size must be >= 1")
-    return k * q ** (m / k) / math.log1p(k * q**m / subset_size)
+    try:
+        return k * q ** (m / k) / math.log1p(k * q**m / subset_size)
+    except OverflowError:  # a power beyond floating point: the same in logs
+        ln_load = math.log(k) + m * math.log(q) - math.log(subset_size)
+        ln_1p = max(ln_load, 0.0) + math.log1p(math.exp(-abs(ln_load)))
+        try:
+            return math.exp(math.log(k) + m / k * math.log(q) - math.log(ln_1p))
+        except OverflowError:
+            return math.inf

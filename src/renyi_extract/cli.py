@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import bounds as bd
-from .config import BUDGET_ENV_VAR, load_config, parse_alpha
+from .config import load_config, parse_alpha
 from .errors import BudgetExceededError, ConfigError
 from .harness import run_bucket, run_sweep, run_verify
 from .measures import Pmf, renyi_entropy
@@ -25,7 +25,6 @@ from .measures import Pmf, renyi_entropy
 # the gamma inverse take no --H and are plain numbers.
 BOUNDS = {
     "joint-real": (bd.bound_real_alpha, ("q", "m", "k", "alpha", "H")),
-    "joint-integer": (bd.bound_integer_alpha, ("q", "m", "alpha", "H")),
     "simplified": (bd.bound_real_alpha_simplified, ("q", "m", "k", "alpha", "H")),
     "dk-simple": (bd.dk_bound_simple, ("q", "m", "k", "H")),
     "dk-sharp": (bd.dk_bound_sharp, ("q", "m", "k", "H")),
@@ -55,8 +54,15 @@ def _report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=False) + "\n"
 
 
-def _cmd_bound(args) -> int:
+def _bound(args) -> tuple[str, float]:
+    """The label and value, in --units, of the bound or threshold named."""
     q = args.q
+    if q < 2 or (args.k is not None and args.k < 2):
+        raise ConfigError(f"--q and --k must be >= 2, got q={q}, k={args.k}")
+    for flag in ("H", "eps", "alpha", "y"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{flag} must be finite, got {value}")
     factor = _units_factor(args.units, q)
     if args.regime:
         if args.regime in ("integer-alpha", "corollary") and args.alpha is None:
@@ -68,8 +74,7 @@ def _cmd_bound(args) -> int:
         value = bd.m_threshold(
             args.regime, q, args.H, args.eps, alpha=args.alpha, k=args.k
         )
-        print(f"m_threshold[{args.regime}] = {value * factor:.12g}")
-        return 0
+        return f"m_threshold[{args.regime}]", value * factor
 
     name = args.name
     calculator, flags = BOUNDS[name]
@@ -77,9 +82,17 @@ def _cmd_bound(args) -> int:
     if missing:
         raise ConfigError(f"--name {name} requires {' '.join(missing)}")
     value = calculator(*(getattr(args, f) for f in flags))
-    if "H" not in flags:
-        factor = 1.0
-    print(f"{name} = {value * factor:.12g}")
+    return name, value * (factor if "H" in flags else 1.0)
+
+
+def _cmd_bound(args) -> int:
+    try:
+        label, value = _bound(args)
+    except OverflowError as e:  # an integer argument too large for a float
+        raise ConfigError(f"bound arguments leave floating point: {e}") from e
+    if math.isnan(value):  # a result beyond floating point is inf, not NaN
+        raise ConfigError(f"{label} is not a number at these arguments")
+    print(f"{label} = {value:.12g}")
     return 0
 
 
@@ -167,9 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True)
         p.add_argument("--out")
-        p.add_argument(
-            "--budget", type=int, help=f"evaluation budget (env {BUDGET_ENV_VAR})"
-        )
+        p.add_argument("--budget", type=int, help="evaluation budget")
         if name == "bucket":  # only sampled buckets draw random seeds
             p.add_argument("--rng-seed", type=int, dest="rng_seed")
         p.set_defaults(func=func)

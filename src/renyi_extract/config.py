@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -18,8 +17,6 @@ from .extraction import Source
 from .families import DEFAULT_BUDGET, KINDS, HashFamily
 from .fields import MAX_DEGREE, FieldParams
 from .measures import Alpha, Pmf
-
-BUDGET_ENV_VAR = "RENYI_EXTRACT_BUDGET"
 
 SOURCE_PRESETS = ("uniform", "point-mass", "two-spike", "geometric")
 
@@ -162,16 +159,6 @@ def parse_alpha(value) -> Alpha:
         raise ConfigError(f"bad alpha value {value!r}: {e}") from e
 
 
-def default_budget() -> int:
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError as e:
-        raise ConfigError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from e
-
-
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -268,7 +255,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         m_values = _list(s.get("m_values"), "sweep m_values")
         sweep = SweepSpec(tuple(_integer(v, "sweep m value", 1) for v in m_values))
 
-    budget = _integer(raw["budget"], "budget") if "budget" in raw else default_budget()
+    budget = _integer(raw.get("budget", DEFAULT_BUDGET), "budget")
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a path string, got {out!r}")

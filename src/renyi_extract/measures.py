@@ -6,20 +6,13 @@ comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 
 D_alpha has one formula, ``_divergence``: every power sum, log-ratio and max
 is formed there, on Python floats, for one or many columns at a time.  H_alpha
-is minus D_alpha against the counting measure.  An output joint's columns are
-grouped by content once, when it is built (``_group_columns``): one
-``np.lexsort`` over the int64 bit patterns of the sorted columns ranks them,
-and one lexsort of (rank, reference) and a compare of neighbours groups them.
-A ``JointPmf`` ranks all its columns, an extracted joint only its coset
-representatives'.  The sum-to-1 check adds each group's cells times the
-group's size, and the divergence table (``empirical_divergences``) reads the
-same groups: the conditional divergences each distinct sorted column,
-normalised once and walked order by order, and the joint divergence, KL and
-TV each distinct (cell, reference) pair.  Each term is formed once per
-distinct value and carries the number of cells it stands for;
-``_counted_fsum`` adds count x term exactly, so the correctly rounded results
-are the bits of a walk over every cell.  No per-cell or flattened pmfs and no
-Python list of every cell are built.
+is minus D_alpha against the counting measure.  ``extract_joint`` groups an
+output joint's columns by content once (``_group_columns``); the sum-to-1
+check and the divergence table (``empirical_divergences``) read the groups.
+Each term is formed once per distinct value and carries the number of cells
+it stands for; ``_counted_fsum`` adds count x term exactly, so the correctly
+rounded results are the bits of a walk over every cell, and no Python list
+of every cell is built.
 """
 
 from __future__ import annotations
@@ -79,21 +72,21 @@ def as_alpha(a) -> Alpha:
     return a if isinstance(a, Alpha) else Alpha(float(a))
 
 
-def _freeze_probs(pmf, ndims: tuple[int, ...], shape_error: str) -> np.ndarray:
-    """Store a read-only float copy of pmf.probs, check its shape and signs
-    and return it.  The copy leaves the caller's array writeable."""
+def _freeze_probs(pmf, ndim: int, shape_error: str):
+    """Store a read-only float copy of pmf.probs and check its shape, signs
+    and sum over every cell.  The copy leaves the caller's array writeable."""
     arr = np.array(pmf.probs, dtype=float)
     arr.setflags(write=False)
     object.__setattr__(pmf, "probs", arr)
     if pmf.base_q < 2:
         raise ValueError("base_q must be >= 2")
-    if arr.ndim not in ndims:
+    if arr.ndim != ndim:
         raise ValueError(shape_error)
     if arr.size == 0:
         raise ValueError("empty probability array")
     if np.any(arr < 0):
         raise ValueError("negative probability entry")
-    return arr
+    _check_sum(arr.ravel().tolist())
 
 
 def _check_sum(terms, counts=None, what: str = "probabilities") -> float:
@@ -118,8 +111,7 @@ class Pmf:
     base_q: int = 2
 
     def __post_init__(self):
-        arr = _freeze_probs(self, (1,), "Pmf requires a 1-d probability vector")
-        _check_sum(arr.tolist())
+        _freeze_probs(self, 1, "Pmf requires a 1-d probability vector")
 
     @property
     def support_size(self) -> int:
@@ -132,24 +124,13 @@ class Pmf:
 
 @dataclass(frozen=True, eq=False)
 class JointPmf:
-    """Dense pmf over 2 or 3 finite axes.
-
-    Axis roles by position: 0 = hash output u, 1 = seed s, 2 = side info z
-    (when present).  For the entropy helpers the generic reading is
-    (x, z) with the conditioning variable last.  Construction groups the
-    columns (``_group_columns``); the divergence table reads the groups.
-    """
+    """Dense pmf of (x, z), the conditioning variable z on axis 1."""
 
     probs: np.ndarray
     base_q: int = 2
 
     def __post_init__(self):
-        arr = _freeze_probs(self, (2, 3), "JointPmf requires 2 or 3 axes")
-        object.__setattr__(self, "_groups", _group_columns(arr))
-
-    def marginal(self, axis: int) -> Pmf:
-        other = tuple(i for i in range(self.probs.ndim) if i != axis)
-        return Pmf(self.probs.sum(axis=other), self.base_q)
+        _freeze_probs(self, 2, "JointPmf requires 2 axes (x, z)")
 
 
 def _counted_fsum(terms, counts=None) -> float:
@@ -277,18 +258,15 @@ def _columns(arr: np.ndarray, counts=None):
 
 
 def _conditional_power_sums(joint: JointPmf, a: Alpha, what: str):
-    """(P_Z(z), sum_x P(x|z)^alpha) for every z with P_Z(z) > 0, for a 2-axis
-    joint (x, z)."""
+    """(P_Z(z), sum_x P(x|z)^alpha) for every z with P_Z(z) > 0."""
     if not a.is_finite_order:
         raise ValueError(f"{what} is defined for finite alpha in (1, inf) only")
-    if joint.probs.ndim != 2:
-        raise ValueError(f"{what} requires a 2-axis joint")
     pzs, conds, _ = zip(*_columns(joint.probs))
     return list(zip(pzs, _divergence(conds, 1.0, a, None)))
 
 
 def conditional_renyi_entropy(joint: JointPmf, a) -> float:
-    """H_alpha(X|Z) for a 2-axis joint (x, z):
+    """H_alpha(X|Z):
     (1/(1-alpha)) log_q sum_z P_Z(z) sum_x P(x|z)^alpha.
     """
     a = as_alpha(a)
@@ -307,22 +285,19 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     return total / ((1.0 - a.value) * math.log(joint.base_q))
 
 
-def _group_columns(arr: np.ndarray, totals=None, weight: int = 1):
-    """A joint's columns grouped by content, as (columns, refs, counts),
-    checked to sum to 1.
+def _group_columns(arr: np.ndarray, totals: np.ndarray, weight: int = 1):
+    """An output joint's columns grouped by content, as (columns, refs,
+    counts), checked to sum to 1.
 
-    A column is a seed s or an (s, z) cell of an output joint (a z of an
-    (x, z) joint); its reference is its total over the U outputs, over U.
-    Columns whose sorted outputs and reference are the same bit for bit form
-    a group, kept as its sorted column, reference and member count.  The
-    joint's columns are V variants of each column c of arr: variant v holds
-    c's entries in some order, totals totals[v, c] and stands for ``weight``
-    columns; without totals, arr is its own one variant.  One ``np.lexsort``
-    of the int64 bits of arr's sorted columns ranks them, and one of (rank,
-    reference) over the variants makes equal columns neighbours, in the order
-    of a lexsort on the sorted column, then the reference; groups that differ
-    only in their reference are neighbours too.  The sum check adds each
-    group's cells once per member: the joint's cells.
+    A column is a seed s or an (s, z) cell; its reference is its total over
+    the U outputs, over U.  The joint's columns are V variants of each column
+    c of arr: variant v holds c's entries in some order, totals totals[v, c]
+    and stands for ``weight`` columns.  Columns whose sorted outputs and
+    reference are the same bit for bit form a group: its sorted column,
+    reference and member count.  One ``np.lexsort`` of the int64 bits of
+    arr's sorted columns ranks them, and one of (rank, reference) over the
+    variants orders the groups as a lexsort on the sorted column, then the
+    reference, would.  The sum check adds each group's cells once per member.
     """
     n_out = arr.shape[0]
     bits = np.sort(arr.reshape(n_out, -1).T, axis=1).view(np.int64)
@@ -332,8 +307,7 @@ def _group_columns(arr: np.ndarray, totals=None, weight: int = 1):
     rank = np.empty_like(order)
     rank[order] = np.cumsum(new) - 1
     distinct = bits[new]
-    with np.errstate(over="ignore"):  # an overflowing total fails the sum check
-        refs = ((arr.sum(axis=0) if totals is None else totals) / n_out).ravel()
+    refs = (totals / n_out).ravel()
     rank = np.tile(rank, len(refs) // len(rank))
     order = np.lexsort((refs.view(np.int64), rank))
     rank, refs = rank[order], refs[order]
@@ -374,7 +348,7 @@ def _distinct_pairs(groups):
 def _seed_averaged_divergences(groups, alphas: list[Alpha], lnq: float) -> list[float]:
     """Seed-averaged divergences from uniform outputs, every order from one read
     of a joint's column ``groups`` (``_group_columns``):
-    sum_s P_S(s) D_alpha(P(.|s) || uniform); over (s, z) cells for 3 axes.
+    sum_s P_S(s) D_alpha(P(.|s) || uniform); over (s, z) cells with side info.
     Groups that differ only in their reference are neighbours, so one compare
     of neighbours gives the distinct sorted columns.  Each is normalised once,
     and each order reads them all in one ``_divergence`` call; its terms count
@@ -392,14 +366,15 @@ def _seed_averaged_divergences(groups, alphas: list[Alpha], lnq: float) -> list[
 
 
 def conditional_divergence(joint, a) -> float:
-    """The seed-averaged divergence of one order."""
+    """The seed-averaged divergence of one order of an ``ExtractedJoint``."""
     return _seed_averaged_divergences(
         joint._groups, [as_alpha(a)], math.log(joint.base_q)
     )[0]
 
 
 def joint_divergence_from_uniform(joint, a) -> float:
-    """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)."""
+    """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)
+    for an ``ExtractedJoint``."""
     cells, refs, counts = _distinct_pairs(joint._groups)
     return _divergence([cells], refs, as_alpha(a), math.log(joint.base_q), counts)[0]
 
@@ -419,8 +394,8 @@ class DivergenceTable(NamedTuple):
 
 def empirical_divergences(joint, alphas) -> DivergenceTable:
     """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf
-    of an output joint (a ``JointPmf`` or an extracted joint), all from the
-    grouping of its columns that it was built with."""
+    of an ``ExtractedJoint``, all from the grouping of its columns that
+    ``extract_joint`` built it with."""
     alphas = [as_alpha(a) for a in alphas]
     lnq = math.log(joint.base_q)
     *conditional, conditional_inf = _seed_averaged_divergences(

@@ -1,7 +1,11 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from renyi_extract import HashFamily, Pmf, Source
+from renyi_extract import HashFamily, Pmf, Source, measures
+from renyi_extract.bounds import logq_sum_exp, stirling2
 from renyi_extract.families import hash_table
 from renyi_extract.fields import FieldParams
 
@@ -50,10 +54,34 @@ def dense_joint(family, source):
     return acc
 
 
+def output_joint(arr, base_q=2):
+    """A dense output joint P(u, s[, z]) built by hand, as the divergence
+    readers take it: a read-only copy of arr, its base and its column groups.
+    Each column is its own one variant, totalled by arr.sum(axis=0), which
+    groups as tabulating every seed would, bit for bit."""
+    arr = np.array(arr, dtype=float)
+    arr.setflags(write=False)
+    with np.errstate(over="ignore"):  # an overflowing total fails the sum check
+        totals = arr.sum(axis=0)[None]
+    groups = measures._group_columns(arr, totals)
+    return SimpleNamespace(probs=arr, base_q=base_q, _groups=groups)
+
+
+def integer_order_bound(q, m, alpha, entropy):
+    """The paper's moment-sum bound at integer alpha >= 2:
+    (1/(alpha-1)) log_q sum_{l=1}^{alpha} S(alpha, l) q^{(alpha-l)(m-H)},
+    the oracle for ``bound_real_alpha`` at integer orders."""
+    gap = m - entropy
+    terms = [
+        math.log(stirling2(alpha, l), q) + (alpha - l) * gap for l in range(1, alpha + 1)
+    ]
+    return logq_sum_exp(terms, q) / (alpha - 1)
+
+
 def lexsorted_groups(arr):
     """A joint's column groups by one lexsort of every column's sorted
     entries with its reference arr.sum(axis=0) / U appended, as int64 bit
-    patterns: the order and bits ``JointPmf`` must reproduce."""
+    patterns: the order and bits ``_group_columns`` must reproduce."""
     n_out = arr.shape[0]
     rows = np.empty((arr[0].size, n_out + 1))
     rows[:, :n_out] = np.sort(arr.reshape(n_out, -1).T, axis=1)

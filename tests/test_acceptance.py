@@ -27,7 +27,7 @@ from renyi_extract.measures import (
     tilde_conditional_entropy,
 )
 
-from conftest import make_source
+from conftest import integer_order_bound, make_source
 
 SLACK = 1e-9
 IDENTITY_TOL = 1e-12
@@ -166,7 +166,7 @@ def test_05_poisson_moment_identity_and_simple_majorant():
         ok = ok and abs(stirling_sum - series) <= POISSON_REL_TOL * series
         m = 2
         h = m + math.log2(lam)
-        ok = ok and bd.bound_integer_alpha(2, m, k, h) <= bd.dk_bound_simple(
+        ok = ok and bd.bound_real_alpha(2, m, k, float(k), h) <= bd.dk_bound_simple(
             2, m, k, h
         ) + SLACK
     report(5, "Stirling sum equals Poisson moment; simple bound majorizes", ok)
@@ -195,7 +195,7 @@ def test_06_stirling_numbers_and_integer_order_consistency():
         for m, h in ((1, 2.5), (2, 3.0), (3, 5.0)):
             ok = ok and abs(
                 bd.bound_real_alpha(2, m, alpha, float(alpha), h)
-                - bd.bound_integer_alpha(2, m, alpha, h)
+                - integer_order_bound(2, m, alpha, h)
             ) <= IDENTITY_TOL
     report(6, "Stirling enumeration and integer-order bound agreement", ok)
 

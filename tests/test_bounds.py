@@ -3,11 +3,12 @@ import math
 
 import pytest
 
+from conftest import integer_order_bound
+
 from renyi_extract.bounds import (
     SLACK,
     bound_alpha_above_k,
     bound_infty,
-    bound_integer_alpha,
     bound_real_alpha,
     bound_real_alpha_simplified,
     bucket_bound,
@@ -93,14 +94,16 @@ class TestLogSumExp:
 
 
 class TestIntegerAlphaBound:
+    """The real-order bound at integer orders: the paper's moment sum."""
+
     def test_alpha_2_closed_form(self):
         q, m, H = 2, 3, 4.0
         expected = math.log2(2 ** (m - H) + 1)
-        assert bound_integer_alpha(q, m, 2, H) == pytest.approx(expected, abs=1e-12)
+        assert bound_real_alpha(q, m, 2, 2.0, H) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_gap_bell_number(self):
         # m = H collapses every term to its Stirling coefficient.
-        val = bound_integer_alpha(2, 4, 3, 4.0)
+        val = bound_real_alpha(2, 4, 3, 3.0, 4.0)
         assert val == pytest.approx(math.log2(5) / 2, abs=1e-12)
         assert sum(stirling2(3, l) for l in range(4)) == 5  # Bell number B_3
 
@@ -114,17 +117,27 @@ class TestIntegerAlphaBound:
         # The exponentiated bound is E[(Z/lam)^k] with lam = q^{H-m}.
         q, m, k, H = 2, 2, 4, 3.0
         lam = q ** (H - m)
-        rhs = q ** ((k - 1) * bound_integer_alpha(q, m, k, H))
+        rhs = q ** ((k - 1) * bound_real_alpha(q, m, k, float(k), H))
         assert rhs == pytest.approx(poisson_moment(k, lam) / lam**k, rel=1e-9)
 
 
 class TestRealAlphaBound:
-    @pytest.mark.parametrize("j", [2, 3, 4, 5])
-    def test_integer_orders_agree(self, j):
-        for m, H in [(2, 3.0), (4, 2.5), (3, 3.0)]:
-            assert bound_real_alpha(2, m, j, float(j), H) == pytest.approx(
-                bound_integer_alpha(2, m, j, H), abs=1e-12
-            )
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_integer_orders_agree(self, k):
+        # Every integer order 2 <= alpha <= k, q in {2, 3, 5} and integer
+        # m - H from -50 to 300, against the moment-sum oracle.
+        for q, alpha, gap in itertools.product((2, 3, 5), range(2, k + 1), range(-50, 301)):
+            m, H = 4, 4.0 - gap
+            assert bound_real_alpha(q, m, k, float(alpha), H) == pytest.approx(
+                integer_order_bound(q, m, alpha, H), abs=1e-12
+            ), (q, alpha, gap)
+
+    def test_integer_orders_agree_at_fractional_gaps(self):
+        for j in (2, 3, 4, 5):
+            for m, H in [(2, 3.0), (4, 2.5), (3, 3.0)]:
+                assert bound_real_alpha(2, m, j, float(j), H) == pytest.approx(
+                    integer_order_bound(2, m, j, H), abs=1e-12
+                )
 
     def test_interval_1_2_closed_form(self):
         q, m, H, alpha = 2, 2, 3.5, 1.7
@@ -164,7 +177,7 @@ class TestSimplifiedBound:
     def test_integer_alpha_low_output_agrees(self):
         # m <= H keeps the exponents identical to the integer form.
         assert bound_real_alpha_simplified(2, 2, 3, 3.0, 4.0) == pytest.approx(
-            bound_integer_alpha(2, 2, 3, 4.0), abs=1e-12
+            integer_order_bound(2, 2, 3, 4.0), abs=1e-12
         )
 
     def test_zero_gap_bell(self):
@@ -184,8 +197,8 @@ class TestSimpleMomentBound:
             for gap in (0.0, -1.0, -2.5):  # m <= H
                 H = 4.0
                 m = H + gap
-                assert dk_bound_simple(2, m, k, H) >= bound_integer_alpha(
-                    2, m, k, H
+                assert dk_bound_simple(2, m, k, H) >= bound_real_alpha(
+                    2, m, k, float(k), H
                 ) - 1e-12
 
     def test_linear_in_gap_exponential(self):

@@ -97,8 +97,6 @@ class TestBoundCommand:
         [
             ("joint-real", ["--m", "1", "--k", "3", "--alpha", "2.5", "--H", "2"],
              bd.bound_real_alpha(3, 1, 3, 2.5, 2.0)),
-            ("joint-integer", ["--m", "1", "--alpha", "3", "--H", "2"],
-             bd.bound_integer_alpha(3, 1, 3, 2.0)),
             ("simplified", ["--m", "1", "--k", "3", "--alpha", "2.5", "--H", "2"],
              bd.bound_real_alpha_simplified(3, 1, 3, 2.5, 2.0)),
             ("dk-simple", ["--m", "1", "--k", "3", "--H", "2"],
@@ -120,11 +118,50 @@ class TestBoundCommand:
         assert main(["bound", "--name", name, "--q", "3", "--units", "bits"] + flags) == 0
         assert stdout_value(capsys) == pytest.approx(expected * factor, rel=1e-10)
 
-    def test_joint_integer_refuses_fractional_alpha(self, capsys):
-        args = ["bound", "--name", "joint-integer", "--m", "1", "--alpha", "2.5", "--H", "2"]
-        assert main(args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "integer alpha" in captured.err
+    @pytest.mark.parametrize(
+        "args,printed",
+        [
+            # q below 2 and non-finite inputs are refused.
+            ("--name joint-real --q 1 --m 1 --k 2 --alpha 2 --H 1", None),
+            ("--name joint-real --q 0 --m 1 --k 2 --alpha 2 --H 1", None),
+            ("--name joint-real --m 1 --k 2 --alpha 2 --H nan", None),
+            ("--name joint-real --m 1 --k 2 --alpha inf --H 1", None),
+            ("--name gamma --y nan", None),
+            ("--regime corollary --alpha 1.5 --H 3 --eps nan", None),
+            ("--name alpha-above-k --m 1 --k 0 --alpha 2 --H 1", None),
+            # An integer too large for a float, and a result that is NaN.
+            pytest.param(
+                "--name joint-real --m 1" + "0" * 400 + " --k 2 --alpha 2 --H 1",
+                None,
+                id="m-beyond-float",
+            ),
+            ("--regime integer-alpha --alpha 1e200 --H 3 --eps 1e308", None),
+            # Results beyond floating point print inf (or 0 below it).
+            ("--name bucket --m 5000 --k 2 --A 4", "inf"),
+            ("--name dk-simple --m 2000 --k 2 --H 0", "inf"),
+            ("--name dk-simple --m 0 --k 2 --H 2000", "0"),
+            ("--name joint-real --m 1 --k 3 --alpha 3 --H=-1e308", "inf"),
+            # Thresholds at the float edges of epsilon are their limits.
+            ("--regime corollary --q 2 --alpha 1.5 --H 3 --eps 5e-324", "-inf"),
+            ("--regime integer-alpha --alpha 2 --H 3 --eps 1e308", "inf"),
+            ("--regime min-entropy --k 2 --H 3 --eps 5e-324", "-inf"),
+            ("--regime sharp-gamma --k 2 --H 3 --eps 5e-324", "-inf"),
+            ("--regime sharp-gamma --k 2 --H 3 --eps 1e308", "inf"),
+            # Only an intermediate leaves floating point: the value is exact.
+            ("--name infty --m 3000 --k 2 --H 0", "4489.97753877"),
+            ("--name infty --m 0 --k 2 --H 3000", "0"),
+            ("--name bucket --m 3000 --k 4 --A 4", "1.13922635531e+223"),
+        ],
+    )
+    def test_float_edges_never_end_in_a_traceback(self, capsys, args, printed):
+        status = main(["bound"] + args.split())
+        out, err = capsys.readouterr()
+        if printed is None:
+            assert status == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert status == 0 and err == ""
+            assert out.split(" = ")[1] == printed + "\n"
 
     def test_missing_flag_exits_2(self, capsys):
         assert main(["bound", "--name", "bucket", "--q", "2", "--m", "4"]) == 2
@@ -330,14 +367,28 @@ class TestVerifyCommand:
             main([command, "--config", cfg, "--units", "bits"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "eps,met,infinite",
+        [
+            # eps (alpha - 1) ln q underflows to 0: no m meets a threshold.
+            (5e-324, 0, 0),
+            # 2 eps (alpha - 1) ln q overflows: the integer-alpha and
+            # min-entropy thresholds are +inf; the corollary's stay finite.
+            (1e308, 4, 2),
+        ],
+    )
+    def test_epsilon_at_the_float_edges(self, tmp_path, capsys, eps, met, infinite):
+        cfg = write_config(tmp_path, alphas=[1.5, 2], epsilons=[eps])
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        notes = [row["note"] for row in json.loads(out.read_text())["bounds"]]
+        thresholds = [n for n in notes if n.startswith("m_threshold=")]
+        assert len(thresholds) == met
+        assert thresholds.count("m_threshold=inf") == infinite
+
     def test_budget_flag_exits_2_when_exceeded(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["verify", "--config", cfg, "--budget", "5"]) == 2
-
-    def test_env_budget_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RENYI_EXTRACT_BUDGET", "5")
-        cfg = write_config(tmp_path)
-        assert main(["verify", "--config", cfg]) == 2
 
     def test_wall_clock_on_stderr_not_in_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -804,7 +855,7 @@ class TestEntropiesOncePerOrder:
         init = measures.JointPmf.__post_init__
 
         def counted(joint):
-            calls["xz"] += joint.probs.ndim == 2  # output joints are not JointPmfs
+            calls["xz"] += 1
             init(joint)
 
         monkeypatch.setattr(measures.JointPmf, "__post_init__", counted)

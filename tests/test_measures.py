@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, lexsorted_groups, make_source, poly_family
+from conftest import bits, lexsorted_groups, make_source, output_joint, poly_family
 
 from renyi_extract import measures
 from renyi_extract.bounds import SLACK
@@ -93,10 +93,14 @@ class TestPmfValidation:
         arr.flat[0] = 0.5
         assert pmf.probs.flat[0] == 0.1
 
-    def test_joint_marginals(self):
-        j = JointPmf(np.array([[0.4, 0.1], [0.1, 0.4]]), 2)
-        assert np.allclose(j.marginal(0).probs, [0.5, 0.5])
-        assert np.allclose(j.marginal(1).probs, [0.5, 0.5])
+    def test_joint_is_the_xz_pmf_only(self, gf4, monkeypatch):
+        # An (X, Z) joint is checked, not grouped: only extraction groups.
+        with pytest.raises(ValueError, match="2 axes"):
+            JointPmf(np.full((2, 2, 2), 1 / 8), 2)
+        monkeypatch.setattr(measures, "_group_columns", None)  # any call fails
+        source = make_source(gf4, [0.1, 0.2, 0.3, 0.4], [[0.5, 0.5]] * 4)
+        assert source.xz_joint().probs.shape == (4, 2)
+        assert not hasattr(source.xz_joint(), "_groups")
 
 
 class TestRenyiEntropy:
@@ -229,13 +233,13 @@ class TestConditionalEntropies:
 
 class TestConditionalDivergence:
     def test_uniform_conditionals_give_zero(self):
-        j = JointPmf(np.full((4, 3), 1 / 12), 2)
+        j = output_joint(np.full((4, 3), 1 / 12), 2)
         for a in ALPHA_GRID:
             assert conditional_divergence(j, a) == pytest.approx(0.0, abs=1e-12)
 
     def test_seed_independent_joint(self):
         pu = np.array([0.5, 0.25, 0.125, 0.125])
-        j = JointPmf(np.outer(pu, [0.5, 0.5]), 2)
+        j = output_joint(np.outer(pu, [0.5, 0.5]), 2)
         uniform = Pmf.uniform(4, 2)
         for a in ALPHA_GRID:
             expected = renyi_divergence(Pmf(pu, 2), uniform, a)
@@ -245,17 +249,17 @@ class TestConditionalDivergence:
         rng = np.random.default_rng(7)
         arr = rng.random((4, 6))
         arr /= arr.sum()
-        j = JointPmf(arr, 2)
+        j, xz = output_joint(arr, 2), JointPmf(arr, 2)
         for a in (Alpha(1.5), Alpha(2.0), Alpha(2.5)):
             assert conditional_divergence(j, a) == pytest.approx(
-                2.0 - tilde_conditional_entropy(j, a), abs=1e-12
+                2.0 - tilde_conditional_entropy(xz, a), abs=1e-12
             )
 
 
 class TestJointDivergenceFromUniform:
     def test_product_of_uniform_and_marginal_gives_zero(self):
         ps = np.array([0.2, 0.3, 0.5])
-        j = JointPmf(np.outer([0.25] * 4, ps), 2)
+        j = output_joint(np.outer([0.25] * 4, ps), 2)
         for a in ALPHA_GRID:
             assert joint_divergence_from_uniform(j, a) == pytest.approx(0.0, abs=1e-12)
 
@@ -264,7 +268,7 @@ class TestJointDivergenceFromUniform:
         for _ in range(10):
             arr = rng.random((4, 5))
             arr /= arr.sum()
-            j = JointPmf(arr, 2)
+            j = output_joint(arr, 2)
             for a in ALPHA_GRID:
                 assert conditional_divergence(j, a) <= joint_divergence_from_uniform(
                     j, a
@@ -272,7 +276,7 @@ class TestJointDivergenceFromUniform:
 
     def test_against_flat_direct_summation_oracle(self):
         arr = np.array([[0.15, 0.05], [0.35, 0.45]])
-        j = JointPmf(arr, 2)
+        j = output_joint(arr, 2)
         a = 2.0
         marginal = arr.sum(axis=0)
         total = 0.0
@@ -338,7 +342,7 @@ class TestOrderTooLargeForFloats:
         assert renyi_divergence(p, r, self.A) == math.inf
 
     def test_conditional_divergence(self):
-        j = JointPmf(np.array([[0.4, 0.1], [0.1, 0.4]]), 2)
+        j = output_joint(np.array([[0.4, 0.1], [0.1, 0.4]]), 2)
         with pytest.raises(ValueError, match="too large"):
             conditional_divergence(j, self.A)
 
@@ -463,7 +467,7 @@ def _random_joints():
             flat[:, dead] = 0.0
             flat[0, np.setdiff1d(np.arange(flat.shape[1]), dead)[0]] += 1.0
             base_q = 3 if shape[0] % 3 == 0 else 2
-            joints.append(JointPmf(arr / arr.sum(), base_q))
+            joints.append(output_joint(arr / arr.sum(), base_q))
     return joints
 
 
@@ -614,7 +618,7 @@ def repeated_joints(draw):
     if flat.sum() == 0:
         flat[0, 0] = 1.0
     shape = (n_out, n_s) if n_z is None else (n_out, n_s, n_z)
-    return JointPmf((flat / flat.sum()).reshape(shape), draw(st.sampled_from([2, 3])))
+    return output_joint((flat / flat.sum()).reshape(shape), draw(st.sampled_from([2, 3])))
 
 
 @given(repeated_joints())
@@ -637,8 +641,8 @@ def _fsum_verdict(arr):
     return _signed(total)
 
 
-def _constructor_verdict(arr, base_q):
-    """The total that building a JointPmf from arr checks, or its message."""
+def _constructor_verdict(arr, base_q, build=output_joint):
+    """The total that building a joint from arr checks, or its message."""
     totals = []
     check = measures._check_sum
 
@@ -648,7 +652,7 @@ def _constructor_verdict(arr, base_q):
 
     with mock.patch.object(measures, "_check_sum", recording):
         try:
-            JointPmf(arr, base_q)
+            build(arr, base_q)
         except ValueError as e:
             return str(e)
     [total] = totals
@@ -681,14 +685,17 @@ SCALES = [1 - 2e-9, 1 - 5e-10, 1 + 5e-10, 1 + 2e-9]
 
 
 class TestGroupedConstruction:
-    """A JointPmf groups its columns once, when it is built, by a lexsort of
-    their bit patterns; its sum check reads the groups."""
+    """An output joint's columns are grouped once, when it is built, by a
+    lexsort of their bit patterns (``_group_columns``); its sum check reads
+    the groups.  Joints built by hand group through ``output_joint``."""
 
     @given(repeated_joints(), st.sampled_from(SCALES + [1.0]))
     @settings(max_examples=150, deadline=None)
     def test_sum_check_matches_fsum_over_every_cell(self, joint, scale):
         arr = joint.probs * scale
         assert _constructor_verdict(arr, joint.base_q) == _fsum_verdict(arr)
+        if arr.ndim == 2:  # an (X, Z) joint checks every cell as one sum
+            assert _constructor_verdict(arr, joint.base_q, JointPmf) == _fsum_verdict(arr)
 
     @pytest.mark.parametrize("scale", SCALES + [1.0])
     def test_sum_check_on_extracted_joints(self, scale):
@@ -710,9 +717,10 @@ class TestGroupedConstruction:
         arr = np.array(arr)
         verdict = _fsum_verdict(arr)
         assert verdict.endswith(", not 1")
-        with pytest.raises(ValueError) as refused:
-            JointPmf(arr, 2)
-        assert str(refused.value) == verdict
+        for build in (output_joint, JointPmf):
+            with pytest.raises(ValueError) as refused:
+                build(arr, 2)
+            assert str(refused.value) == verdict
 
     @given(repeated_joints())
     @settings(max_examples=150, deadline=None)
@@ -738,7 +746,7 @@ class TestGroupedConstruction:
         # The columns differ only in the sign of a zero; their references are
         # equal.  As raw bytes they differ, so they stay two groups.
         arr = np.array([[0.25, 0.25], [0.0, -0.0], [0.25, 0.25]])
-        joint = JointPmf(arr, 2)
+        joint = output_joint(arr, 2)
         assert _group_count(joint) == 2
         assert _stored_groups(joint) == _group_counter(joint)
         assert sorted(joint._groups[2].tolist()) == [1, 1]
@@ -844,8 +852,9 @@ class TestConditionalBitwiseOracle:
             scale = (1.0 - a.value) * math.log(j.base_q)
             cond = math.log(math.fsum(pz * s for pz, s in terms)) / scale
             tilde = math.fsum(pz * math.log(s) for pz, s in terms) / scale
-            assert conditional_renyi_entropy(j, a) == cond
-            assert tilde_conditional_entropy(j, a) == tilde
+            xz = JointPmf(j.probs, j.base_q)
+            assert conditional_renyi_entropy(xz, a) == cond
+            assert tilde_conditional_entropy(xz, a) == tilde
 
     def test_all_orders_from_one_read(self):
         for j in self.JOINTS:
@@ -948,7 +957,7 @@ class TestConditionalBitwiseOracle:
         arr = result.joint.probs.copy()
         arr[:, 1] = arr[:, 1].sum() / 2
         assert sorted(arr[:, 1]) != sorted(arr[:, 0])
-        tampered = JointPmf(arr, 2)
+        tampered = output_joint(arr, 2)
         table = empirical_divergences(tampered, ALPHA_GRID)
         assert_matches_ungrouped(table, tampered, ALPHA_GRID)
 
