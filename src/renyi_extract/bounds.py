@@ -119,7 +119,7 @@ def gamma_fn(y: float) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= GAMMA_REL_TOL * max(1.0, abs(hi)):
+        if hi - lo <= GAMMA_REL_TOL * hi:  # relative to the root in [lo, hi]
             break
     return 0.5 * (lo + hi)
 

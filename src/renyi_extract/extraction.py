@@ -111,7 +111,7 @@ def _nonnegative(h: float) -> float:
 @dataclass(frozen=True, eq=False)
 class ExtractedJoint:
     """An output joint P(u, s[, z]) as its column groups, from
-    ``measures._group_columns``, its coset representatives' columns and its
+    ``_group_columns``, its coset representatives' columns and its
     coset layout (``_translates``); ``probs``, the dense U x seeds [x Z]
     array, is built on first read."""
 
@@ -153,6 +153,42 @@ class ExtractionResult(NamedTuple):
         if self.has_side_channel:
             return self.source.conditional_entropy(a)
         return self.source.entropy(a)
+
+
+def _group_columns(arr: np.ndarray, totals: np.ndarray, weight: int = 1):
+    """An output joint's columns grouped by content, as (columns, refs,
+    counts), checked to sum to 1.
+
+    A column is a seed s or an (s, z) cell; its reference is its total over
+    the U outputs, over U.  The joint's columns are V variants of each column
+    c of arr: variant v holds c's entries in some order, totals totals[v, c]
+    and stands for ``weight`` columns.  Columns whose sorted outputs and
+    reference are the same bit for bit form a group: its sorted column,
+    reference and member count.  One ``np.lexsort`` of the int64 bits of
+    arr's sorted columns ranks them, and one of (rank, reference) over the
+    variants orders the groups as a lexsort on the sorted column, then the
+    reference, would.  The sum check adds each group's cells once per member.
+    """
+    n_out = arr.shape[0]
+    bits = np.sort(arr.reshape(n_out, -1).T, axis=1).view(np.int64)
+    order = np.lexsort(bits.T[::-1])
+    bits = bits[order]
+    new = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(new) - 1
+    distinct = bits[new]
+    refs = (totals / n_out).ravel()
+    rank = np.tile(rank, len(refs) // len(rank))
+    order = np.lexsort((refs.view(np.int64), rank))
+    rank, refs = rank[order], refs[order]
+    ref_bits = refs.view(np.int64)
+    new = (rank[1:] != rank[:-1]) | (ref_bits[1:] != ref_bits[:-1])
+    starts = np.flatnonzero(np.r_[True, new])
+    counts = np.diff(np.r_[starts, len(order)]) * weight
+    cols, refs = distinct[rank[starts]].view(float).T, refs[starts]
+    del bits, distinct, new, order, rank, ref_bits  # freed before the check allocates
+    measures._check_sum(cols.T.ravel(), np.repeat(counts, cols.shape[0]))
+    return cols, refs, counts
 
 
 def extract_joint(
@@ -201,7 +237,7 @@ def extract_joint(
     totals = rep_joint[back[:, 0]]
     for u in range(1, n_out):
         totals += rep_joint[back[:, u]]
-    groups = measures._group_columns(rep_joint, totals, len(translates) // len(back))
+    groups = _group_columns(rep_joint, totals, len(translates) // len(back))
     joint = ExtractedJoint(q, groups, rep_joint, layout)
     return ExtractionResult(joint, family, source)
 

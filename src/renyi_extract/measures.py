@@ -4,15 +4,20 @@ All logarithms are base q (the pmf's ``base_q``).  Sums of probability terms
 use ``math.fsum`` so results are stable to well below the documented 1e-9
 comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 
-D_alpha has one formula, ``_divergence``: every power sum, log-ratio and max
-is formed there, on Python floats, for one or many columns at a time.  H_alpha
-is minus D_alpha against the counting measure.  ``extract_joint`` groups an
-output joint's columns by content once (``_group_columns``); the sum-to-1
-check and the divergence table (``empirical_divergences``) read the groups.
-Each term is formed once per distinct value and carries the number of cells
-it stands for; ``_counted_fsum`` adds count x term exactly, so the correctly
-rounded results are the bits of a walk over every cell, and no Python list
-of every cell is built.
+D_alpha has one kernel, ``_kernel``, over one layout per joint (``_layout``),
+built once and read by every order: the distinct masses and references, the
+distinct (mass, reference) pairs and each row's parts.  H_alpha is minus
+D_alpha against the counting measure.  Extraction groups an output joint's
+columns once (``extraction._group_columns``); the table reads one row per
+distinct normalised column for the seed-averaged D_alpha, and one row of the
+distinct (cell, reference) pairs, counted through the set bits of each count
+(``_counted_fsum``), for the joint D_alpha.  Each order raises each distinct
+value to its power once, gathers and multiplies in numpy, and adds each row
+with ``math.fsum``, which rounds correctly, so the results have the bits of a
+walk over every cell.  Bit rule: numpy's *, /, -, abs, max and ldexp are
+IEEE-exact, but np.power and np.log are not (numpy 2.4 on AVX-512: 10,872 of
+200,000 inputs differ in the last bit for x**1.25, 708 for log), so powers
+and logs stay scalar ``pow`` and ``math.log``.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -132,193 +138,172 @@ class JointPmf:
     def __post_init__(self):
         _freeze_probs(self, 2, "JointPmf requires 2 axes (x, z)")
 
+    @cached_property
+    def _conditional_layout(self):
+        """(P_Z(z), the ``_layout`` of P(.|z)) over the z with P_Z(z) > 0."""
+        pzs, conds, _ = _conditionals(self.probs.T)
+        return pzs, _layout(conds, 1.0)
 
-def _counted_fsum(terms, counts=None) -> float:
-    """The correctly rounded sum_i counts[i] * terms[i]; each term once without
-    counts.
 
-    Each count is split into its binary digits, and fsum gets the exact value
-    ldexp(terms[i], j) for each set bit j of counts[i]: about log2(count)
-    inputs in place of count copies.  fsum rounds the exact sum of its inputs
-    once, so the result has the bits of fsum over the copies.  A product that
-    leaves floating point enters as inf (numpy's overflow warning is silenced),
-    so the sum is inf or fsum's OverflowError.
-    """
-    if counts is None:
+def _bits(counts):
+    """(i, j) per set bit j of counts[i], bit by bit: counts[i] t = sum ldexp(t, j)."""
+    c = np.asarray(counts, dtype=np.int64)
+    i = [np.flatnonzero(c >> j & 1) for j in range(int(c.max(initial=0)).bit_length())]
+    j = np.repeat(np.arange(len(i), dtype=np.intc), list(map(len, i)))
+    return np.concatenate([*i, c[:0]]), j
+
+
+def _counted_fsum(terms, counts=None, bits=None) -> float:
+    """The correctly rounded sum_i counts[i] * terms[i] (each term once without
+    counts), by fsum over the exact ldexp(terms[i], j) for each set bit j of
+    counts[i] (``_bits``, or the bits given).  A product beyond floating point
+    enters as inf, so the sum is inf or fsum's OverflowError."""
+    if counts is None and bits is None:
         return math.fsum(terms)
-    t = np.asarray(terms, dtype=float)[:, None]
-    c = np.asarray(counts, dtype=np.int64)[:, None]
-    bits = np.arange(int(c.max(initial=0)).bit_length(), dtype=np.intc)
+    i, j = bits or _bits(counts)
     with np.errstate(over="ignore"):
-        parts = np.ldexp(t, bits)[(c >> bits) & 1 == 1]
-    return math.fsum(parts.tolist())
+        return math.fsum(np.ldexp(np.asarray(terms, dtype=float)[i], j).tolist())
 
 
-def _divergence(columns, rs, a: Alpha, lnq: float | None, counts=None) -> list[float]:
-    """D_alpha of each column of masses ps against reference masses, all Python
-    floats, over the terms with p > 0; +inf for a column where some p > 0 has
-    r = 0.  ``rs`` is one positive reference shared by every mass of every
-    column, or a list with one reference mass per entry of a single column.
-    With counts (a single column), pair i stands for counts[i] equal terms:
-    each is formed once and summed by ``_counted_fsum`` (the max of D_inf
-    ignores counts).  With lnq None, the power sum sum p^alpha r^(1-alpha) of
-    a finite order itself.
+def _scalar(f, xs, *args) -> np.ndarray:
+    """f over the Python floats xs, as an array: np.power and np.log may
+    differ from scalar pow and math.log in the last bit."""
+    return np.fromiter(map(f, xs, *args), dtype=float)
 
-    Terms stay scalar ``**`` and ``math.log``: numpy's vectorized power and
-    log may differ in the last bit, and reports are pinned byte for byte.  A
-    shared reference's r^(1-alpha) is formed once per call, and each term is
-    p^alpha times it, as with one reference per mass.  A zero mass adds a 0.0
-    term, which leaves fsum unchanged.  A finite order whose power sum leaves
-    floating point is refused.
-    """
-    b = a.value
-    shared = not isinstance(rs, list)
-    if shared:
-        if a.is_finite_order:
-            try:
-                r_power = rs ** (1.0 - b)
-            except OverflowError:  # every term is inf or NaN: refused below
-                r_power = math.inf
-        rs = itertools.repeat(rs)
 
-    def column(ps) -> float:
-        pairs = zip(ps, rs)
+def _distinct(x: np.ndarray, counts=None):
+    """(the distinct entries of the 1-d x by their int64 bit patterns, the index
+    of each entry among them, their summed counts or None): a lexsort of bit
+    views; np.unique's inverse changed shape in numpy 2.0."""
+    bits = x.view(np.int64)
+    order = np.lexsort((bits,))
+    new = np.concatenate(([True], np.diff(bits[order]) != 0))
+    index = np.empty_like(order)
+    index[order] = np.cumsum(new) - 1
+    if counts is not None:
+        counts = np.add.reduceat(counts[order], np.flatnonzero(new))
+    return x[order[new]], index, counts
+
+
+def _layout(masses: np.ndarray, refs, counts=None):
+    """What ``_kernel`` reads for D_alpha of each row of masses against refs
+    (broadcast to masses), over the positive masses: the distinct masses and
+    references as Python floats (references None when one is 0); per distinct
+    (mass, reference) pair its index into both, mass, reference and summed
+    count; per row its parts, a pair index (-1: 0.0) and each count bit."""
+    pos = masses > 0
+    m, r = (x[pos] for x in np.broadcast_arrays(masses, refs))
+    vals, vi, _ = _distinct(m)
+    refs, ri, _ = _distinct(r)
+    counts = None if counts is None else counts[pos.ravel()]
+    keys, index, summed = _distinct(vi * len(refs) + ri, counts)
+    vi, ri = np.divmod(keys, len(refs))
+    src, exp = np.full(masses.shape, -1), None
+    src[pos] = index
+    if counts is not None:
+        src, exp = (x[None] for x in _bits(summed))
+    ps, rs = vals[vi], refs[ri]
+    refs = None if (refs == 0).any() else refs.tolist()
+    return vals.tolist(), refs, vi, ri, ps, rs, summed, src, exp
+
+
+def _kernel(layout, a: Alpha, lnq: float | None) -> list[float]:
+    """D_alpha of each row of a ``_layout`` (+inf in all when a positive mass
+    has reference 0), or with lnq None the power sums of a finite order: one
+    ``pow`` per distinct mass and reference, one ``math.log`` per distinct
+    pair's p/r; D_inf's max ignores counts.  A finite order whose power or
+    power sum leaves floating point is refused."""
+    vals, refs, vi, ri, ps, rs, _, src, exp = layout
+    if refs is None:
+        return [math.inf] * len(src)
+    b, sums = a.value, None
+    with np.errstate(all="ignore"):
         try:
-            if a.is_one:
-                return _counted_fsum(
-                    [pi * math.log(pi / ri) if pi > 0 else 0.0 for pi, ri in pairs],
-                    counts,
-                ) / lnq
             if a.is_infinite:
-                return math.log(max(pi / ri for pi, ri in pairs if pi > 0)) / lnq
-            if shared:
-                terms = [pi ** b * r_power if pi > 0 else 0.0 for pi in ps]
+                top = map(max, np.append(ps / rs, 0.0)[src].tolist())
+                return (_scalar(math.log, list(top)) / lnq).tolist()
+            if a.is_one:
+                terms = ps * _scalar(math.log, (ps / rs).tolist())
             else:
-                terms = [
-                    pi ** b * ri ** (1.0 - b) if pi > 0 else 0.0 for pi, ri in pairs
-                ]
-            s = _counted_fsum(terms, counts)
-        except ZeroDivisionError:  # p > 0 over r = 0
-            return math.inf
-        except OverflowError:
-            if any(ri == 0 for pi, ri in pairs if pi > 0):  # the terms after it
-                return math.inf
-            s = math.inf
-        if not 0.0 < s < math.inf:
-            raise ValueError(f"alpha={b} is too large for floating point; use 'inf'")
-        return s if lnq is None else math.log(s) / ((b - 1.0) * lnq)
-
-    return [column(ps) for ps in columns]
+                terms = _scalar(pow, vals, itertools.repeat(b))[vi]
+                terms *= _scalar(pow, refs, itertools.repeat(1.0 - b))[ri]
+            parts = np.append(terms, 0.0)[src]
+            parts = parts if exp is None else np.ldexp(parts, exp)
+            sums = _scalar(math.fsum, parts.tolist())
+        except OverflowError:  # a power or a sum beyond floating point
+            pass
+    if sums is None or not (a.is_one or ((sums > 0.0) & (sums < math.inf)).all()):
+        raise ValueError(f"alpha={b} is too large for floating point; use 'inf'")
+    if a.is_one or lnq is None:  # KL, or the power sums themselves
+        return (sums / (lnq or 1.0)).tolist()
+    return (_scalar(math.log, sums.tolist()) / ((b - 1.0) * lnq)).tolist()
 
 
 def renyi_entropy(p: Pmf, a) -> float:
     """H_alpha in base-q units: -D_alpha(p || counting measure), so Shannon
     at alpha=1 and min-entropy at infinity."""
-    return -_divergence([p.probs.tolist()], 1.0, as_alpha(a), math.log(p.base_q))[0]
+    return -_kernel(_layout(p.probs[None], 1.0), as_alpha(a), math.log(p.base_q))[0]
 
 
 def renyi_divergence(p: Pmf, r: Pmf, a) -> float:
     """D_alpha(p || r) in base-q units; +inf when p is not dominated by r."""
     if p.support_size != r.support_size:
         raise ValueError("pmfs must share a support size")
-    lnq = math.log(p.base_q)
-    return _divergence([p.probs.tolist()], r.probs.tolist(), as_alpha(a), lnq)[0]
+    a = as_alpha(a)
+    return _kernel(_layout(p.probs[None], r.probs[None]), a, math.log(p.base_q))[0]
 
 
-def _tv(ps, rs, counts=None) -> float:
-    """Half the L1 distance; with counts as in ``_divergence``."""
-    return 0.5 * _counted_fsum([abs(pi - ri) for pi, ri in zip(ps, rs)], counts)
+def _tv(ps: np.ndarray, rs: np.ndarray, counts=None) -> float:
+    """Half the L1 distance, each |p - r| counted as in ``_counted_fsum``."""
+    return 0.5 * _counted_fsum(np.where(ps > rs, ps - rs, rs - ps), counts)
 
 
 def tv_distance(p: Pmf, r: Pmf) -> float:
     if p.support_size != r.support_size:
         raise ValueError("pmfs must share a support size")
-    return _tv(p.probs.tolist(), r.probs.tolist())
+    return _tv(p.probs, r.probs)
 
 
-def _columns(arr: np.ndarray, counts=None):
-    """Yield (w, conditional column, count) for each column of arr read as
-    (axis 0, rest) whose mass w is positive; the conditional column holds the
-    positive masses only, each divided by w, and count is the column's entry
-    of ``counts`` (1 without them).
-
-    Columns are the conditioning cells: z for an (x, z) joint, seed s or
-    (s, z) for an output joint.  Each column is normalised in Python floats
-    and must sum to 1, as a pmf would.
-    """
-    counts = itertools.repeat(1) if counts is None else counts
-    for col, c in zip(arr.reshape(arr.shape[0], -1).T, counts):
-        col = col.tolist()
-        w = math.fsum(col)
-        if w == 0:
-            continue
-        cond = [p / w for p in col if p > 0]
-        _check_sum(cond)
-        yield w, cond, c
+def _conditionals(rows: np.ndarray):
+    """(w, P(.|c), kept) for the rows c of masses with positive total w: each
+    total by ``math.fsum``, its row's positive masses divided by it and zeros
+    elsewhere, each checked to sum to 1 as a pmf would; kept marks them."""
+    w = _scalar(math.fsum, rows.tolist())
+    kept = w != 0
+    w, rows = w[kept], rows[kept]
+    cond = np.where(rows > 0, rows / w[:, None], 0.0)
+    for row in cond.tolist():
+        if not abs(math.fsum(row) - 1.0) <= NORMALIZATION_TOL:
+            _check_sum(row)  # refused, with its total in the message
+    return w, cond, kept
 
 
-def _conditional_power_sums(joint: JointPmf, a: Alpha, what: str):
-    """(P_Z(z), sum_x P(x|z)^alpha) for every z with P_Z(z) > 0."""
+def _conditional_power_sums(joint: JointPmf, a, what: str):
+    """(P_Z(z), sum_x P(x|z)^alpha) over z with P_Z(z) > 0, and (1 - alpha) ln q."""
+    a = as_alpha(a)
     if not a.is_finite_order:
         raise ValueError(f"{what} is defined for finite alpha in (1, inf) only")
-    pzs, conds, _ = zip(*_columns(joint.probs))
-    return list(zip(pzs, _divergence(conds, 1.0, a, None)))
+    if not isinstance(joint, JointPmf):  # an output joint, read as (axis 0, rest)
+        joint = JointPmf(joint.probs.reshape(len(joint.probs), -1), joint.base_q)
+    pzs, layout = joint._conditional_layout
+    scale = (1.0 - a.value) * math.log(joint.base_q)
+    return pzs, np.array(_kernel(layout, a, None)), scale
 
 
 def conditional_renyi_entropy(joint: JointPmf, a) -> float:
     """H_alpha(X|Z):
     (1/(1-alpha)) log_q sum_z P_Z(z) sum_x P(x|z)^alpha.
     """
-    a = as_alpha(a)
-    terms = _conditional_power_sums(joint, a, "conditional Renyi entropy")
-    total = math.fsum(pz * inner for pz, inner in terms)
-    return math.log(total) / ((1.0 - a.value) * math.log(joint.base_q))
+    pzs, inner, scale = _conditional_power_sums(joint, a, "conditional Renyi entropy")
+    return math.log(math.fsum((pzs * inner).tolist())) / scale
 
 
 def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     """Log-inside-the-average variant:
     (1/(1-alpha)) sum_z P_Z(z) log_q sum_x P(x|z)^alpha.
     """
-    a = as_alpha(a)
-    terms = _conditional_power_sums(joint, a, "tilde conditional entropy")
-    total = math.fsum(pz * math.log(inner) for pz, inner in terms)
-    return total / ((1.0 - a.value) * math.log(joint.base_q))
-
-
-def _group_columns(arr: np.ndarray, totals: np.ndarray, weight: int = 1):
-    """An output joint's columns grouped by content, as (columns, refs,
-    counts), checked to sum to 1.
-
-    A column is a seed s or an (s, z) cell; its reference is its total over
-    the U outputs, over U.  The joint's columns are V variants of each column
-    c of arr: variant v holds c's entries in some order, totals totals[v, c]
-    and stands for ``weight`` columns.  Columns whose sorted outputs and
-    reference are the same bit for bit form a group: its sorted column,
-    reference and member count.  One ``np.lexsort`` of the int64 bits of
-    arr's sorted columns ranks them, and one of (rank, reference) over the
-    variants orders the groups as a lexsort on the sorted column, then the
-    reference, would.  The sum check adds each group's cells once per member.
-    """
-    n_out = arr.shape[0]
-    bits = np.sort(arr.reshape(n_out, -1).T, axis=1).view(np.int64)
-    order = np.lexsort(bits.T[::-1])
-    bits = bits[order]
-    new = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
-    rank = np.empty_like(order)
-    rank[order] = np.cumsum(new) - 1
-    distinct = bits[new]
-    refs = (totals / n_out).ravel()
-    rank = np.tile(rank, len(refs) // len(rank))
-    order = np.lexsort((refs.view(np.int64), rank))
-    rank, refs = rank[order], refs[order]
-    ref_bits = refs.view(np.int64)
-    new = (rank[1:] != rank[:-1]) | (ref_bits[1:] != ref_bits[:-1])
-    starts = np.flatnonzero(np.r_[True, new])
-    counts = np.diff(np.r_[starts, len(order)]) * weight
-    cols, refs = distinct[rank[starts]].view(float).T, refs[starts]
-    del bits, distinct, new, order, rank, ref_bits  # freed before the check allocates
-    _check_sum(cols.T.ravel(), np.repeat(counts, cols.shape[0]))
-    return cols, refs, counts
+    pzs, inner, scale = _conditional_power_sums(joint, a, "tilde conditional entropy")
+    return math.fsum((pzs * _scalar(math.log, inner.tolist())).tolist()) / scale
 
 
 def _merge_runs(rows: np.ndarray, counts: np.ndarray):
@@ -329,54 +314,41 @@ def _merge_runs(rows: np.ndarray, counts: np.ndarray):
     return rows[starts], np.add.reduceat(counts, starts)
 
 
-def _distinct_pairs(groups):
-    """The distinct (cell, reference) pairs of a joint's column ``groups``
-    (``_group_columns``) against uniform outputs x the joint's own seed[,z]
-    marginal, as (cells, refs, counts): a pair's count is the number of the
-    joint's cells it stands for."""
+def _averaged(groups, lnq: float):
+    """sum_s P_S(s) D_alpha(P(.|s) || uniform) (over (s, z) with side info) of
+    a joint's ``groups``, as a function of the order.  Groups that differ only
+    in their reference are neighbours, so a compare of neighbours gives the
+    distinct sorted columns: one ``_layout``'s rows, counted once per column."""
+    cols, _, counts = groups
+    rows, counts = _merge_runs(cols.T, counts)
+    w, conds, kept = _conditionals(rows)
+    layout, bits = _layout(conds, 1.0 / rows.shape[1]), _bits(counts[kept])
+    return lambda a: _counted_fsum(w * _kernel(layout, a, lnq), bits=bits)
+
+
+def _joint_layout(groups):
+    """The one-row ``_layout`` of a joint's cells against uniform outputs x its
+    seed[,z] marginal, and its TV: positive pairs' |p - r|, zero cells' r."""
     cols, refs, counts = groups
     n_out = cols.shape[0]
-    pairs = np.empty((cols.size, 2))
-    pairs[:, 0] = cols.T.ravel()
-    pairs[:, 1] = np.repeat(refs, n_out)
-    bits = pairs.view(np.int64)
-    order = np.lexsort((bits[:, 1], bits[:, 0]))
-    merged, summed = _merge_runs(pairs[order], np.repeat(counts, n_out)[order])
-    return merged[:, 0].tolist(), merged[:, 1].tolist(), summed
-
-
-def _seed_averaged_divergences(groups, alphas: list[Alpha], lnq: float) -> list[float]:
-    """Seed-averaged divergences from uniform outputs, every order from one read
-    of a joint's column ``groups`` (``_group_columns``):
-    sum_s P_S(s) D_alpha(P(.|s) || uniform); over (s, z) cells with side info.
-    Groups that differ only in their reference are neighbours, so one compare
-    of neighbours gives the distinct sorted columns.  Each is normalised once,
-    and each order reads them all in one ``_divergence`` call; its terms count
-    once per column that holds it."""
-    cols, _, counts = groups
-    cols, counts = _merge_runs(cols.T, counts)
-    weights, conds, kept = zip(*_columns(cols.T, counts.tolist()))
-    uniform = 1.0 / cols.shape[1]
-    return [
-        _counted_fsum(
-            [w * d for w, d in zip(weights, _divergence(conds, uniform, a, lnq))], kept
-        )
-        for a in alphas
-    ]
+    cells = cols.T.ravel()[None], np.repeat(refs, n_out)[None]
+    layout = _layout(*cells, np.repeat(counts, n_out))
+    ps, rs, summed = layout[4:7]
+    zeros = counts * (n_out - (cols > 0).sum(axis=0))
+    tv = _tv(np.r_[ps, 0.0 * refs], np.r_[rs, refs], np.r_[summed, zeros])
+    return layout, tv
 
 
 def conditional_divergence(joint, a) -> float:
     """The seed-averaged divergence of one order of an ``ExtractedJoint``."""
-    return _seed_averaged_divergences(
-        joint._groups, [as_alpha(a)], math.log(joint.base_q)
-    )[0]
+    return _averaged(joint._groups, math.log(joint.base_q))(as_alpha(a))
 
 
 def joint_divergence_from_uniform(joint, a) -> float:
     """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)
     for an ``ExtractedJoint``."""
-    cells, refs, counts = _distinct_pairs(joint._groups)
-    return _divergence([cells], refs, as_alpha(a), math.log(joint.base_q), counts)[0]
+    layout, _ = _joint_layout(joint._groups)
+    return _kernel(layout, as_alpha(a), math.log(joint.base_q))[0]
 
 
 class DivergenceRow(NamedTuple):
@@ -394,21 +366,13 @@ class DivergenceTable(NamedTuple):
 
 def empirical_divergences(joint, alphas) -> DivergenceTable:
     """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf
-    of an ``ExtractedJoint``, all from the grouping of its columns that
-    ``extract_joint`` built it with."""
+    of an ``ExtractedJoint``, from its column groups: every order reads one
+    layout for the conditional and one for the joint functionals."""
     alphas = [as_alpha(a) for a in alphas]
     lnq = math.log(joint.base_q)
-    *conditional, conditional_inf = _seed_averaged_divergences(
-        joint._groups, alphas + [Alpha.infinity()], lnq
-    )
-    cells, refs, counts = _distinct_pairs(joint._groups)
-
-    def joint_d(a):
-        return _divergence([cells], refs, a, lnq, counts)[0]
-
-    rows = tuple(
-        DivergenceRow(a, joint_d(a), c) for a, c in zip(alphas, conditional)
-    )
-    return DivergenceTable(
-        rows, _tv(cells, refs, counts), joint_d(Alpha.one()), conditional_inf
-    )
+    averaged = _averaged(joint._groups, lnq)
+    *conditional, conditional_inf = map(averaged, alphas + [Alpha.infinity()])
+    layout, tv = _joint_layout(joint._groups)
+    joint_d = [_kernel(layout, a, lnq)[0] for a in alphas + [Alpha.one()]]
+    rows = tuple(map(DivergenceRow, alphas, joint_d, conditional))
+    return DivergenceTable(rows, tv, joint_d[-1], conditional_inf)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -226,6 +227,24 @@ class TestGamma:
     def test_rejects_below_one(self):
         with pytest.raises(ValueError):
             gamma_fn(0.9)
+
+    @pytest.mark.parametrize("e", range(6, 16))
+    def test_near_one_is_twice_the_excess(self, e):
+        # x / ln(x + 1) = 1 + x/2 + O(x^2), so the root is 2(y - 1) to first
+        # order; y - 1 is exact.  The bisection stops at a width relative to
+        # the root, so this holds down to y - 1 = 1e-15, within the rounding
+        # of x / ln(x + 1) near 1: two ulps of y, times the slope 2.
+        y = 1.0 + 10.0**-e
+        want = 2 * (y - 1.0)
+        assert gamma_fn(y) == pytest.approx(want, rel=1e-6, abs=4 * sys.float_info.epsilon)
+
+    def test_sharp_gamma_threshold_resolves_tiny_epsilon(self):
+        # A width of 1e-12 below x = 1 gave 4.547e-13 for every y - 1 < 1e-13,
+        # so these two epsilons gave one threshold.
+        coarse, fine = (
+            m_threshold("sharp-gamma", 2, 6.0, eps, k=2) for eps in (1e-13, 1e-15)
+        )
+        assert fine < coarse
 
 
 class TestSharpMomentBound:

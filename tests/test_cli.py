@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -35,19 +34,6 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(base))
     return str(path)
-
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    """The benchmark's workload definitions, loaded from their file."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look themselves up here
-    spec.loader.exec_module(module)
-    return module
 
 
 def stdout_value(capsys):

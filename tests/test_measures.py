@@ -1,7 +1,6 @@
 import collections
 import itertools
 import math
-import re
 from fractions import Fraction
 from unittest import mock
 
@@ -10,15 +9,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, lexsorted_groups, make_source, output_joint, poly_family
+from conftest import (
+    bits,
+    lexsorted_groups,
+    make_source,
+    outcome,
+    output_joint,
+    poly_family,
+    ungrouped_table,
+    walk_conditional,
+    walk_conditional_entropies,
+    walk_divergence,
+    walk_joint,
+    walk_renyi_divergence,
+    walk_renyi_entropy,
+    walk_table,
+    walk_tv_distance,
+)
 
-from renyi_extract import measures
+from renyi_extract import extraction, measures
 from renyi_extract.bounds import SLACK
+from renyi_extract.config import parse_config
 from renyi_extract.extraction import extract_joint
 from renyi_extract.families import HashFamily, evaluate
 from renyi_extract.fields import FieldParams
 from renyi_extract.measures import (
-    _columns,
     Alpha,
     JointPmf,
     Pmf,
@@ -97,7 +112,7 @@ class TestPmfValidation:
         # An (X, Z) joint is checked, not grouped: only extraction groups.
         with pytest.raises(ValueError, match="2 axes"):
             JointPmf(np.full((2, 2, 2), 1 / 8), 2)
-        monkeypatch.setattr(measures, "_group_columns", None)  # any call fails
+        monkeypatch.setattr(extraction, "_group_columns", None)  # any call fails
         source = make_source(gf4, [0.1, 0.2, 0.3, 0.4], [[0.5, 0.5]] * 4)
         assert source.xz_joint().probs.shape == (4, 2)
         assert not hasattr(source.xz_joint(), "_groups")
@@ -413,11 +428,21 @@ class TestCountedFsum:
         assert measures._counted_fsum([], []) == 0.0
 
     def test_counted_power_sum_beyond_floats_is_refused(self):
-        # One finite term, 2^1000, standing for 2^62 cells.
-        args = [[1.0]], [2.0**-1000], Alpha(2.0), None
-        assert measures._divergence(*args) == [2.0**1000]
-        with pytest.raises(ValueError, match="too large for floating point"):
-            measures._divergence(*args, [2**62])
+        # One finite term, 2^1000, standing for one cell, then for 2^62 cells:
+        # the kernel refuses as the walk does, with the same message.
+        p, r, a = np.array([[1.0]]), np.array([[2.0**-1000]]), Alpha(2.0)
+        for counts in (None, np.array([1])):
+            layout = measures._layout(p, r, counts)
+            assert measures._kernel(layout, a, None) == [2.0**1000]
+        assert walk_divergence([[1.0]], [2.0**-1000], a, None) == [2.0**1000]
+        layout = measures._layout(p, r, np.array([2**62]))
+        with pytest.raises(ValueError) as refused:
+            measures._kernel(layout, a, None)
+        assert "too large for floating point" in str(refused.value)
+        assert outcome(walk_divergence, [[1.0]], [2.0**-1000], a, None, [2**62]) == (
+            ValueError,
+            str(refused.value),
+        )
 
 
 def _old_conditional_divergence(joint, a):
@@ -515,35 +540,6 @@ def _instance(kind, q, n, k, m, source, side):
     return extract_joint(HashFamily(kind, field, k, m), make_source(field, probs, channel))
 
 
-def ungrouped_table(joint, alphas):
-    """The divergence table walked over every column in order, with no
-    grouping: _divergence once per column for the conditional functionals and
-    once over every cell against its column's reference for the joint ones.
-    Returns ([(joint, conditional) per order], tv, kl, conditional_inf)."""
-    arr = joint.probs
-    n_out = arr.shape[0]
-    lnq = math.log(joint.base_q)
-    flat = arr.reshape(n_out, -1)
-    cells = flat.T.ravel().tolist()
-    refs = np.repeat((arr.sum(axis=0) / n_out).ravel(), n_out).tolist()
-    uniform = [1.0 / n_out] * n_out
-
-    def conditional(a):
-        terms = []
-        for col in flat.T.tolist():
-            w = math.fsum(col)
-            if w == 0:
-                continue
-            cond = [p / w for p in col if p > 0]
-            measures._check_sum(cond)
-            terms.append(w * measures._divergence([cond], uniform, a, lnq)[0])
-        return math.fsum(terms)
-
-    rows = [(measures._divergence([cells], refs, a, lnq)[0], conditional(a)) for a in alphas]
-    kl = measures._divergence([cells], refs, Alpha.one(), lnq)[0]
-    return rows, measures._tv(cells, refs), kl, conditional(Alpha.infinity())
-
-
 def assert_matches_ungrouped(table, joint, alphas):
     rows, tv, kl, conditional_inf = ungrouped_table(joint, alphas)
     assert [(r.joint, r.conditional) for r in table.rows] == rows
@@ -580,6 +576,24 @@ def _pair_count(joint):
     })
 
 
+def _distinct_value_counts(joint):
+    """Distinct normalised conditional values, distinct positive cells,
+    distinct references of positive cells and distinct (positive cell,
+    reference) pairs of a joint, by bit pattern, counted in Python."""
+    arr = joint.probs
+    n_out = arr.shape[0]
+    columns = arr.reshape(n_out, -1).T.tolist()
+    refs = (arr.sum(axis=0) / n_out).ravel().tolist()
+    values = {(p / math.fsum(col)).hex() for col in columns for p in col if p > 0}
+    pairs = {(p.hex(), r.hex()) for col, r in zip(columns, refs) for p in col if p > 0}
+    return (
+        len(values),
+        len({p for p, _ in pairs}),
+        len({r for _, r in pairs}),
+        len(pairs),
+    )
+
+
 # Joints in which some groups differ only in their reference, and some
 # groups' sorted columns repeat a cell.
 MERGING_INSTANCES = [
@@ -590,11 +604,18 @@ MERGING_INSTANCES = [
 ]
 
 
+SUBNORMALS = [5e-324, 1.5e-323, 1e-320, 1e-310]
+
+
 @st.composite
-def repeated_joints(draw):
+def repeated_joints(draw, subnormal_cells=False):
     """2- and 3-axis joints whose columns repeat: each is a copy, a permuted
     copy or a one-ulp nudge of a few base columns, or all zero.  Permuted
-    copies sum in another order, so their references may differ by an ulp."""
+    copies sum in another order, so their references may differ by an ulp.
+    With subnormal_cells, up to three zero cells are then given subnormal
+    masses: a column whose only positive cell is subnormal may have reference
+    0, its total over U underflowing, and then the joint is not dominated by
+    its reference."""
     n_out = draw(st.integers(2, 5))
     mass = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
     base = draw(st.lists(
@@ -617,8 +638,13 @@ def repeated_joints(draw):
     flat = np.array(columns).T
     if flat.sum() == 0:
         flat[0, 0] = 1.0
+    flat /= flat.sum()
+    for _ in range(draw(st.integers(0, 3)) if subnormal_cells else 0):
+        i, j = (draw(st.integers(0, n - 1)) for n in flat.shape)
+        if flat[i, j] == 0:
+            flat[i, j] = draw(st.sampled_from(SUBNORMALS))
     shape = (n_out, n_s) if n_z is None else (n_out, n_s, n_z)
-    return output_joint((flat / flat.sum()).reshape(shape), draw(st.sampled_from([2, 3])))
+    return output_joint(flat.reshape(shape), draw(st.sampled_from([2, 3])))
 
 
 @given(repeated_joints())
@@ -756,13 +782,13 @@ class TestGroupedConstruction:
         # Extraction groups its coset representatives' columns, each standing
         # for its translates, once, when it is built; no reader groups again.
         calls = []
-        group = measures._group_columns
+        group = extraction._group_columns
 
         def counting(arr, *variants):
             calls.append(arr)
             return group(arr, *variants)
 
-        monkeypatch.setattr(measures, "_group_columns", counting)
+        monkeypatch.setattr(extraction, "_group_columns", counting)
         for instance in MERGING_INSTANCES:
             calls.clear()
             joint = _instance(*instance).joint
@@ -812,19 +838,17 @@ MASS_COLUMNS = st.lists(
 )
 @settings(max_examples=300, deadline=None)
 def test_shared_reference_keeps_each_columns_bits(columns, r, a):
-    # Many columns against one reference give, column by column, the bits of
-    # each column against a list of that reference, or the same refusal.
-    def each():
-        lnq = math.log(3)
-        return [measures._divergence([ps], [r] * len(ps), a, lnq)[0] for ps in columns]
+    # The columns, as the zero-padded rows of one layout against one shared
+    # reference, give row by row the bits of the walk over each column alone
+    # against a list of that reference, or the same refusal.
+    lnq = math.log(3)
+    width = max(map(len, columns))
+    rows = np.array([ps + [0.0] * (width - len(ps)) for ps in columns])
 
-    try:
-        expected = each()
-    except ValueError as refused:
-        with pytest.raises(ValueError, match=re.escape(str(refused))):
-            measures._divergence(columns, r, a, math.log(3))
-        return
-    assert measures._divergence(columns, r, a, math.log(3)) == expected
+    def each():
+        return [walk_divergence([ps], [r] * len(ps), a, lnq)[0] for ps in columns]
+
+    assert outcome(measures._kernel, measures._layout(rows, r), a, lnq) == outcome(each)
 
 
 class TestConditionalBitwiseOracle:
@@ -874,49 +898,108 @@ class TestConditionalBitwiseOracle:
             for row, a in zip(table.rows, ALPHA_GRID):
                 assert row.conditional == _old_conditional_divergence(result.joint, a)
 
-    def test_one_column_walk_per_divergence_table(self, monkeypatch):
-        walks = []
-        columns = measures._columns
+    def test_one_normalisation_per_distinct_column(self, monkeypatch):
+        normalised, layouts = [], []
+        conditionals, layout = measures._conditionals, measures._layout
 
-        def counting(arr, *args):
-            walks.append(arr.shape)
-            return columns(arr, *args)
+        def counting_conditionals(rows):
+            normalised.append(rows.shape)
+            return conditionals(rows)
 
-        monkeypatch.setattr(measures, "_columns", counting)
+        def counting_layout(masses, *args):
+            layouts.append(masses.shape)
+            return layout(masses, *args)
+
+        monkeypatch.setattr(measures, "_conditionals", counting_conditionals)
+        monkeypatch.setattr(measures, "_layout", counting_layout)
         for instance in MERGING_INSTANCES:
             joint = _instance(*instance).joint
-            walks.clear()
+            normalised.clear()
+            layouts.clear()
             empirical_divergences(joint, ALPHA_GRID + [Alpha(2.0)])
-            # One walk, over one column per distinct sorted column: groups
-            # that differ only in their reference share it.
-            distinct = _sorted_column_count(joint)
+            # One normalisation and sum check, over one row per distinct
+            # sorted column (groups that differ only in their reference share
+            # it), and one layout each for the conditional and the joint
+            # functionals, however many orders read them.
+            distinct, n_out = _sorted_column_count(joint), joint.probs.shape[0]
             assert distinct < _group_count(joint)
-            assert walks == [(joint.probs.shape[0], distinct)]
+            assert normalised == [(distinct, n_out)]
+            assert layouts == [(distinct, n_out), (1, _group_count(joint) * n_out)]
 
     def test_one_term_per_distinct_pair(self, monkeypatch):
-        sums = []
-        counted_fsum = measures._counted_fsum
+        sums, layouts = [], []
+        counted_fsum, layout = measures._counted_fsum, measures._layout
 
-        def recording(terms, counts=None):
-            if counts is not None:
-                sums.append((len(terms), int(np.sum(counts))))
-            return counted_fsum(terms, counts)
+        def recording(terms, counts=None, bits=None):
+            if counts is not None or bits is not None:
+                _, exps = bits or measures._bits(counts)
+                sums.append((len(terms), sum(2 ** int(j) for j in exps)))
+            return counted_fsum(terms, counts, bits)
+
+        def recording_layout(*args):
+            layouts.append(layout(*args))
+            return layouts[-1]
 
         monkeypatch.setattr(measures, "_counted_fsum", recording)
+        monkeypatch.setattr(measures, "_layout", recording_layout)
         for instance in MERGING_INSTANCES:
             joint = _instance(*instance).joint
             sums.clear()
+            layouts.clear()
             empirical_divergences(joint, ALPHA_GRID)
-            pairs, n_out = _pair_count(joint), joint.probs.shape[0]
+            arr, n_out = joint.probs, joint.probs.shape[0]
+            _, _, _, pairs = _distinct_value_counts(joint)
             assert pairs < _group_count(joint) * n_out
-            # The joint D_alpha at 1, 1.5, 2 and 3 (D_inf is a max), KL and
-            # TV each form one term per distinct (cell, reference) pair,
-            # counted once per cell; the conditional D_alpha at all five
-            # orders and the conditional D_inf one term per distinct sorted
-            # column, counted once per column.
-            joint_sums = [(pairs, joint.probs.size)] * 6
-            conditional_sums = [(_sorted_column_count(joint), joint.probs[0].size)] * 6
-            assert sorted(sums) == sorted(joint_sums + conditional_sums)
+            # The joint functionals read one term per distinct (cell,
+            # reference) pair with a positive cell, counted once per cell.
+            summed = layouts[1][6]
+            assert len(summed) == pairs and summed.sum() == np.count_nonzero(arr > 0)
+            # The conditional D_alpha at all five orders and the conditional
+            # D_inf sum one term per distinct sorted column, counted once per
+            # column; TV one per positive pair and one per group, for the
+            # zero cells, counted once per cell.
+            conditional_sums = [(_sorted_column_count(joint), arr[0].size)] * 6
+            tv_sum = (pairs + _group_count(joint), arr.size)
+            assert sorted(sums) == sorted(conditional_sums + [tv_sum])
+
+    def test_one_power_and_log_per_distinct_value(self, monkeypatch):
+        powers, logs = collections.Counter(), []
+
+        def counting_pow(x, y):
+            powers[y] += 1
+            return x**y
+
+        class RecordingMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log(self, x):
+                logs.append(x)
+                return math.log(x)
+
+        monkeypatch.setattr(measures, "pow", counting_pow, raising=False)
+        monkeypatch.setattr(measures, "math", RecordingMath())
+        for instance in MERGING_INSTANCES:
+            joint = _instance(*instance).joint
+            powers.clear()
+            logs.clear()
+            empirical_divergences(joint, ALPHA_GRID)
+            values, cells, refs, pairs = _distinct_value_counts(joint)
+            # Each finite order raises each distinct normalised conditional
+            # value and each distinct positive cell to alpha once, and the
+            # uniform reference and each distinct reference to 1 - alpha.
+            orders = [a.value for a in ALPHA_GRID if a.is_finite_order]
+            assert powers == {
+                **{b: values + cells for b in orders},
+                **{1.0 - b: 1 + refs for b in orders},
+            }
+            # KL takes one log per distinct conditional value and one per
+            # distinct pair, for its row and for kl_to_uniform; every finite
+            # order and both conditional D_inf one per distinct column, and
+            # the joint ones one each; the base one.
+            columns = _sorted_column_count(joint)
+            assert len(logs) == values + 2 * pairs + 5 * columns + 4 + 1
+
 
     def test_joint_read_in_place(self, gf4):
         # Row by row against the cycled reference gives the same bits as the
@@ -963,10 +1046,14 @@ class TestConditionalBitwiseOracle:
 
     def test_column_reader_checks_normalisation(self):
         # The check each per-cell Pmf made: a column that cannot be
-        # normalised (here an infinite entry) is refused.
-        with pytest.raises(ValueError):
-            list(_columns(np.array([[math.inf, 0.5], [0.5, 0.0]])))
-        assert [w for w, *_ in _columns(np.array([[0.5, 0.0], [0.25, 0.0]]))] == [0.75]
+        # normalised (here an infinite entry) is refused, and a column of
+        # zero mass is not read.  Public readers never pass such a column:
+        # every joint's sum check refuses an infinite entry first.
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            measures._conditionals(np.array([[math.inf, 0.5], [0.5, 0.0]]).T)
+        w, cond, kept = measures._conditionals(np.array([[0.5, 0.0], [0.25, 0.0]]).T)
+        assert w.tolist() == [0.75] and kept.tolist() == [True, False]
+        assert cond.tolist() == [[0.5 / 0.75, 0.25 / 0.75]]
 
 
 def _exact_joint(family, probs, side=None):
@@ -1066,3 +1153,100 @@ class TestExactRationalOracle:
             assert abs(tilde - exact_tilde / scale) <= self.TOL
         else:
             assert abs(source.entropy(a) - exact) <= self.TOL
+
+
+# Masses with zeros and subnormals; the orders the walk is checked at, and
+# two whose power sums leave floating point on many inputs.
+EDGE_MASS = st.one_of(st.just(0.0), st.sampled_from(SUBNORMALS), st.floats(1e-6, 1.0))
+ORACLE_ALPHAS = [
+    Alpha.one(),
+    Alpha(1.0 + 1e-6),
+    Alpha(1.25),
+    Alpha(2.0),
+    Alpha(7.5),
+    Alpha.infinity(),
+]
+TOO_LARGE = [Alpha(300.0), Alpha(2000.0)]
+
+
+def edge_masses(n):
+    """n masses with zeros and subnormal cells, normalised by their fsum."""
+    weights = st.lists(EDGE_MASS, min_size=n, max_size=n).filter(lambda w: max(w) >= 1e-6)
+    return weights.map(lambda w: np.array(w) / math.fsum(w))
+
+
+class TestKernelMatchesWalk:
+    """Every public entry point gives the bits (repr) of the per-column walk
+    that the kernel replaced (conftest), or its refusal with the same
+    exception and message, on zero masses, subnormal cells and zero
+    references under positive masses (+inf)."""
+
+    @given(
+        st.integers(1, 8).flatmap(lambda n: st.tuples(edge_masses(n), edge_masses(n))),
+        st.sampled_from([2, 3, 5]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pmf_functionals(self, masses, base_q):
+        p, r = (Pmf(m, base_q) for m in masses)
+        for a in ORACLE_ALPHAS + TOO_LARGE:
+            assert outcome(renyi_entropy, p, a) == outcome(walk_renyi_entropy, p, a)
+            want = outcome(walk_renyi_divergence, p, r, a)
+            assert outcome(renyi_divergence, p, r, a) == want
+        assert outcome(tv_distance, p, r) == outcome(walk_tv_distance, p, r)
+
+    def test_zero_reference_under_positive_mass_is_infinite(self):
+        p, r = Pmf(np.array([0.5, 0.5 - 1e-300, 1e-300]), 2), Pmf(np.array([0.5, 0.5, 0.0]), 2)
+        for a in ORACLE_ALPHAS + TOO_LARGE:
+            assert renyi_divergence(p, r, a) == walk_renyi_divergence(p, r, a) == math.inf
+
+    @given(st.integers(1, 6), st.integers(1, 4), st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_conditional_entropies(self, n_x, n_z, base_q, data):
+        joint = JointPmf(data.draw(edge_masses(n_x * n_z)).reshape(n_x, n_z), base_q)
+        for a in ORACLE_ALPHAS + TOO_LARGE:
+            if not a.is_finite_order:
+                continue
+
+            def both():
+                return conditional_renyi_entropy(joint, a), tilde_conditional_entropy(joint, a)
+
+            assert outcome(both) == outcome(walk_conditional_entropies, joint, a)
+
+    @given(repeated_joints(subnormal_cells=True))
+    @settings(max_examples=200, deadline=None)
+    def test_output_joint_readers(self, joint):
+        for alphas in (ORACLE_ALPHAS + TOO_LARGE, ORACLE_ALPHAS):
+            formed = outcome(walk_table, joint, alphas)
+            assert outcome(empirical_divergences, joint, alphas) == formed
+        for a in ORACLE_ALPHAS + TOO_LARGE:
+            assert outcome(conditional_divergence, joint, a) == outcome(walk_conditional, joint, a)
+            want = outcome(walk_joint, joint, a)
+            assert outcome(joint_divergence_from_uniform, joint, a) == want
+        # A subnormal reference's r^(1 - alpha) overflows, and the walk refuses
+        # the order; a table that is formed matches the ungrouped walk too.
+        if isinstance(formed, str):
+            table = empirical_divergences(joint, ORACLE_ALPHAS)
+            assert_matches_ungrouped(table, joint, ORACLE_ALPHAS)
+
+    @pytest.mark.parametrize("name", ["certify-k3", "sweep-side"])
+    def test_benchmark_configs(self, workloads, name):
+        # Seeds 0-9 of the workloads that build a divergence table, at every
+        # m they extract.
+        for seed in range(10):
+            config = parse_config(workloads.WORKLOADS[name].config(seed))
+            base = config.build_family()
+            source = config.build_source(base)
+            for m in config.sweep.m_values if config.sweep else (base.m,):
+                family = HashFamily(base.kind, base.field, base.k, m)
+                joint = extract_joint(family, source).joint
+                want = repr(walk_table(joint, config.alphas))
+                assert repr(empirical_divergences(joint, config.alphas)) == want
+
+    def test_large_rung(self):
+        # GF(2^6), k=3, m=3 from a Dirichlet(0.3) source: 2^18 seeds.
+        field = FieldParams.create(2, 6)
+        probs = np.random.default_rng(0).dirichlet(np.full(field.size, 0.3))
+        family = HashFamily("polynomial", field, 3, 3)
+        joint = extract_joint(family, make_source(field, probs), budget=30_000_000).joint
+        alphas = [Alpha(1.5), Alpha(2.0), Alpha(3.0), Alpha.infinity()]
+        assert repr(empirical_divergences(joint, alphas)) == repr(walk_table(joint, alphas))
