@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import bounds as bd
-from .config import load_config, parse_alpha
+from .config import _integer, load_config, parse_alpha
 from .errors import BudgetExceededError, ConfigError
 from .harness import run_bucket, run_sweep, run_verify
 from .measures import Pmf, renyi_entropy
@@ -120,8 +120,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bucket(args) -> int:
     config = _load(args)
-    if args.rng_seed is not None:
-        config = config._replace(rng_seed=args.rng_seed)
+    if args.rng_seed is not None:  # refused as the config's rng_seed is
+        config = config._replace(rng_seed=_integer(args.rng_seed, "rng_seed", 0))
     start = time.monotonic()
     report = run_bucket(config)
     elapsed = time.monotonic() - start

@@ -167,7 +167,7 @@ def _group_columns(arr: np.ndarray, totals: np.ndarray, weight: int = 1):
     reference and member count.  One ``np.lexsort`` of the int64 bits of
     arr's sorted columns ranks them, and one of (rank, reference) over the
     variants orders the groups as a lexsort on the sorted column, then the
-    reference, would.  The sum check adds each group's cells once per member.
+    reference, would.  The sum check is ``_check_cells``.
     """
     n_out = arr.shape[0]
     bits = np.sort(arr.reshape(n_out, -1).T, axis=1).view(np.int64)
@@ -187,8 +187,16 @@ def _group_columns(arr: np.ndarray, totals: np.ndarray, weight: int = 1):
     counts = np.diff(np.r_[starts, len(order)]) * weight
     cols, refs = distinct[rank[starts]].view(float).T, refs[starts]
     del bits, distinct, new, order, rank, ref_bits  # freed before the check allocates
-    measures._check_sum(cols.T.ravel(), np.repeat(counts, cols.shape[0]))
+    _check_cells(cols, counts)
     return cols, refs, counts
+
+
+def _check_cells(cols: np.ndarray, counts: np.ndarray) -> float:
+    """The exact total of grouped columns, each group's cells once per member,
+    checked to be 1 (``measures._check_sum``): one term per distinct cell
+    value, with its counts summed, gives the same exact total."""
+    cells = measures._distinct(cols.T.ravel(), np.repeat(counts, len(cols)))
+    return measures._check_sum(cells[0], cells[2])
 
 
 def extract_joint(
@@ -269,7 +277,8 @@ def expected_max_bucket(
     the subset.
 
     Exact mode averages over the whole seed space; sampled mode draws seeds
-    with a seeded generator and reports the standard error of the mean.
+    as numpy's ``default_rng(rng_seed).integers`` would (``_draws``) and
+    reports the standard error of the mean.
     ``hash_table`` refuses an integer outside the field.
     """
     if not subset:
@@ -296,11 +305,12 @@ def expected_max_bucket(
         reps, translates, _ = _translates(family, subset)
         loads = _largest_buckets(hash_table(family, reps, subset))
         return BucketEstimate(math.fsum(loads.tolist()) * len(translates) / seeds, None)
-    rng = np.random.default_rng(rng_seed)
+    from ._draws import integers  # numpy's default stream, without numpy.random
+
     if seeds - 1 <= np.iinfo(np.int64).max:
-        draws = rng.integers(0, seeds, size=n_samples)
+        draws = integers(rng_seed, seeds, n_samples)
     else:  # seed integers beyond int64: draw their base-q digits
-        draws = rng.integers(0, family.field.q, size=(n_samples, family.seed_digits))
+        draws = integers(rng_seed, family.field.q, (n_samples, family.seed_digits))
     vals = _largest_buckets(hash_table(family, draws, subset)).astype(float)
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return BucketEstimate(float(vals.mean()), stderr)

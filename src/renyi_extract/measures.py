@@ -367,12 +367,14 @@ class DivergenceTable(NamedTuple):
 def empirical_divergences(joint, alphas) -> DivergenceTable:
     """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf
     of an ``ExtractedJoint``, from its column groups: every order reads one
-    layout for the conditional and one for the joint functionals."""
+    layout for the conditional and one for the joint functionals, and each
+    functional is computed once, whether or not the orders list 1 or inf."""
     alphas = [as_alpha(a) for a in alphas]
     lnq = math.log(joint.base_q)
+    one, inf = Alpha.one(), Alpha.infinity()
     averaged = _averaged(joint._groups, lnq)
-    *conditional, conditional_inf = map(averaged, alphas + [Alpha.infinity()])
+    conditional = {a: averaged(a) for a in dict.fromkeys(alphas + [inf])}
     layout, tv = _joint_layout(joint._groups)
-    joint_d = [_kernel(layout, a, lnq)[0] for a in alphas + [Alpha.one()]]
-    rows = tuple(map(DivergenceRow, alphas, joint_d, conditional))
-    return DivergenceTable(rows, tv, joint_d[-1], conditional_inf)
+    joint_d = {a: _kernel(layout, a, lnq)[0] for a in dict.fromkeys(alphas + [one])}
+    rows = tuple(DivergenceRow(a, joint_d[a], conditional[a]) for a in alphas)
+    return DivergenceTable(rows, tv, joint_d[one], conditional[inf])

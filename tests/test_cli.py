@@ -651,6 +651,18 @@ class TestBucketCommand:
             main([command, "--config", cfg, "--rng-seed", "7"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "config_seed,flag", [(-3, []), (3, ["--rng-seed", "-3"])], ids=["config", "flag"]
+    )
+    def test_negative_rng_seed_is_a_config_error(self, tmp_path, capsys, config_seed, flag):
+        # A negative seed from the flag is refused as the config's is, before
+        # anything is drawn.
+        cfg = write_config(
+            tmp_path, bucket={"subset": "full", "mode": "sampled"}, rng_seed=config_seed
+        )
+        assert main(["bucket", "--config", cfg, *flag]) == 2
+        assert capsys.readouterr().err == "error: rng_seed must be >= 0, got -3\n"
+
     def test_sampled_mode_beyond_int64_seed_space(self, tmp_path, capsys):
         # full_table on GF(2^4) with m=4 has 2^64 seeds.
         cfg = write_config(

@@ -15,7 +15,7 @@ from renyi_extract import (
     expected_max_bucket,
     extract_joint,
 )
-from renyi_extract import harness, measures
+from renyi_extract import extraction, harness, measures
 from renyi_extract.bounds import SLACK
 from renyi_extract.config import parse_config
 from renyi_extract.errors import BudgetExceededError
@@ -181,6 +181,43 @@ class TestCosetExtraction:
         assert "probs" not in vars(joint)
         assert bits(joint.probs) == bits(dense)
         assert not joint.probs.flags.writeable
+
+
+class TestSumCheck:
+    """Extraction checks its groups' exact total once per distinct cell value,
+    with summed counts: the total and the verdict of one counted term per
+    group cell."""
+
+    @staticmethod
+    def _per_cell(cols, counts):
+        return measures._check_sum(cols.T.ravel(), np.repeat(counts, len(cols)))
+
+    @staticmethod
+    def _joints():
+        field = FieldParams.create(2, 4)
+        probs = np.random.default_rng(3).dirichlet(np.full(field.size, 0.3))
+        side = np.random.default_rng(4).dirichlet(np.ones(3), size=field.size)
+        for k, m, sc in [(2, 1, None), (3, 2, None), (3, 2, side)]:
+            yield extract_joint(poly_family(field, k, m), make_source(field, probs, sc)).joint
+
+    def test_same_total_as_every_cell(self):
+        shared = []
+        for joint in self._joints():
+            cols, _, counts = joint._groups
+            assert extraction._check_cells(cols, counts) == self._per_cell(cols, counts)
+            shared.append(len(np.unique(cols)) < cols.size)
+        assert shared == [False, True, True]  # groups share cell values
+
+    @pytest.mark.parametrize("off", [1e-6, -1e-6])
+    def test_same_refusal_as_every_cell(self, off):
+        for joint in self._joints():
+            cols, _, counts = joint._groups
+            cols = cols * (1.0 + off)
+            with pytest.raises(ValueError, match="not 1") as per_cell:
+                self._per_cell(cols, counts)
+            with pytest.raises(ValueError) as distinct:
+                extraction._check_cells(cols, counts)
+            assert str(distinct.value) == str(per_cell.value)
 
 
 class TestNoDenseJoint:

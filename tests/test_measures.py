@@ -954,11 +954,12 @@ class TestConditionalBitwiseOracle:
             # reference) pair with a positive cell, counted once per cell.
             summed = layouts[1][6]
             assert len(summed) == pairs and summed.sum() == np.count_nonzero(arr > 0)
-            # The conditional D_alpha at all five orders and the conditional
-            # D_inf sum one term per distinct sorted column, counted once per
-            # column; TV one per positive pair and one per group, for the
-            # zero cells, counted once per cell.
-            conditional_sums = [(_sorted_column_count(joint), arr[0].size)] * 6
+            # The conditional D_alpha at all five orders, D_inf among them
+            # and computed once for its row and conditional_inf, sum one term
+            # per distinct sorted column, counted once per column; TV one per
+            # positive pair and one per group, for the zero cells, counted
+            # once per cell.
+            conditional_sums = [(_sorted_column_count(joint), arr[0].size)] * 5
             tv_sum = (pairs + _group_count(joint), arr.size)
             assert sorted(sums) == sorted(conditional_sums + [tv_sum])
 
@@ -994,11 +995,12 @@ class TestConditionalBitwiseOracle:
                 **{1.0 - b: 1 + refs for b in orders},
             }
             # KL takes one log per distinct conditional value and one per
-            # distinct pair, for its row and for kl_to_uniform; every finite
-            # order and both conditional D_inf one per distinct column, and
-            # the joint ones one each; the base one.
+            # distinct pair, once for its row and kl_to_uniform; every finite
+            # order and the conditional D_inf, once for its row and
+            # conditional_inf, one per distinct column, and the joint ones
+            # one each; the base one.
             columns = _sorted_column_count(joint)
-            assert len(logs) == values + 2 * pairs + 5 * columns + 4 + 1
+            assert len(logs) == values + pairs + 4 * columns + 4 + 1
 
 
     def test_joint_read_in_place(self, gf4):
