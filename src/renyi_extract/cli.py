@@ -59,6 +59,10 @@ def _bound(args) -> tuple[str, float]:
     q = args.q
     if q < 2 or (args.k is not None and args.k < 2):
         raise ConfigError(f"--q and --k must be >= 2, got q={q}, k={args.k}")
+    if args.m is not None and args.m < 1:
+        raise ConfigError(f"--m must be >= 1, got {args.m}")
+    if args.H is not None and args.H < 0:
+        raise ConfigError(f"--H must be >= 0, got {args.H}")
     for flag in ("H", "eps", "alpha", "y"):
         value = getattr(args, flag)
         if value is not None and not math.isfinite(value):

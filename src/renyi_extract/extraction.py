@@ -20,7 +20,6 @@ shift permutes the buckets too, so a coset shares its largest bucket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -34,12 +33,12 @@ from .families import (
 # Re-exported so perfbench/tracing.py can count calls here.
 from .families import evaluate  # noqa: F401
 from . import measures
+from ._record import Record
 from .measures import JointPmf, Pmf
 
 
 # eq=False: equality and hashing by value fail on an ndarray field.
-@dataclass(frozen=True, eq=False)
-class Source:
+class Source(Record, eq=False):
     """A pmf over a field's canonical input integers 0 .. q^n - 1, optionally
     with a side channel.
 
@@ -108,8 +107,7 @@ def _nonnegative(h: float) -> float:
     return 0.0 if -SLACK <= h < 0 else h
 
 
-@dataclass(frozen=True, eq=False)
-class ExtractedJoint:
+class ExtractedJoint(Record, eq=False):
     """An output joint P(u, s[, z]) as its column groups, from
     ``_group_columns``, its coset representatives' columns and its
     coset layout (``_translates``); ``probs``, the dense U x seeds [x Z]

@@ -18,8 +18,10 @@ basis and builds no seed table.  The seeds t with t . B_x the same for every
 input x form a group T; adding t to a seed shifts all its outputs by one
 constant, so extraction and the exact bucket experiment hash one seed per
 coset of T (``_translates``, one row reduction of the basis differences).
-Collision probabilities are exact rationals (Fraction), never floats.  The
-scalar ``evaluate`` (Horner with ``gf_mul`` and ``gf_add``) is the public
+Collision probabilities are exact rationals (``Fraction``), never floats.
+Only the two certification functions import ``fractions``, so a run that does
+not certify never loads it or the ``decimal`` it imports.  The scalar
+``evaluate`` (Horner with ``gf_mul`` and ``gf_add``) is the public
 single-value API and the tests' oracle; no run path calls it.
 """
 
@@ -27,22 +29,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .errors import BudgetExceededError
 from .fields import FieldParams, gf_add, gf_mul
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_BUDGET = 10_000_000
 
 KINDS = ("polynomial", "full_table", "constant")
 
 
-@dataclass(frozen=True)
-class HashFamily:
+class HashFamily(Record):
     kind: str
     field: FieldParams
     k: int
@@ -255,6 +258,8 @@ def verify_universality(
     GF(q)-rank of the D x m(l-1) matrix [B_{x_2} - B_{x_1} | ... | B_{x_l} -
     B_{x_1}] over ``hash_table``'s basis B, so no seed is enumerated.
     """
+    from fractions import Fraction
+
     if l < 2:
         raise ValueError("universality order l must be >= 2")
     n_inputs = family.field.size
@@ -289,6 +294,8 @@ def certify_k_star(
 
     The family is k*-universal iff every verdict passes.
     """
+    from fractions import Fraction
+
     verdicts = []
     for l in range(2, family.k + 1):
         ratio = verify_universality(family, l, budget=budget)

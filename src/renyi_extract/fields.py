@@ -10,7 +10,8 @@ implicit.  Fields stay small (n <= 16), so schoolbook arithmetic is plenty.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+from ._record import Record
 
 MAX_DEGREE = 16
 
@@ -88,8 +89,7 @@ def find_irreducible(q: int, n: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-@dataclass(frozen=True)
-class FieldParams:
+class FieldParams(Record):
     """Parameters of GF(q^n): prime q, degree n, monic modulus polynomial."""
 
     q: int

@@ -9,7 +9,7 @@ never into the report).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
 from . import bounds as bd
@@ -18,6 +18,9 @@ from .errors import ConfigError
 from .extraction import ExtractionResult, expected_max_bucket, extract_joint
 from .families import HashFamily, certify_k_star
 from .measures import Alpha, DivergenceTable, empirical_divergences
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SCHEMA_VERSION = 1
 

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from ._record import Record
 
 NORMALIZATION_TOL = 1e-9
 # Orders in (1, 1 + ALPHA_GAP) are rejected: the 1/(alpha-1) prefactor would
@@ -36,8 +37,7 @@ NORMALIZATION_TOL = 1e-9
 ALPHA_GAP = 1e-6
 
 
-@dataclass(frozen=True)
-class Alpha:
+class Alpha(Record):
     """Order of a Renyi functional: a real > 1, or the limits 1 and infinity."""
 
     value: float
@@ -109,8 +109,7 @@ def _check_sum(terms, counts=None, what: str = "probabilities") -> float:
 
 
 # eq=False: equality and hashing by value fail on an ndarray field.
-@dataclass(frozen=True, eq=False)
-class Pmf:
+class Pmf(Record, eq=False):
     """Finitely supported pmf; ``base_q`` fixes the log base for reporting."""
 
     probs: np.ndarray
@@ -128,8 +127,7 @@ class Pmf:
         return cls(np.full(n, 1.0 / n), base_q)
 
 
-@dataclass(frozen=True, eq=False)
-class JointPmf:
+class JointPmf(Record, eq=False):
     """Dense pmf of (x, z), the conditioning variable z on axis 1."""
 
     probs: np.ndarray

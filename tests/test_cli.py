@@ -115,6 +115,14 @@ class TestBoundCommand:
             ("--name gamma --y nan", None),
             ("--regime corollary --alpha 1.5 --H 3 --eps nan", None),
             ("--name alpha-above-k --m 1 --k 0 --alpha 2 --H 1", None),
+            # m below 1 and a negative min-entropy H are refused.
+            ("--name joint-real --q 2 --m -1 --k 3 --alpha 2 --H 3", None),
+            ("--name joint-real --q 2 --m 0 --k 3 --alpha 2 --H 3", None),
+            ("--name bucket --q 2 --m -2 --k 2 --A 4", None),
+            ("--name dk-simple --m 0 --k 2 --H 2000", None),
+            ("--name joint-real --q 2 --m 1 --k 3 --alpha 2 --H -3", None),
+            ("--name joint-real --m 1 --k 3 --alpha 3 --H=-1e308", None),
+            ("--regime min-entropy --k 2 --H -1 --eps 0.1", None),
             # An integer too large for a float, and a result that is NaN.
             pytest.param(
                 "--name joint-real --m 1" + "0" * 400 + " --k 2 --alpha 2 --H 1",
@@ -125,8 +133,7 @@ class TestBoundCommand:
             # Results beyond floating point print inf (or 0 below it).
             ("--name bucket --m 5000 --k 2 --A 4", "inf"),
             ("--name dk-simple --m 2000 --k 2 --H 0", "inf"),
-            ("--name dk-simple --m 0 --k 2 --H 2000", "0"),
-            ("--name joint-real --m 1 --k 3 --alpha 3 --H=-1e308", "inf"),
+            ("--name dk-simple --m 1 --k 2 --H 2000", "0"),
             # Thresholds at the float edges of epsilon are their limits.
             ("--regime corollary --q 2 --alpha 1.5 --H 3 --eps 5e-324", "-inf"),
             ("--regime integer-alpha --alpha 2 --H 3 --eps 1e308", "inf"),
@@ -135,7 +142,7 @@ class TestBoundCommand:
             ("--regime sharp-gamma --k 2 --H 3 --eps 1e308", "inf"),
             # Only an intermediate leaves floating point: the value is exact.
             ("--name infty --m 3000 --k 2 --H 0", "4489.97753877"),
-            ("--name infty --m 0 --k 2 --H 3000", "0"),
+            ("--name infty --m 1 --k 2 --H 3000", "0.5"),
             ("--name bucket --m 3000 --k 4 --A 4", "1.13922635531e+223"),
         ],
     )
@@ -148,6 +155,18 @@ class TestBoundCommand:
         else:
             assert status == 0 and err == ""
             assert out.split(" = ")[1] == printed + "\n"
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            ("--m 0 --H 3", "--m must be >= 1, got 0"),
+            ("--m 2 --H -0.5", "--H must be >= 0, got -0.5"),
+        ],
+    )
+    def test_impossible_m_and_H_name_the_flag(self, capsys, flags, message):
+        argv = "bound --name joint-real --k 3 --alpha 2 " + flags
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_flag_exits_2(self, capsys):
         assert main(["bound", "--name", "bucket", "--q", "2", "--m", "4"]) == 2
