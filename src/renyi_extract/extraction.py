@@ -209,18 +209,11 @@ def extract_joint(
         raise ValueError(
             f"source of {n_inputs} symbols in base {base} does not fit GF({f.q}^{f.n})"
         )
-    seeds, n_digits = family.seed_space_size, family.seed_digits
-    # Charged as a seeds x D digit matrix, a seeds x inputs table and the
-    # seeds x outputs x Z joint.  Extraction holds less: the matrix, table and
-    # columns cover only the representatives, and no dense joint is built.
-    width = max(n_inputs, family.output_size) * max(1, source.n_side)
-    if seeds * (n_digits + width) > budget:
-        raise BudgetExceededError(
-            f"{seeds} seeds x ({n_digits} seed digits + {width} cells per seed)"
-            f" exceeds budget {budget}"
-        )
-    q, n_out = f.q, family.output_size
-    layout = reps, translates, shifts = _translates(family, range(n_inputs))
+    q, n_out, seeds = f.q, family.output_size, family.seed_space_size
+    # Each representative's table cells and columns.
+    width = n_inputs + n_out * max(1, source.n_side)
+    check = _charge(family, n_inputs, width, budget)
+    layout = reps, translates, shifts = _translates(family, range(n_inputs), check)
     table = hash_table(family, reps, range(n_inputs))
     px = source.probs.probs
     sc = source.side_channel
@@ -246,6 +239,30 @@ def extract_joint(
     groups = _group_columns(rep_joint, totals, len(translates) // len(back))
     joint = ExtractedJoint(q, groups, rep_joint, layout)
     return ExtractionResult(joint, family, source)
+
+
+def _charge(family: HashFamily, n_inputs: int, width: int, budget: int):
+    """Refuse the row reduction of the D x (inputs x m) basis differences over
+    budget (each of at most min(D, inputs x m) pivots updates every cell), and
+    return the check ``_translates`` runs once it knows the rank r: with it,
+    the q^(D-r) translates' D digits and the q^r representatives' D digits
+    plus ``width`` cells each (their table and columns) must fit too."""
+    q, n_digits, rows = family.field.q, family.seed_digits, n_inputs * family.m
+    reduction = n_digits * rows * min(n_digits, rows)
+    what = f"{n_digits} x {rows} basis differences x {min(n_digits, rows)} pivots"
+    if reduction > budget:
+        raise BudgetExceededError(f"{what} exceeds budget {budget}")
+
+    def check(rank: int):
+        reps, translates = q**rank, q ** (n_digits - rank)
+        if reduction + translates * n_digits + reps * (n_digits + width) > budget:
+            raise BudgetExceededError(
+                f"{what} + {translates} translates x {n_digits} seed digits + {reps}"
+                f" representatives x ({n_digits} seed digits + {width} cells)"
+                f" exceeds budget {budget}"
+            )
+
+    return check
 
 
 class BucketEstimate(NamedTuple):
@@ -285,24 +302,21 @@ def expected_max_bucket(
         raise ValueError("subset elements must be distinct")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    seeds = family.seed_space_size
-    rows = seeds if mode == "exact" else n_samples
-    # hash_table holds a rows x D digit matrix, a D x |subset| x m basis and
-    # the rows x |subset| table; D = m * q^n for full_table.
-    n_digits, size = family.seed_digits, len(subset)
-    if rows * (n_digits + size) + n_digits * size * family.m > budget:
-        raise BudgetExceededError(
-            f"{rows} {'seeds' if mode == 'exact' else 'samples'} x"
-            f" ({n_digits} seed digits + {size} elements)"
-            f" + {n_digits} x {size} x {family.m} basis cells"
-            f" exceeds budget {budget}"
-        )
+    seeds, n_digits, size = family.seed_space_size, family.seed_digits, len(subset)
     if mode == "exact":
         # A translate permutes the buckets, so all seeds of a coset share the
         # largest bucket; the integer sum over all seeds stays exact.
-        reps, translates, _ = _translates(family, subset)
+        check = _charge(family, size, size, budget)
+        reps, translates, _ = _translates(family, subset, check)
         loads = _largest_buckets(hash_table(family, reps, subset))
         return BucketEstimate(math.fsum(loads.tolist()) * len(translates) / seeds, None)
+    # hash_table holds a samples x D digit matrix, a D x |subset| x m basis
+    # and the samples x |subset| table; D = m * q^n for full_table.
+    if n_samples * (n_digits + size) + n_digits * size * family.m > budget:
+        raise BudgetExceededError(
+            f"{n_samples} samples x ({n_digits} seed digits + {size} elements)"
+            f" + {n_digits} x {size} x {family.m} basis cells exceeds budget {budget}"
+        )
     from ._draws import integers  # numpy's default stream, without numpy.random
 
     if seeds - 1 <= np.iinfo(np.int64).max:

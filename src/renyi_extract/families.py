@@ -14,22 +14,23 @@ Every family is Z_q-linear in its seed digits, so ``hash_table`` is a digit
 matrix times a basis B, which it builds in closed form with numpy.  An
 l-subset collides with probability exactly q^{-r}, r the GF(q)-rank of its
 stacked basis differences (Carter & Wegman 1979): certification reads one
-basis and builds no seed table.  The seeds t with t . B_x the same for every
-input x form a group T; adding t to a seed shifts all its outputs by one
-constant, so extraction and the exact bucket experiment hash one seed per
-coset of T (``_translates``, one row reduction of the basis differences).
-Collision probabilities are exact rationals (``Fraction``), never floats.
-Only the two certification functions import ``fractions``, so a run that does
-not certify never loads it or the ``decimal`` it imports.  The scalar
-``evaluate`` (Horner with ``gf_mul`` and ``gf_add``) is the public
-single-value API and the tests' oracle; no run path calls it.
+basis, builds no seed table and carries each certificate as the integer r;
+the polynomial kind ranks only the subsets holding inputs 0 and 1, since
+affine maps of the inputs permute its seeds.  The seeds t with t . B_x the
+same for every input x form a group T; adding t to a seed shifts all its
+outputs by one constant, so extraction and the exact bucket experiment hash
+one seed per coset of T (``_translates``, one row reduction of the basis
+differences).  All of this is exact int64 arithmetic; a family that would
+leave int64 is refused.  The scalar ``evaluate`` (Horner
+with ``gf_mul`` and ``gf_add``) is the public single-value API and the tests'
+oracle; no run path calls it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,10 +38,9 @@ from ._record import Record
 from .errors import BudgetExceededError
 from .fields import FieldParams, gf_add, gf_mul
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 DEFAULT_BUDGET = 10_000_000
+
+INT64_MAX = np.iinfo(np.int64).max
 
 KINDS = ("polynomial", "full_table", "constant")
 
@@ -60,6 +60,14 @@ class HashFamily(Record):
             raise ValueError("output length m must be >= 1")
         if self.kind == "polynomial" and self.m > self.field.n:
             raise ValueError("polynomial kind requires m <= n")
+        # hash_table sums D products of two digits, and inputs and outputs
+        # are canonical integers, all in int64.
+        q, n_digits = self.field.q, self.seed_digits
+        if max(n_digits * (q - 1) ** 2, self.field.size, self.output_size) > INT64_MAX:
+            raise ValueError(
+                f"q={q} is too large for exact int64 arithmetic: {n_digits} seed"
+                f" digits x (q-1)^2, q^n and q^m must stay below 2^63"
+            )
 
     @property
     def seed_digits(self) -> int:
@@ -189,9 +197,11 @@ def _all_digit_rows(n: int, q: int) -> np.ndarray:
     return np.arange(q**n)[:, None] // q ** np.arange(n) % q
 
 
-def _translates(family: HashFamily, inputs):
+def _translates(family: HashFamily, inputs, check: Callable[[int], None] | None = None):
     """(reps, translates, shifts): one seed per coset of the translate group T
     on the given inputs, T as digit rows, and each translate's output shift.
+    ``check(rank)``, when given, runs before either list is built (a budget
+    check: there are q^rank reps and q^(D - rank) translates).
 
     T holds the seeds t with t . (B_x - B_{x_0}) = 0 mod q for every input x,
     so h(r + t, x) = h(r, x) + t . B_{x_0} digitwise: adding t shifts every
@@ -221,6 +231,8 @@ def _translates(family: HashFamily, inputs):
         row += 1
         if row == len(a):
             break
+    if check is not None:
+        check(len(pivots))
     free = [d for d in range(n_digits) if d not in pivots]
     reps = np.zeros((q ** len(pivots), n_digits), dtype=np.int64)
     reps[:, pivots] = _all_digit_rows(len(pivots), q)
@@ -247,43 +259,50 @@ def _ranks_mod_q(a: np.ndarray, q: int) -> np.ndarray:
     return np.count_nonzero(a.any(axis=2), axis=1)
 
 
-def verify_universality(
-    family: HashFamily, l: int, budget: int = DEFAULT_BUDGET
-) -> Fraction:
-    """Max over distinct l-tuples of Pr_S[h(S,x_1) = ... = h(S,x_l)], exactly.
+def verify_universality(family: HashFamily, l: int, budget: int = DEFAULT_BUDGET) -> int:
+    """The least GF(q)-rank r over distinct l-subsets: the largest
+    Pr_S[h(S,x_1) = ... = h(S,x_l)] is exactly q^{-r}.
 
-    The family is l-universal iff the returned ratio is <= q^{-m(l-1)}.
-    The all-equal event is symmetric in the tuple, so unordered l-subsets
-    suffice.  For a uniform seed it has probability q^{-r}, where r is the
-    GF(q)-rank of the D x m(l-1) matrix [B_{x_2} - B_{x_1} | ... | B_{x_l} -
-    B_{x_1}] over ``hash_table``'s basis B, so no seed is enumerated.
+    The family is l-universal iff r = m(l-1).  The all-equal event is
+    symmetric in the tuple, so unordered l-subsets suffice.  For a uniform
+    seed it has probability q^{-r}, where r is the GF(q)-rank of the
+    D x m(l-1) matrix [B_{x_2} - B_{x_1} | ... | B_{x_l} - B_{x_1}] over
+    ``hash_table``'s basis B, so no seed is enumerated.  An affine map of the
+    inputs permutes the polynomial kind's seeds and takes any two inputs to
+    0 and 1, so for that kind only the C(N-2, l-2) subsets holding 0 and 1
+    are ranked; the other kinds rank all C(N, l).
     """
-    from fractions import Fraction
-
     if l < 2:
         raise ValueError("universality order l must be >= 2")
     n_inputs = family.field.size
     if l > n_inputs:
         raise ValueError(f"l={l} exceeds domain size {n_inputs}")
     q, m, n_digits = family.field.q, family.m, family.seed_digits
-    n_subsets = math.comb(n_inputs, l)
+    fixed = (0, 1) if family.kind == "polynomial" else ()
+    rest = range(len(fixed), n_inputs)
+    n_subsets = math.comb(len(rest), l - len(fixed))
     if n_digits * (n_inputs + n_subsets * m * (l - 1)) > budget:
+        held = " holding 0 and 1" if fixed else ""
         raise BudgetExceededError(
             f"{n_digits} seed digits x ({n_inputs} inputs + {n_subsets} {l}-subsets"
-            f" x {m * (l - 1)} output digits) exceeds budget {budget}"
+            f"{held} x {m * (l - 1)} output digits) exceeds budget {budget}"
         )
     basis = _basis(family, np.arange(n_inputs)).transpose(1, 2, 0)  # (x, j, d)
     basis = basis.astype(np.min_scalar_type(-q * q))  # signed, holds +-q^2
-    subsets = np.array(list(itertools.combinations(range(n_inputs), l)))
+    chosen = itertools.combinations(rest, l - len(fixed))
+    subsets = np.array([fixed + c for c in chosen], dtype=np.int64).reshape(n_subsets, l)
     stacked = basis[subsets[:, 1:]] - basis[subsets[:, :1]]  # (subset, l-1, m, D)
     ranks = _ranks_mod_q(stacked.reshape(n_subsets, m * (l - 1), n_digits) % q, q)
-    return Fraction(1, q ** int(ranks.min()))
+    return int(ranks.min())
 
 
 class UniversalityVerdict(NamedTuple):
+    """Order l's certificate: the least rank over l-subsets, against the
+    required m(l-1); the collision probability is q^-rank."""
+
     l: int
-    collision_probability: Fraction
-    threshold: Fraction
+    rank: int
+    required: int
     passed: bool
 
 
@@ -294,11 +313,9 @@ def certify_k_star(
 
     The family is k*-universal iff every verdict passes.
     """
-    from fractions import Fraction
-
     verdicts = []
     for l in range(2, family.k + 1):
-        ratio = verify_universality(family, l, budget=budget)
-        threshold = Fraction(1, family.output_size ** (l - 1))
-        verdicts.append(UniversalityVerdict(l, ratio, threshold, ratio <= threshold))
+        rank = verify_universality(family, l, budget=budget)
+        required = family.m * (l - 1)
+        verdicts.append(UniversalityVerdict(l, rank, required, rank >= required))
     return verdicts

@@ -56,6 +56,14 @@ def _poly_mul(a: list[int], b: list[int], q: int) -> list[int]:
     return out
 
 
+def _tuples(q: int, n: int):
+    """Every n-tuple over [0, q) in ``itertools.product`` order, lazily:
+    product would first copy range(q) into a tuple, q entries long."""
+    powers = [q**i for i in reversed(range(n))]
+    for value in range(q**n):
+        yield tuple([value // p % q for p in powers])
+
+
 def _monic_polys(q: int, degree: int):
     """All monic polynomials of the given degree, as full coefficient lists."""
     for low in itertools.product(range(q), repeat=degree):
@@ -83,7 +91,9 @@ def find_irreducible(q: int, n: int) -> tuple[int, ...]:
         raise ValueError(f"q must be prime, got {q}")
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"n must be in [1, {MAX_DEGREE}], got {n}")
-    for low in itertools.product(range(q), repeat=n):
+    if n == 1:
+        return (0,)  # x itself
+    for low in _tuples(q, n):
         if is_irreducible(low, q):
             return low
     raise AssertionError("no irreducible polynomial found")  # unreachable

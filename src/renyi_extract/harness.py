@@ -9,7 +9,6 @@ never into the report).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from . import __version__
 from . import bounds as bd
@@ -18,9 +17,6 @@ from .errors import ConfigError
 from .extraction import ExtractionResult, expected_max_bucket, extract_joint
 from .families import HashFamily, certify_k_star
 from .measures import Alpha, DivergenceTable, empirical_divergences
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 SCHEMA_VERSION = 1
 
@@ -36,20 +32,18 @@ def _finite_alphas_in_range(alphas, k: int) -> list[Alpha]:
     return [a for a in alphas if a.is_finite_order and a.value <= k]
 
 
-def _ratio(r: Fraction) -> str:
-    return f"{r.numerator}/{r.denominator}"  # "1/1", where str(r) gives "1"
-
-
 def _certification_section(family: HashFamily, budget: int) -> tuple[dict, bool]:
     verdicts = certify_k_star(family, budget=budget)
     passed = all(v.passed for v in verdicts)
+    q = family.field.q
     section = {
         "is_k_star_universal": passed,
         "per_order": [
             {
                 "l": v.l,
-                "collision_probability": _ratio(v.collision_probability),
-                "threshold": _ratio(v.threshold),
+                # Exactly q^-rank and q^-m(l-1), written as "1/q^r" ("1/1" at 0).
+                "collision_probability": f"1/{q ** v.rank}",
+                "threshold": f"1/{q ** v.required}",
                 "passed": v.passed,
             }
             for v in verdicts

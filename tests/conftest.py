@@ -10,6 +10,7 @@ import pytest
 
 from renyi_extract import HashFamily, Pmf, Source, extraction, measures
 from renyi_extract.bounds import logq_sum_exp, stirling2
+from renyi_extract import families
 from renyi_extract.families import hash_table
 from renyi_extract.fields import FieldParams
 
@@ -51,6 +52,24 @@ def uniform_source(field, side_channel=None):
 
 def poly_family(field, k, m):
     return HashFamily("polynomial", field, k, m)
+
+
+def full_rank_scan(family, l, chunk=20_000):
+    """The least GF(q)-rank of [B_{x_2} - B_{x_1} | ... | B_{x_l} - B_{x_1}]
+    over all C(N, l) l-subsets, ranked ``chunk`` subsets at a time: the
+    unreduced certificate that the affine reduction must equal."""
+    q, m, n_digits = family.field.q, family.m, family.seed_digits
+    n_inputs = family.field.size
+    basis = families._basis(family, np.arange(n_inputs)).transpose(1, 2, 0)
+    basis = basis.astype(np.min_scalar_type(-q * q))
+    subsets = itertools.combinations(range(n_inputs), l)
+    best = m * (l - 1)
+    while block := list(itertools.islice(subsets, chunk)):
+        block = np.array(block)
+        stacked = (basis[block[:, 1:]] - basis[block[:, :1]]) % q
+        stacked = stacked.reshape(len(block), m * (l - 1), n_digits)
+        best = min(best, int(families._ranks_mod_q(stacked, q).min()))
+    return best
 
 
 def dense_joint(family, source):

@@ -8,7 +8,6 @@ module constants.  Everything runs by exact enumeration at desk scale
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -246,7 +245,8 @@ def test_09_universality_certification():
     for m in (1, 2):
         table_family = HashFamily("full_table", small, 3, m)
         for v in certify_k_star(table_family):
-            ok = ok and v.collision_probability == Fraction(1, 2 ** (m * (v.l - 1)))
+            # Collision probability exactly 2^-rank = 2^-m(l-1).
+            ok = ok and v.rank == v.required == m * (v.l - 1)
     report(9, "polynomial certified, constant rejected, full table exact", ok)
 
 

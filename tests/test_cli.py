@@ -522,6 +522,25 @@ class TestConfigValidation:
         assert "exceeds budget 1000" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["verify", "sweep", "bucket"])
+    def test_family_beyond_int64_exits_2(self, tmp_path, capsys, command):
+        # A prime q = 2147483659 field fits a budget of 10^11, but 2 seed
+        # digits x (q-1)^2 leaves int64: exit 2 naming q, with no traceback,
+        # no MemoryError from listing Z_q and no wrong table.
+        cfg = write_config(
+            tmp_path,
+            family={"q": 2147483659, "n": 1, "k": 2, "m": 1},
+            source={"preset": "point-mass"},
+            bucket={"subset": [0, 1], "mode": "sampled", "samples": 10},
+        )
+        out = tmp_path / "report"
+        argv = [command, "--config", cfg, "--out", str(out), "--budget", "100000000000"]
+        assert main(argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "q=2147483659 is too large" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "command,overrides",
         [
@@ -586,8 +605,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_joint_over_budget_exits_2(self, tmp_path, capsys, command):
-        # 64 seeds x 8 inputs fit a budget of 600, but the joint has
-        # 4 outputs x 64 seeds x 100 side symbols = 25,600 cells.
+        # The row reduction (6 seed digits x 16 rows x 6 pivots) fits a
+        # budget of 600, but the 8 coset representatives' columns hold
+        # 4 outputs x 100 side symbols each: 3,936 cells charged in all.
         cfg = write_config(
             tmp_path,
             family={"q": 2, "n": 3, "k": 2, "m": 2},

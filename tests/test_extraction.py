@@ -15,7 +15,7 @@ from renyi_extract import (
     expected_max_bucket,
     extract_joint,
 )
-from renyi_extract import extraction, harness, measures
+from renyi_extract import extraction, families, harness, measures
 from renyi_extract.bounds import SLACK
 from renyi_extract.config import parse_config
 from renyi_extract.errors import BudgetExceededError
@@ -29,6 +29,16 @@ from conftest import (
 )
 
 SIDE_ROWS_8 = np.array([[0.8, 0.2], [0.3, 0.7]] * 4)
+
+
+def coset_charge(family, inputs, width):
+    """What extraction and the exact bucket are charged: the row reduction
+    of the D x (|inputs| x m) basis differences (min(D, |inputs| x m) pivots
+    over every cell), the q^(D-r) translates' D digits, and D digits plus
+    ``width`` cells for each of the q^r representatives."""
+    d, rows = family.seed_digits, len(inputs) * family.m
+    reps, translates, _ = families._translates(family, inputs)
+    return d * rows * min(d, rows) + len(translates) * d + len(reps) * (d + width)
 
 
 def oracle_joint(family, source):
@@ -105,27 +115,36 @@ class TestExtractJoint:
             extract_joint(fam, uniform_source(gf8), budget=100)
 
     @pytest.mark.parametrize(
-        "kind,q,n,k,m,side",
-        [("full_table", 2, 3, 2, 2, 0), ("polynomial", 2, 1, 4, 1, 0),
-         ("polynomial", 3, 2, 2, 1, 3), ("polynomial", 2, 3, 2, 2, 2)],
+        "kind,q,n,k,m,side,pinned",
+        [("full_table", 2, 3, 2, 2, 0, 462_912), ("polynomial", 2, 1, 4, 1, 0, 64),
+         ("polynomial", 3, 2, 2, 1, 3, 378), ("polynomial", 2, 3, 2, 2, 2, 800)],
     )
-    def test_budget_is_the_table_and_joint_charge(self, kind, q, n, k, m, side):
-        # seeds x (D seed digits + max(q^n, q^m) x max(1, Z)): hash_table's
-        # digit matrix, plus one width for its table and the joint.  The
-        # full_table GF(2^3), m=2 family has D = 16 digits, twice its width,
-        # and polynomial GF(2), k=4 has D = 4 against a width of 2.
+    def test_budget_is_the_coset_charge(self, kind, q, n, k, m, side, pinned):
+        # The row reduction, T's digit rows, then per representative its D
+        # digits, its q^n table cells and its q^m x max(1, Z) columns
+        # (coset_charge).  The full_table GF(2^3), m=2 family has 2^16 seeds
+        # in 4 cosets; the old whole-seed-space charge was 2^16 x (16 + 8).
         field = FieldParams.create(q, n)
         fam = HashFamily(kind, field, k, m)
         rows = np.full((field.size, side), 1.0 / side) if side else None
         source = uniform_source(field, side_channel=rows)
-        width = max(field.size, fam.output_size) * max(1, side)
-        charge = fam.seed_space_size * (fam.seed_digits + width)
+        width = field.size + fam.output_size * max(1, side)
+        charge = coset_charge(fam, range(field.size), width)
+        assert charge == pinned
         with pytest.raises(BudgetExceededError, match=f"exceeds budget {charge - 1}$"):
             extract_joint(fam, source, budget=charge - 1)
         joint = extract_joint(fam, source, budget=charge).joint
         assert joint.probs.shape[1] == fam.seed_space_size
-        if kind == "full_table":
-            assert charge == 2**16 * (16 + 8)
+
+    def test_row_reduction_is_charged_before_it_runs(self, monkeypatch):
+        # full_table GF(2^8), m=4: D = 1024 seed digits against 1024 rows of
+        # basis differences, so the reduction alone is 2^30 cells.
+        fam = HashFamily("full_table", FieldParams.create(2, 8), 2, 4)
+        monkeypatch.setattr(extraction, "_translates", lambda *a: pytest.fail("reduced"))
+        with pytest.raises(BudgetExceededError, match=r"1024 pivots exceeds budget"):
+            extract_joint(fam, uniform_source(fam.field))
+        with pytest.raises(BudgetExceededError, match=r"1024 pivots exceeds budget"):
+            expected_max_bucket(fam, range(256))
 
     def test_wrong_field_rejected(self, gf4, gf8):
         fam = poly_family(gf4, 2, 1)
@@ -465,27 +484,34 @@ class TestExpectedMaxBucket:
         assert est.stderr == float(vals.std(ddof=1) / math.sqrt(200))
 
     @pytest.mark.parametrize(
-        "kind,n,k,m,mode,rows",
-        [("polynomial", 8, 3, 4, "sampled", 1500), ("polynomial", 3, 2, 2, "exact", 64),
-         ("full_table", 3, 2, 2, "sampled", 40), ("full_table", 2, 2, 1, "exact", 16)],
+        "kind,n,k,m,mode,rows,pinned",
+        [("polynomial", 8, 3, 4, "sampled", 1500, 87_072),
+         ("polynomial", 3, 2, 2, "exact", None, 736),
+         ("full_table", 3, 2, 2, "sampled", 40, 1_216),
+         ("full_table", 2, 2, 1, "exact", None, 136)],
     )
-    def test_budget_is_the_table_charge(self, kind, n, k, m, mode, rows):
-        # rows x (D seed digits + |subset|) + D x |subset| x m: hash_table's
-        # digit matrix, output table and basis.  The first case is the
-        # benchmark's sampled bucket: 87,072 cells.
+    def test_budget_is_the_table_charge(self, kind, n, k, m, mode, rows, pinned):
+        # Sampled: rows x (D seed digits + |subset|) + D x |subset| x m,
+        # hash_table's digit matrix, output table and basis; the first case is
+        # the benchmark's sampled bucket.  Exact: the coset charge with one
+        # table cell per subset element (coset_charge), not the seed space.
         fam = HashFamily(kind, FieldParams.create(2, n), k, m)
         subset = list(range(min(32, fam.field.size)))
         d = fam.seed_digits
-        charge = rows * (d + len(subset)) + d * len(subset) * m
+        if mode == "exact":
+            charge = coset_charge(fam, subset, len(subset))
+        else:
+            charge = rows * (d + len(subset)) + d * len(subset) * m
+        assert charge == pinned
 
         def run(budget):
-            return expected_max_bucket(fam, subset, mode=mode, n_samples=rows, budget=budget)
+            return expected_max_bucket(
+                fam, subset, mode=mode, n_samples=rows or 1000, budget=budget
+            )
 
         with pytest.raises(BudgetExceededError, match=f"exceeds budget {charge - 1}$"):
             run(charge - 1)
         assert run(charge).mean >= 1  # every row's largest bucket holds an input
-        if n == 8:
-            assert charge == 87_072
 
     def test_empty_subset_rejected(self, gf8):
         fam = poly_family(gf8, 2, 2)

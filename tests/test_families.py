@@ -12,7 +12,7 @@ from renyi_extract import families
 from renyi_extract.families import KINDS, hash_table
 from renyi_extract.fields import FieldParams
 
-from conftest import poly_family
+from conftest import full_rank_scan, poly_family
 
 
 def test_zero_seed_maps_everything_to_zero(gf8):
@@ -68,21 +68,21 @@ def test_full_table_collision_probability_exact():
     f = FieldParams.create(2, 2)
     fam = HashFamily("full_table", f, 4, 1)
     for l in (2, 3, 4):
-        assert verify_universality(fam, l, budget=10**7) == Fraction(1, 2 ** (l - 1))
+        assert verify_universality(fam, l, budget=10**7) == l - 1  # 2^-(l-1)
 
 
 def test_polynomial_pairwise_universality(gf4):
     fam = poly_family(gf4, 2, 1)
-    assert verify_universality(fam, 2) <= Fraction(1, 2)
+    assert verify_universality(fam, 2) >= 1  # collision probability <= 1/2
 
 
 def test_polynomial_order2_family_fails_higher_order(gf4):
     # k = 2 does not promise 3-universality; at m = 2 the constant seeds give
     # collision probability 1/4 > q^{-2m} = 1/16.
     fam = poly_family(gf4, 2, 2)
-    ratio = verify_universality(fam, 3)
-    assert ratio == Fraction(1, 4)
-    assert ratio > Fraction(1, 16)
+    rank = verify_universality(fam, 3)
+    assert rank == 2  # 1/4
+    assert rank < 4  # 1/4 > 1/16
 
 
 def test_certify_k_star_polynomial(gf8):
@@ -97,7 +97,7 @@ def test_certify_constant_family_fails(gf4):
     fam = HashFamily("constant", gf4, 2, 1)
     verdicts = certify_k_star(fam)
     assert verdicts[0].l == 2
-    assert verdicts[0].collision_probability == 1
+    assert (verdicts[0].rank, verdicts[0].required) == (0, 1)  # probability 1
     assert not verdicts[0].passed
 
 
@@ -106,16 +106,45 @@ def test_certify_full_table(gf4):
     assert all(v.passed for v in certify_k_star(fam))
 
 
-def test_budget_is_the_certification_charge():
-    # GF(2^5), k=3, m=2 at l=3: D = 15 seed digits, N = 32 inputs, so the
-    # basis (D x N) and the C(32, 3) stacked D x m(l-1) matrices cost 298,080
-    # cells.  Scanning every seed was charged 2^15 x 32 and did far more.
-    fam = poly_family(FieldParams.create(2, 5), 3, 2)
-    charge = 15 * 32 + math.comb(32, 3) * 15 * 2 * 2
-    assert charge == 298_080
-    with pytest.raises(BudgetExceededError, match="exceeds budget 298079"):
+@pytest.mark.parametrize(
+    "kind,k,subsets", [("polynomial", 3, math.comb(30, 1)), ("full_table", 3, math.comb(32, 3))]
+)
+def test_budget_is_the_certification_charge(kind, k, subsets):
+    # GF(2^5), m=2 at l=3: the basis (D x N, N = 32 inputs) and one stacked
+    # D x m(l-1) matrix per ranked 3-subset.  The polynomial kind ranks only
+    # the C(30, 1) subsets holding inputs 0 and 1: D = 15, so 2,280 cells,
+    # where all C(32, 3) were charged 298,080.  full_table ranks every subset.
+    fam = HashFamily(kind, FieldParams.create(2, 5), k, 2)
+    d = fam.seed_digits
+    charge = d * 32 + subsets * d * 2 * 2
+    if kind == "polynomial":
+        assert charge == 2_280
+    with pytest.raises(BudgetExceededError, match=f"exceeds budget {charge - 1}$"):
         verify_universality(fam, 3, budget=charge - 1)
-    assert verify_universality(fam, 3, budget=charge) == Fraction(1, 16)
+    assert verify_universality(fam, 3, budget=charge) == 4  # 1/16
+
+
+def test_family_beyond_int64_is_refused():
+    # At q = 2147483659, k = 4, the digit products summed in hash_table reach
+    # 4 (q-1)^2 > 2^63: int64 wrapped, and hash_table gave 2147483180 where
+    # evaluate gives 5.  The family is refused, naming q.
+    field = FieldParams(2147483659, 1, (0,))
+    for k in (2, 4):
+        with pytest.raises(ValueError, match=r"q=2147483659 is too large"):
+            HashFamily("polynomial", field, k, 1)
+
+
+def test_largest_int64_family_matches_evaluate():
+    # q = 2^31 - 1, k = 2: 2 (q-1)^2 < 2^63, the largest prime q admitted at
+    # n = 1, k = 2.  Its sums of digit products stay exact.
+    q = 2**31 - 1
+    fam = HashFamily("polynomial", FieldParams(q, 1, (0,)), 2, 1)
+    seeds = [0, 1, q - 1, q, fam.seed_space_size - 1, (q - 2) * q + q - 3]
+    inputs = [0, 1, 2, q - 2, q - 1]
+    table = hash_table(fam, seeds, inputs)
+    assert table.tolist() == [[evaluate(fam, s, x) for x in inputs] for s in seeds]
+    with pytest.raises(ValueError, match=rf"q={q} is too large"):
+        HashFamily("polynomial", fam.field, 3, 1)
 
 
 def test_seed_space_sizes(gf4):
@@ -308,7 +337,28 @@ def test_rank_matches_seed_scan(kind, q, n, k, m):
     # 126 (family, l) cases in all.
     fam = HashFamily(kind, FieldParams.create(q, n), k, m)
     for l in range(2, min(k + 1, fam.field.size) + 1):
-        assert verify_universality(fam, l) == seed_scan(fam, l), l
+        assert Fraction(1, q ** verify_universality(fam, l)) == seed_scan(fam, l), l
+
+
+AFFINE_FAMILIES = [
+    (q, n, k, m)
+    for q, n in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2))
+    for k in (2, 3, 4)
+    for m in range(1, n + 1)
+]
+
+
+@pytest.mark.parametrize("q,n,k,m", AFFINE_FAMILIES)
+def test_affine_reduction_matches_full_scan(q, n, k, m):
+    # Ranking only the subsets that hold inputs 0 and 1 gives the least rank
+    # over all C(N, l) subsets: at every order the certifier checks, and at
+    # k + 1, where the family fails and the least rank is below m * k, when
+    # there are at most 40,000 (k + 1)-subsets to scan.
+    fam = poly_family(FieldParams.create(q, n), k, m)
+    orders = [l for l in range(2, min(k + 1, q**n) + 1)
+              if l <= k or math.comb(q**n, l) <= 40_000]
+    for l in orders:
+        assert verify_universality(fam, l) == full_rank_scan(fam, l), l
 
 
 def test_certification_reads_only_the_basis(monkeypatch):

@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
+from renyi_extract import fields
 from renyi_extract.fields import (
     FieldParams,
     find_irreducible,
     gf_add,
     gf_mul,
+    is_irreducible,
     is_prime,
 )
 
@@ -53,6 +55,23 @@ def test_find_irreducible_rejects_bad_inputs():
         find_irreducible(2, 0)
     with pytest.raises(ValueError):
         find_irreducible(2, 17)
+
+
+def test_large_prime_field_is_built_without_listing_z_q():
+    # itertools.product(range(q), repeat=1) first copies range(q) into a
+    # tuple: at q = 2147483659 that ended in MemoryError.  x itself is the
+    # degree-1 modulus.
+    assert find_irreducible(2147483659, 1) == (0,)
+    assert FieldParams.create(2147483659, 1).modulus == (0,)
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_candidates_are_tried_in_product_order(q, n):
+    # The lazy candidates are itertools.product's, in its order, so the
+    # modulus is still the lexicographically smallest irreducible one.
+    candidates = list(itertools.product(range(q), repeat=n))
+    assert list(fields._tuples(q, n)) == candidates
+    assert find_irreducible(q, n) == next(c for c in candidates if is_irreducible(c, q))
 
 
 def test_is_prime_small():

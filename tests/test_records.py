@@ -4,15 +4,14 @@ The config and result records are ``typing.NamedTuple``s: immutable and
 compared by value.  The seven classes that validate their fields or cache a
 value derive from ``renyi_extract._record.Record``, a hand-written frozen base
 that behaves as the frozen dataclasses it replaced did.  Importing the CLI
-applies ``dataclasses.dataclass`` to no class, and a sweep or bucket run never
-loads ``dataclasses`` or ``fractions``; only certification imports ``Fraction``.
+applies ``dataclasses.dataclass`` to no class, and no run loads
+``dataclasses``, ``fractions`` or ``decimal``: certificates are integer ranks.
 """
 
 import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -52,15 +51,15 @@ print(json.dumps({"dataclasses": made, "numpy_random_by_numpy": by_numpy,
                   "numpy_random": "numpy.random" in sys.modules}))
 """
 
-# Run in a fresh interpreter: a sweep and a bucket run through the CLI, then
-# the modules among these that they loaded and numpy did not.
+# Run in a fresh interpreter: the given CLI commands on one config, then the
+# modules among these that they loaded and numpy did not.
 RUN_PROBE = """
 import json, sys
 import numpy
 watched = {"dataclasses", "decimal", "fractions"} - set(sys.modules)
 from renyi_extract.cli import main
-config, out = sys.argv[1:]
-for command in ("sweep", "bucket"):
+config, out, *commands = sys.argv[1:]
+for command in commands:
     assert main([command, "--config", config, "--out", out]) == 0, command
 print(json.dumps(sorted(watched & set(sys.modules))))
 """
@@ -94,14 +93,21 @@ class TestStartup:
     def test_sweep_and_bucket_load_neither_dataclasses_nor_fractions(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(CONFIG))
-        assert _probe(RUN_PROBE, str(config), str(tmp_path / "out")) == []
+        out = str(tmp_path / "out")
+        assert _probe(RUN_PROBE, str(config), out, "sweep", "bucket") == []
+
+    def test_verify_loads_neither_fractions_nor_decimal(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CONFIG))
+        assert _probe(RUN_PROBE, str(config), str(tmp_path / "out"), "verify") == []
 
     def test_certification_is_exact(self, gf8):
+        # Each certificate is the integer rank r: collision probability q^-r.
         family = HashFamily("polynomial", gf8, 3, 1)
-        assert type(verify_universality(family, 2)) is Fraction
+        assert type(verify_universality(family, 2)) is int
         for v in certify_k_star(family):
-            assert type(v.collision_probability) is type(v.threshold) is Fraction
-            assert v.collision_probability == v.threshold == Fraction(1, 2 ** (v.l - 1))
+            assert all(type(x) is int for x in v[:3]) and type(v.passed) is bool
+            assert v.rank == v.required == v.l - 1
 
 
 CONFIG = {
@@ -121,7 +127,7 @@ RECORDS = [
     parse_config(CONFIG),
     DivergenceRow(Alpha(2.0), 0.1, 0.2),
     DivergenceTable((), 0.0, 0.0, 0.0),
-    UniversalityVerdict(2, Fraction(1, 2), Fraction(1, 2), True),
+    UniversalityVerdict(2, 1, 1, True),
     ExtractionResult(None, None, None),
     BucketEstimate(1.5, None),
 ]
@@ -138,7 +144,7 @@ class TestRecords:
         "make",
         [
             lambda: FamilySpec(2, 3, 2, 1),
-            lambda: UniversalityVerdict(3, Fraction(1, 16), Fraction(1, 16), True),
+            lambda: UniversalityVerdict(3, 4, 4, True),
             lambda: BucketEstimate(2.75, None),
         ],
         ids=["FamilySpec", "UniversalityVerdict", "BucketEstimate"],
