@@ -9,16 +9,19 @@ field's elements.  Both the joint and the exact largest-bucket experiment
 hash one seed per coset of the translate group T (``families._translates``):
 adding a t in T to a seed shifts each of its outputs by one constant, so the
 other seeds of a coset are output permutations of its representative, bit for
-bit.  The joint reads the representatives' h(s, x) from ``hash_table`` and
-adds one input's mass at a time, so every cell sums its terms in canonical
-input order.  It is kept as its column groups (``ExtractedJoint``), ranked
-from the representatives' columns, each coset's references summed once per
-distinct shift; its dense U x seeds [x Z] array is built only when read.  A
-shift permutes the buckets too, so a coset shares its largest bucket.
+bit.  The representatives are hashed BLOCK at a time, their digit rows made
+from their indices, so memory follows the block and the joint's columns, not
+the number of representatives times their digits and inputs.  The joint adds
+one input's mass at a time, so every cell sums its terms in canonical input
+order.  It is kept as its column groups (``ExtractedJoint``), ranked once from
+the representatives' columns and merged one distinct output shift at a time;
+its dense U x seeds [x Z] array is built only when read.  A shift permutes
+the buckets too, so a coset shares its largest bucket.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -28,13 +31,18 @@ import numpy as np
 from .bounds import SLACK
 from .errors import BudgetExceededError
 from .families import (
-    DEFAULT_BUDGET, HashFamily, _all_digit_rows, _translates, hash_table,
+    DEFAULT_BUDGET, INT64_MAX, Cosets, HashFamily, _all_digit_rows, _translates,
+    hash_table,
 )
 # Re-exported so perfbench/tracing.py can count calls here.
 from .families import evaluate  # noqa: F401
 from . import measures
 from ._record import Record
 from .measures import JointPmf, Pmf
+
+# Coset representatives hashed per ``hash_table`` call, and groups per chunk
+# of the sum check: the block bounds memory, the budget bounds work.
+BLOCK = 2**14
 
 
 # eq=False: equality and hashing by value fail on an ndarray field.
@@ -110,27 +118,29 @@ def _nonnegative(h: float) -> float:
 class ExtractedJoint(Record, eq=False):
     """An output joint P(u, s[, z]) as its column groups, from
     ``_group_columns``, its coset representatives' columns and its
-    coset layout (``_translates``); ``probs``, the dense U x seeds [x Z]
-    array, is built on first read."""
+    ``Cosets``; ``probs``, the dense U x seeds [x Z] array, is built on first
+    read."""
 
     base_q: int
     _groups: tuple
     _rep_columns: np.ndarray
-    _layout: tuple
+    _layout: Cosets
 
     @cached_property
     def probs(self) -> np.ndarray:
-        (reps, translates, shifts), q = self._layout, self.base_q
-        # Seed rep + t (digitwise) is at index at[t, rep]; its column is rep's
-        # moved from output u to lands[t, u] = u + shift(t) digitwise.
-        at = np.zeros((len(translates), len(reps)), dtype=np.int64)
-        for d in range(reps.shape[1]):
-            at += (reps[:, d] + translates[:, d, None]) % q * q**d
-        digits = _all_digit_rows(shifts.shape[1], q)
-        lands = (digits + shifts[:, None]) % q @ q ** np.arange(shifts.shape[1])
-        acc = np.empty((len(digits), at.size) + self._rep_columns.shape[2:])
-        for u, column in enumerate(self._rep_columns):
-            acc[lands[:, u, None], at] = column
+        (_, translates, reduced, moves), q = self._layout, self.base_q
+        columns = self._rep_columns
+        seeds, m = translates * columns.shape[1], len(moves)
+        digits = _all_digit_rows(m, q)
+        acc = np.empty((len(digits), seeds) + columns.shape[2:])
+        for start in range(0, seeds, BLOCK):  # BLOCK seeds' digit rows at a time
+            at = np.arange(start, min(start + BLOCK, seeds))
+            s = at[:, None] // q ** np.arange(reduced.shape[1]) % q
+            rep = s @ reduced.T % q @ q ** np.arange(len(reduced))
+            # Seed s holds its representative's column moved from output u to
+            # lands[s, u] = u + shift(s) digitwise.
+            lands = (digits + (s @ moves.T % q)[:, None]) % q @ q ** np.arange(m)
+            acc[lands.T, at] = columns[:, rep]
         acc.setflags(write=False)
         return acc
 
@@ -153,19 +163,23 @@ class ExtractionResult(NamedTuple):
         return self.source.entropy(a)
 
 
-def _group_columns(arr: np.ndarray, totals: np.ndarray, weight: int = 1):
+def _group_columns(arr: np.ndarray, totals, weight: int = 1):
     """An output joint's columns grouped by content, as (columns, refs,
     counts), checked to sum to 1.
 
     A column is a seed s or an (s, z) cell; its reference is its total over
     the U outputs, over U.  The joint's columns are V variants of each column
-    c of arr: variant v holds c's entries in some order, totals totals[v, c]
-    and stands for ``weight`` columns.  Columns whose sorted outputs and
-    reference are the same bit for bit form a group: its sorted column,
-    reference and member count.  One ``np.lexsort`` of the int64 bits of
-    arr's sorted columns ranks them, and one of (rank, reference) over the
-    variants orders the groups as a lexsort on the sorted column, then the
-    reference, would.  The sum check is ``_check_cells``.
+    c of arr: variant v holds c's entries in some order, totals holds one
+    array per variant, shaped as arr[0], whose entry c is variant v's total,
+    and each variant stands for ``weight`` columns.  Columns whose sorted
+    outputs and reference are the same bit for bit form a group: its sorted
+    column, reference and member count.  One ``np.lexsort`` of the int64 bits
+    of arr's sorted columns ranks them.  Each variant's (rank, reference)
+    rows then join the groups so far, and a lexsort on (rank, reference bits)
+    plus a merge of equal neighbours sums their counts, as
+    ``measures._merge_runs`` does, so no V x C array is built and the groups
+    come in the order of one lexsort on the sorted column, then the
+    reference.  The sum check is ``_check_cells``.
     """
     n_out = arr.shape[0]
     bits = np.sort(arr.reshape(n_out, -1).T, axis=1).view(np.int64)
@@ -175,26 +189,56 @@ def _group_columns(arr: np.ndarray, totals: np.ndarray, weight: int = 1):
     rank = np.empty_like(order)
     rank[order] = np.cumsum(new) - 1
     distinct = bits[new]
-    refs = (totals / n_out).ravel()
-    rank = np.tile(rank, len(refs) // len(rank))
-    order = np.lexsort((refs.view(np.int64), rank))
-    rank, refs = rank[order], refs[order]
-    ref_bits = refs.view(np.int64)
-    new = (rank[1:] != rank[:-1]) | (ref_bits[1:] != ref_bits[:-1])
-    starts = np.flatnonzero(np.r_[True, new])
-    counts = np.diff(np.r_[starts, len(order)]) * weight
-    cols, refs = distinct[rank[starts]].view(float).T, refs[starts]
-    del bits, distinct, new, order, rank, ref_bits  # freed before the check allocates
+    del bits, order, new
+    kept, refs, counts, ones = rank[:0], np.empty(0), rank[:0], np.ones_like(rank)
+    for total in totals:
+        # One new array at a time, each freeing the one it replaces.
+        refs = np.r_[refs, (total / n_out).ravel()]
+        kept = np.r_[kept, rank]
+        counts = np.r_[counts, ones]
+        order = np.lexsort((refs.view(np.int64), kept))
+        kept = kept[order]
+        refs = refs[order]
+        counts = counts[order]
+        del order
+        ref_bits = refs.view(np.int64)
+        new = (kept[1:] != kept[:-1]) | (ref_bits[1:] != ref_bits[:-1])
+        starts = np.flatnonzero(np.r_[True, new])
+        kept, refs, counts = kept[starts], refs[starts], np.add.reduceat(counts, starts)
+    cols, counts = distinct[kept].view(float).T, counts * weight
     _check_cells(cols, counts)
     return cols, refs, counts
 
 
 def _check_cells(cols: np.ndarray, counts: np.ndarray) -> float:
     """The exact total of grouped columns, each group's cells once per member,
-    checked to be 1 (``measures._check_sum``): one term per distinct cell
-    value, with its counts summed, gives the same exact total."""
-    cells = measures._distinct(cols.T.ravel(), np.repeat(counts, len(cols)))
-    return measures._check_sum(cells[0], cells[2])
+    checked to be 1 (``measures._check_sum``).  One streaming ``math.fsum``
+    reads BLOCK groups at a time: per distinct cell value of a chunk, with its
+    counts summed, the exact ldexp(value, j) for each set bit j of the count,
+    which gives the exact total of one term per cell."""
+
+    def chunks():
+        for start in range(0, len(counts), BLOCK):
+            chunk = cols[:, start : start + BLOCK]
+            vals, _, summed = measures._distinct(
+                chunk.T.ravel(), np.repeat(counts[start : start + BLOCK], len(cols))
+            )
+            i, j = measures._bits(summed)
+            with np.errstate(over="ignore"):  # an overflowing term enters as inf
+                terms = np.ldexp(vals[i], j).tolist()
+            yield terms
+
+    return measures._check_sum(itertools.chain.from_iterable(chunks()))
+
+
+def _blocks(family: HashFamily, cosets: Cosets, inputs):
+    """(first index, hash table) per block of BLOCK coset representatives,
+    in index order, each block's digit rows made from its indices."""
+    q = family.field.q
+    n_reps = q ** len(cosets.pivots)
+    for start in range(0, n_reps, BLOCK):
+        digits = cosets.representatives(q, start, min(start + BLOCK, n_reps))
+        yield start, hash_table(family, digits, inputs)
 
 
 def extract_joint(
@@ -213,40 +257,50 @@ def extract_joint(
     # Each representative's table cells and columns.
     width = n_inputs + n_out * max(1, source.n_side)
     check = _charge(family, n_inputs, width, budget)
-    layout = reps, translates, shifts = _translates(family, range(n_inputs), check)
-    table = hash_table(family, reps, range(n_inputs))
+    if seeds * max(1, source.n_side) * n_out > INT64_MAX:  # counts sum to the cells
+        raise ValueError(
+            f"{q}^{family.seed_digits} seeds x {max(1, source.n_side)} side symbols"
+            f" x {n_out} outputs are too many cells to count in int64"
+        )
+    cosets = _translates(family, range(n_inputs), check)
     px = source.probs.probs
     sc = source.side_channel
-    rep_seeds = np.arange(len(reps))
     tail = () if sc is None else (source.n_side,)
-    rep_joint = np.zeros((n_out, len(reps)) + tail)
+    rep_joint = np.zeros((n_out, q ** len(cosets.pivots)) + tail)
     # One input at a time touches each seed's column once, so every cell sums
     # its terms in canonical input order.
-    for i in range(n_inputs):
-        rep_joint[table[:, i], rep_seeds] += px[i] if sc is None else px[i] * sc[i]
-    del table
+    for start, table in _blocks(family, cosets, range(n_inputs)):
+        cols = np.arange(start, start + len(table))
+        for i in range(n_inputs):
+            rep_joint[table[:, i], cols] += px[i] if sc is None else px[i] * sc[i]
+        del table
     rep_joint *= 1.0 / seeds
     # Seed rep + t holds rep's column moved by shift(t): its total adds rep's
     # entries at u - shift(t) for u = 0 .. U-1, as arr.sum(axis=0) adds the
     # dense joint.  t -> shift(t) is linear, so each of its V values is hit
     # |T| / V times.
     powers, digits = q ** np.arange(family.m), _all_digit_rows(family.m, q)
-    hit = np.bincount(shifts @ powers, minlength=n_out) > 0
-    back = (digits - digits[hit][:, None]) % q @ powers  # back[v, u] = u - v
-    totals = rep_joint[back[:, 0]]
-    for u in range(1, n_out):
-        totals += rep_joint[back[:, u]]
-    groups = _group_columns(rep_joint, totals, len(translates) // len(back))
-    joint = ExtractedJoint(q, groups, rep_joint, layout)
+    back = (digits - cosets.shifts(q)[:, None]) % q @ powers  # back[v, u] = u - v
+    totals = (_total(rep_joint, b) for b in back)
+    groups = _group_columns(rep_joint, totals, cosets.translates // len(back))
+    joint = ExtractedJoint(q, groups, rep_joint, cosets)
     return ExtractionResult(joint, family, source)
+
+
+def _total(arr: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """arr[order[0]] + arr[order[1]] + ..., added in that order."""
+    total = arr[order[0]].copy()
+    for u in order[1:]:
+        total += arr[u]
+    return total
 
 
 def _charge(family: HashFamily, n_inputs: int, width: int, budget: int):
     """Refuse the row reduction of the D x (inputs x m) basis differences over
     budget (each of at most min(D, inputs x m) pivots updates every cell), and
     return the check ``_translates`` runs once it knows the rank r: with it,
-    the q^(D-r) translates' D digits and the q^r representatives' D digits
-    plus ``width`` cells each (their table and columns) must fit too."""
+    the q^r representatives' D digits plus ``width`` cells each (their table
+    and columns) must fit too.  The translates are counted, never listed."""
     q, n_digits, rows = family.field.q, family.seed_digits, n_inputs * family.m
     reduction = n_digits * rows * min(n_digits, rows)
     what = f"{n_digits} x {rows} basis differences x {min(n_digits, rows)} pivots"
@@ -254,12 +308,11 @@ def _charge(family: HashFamily, n_inputs: int, width: int, budget: int):
         raise BudgetExceededError(f"{what} exceeds budget {budget}")
 
     def check(rank: int):
-        reps, translates = q**rank, q ** (n_digits - rank)
-        if reduction + translates * n_digits + reps * (n_digits + width) > budget:
+        reps = q**rank
+        if reduction + reps * (n_digits + width) > budget:
             raise BudgetExceededError(
-                f"{what} + {translates} translates x {n_digits} seed digits + {reps}"
-                f" representatives x ({n_digits} seed digits + {width} cells)"
-                f" exceeds budget {budget}"
+                f"{what} + {reps} representatives x ({n_digits} seed digits"
+                f" + {width} cells) exceeds budget {budget}"
             )
 
     return check
@@ -305,11 +358,13 @@ def expected_max_bucket(
     seeds, n_digits, size = family.seed_space_size, family.seed_digits, len(subset)
     if mode == "exact":
         # A translate permutes the buckets, so all seeds of a coset share the
-        # largest bucket; the integer sum over all seeds stays exact.
+        # largest bucket; the integer sum over all seeds is divided by their
+        # number once, correctly rounded.
         check = _charge(family, size, size, budget)
-        reps, translates, _ = _translates(family, subset, check)
-        loads = _largest_buckets(hash_table(family, reps, subset))
-        return BucketEstimate(math.fsum(loads.tolist()) * len(translates) / seeds, None)
+        cosets = _translates(family, subset, check)
+        blocks = _blocks(family, cosets, subset)
+        loads = sum(int(_largest_buckets(table).sum()) for _, table in blocks)
+        return BucketEstimate(loads * cosets.translates / seeds, None)
     # hash_table holds a samples x D digit matrix, a D x |subset| x m basis
     # and the samples x |subset| table; D = m * q^n for full_table.
     if n_samples * (n_digits + size) + n_digits * size * family.m > budget:

@@ -197,20 +197,64 @@ def _all_digit_rows(n: int, q: int) -> np.ndarray:
     return np.arange(q**n)[:, None] // q ** np.arange(n) % q
 
 
-def _translates(family: HashFamily, inputs, check: Callable[[int], None] | None = None):
-    """(reps, translates, shifts): one seed per coset of the translate group T
-    on the given inputs, T as digit rows, and each translate's output shift.
-    ``check(rank)``, when given, runs before either list is built (a budget
-    check: there are q^rank reps and q^(D - rank) translates).
+class Cosets(NamedTuple):
+    """The cosets of the translate group T on some inputs (``_translates``).
+
+    Representative i sets seed digit pivots[j] to digit j of i, least
+    significant first, and every other digit to 0; there are q^r of them for
+    r pivots, and each coset holds ``translates`` = q^(D - r) seeds.  A seed
+    with digit row s lies in the coset of the representative whose pivot
+    digits are reduced @ s mod q, and its outputs are that representative's
+    shifted digitwise by moves @ s mod q.
+    """
+
+    pivots: np.ndarray  # (r,)
+    translates: int
+    reduced: np.ndarray  # (r, D)
+    moves: np.ndarray  # (m, D)
+
+    def representatives(self, q: int, start: int, stop: int) -> np.ndarray:
+        """Representatives start .. stop - 1 as seed digit rows."""
+        rows = np.zeros((stop - start, self.reduced.shape[1]), dtype=np.int64)
+        powers = q ** np.arange(len(self.pivots))
+        rows[:, self.pivots] = np.arange(start, stop)[:, None] // powers % q
+        return rows
+
+    def shifts(self, q: int) -> np.ndarray:
+        """The distinct output shifts t . B_{x_0} over t in T, as m-digit rows
+        in increasing order of their output integers: the span of the columns
+        of moves, grown by one generator outside it at a time."""
+        m = len(self.moves)
+        digits, powers = _all_digit_rows(m, q), q ** np.arange(m)
+        hit = np.zeros(len(digits), dtype=bool)
+        hit[0] = True
+        # A dict, not np.unique: its sort would page in numpy's int64 sort code.
+        for g in dict.fromkeys((self.moves.T @ powers).tolist()):
+            if not hit[g]:
+                span = digits[hit]
+                for c in range(1, q):
+                    hit[(span + c * digits[g]) % q @ powers] = True
+        return digits[hit]
+
+
+def _translates(
+    family: HashFamily, inputs, check: Callable[[int], None] | None = None
+) -> Cosets:
+    """The ``Cosets`` of the translate group T on the given inputs, listing
+    neither the representatives nor the translates.  ``check(rank)``, when
+    given, runs once the rank is known (a budget check: there are q^rank
+    representatives).
 
     T holds the seeds t with t . (B_x - B_{x_0}) = 0 mod q for every input x,
     so h(r + t, x) = h(r, x) + t . B_{x_0} digitwise: adding t shifts every
     output of a seed by one constant.  Row reduction of the D x (inputs * m)
-    matrix [B_x - B_{x_0}]_x mod q finds its pivot digits; ``reps`` assigns
-    them every value (q^rank rows, the other digits 0), and every seed is
-    r + t (digitwise mod q) for exactly one rep r and one t in ``translates``
-    (q^(D - rank) rows).  ``shifts`` holds t . B_{x_0} mod q, one row of m
-    digits per translate.  The inputs must be non-empty.
+    matrix [B_x - B_{x_0}]_x mod q finds its pivot digits; every seed is
+    r + t (digitwise mod q) for exactly one representative r (zero off the
+    pivots) and one t in T, whose free digits are the seed's.  T's basis
+    vector for free digit f is e_f minus the pivot digits that cancel column f
+    of the reduced rows, so t . B_{x_0} is linear in the seed: column f of
+    ``moves`` is that vector's shift, and a pivot column is 0.  The inputs
+    must be non-empty.
     """
     q, n_digits = family.field.q, family.seed_digits
     xs = _input_array(family.field, inputs)
@@ -233,16 +277,9 @@ def _translates(family: HashFamily, inputs, check: Callable[[int], None] | None 
             break
     if check is not None:
         check(len(pivots))
-    free = [d for d in range(n_digits) if d not in pivots]
-    reps = np.zeros((q ** len(pivots), n_digits), dtype=np.int64)
-    reps[:, pivots] = _all_digit_rows(len(pivots), q)
-    # T's basis: one vector per free digit f, e_f minus the pivot digits that
-    # cancel column f of the reduced rows.
-    t_basis = np.zeros((len(free), n_digits), dtype=np.int64)
-    t_basis[np.arange(len(free)), free] = 1
-    t_basis[:, pivots] = -a[: len(pivots), free].T % q
-    translates = _all_digit_rows(len(free), q) @ t_basis % q
-    return reps, translates, translates @ basis[:, 0] % q
+    pivots, reduced, b0 = np.array(pivots, dtype=np.int64), a[:row].copy(), basis[:, 0]
+    moves = (b0 - reduced.T @ b0[pivots]).T % q  # 0 in the pivot columns
+    return Cosets(pivots, q ** (n_digits - row), reduced, moves)
 
 
 def _ranks_mod_q(a: np.ndarray, q: int) -> np.ndarray:

@@ -96,9 +96,54 @@ def output_joint(arr, base_q=2):
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
     with np.errstate(over="ignore"):  # an overflowing total fails the sum check
-        totals = arr.sum(axis=0)[None]
-    groups = extraction._group_columns(arr, totals)
+        totals = arr.sum(axis=0)
+    groups = extraction._group_columns(arr, [totals])
     return SimpleNamespace(probs=arr, base_q=base_q, _groups=groups)
+
+
+def variant_totals(joint):
+    """The V x C [x Z] totals of an extracted joint's shifted variants, as
+    extraction summed them before it grouped one shift at a time: for each
+    distinct shift v, rep_joint[u - v] added over u in output order."""
+    cosets, columns, q = joint._layout, joint._rep_columns, joint.base_q
+    m = len(cosets.moves)
+    digits, powers = families._all_digit_rows(m, q), q ** np.arange(m)
+    back = (digits - cosets.shifts(q)[:, None]) % q @ powers
+    totals = columns[back[:, 0]]
+    for u in range(1, len(digits)):
+        totals += columns[back[:, u]]
+    return totals, cosets.translates // len(back)
+
+
+def vxc_groups(arr, totals, weight=1):
+    """The grouping ``_group_columns`` replaced, kept as the oracle for its
+    merge: the columns ranked by one lexsort of their sorted int64 bits, then
+    one lexsort of (rank, reference bits) over all V x C variants (totals
+    holds one row per variant), and one run per distinct pair."""
+    n_out = arr.shape[0]
+    bits = np.sort(arr.reshape(n_out, -1).T, axis=1).view(np.int64)
+    order = np.lexsort(bits.T[::-1])
+    bits = bits[order]
+    new = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(new) - 1
+    distinct = bits[new]
+    refs = (np.asarray(totals) / n_out).ravel()
+    rank = np.tile(rank, len(refs) // len(rank))
+    order = np.lexsort((refs.view(np.int64), rank))
+    rank, refs = rank[order], refs[order]
+    ref_bits = refs.view(np.int64)
+    new = (rank[1:] != rank[:-1]) | (ref_bits[1:] != ref_bits[:-1])
+    starts = np.flatnonzero(np.r_[True, new])
+    counts = np.diff(np.r_[starts, len(order)]) * weight
+    return distinct[rank[starts]].view(float).T, refs[starts], counts
+
+
+def whole_check(cols, counts):
+    """The sum check that ``_check_cells`` streams in chunks, over the whole
+    array at once: one ``_distinct`` of every group cell, counts summed."""
+    cells = measures._distinct(cols.T.ravel(), np.repeat(counts, len(cols)))
+    return measures._check_sum(cells[0], cells[2])
 
 
 def integer_order_bound(q, m, alpha, entropy):

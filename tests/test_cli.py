@@ -607,7 +607,7 @@ class TestConfigValidation:
     def test_joint_over_budget_exits_2(self, tmp_path, capsys, command):
         # The row reduction (6 seed digits x 16 rows x 6 pivots) fits a
         # budget of 600, but the 8 coset representatives' columns hold
-        # 4 outputs x 100 side symbols each: 3,936 cells charged in all.
+        # 4 outputs x 100 side symbols each: 3,888 cells charged in all.
         cfg = write_config(
             tmp_path,
             family={"q": 2, "n": 3, "k": 2, "m": 2},

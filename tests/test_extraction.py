@@ -25,7 +25,8 @@ from renyi_extract.fields import FieldParams
 from renyi_extract.harness import run_sweep, run_verify
 
 from conftest import (
-    bits, dense_joint, lexsorted_groups, make_source, poly_family, uniform_source,
+    bits, dense_joint, lexsorted_groups, make_source, outcome, poly_family,
+    uniform_source, variant_totals, vxc_groups, whole_check,
 )
 
 SIDE_ROWS_8 = np.array([[0.8, 0.2], [0.3, 0.7]] * 4)
@@ -34,11 +35,11 @@ SIDE_ROWS_8 = np.array([[0.8, 0.2], [0.3, 0.7]] * 4)
 def coset_charge(family, inputs, width):
     """What extraction and the exact bucket are charged: the row reduction
     of the D x (|inputs| x m) basis differences (min(D, |inputs| x m) pivots
-    over every cell), the q^(D-r) translates' D digits, and D digits plus
-    ``width`` cells for each of the q^r representatives."""
+    over every cell), and D digits plus ``width`` cells for each of the q^r
+    representatives.  The q^(D-r) translates are counted, never listed."""
     d, rows = family.seed_digits, len(inputs) * family.m
-    reps, translates, _ = families._translates(family, inputs)
-    return d * rows * min(d, rows) + len(translates) * d + len(reps) * (d + width)
+    reps = family.field.q ** len(families._translates(family, inputs).pivots)
+    return d * rows * min(d, rows) + reps * (d + width)
 
 
 def oracle_joint(family, source):
@@ -116,14 +117,14 @@ class TestExtractJoint:
 
     @pytest.mark.parametrize(
         "kind,q,n,k,m,side,pinned",
-        [("full_table", 2, 3, 2, 2, 0, 462_912), ("polynomial", 2, 1, 4, 1, 0, 64),
-         ("polynomial", 3, 2, 2, 1, 3, 378), ("polynomial", 2, 3, 2, 2, 2, 800)],
+        [("full_table", 2, 3, 2, 2, 0, 462_848), ("polynomial", 2, 1, 4, 1, 0, 32),
+         ("polynomial", 3, 2, 2, 1, 3, 342), ("polynomial", 2, 3, 2, 2, 2, 752)],
     )
     def test_budget_is_the_coset_charge(self, kind, q, n, k, m, side, pinned):
-        # The row reduction, T's digit rows, then per representative its D
-        # digits, its q^n table cells and its q^m x max(1, Z) columns
-        # (coset_charge).  The full_table GF(2^3), m=2 family has 2^16 seeds
-        # in 4 cosets; the old whole-seed-space charge was 2^16 x (16 + 8).
+        # The row reduction, then per representative its D digits, its q^n
+        # table cells and its q^m x max(1, Z) columns (coset_charge).  The
+        # full_table GF(2^3), m=2 family has 2^16 seeds: 2^14 representatives
+        # of 4 seeds each; the old whole-seed-space charge was 2^16 x (16 + 8).
         field = FieldParams.create(q, n)
         fam = HashFamily(kind, field, k, m)
         rows = np.full((field.size, side), 1.0 / side) if side else None
@@ -145,6 +146,14 @@ class TestExtractJoint:
             extract_joint(fam, uniform_source(fam.field))
         with pytest.raises(BudgetExceededError, match=r"1024 pivots exceeds budget"):
             expected_max_bucket(fam, range(256))
+
+    def test_cell_counts_beyond_int64_are_refused(self):
+        # GF(2^2), k=32: 2^64 seeds in 8 cosets, so the charge is small, but
+        # the group counts would leave int64.
+        fam = poly_family(FieldParams.create(2, 2), 32, 1)
+        too_many = r"2\^64 seeds x 1 side symbols x 2 outputs"
+        with pytest.raises(ValueError, match=too_many):
+            extract_joint(fam, uniform_source(fam.field))
 
     def test_wrong_field_rejected(self, gf4, gf8):
         fam = poly_family(gf4, 2, 1)
@@ -202,6 +211,101 @@ class TestCosetExtraction:
         assert not joint.probs.flags.writeable
 
 
+def _dirichlet_source(field, side, seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(field.size))
+    probs[0] = 0.0  # a zero mass
+    rows = rng.dirichlet(np.ones(side), size=field.size) if side else None
+    return make_source(field, probs / probs.sum(), side_channel=rows)
+
+
+class TestShiftMerge:
+    """The groups merge one output shift at a time; the V x C grouping they
+    replaced (``conftest.vxc_groups``) is the oracle, bit for bit."""
+
+    @pytest.mark.parametrize("side", [0, 3])
+    @pytest.mark.parametrize("kind,q,n,k,m", COSET_FAMILIES)
+    def test_extracted_groups_match_the_vxc_grouping(self, kind, q, n, k, m, side):
+        fam = _family(kind, q, n, k, m)
+        source = _dirichlet_source(fam.field, side, [q, n, k, m])
+        joint = extract_joint(fam, source).joint
+        want = vxc_groups(joint._rep_columns, *variant_totals(joint))
+        for got, expected in zip(joint._groups, want):
+            assert bits(got) == bits(expected)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_colliding_variants_match_the_vxc_grouping(self, seed):
+        # Repeated columns, in shuffled output order, and variant totals drawn
+        # from three values, so (rank, reference) pairs recur within and
+        # across variants.
+        rng = np.random.default_rng(seed)
+        n_out, n_cols, n_variants, weight = 4, 40, 5, 3
+        base = rng.dirichlet(np.ones(n_out), size=6)
+        arr = rng.permuted(base[rng.integers(0, 6, n_cols)], axis=1).T.copy()
+        arr /= n_variants * weight * math.fsum(arr.ravel().tolist())
+        totals = rng.choice([0.25, 0.5, 1 / 3], size=(n_variants, n_cols))
+        got = extraction._group_columns(arr, totals, weight)
+        for g, w in zip(got, vxc_groups(arr, totals, weight)):
+            assert bits(g) == bits(w)
+        assert len(got[2]) < n_variants * n_cols
+
+
+BLOCK_FAMILIES = [
+    ("polynomial", 2, 3, 3, 2), ("polynomial", 3, 2, 2, 2), ("polynomial", 5, 1, 3, 1),
+    ("full_table", 2, 2, 2, 1), ("full_table", 3, 1, 2, 2), ("full_table", 5, 1, 2, 1),
+    ("constant", 2, 2, 2, 1), ("constant", 3, 1, 2, 1), ("constant", 5, 1, 2, 1),
+]
+
+
+class TestBlocks:
+    """Extraction and the exact bucket hash BLOCK coset representatives at a
+    time; nothing they return depends on the block size."""
+
+    @pytest.mark.parametrize("side", [0, 3])
+    @pytest.mark.parametrize("kind,q,n,k,m", BLOCK_FAMILIES)
+    def test_results_do_not_depend_on_the_block_size(
+        self, monkeypatch, kind, q, n, k, m, side
+    ):
+        fam = _family(kind, q, n, k, m)
+        source = _dirichlet_source(fam.field, side, [q, n, k, m, side])
+        subset = [fam.field.size - 1, 0, 1][: fam.field.size]
+
+        def run():
+            joint = extract_joint(fam, source).joint
+            subsets = (range(fam.field.size), subset)
+            buckets = [expected_max_bucket(fam, s).mean for s in subsets]
+            return joint, buckets
+
+        monkeypatch.setattr(extraction, "BLOCK", 2**62)  # one block
+        whole, buckets = run()
+        for block in (1, 5, 2**14):
+            monkeypatch.setattr(extraction, "BLOCK", block)
+            joint, got = run()
+            for g, w in zip(joint._groups, whole._groups):
+                assert bits(g) == bits(w)
+            assert bits(joint._rep_columns) == bits(whole._rep_columns)
+            assert bits(joint.probs) == bits(whole.probs)
+            assert got == buckets
+
+    def test_hash_table_is_called_once_per_block(self, monkeypatch):
+        # Through the module global, so a tracer that wraps it sees each block.
+        fam = poly_family(FieldParams.create(2, 4), 3, 2)
+        calls, table = [], extraction.hash_table
+
+        def counting(family, digits, inputs):
+            calls.append(len(digits))
+            return table(family, digits, inputs)
+
+        monkeypatch.setattr(extraction, "hash_table", counting)
+        monkeypatch.setattr(extraction, "BLOCK", 100)
+        extract_joint(fam, uniform_source(fam.field))
+        n_reps = 2 ** len(families._translates(fam, range(16)).pivots)
+        assert calls == [100] * (n_reps // 100) + [n_reps % 100]
+        calls.clear()
+        expected_max_bucket(fam, range(16))
+        assert sum(calls) == n_reps and max(calls) == 100
+
+
 class TestSumCheck:
     """Extraction checks its groups' exact total once per distinct cell value,
     with summed counts: the total and the verdict of one counted term per
@@ -237,6 +341,22 @@ class TestSumCheck:
             with pytest.raises(ValueError) as distinct:
                 extraction._check_cells(cols, counts)
             assert str(distinct.value) == str(per_cell.value)
+
+
+    @pytest.mark.parametrize("off", [0.0, 1e-6, -1e-6])
+    @pytest.mark.parametrize("block", [1, 7, 2**14])
+    def test_chunks_match_the_whole_array_check(self, monkeypatch, block, off):
+        # BLOCK groups per chunk: the same exact total, or the same refusal.
+        monkeypatch.setattr(extraction, "BLOCK", block)
+        for joint in self._joints():
+            cols, _, counts = joint._groups
+            cols = cols * (1.0 + off)
+            got = outcome(extraction._check_cells, cols, counts)
+            assert got == outcome(whole_check, cols, counts)
+            if off == 0:
+                assert abs(float(got) - 1.0) < 1e-15
+            else:
+                assert got[1].endswith(", not 1")
 
 
 class TestNoDenseJoint:
@@ -486,9 +606,9 @@ class TestExpectedMaxBucket:
     @pytest.mark.parametrize(
         "kind,n,k,m,mode,rows,pinned",
         [("polynomial", 8, 3, 4, "sampled", 1500, 87_072),
-         ("polynomial", 3, 2, 2, "exact", None, 736),
+         ("polynomial", 3, 2, 2, "exact", None, 688),
          ("full_table", 3, 2, 2, "sampled", 40, 1_216),
-         ("full_table", 2, 2, 1, "exact", None, 136)],
+         ("full_table", 2, 2, 1, "exact", None, 128)],
     )
     def test_budget_is_the_table_charge(self, kind, n, k, m, mode, rows, pinned):
         # Sampled: rows x (D seed digits + |subset|) + D x |subset| x m,
@@ -512,6 +632,12 @@ class TestExpectedMaxBucket:
         with pytest.raises(BudgetExceededError, match=f"exceeds budget {charge - 1}$"):
             run(charge - 1)
         assert run(charge).mean >= 1  # every row's largest bucket holds an input
+
+    def test_translates_are_counted_not_charged(self):
+        # Inputs {0, 1} of GF(2^8), k=3, m=4: 16 representatives of 2^20 seeds
+        # each.  Two inputs collide with probability 2^-4.
+        fam = HashFamily("polynomial", FieldParams.create(2, 8), 3, 4)
+        assert expected_max_bucket(fam, [0, 1]).mean == 1 + 1 / 16
 
     def test_empty_subset_rejected(self, gf8):
         fam = poly_family(gf8, 2, 2)

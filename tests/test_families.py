@@ -258,26 +258,46 @@ def test_shift_digits_only_shift_outputs(kind, q, n, k, m):
 
 
 
+def translate_shifts(cosets, q):
+    """Every translate's output shift, as m digits: T's elements are its
+    basis vectors' combinations by the free digits, and a shift is linear."""
+    free = np.setdiff1d(np.arange(cosets.reduced.shape[1]), cosets.pivots)
+    coef = families._all_digit_rows(len(free), q)
+    return coef @ cosets.moves[:, free].T % q
+
+
 @pytest.mark.parametrize("kind,q,n,k,m", SHIFT_FAMILIES)
 def test_translates_reach_every_seed_once_by_output_shifts(kind, q, n, k, m):
-    # Every seed is rep + t digitwise for exactly one (rep, t), and its table
-    # row is rep's shifted digitwise by t's output shift, on the whole domain
-    # and on a subset (whose translate group is larger).
+    # Every seed lies in the coset of the representative whose pivot digits
+    # are reduced @ s, each coset holds ``translates`` seeds, and a seed's
+    # table row is its representative's shifted digitwise by moves @ s, on the
+    # whole domain and on a subset (whose translate group is larger).
     field = FieldParams.create(q, n)
     fam = HashFamily(kind, field, k, m)
+    seeds = families._all_digit_rows(fam.seed_digits, q)
     for inputs in (range(field.size), [field.size - 1, 1]):
-        reps, translates, shifts = families._translates(fam, inputs)
-        assert len(reps) * len(translates) == fam.seed_space_size
-        digits = (reps[None] + translates[:, None]) % q  # (t, rep, seed digit)
-        seeds = digits @ q ** np.arange(fam.seed_digits)
-        assert np.array_equal(np.sort(seeds, axis=None), np.arange(fam.seed_space_size))
+        cosets = families._translates(fam, inputs)
+        n_reps = q ** len(cosets.pivots)
+        assert n_reps * cosets.translates == fam.seed_space_size
+        reps = np.zeros_like(seeds)
+        reps[:, cosets.pivots] = seeds @ cosets.reduced.T % q
+        index = reps[:, cosets.pivots] @ q ** np.arange(len(cosets.pivots))
+        assert np.bincount(index).tolist() == [cosets.translates] * n_reps
+        # A representative is its own: its digits off the pivots are 0.
+        own = seeds[(seeds == reps).all(axis=1)]
+        free = np.setdiff1d(np.arange(fam.seed_digits), cosets.pivots)
+        assert len(own) == n_reps and not own[:, free].any()
 
         def out_digits(table):
             return table[..., None] // q ** np.arange(m) % q
 
-        rows = out_digits(hash_table(fam, seeds.ravel(), inputs))
-        shifted = (out_digits(hash_table(fam, reps, inputs))[None] + shifts[:, None, None]) % q
-        assert np.array_equal(rows.reshape(shifted.shape), shifted)
+        shift = seeds @ cosets.moves.T % q
+        rows = out_digits(hash_table(fam, seeds, inputs))
+        shifted = (out_digits(hash_table(fam, reps, inputs)) + shift[:, None]) % q
+        assert np.array_equal(rows, shifted)
+        # The distinct shifts, in increasing order of their output integers.
+        powers = q ** np.arange(m)
+        assert (cosets.shifts(q) @ powers).tolist() == sorted(set(shift @ powers))
 
 
 @pytest.mark.parametrize(
@@ -291,16 +311,18 @@ def test_translate_group_dimensions(kind, q, n, k, m, dim_t, dim_ker):
     # T holds the seeds that shift every output by one constant; the kernel,
     # the translates whose shift is 0, those that change no output at all.
     fam = HashFamily(kind, FieldParams.create(q, n), k, m)
-    reps, translates, shifts = families._translates(fam, range(q**n))
-    assert len(translates) == q**dim_t
-    assert len(reps) == q ** (fam.seed_digits - dim_t)
+    cosets = families._translates(fam, range(q**n))
+    assert cosets.translates == q**dim_t
+    assert len(cosets.pivots) == fam.seed_digits - dim_t
+    shifts = translate_shifts(cosets, q)
     assert np.count_nonzero(~shifts.any(axis=1)) == q**dim_ker
 
 
 def test_constant_family_has_no_seed_digits(gf4):
-    reps, translates, shifts = families._translates(HashFamily("constant", gf4, 2, 2), range(4))
-    assert reps.shape == translates.shape == (1, 0)
-    assert shifts.tolist() == [[0, 0]]
+    cosets = families._translates(HashFamily("constant", gf4, 2, 2), range(4))
+    assert cosets.pivots.shape == (0,) and cosets.translates == 1
+    assert cosets.reduced.shape == (0, 0) and cosets.moves.shape == (2, 0)
+    assert translate_shifts(cosets, 2).tolist() == [[0, 0]]
 
 
 def seed_scan(family, l):
