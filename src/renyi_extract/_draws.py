@@ -115,27 +115,46 @@ def _outputs(state: int, inc: int, size: int):
         hi, lo = _affine(*jump, hi, lo)
 
 
-def integers(seed: int, high: int, size) -> np.ndarray:
-    """``np.random.default_rng(seed).integers(0, high, size)`` as int64, for
-    1 <= high <= 2^63 and size an int or a shape."""
+def integer_blocks(seed: int, high: int, n: int, size: int):
+    """``integers(seed, high, n)`` as consecutive int64 arrays of ``size``
+    draws, the last one shorter when size does not divide n: memory follows
+    the block, not n."""
     state, inc = _seeded(int(seed))
-    draws = np.empty(size, dtype=np.int64)
-    n, flat = draws.size, draws.reshape(-1)
     bits = 32 if high <= 1 << 32 else 64
     # Reject a word when its product's low bits fall below 2^bits mod high.
     floor = (1 << bits) % high
     need = math.ceil(n * 2**bits / (2**bits - floor))  # words, with rejections
-    got = 0
-    with np.errstate(over="ignore"):
-        for out in _outputs(state, inc, min(_BLOCK, need // (64 // bits) + 1)):
+    outputs = _outputs(state, inc, min(_BLOCK, need // (64 // bits) + 1))
+    held, count, got = [], 0, 0
+    while got < n:
+        # errstate per step: a generator must not leave it set while its
+        # caller runs.
+        with np.errstate(over="ignore"):
+            out = next(outputs)
             if bits == 64:
                 top, low = _mul(out, np.uint64(high))
             else:  # each output's low half, then its high half
                 words = np.stack((out & _LOW, out >> _32), axis=1).reshape(-1)
                 prod = words * np.uint64(high)
                 top, low = prod >> _32, prod & _LOW
-            top = top[low >= np.uint64(floor)][: n - got]
-            flat[got:got + len(top)] = top
-            got += len(top)
-            if got == n:
-                return draws
+            top = top[low >= np.uint64(floor)][: n - got].astype(np.int64)
+        got += len(top)
+        held.append(top)
+        count += len(top)
+        if count < size and got < n:
+            continue
+        joined = np.concatenate(held)
+        whole = count if got == n else count - count % size
+        for start in range(0, whole, size):
+            yield joined[start:start + size]
+        held, count = [joined[whole:]], count - whole
+
+
+def integers(seed: int, high: int, size) -> np.ndarray:
+    """``np.random.default_rng(seed).integers(0, high, size)`` as int64, for
+    1 <= high <= 2^63 and size an int or a shape: one block of
+    ``integer_blocks``."""
+    draws = np.empty(size, dtype=np.int64)
+    for block in integer_blocks(seed, high, draws.size, max(1, draws.size)):
+        draws = block.reshape(size)
+    return draws

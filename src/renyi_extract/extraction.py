@@ -31,8 +31,8 @@ import numpy as np
 from .bounds import SLACK
 from .errors import BudgetExceededError
 from .families import (
-    DEFAULT_BUDGET, INT64_MAX, Cosets, HashFamily, _all_digit_rows, _translates,
-    hash_table,
+    DEFAULT_BUDGET, INT64_MAX, Cosets, HashFamily, Inputs, _all_digit_rows,
+    _prepared, _translates, hash_table,
 )
 # Re-exported so perfbench/tracing.py can count calls here.
 from .families import evaluate  # noqa: F401
@@ -40,8 +40,9 @@ from . import measures
 from ._record import Record
 from .measures import JointPmf, Pmf
 
-# Coset representatives hashed per ``hash_table`` call, and groups per chunk
-# of the sum check: the block bounds memory, the budget bounds work.
+# Coset representatives hashed per ``hash_table`` call, table cells and seed
+# digits per call of the sampled bucket, and groups per chunk of the sum
+# check: the block bounds memory, the budget bounds work.
 BLOCK = 2**14
 
 
@@ -231,7 +232,7 @@ def _check_cells(cols: np.ndarray, counts: np.ndarray) -> float:
     return measures._check_sum(itertools.chain.from_iterable(chunks()))
 
 
-def _blocks(family: HashFamily, cosets: Cosets, inputs):
+def _blocks(family: HashFamily, cosets: Cosets, inputs: Inputs):
     """(first index, hash table) per block of BLOCK coset representatives,
     in index order, each block's digit rows made from its indices."""
     q = family.field.q
@@ -262,14 +263,15 @@ def extract_joint(
             f"{q}^{family.seed_digits} seeds x {max(1, source.n_side)} side symbols"
             f" x {n_out} outputs are too many cells to count in int64"
         )
-    cosets = _translates(family, range(n_inputs), check)
+    inputs = _prepared(family, range(n_inputs))
+    cosets = _translates(family, inputs, check)
     px = source.probs.probs
     sc = source.side_channel
     tail = () if sc is None else (source.n_side,)
     rep_joint = np.zeros((n_out, q ** len(cosets.pivots)) + tail)
     # One input at a time touches each seed's column once, so every cell sums
     # its terms in canonical input order.
-    for start, table in _blocks(family, cosets, range(n_inputs)):
+    for start, table in _blocks(family, cosets, inputs):
         cols = np.arange(start, start + len(table))
         for i in range(n_inputs):
             rep_joint[table[:, i], cols] += px[i] if sc is None else px[i] * sc[i]
@@ -324,13 +326,14 @@ class BucketEstimate(NamedTuple):
 
 
 def _largest_buckets(table: np.ndarray) -> np.ndarray:
-    """Per row, the largest number of equal entries."""
+    """Per row, the largest number of equal entries: the longest run of each
+    sorted row, from one sort and the run starts of the flattened rows."""
     ordered = np.sort(table, axis=1)
-    run = best = np.ones(len(ordered), dtype=np.int64)
-    for j in range(1, ordered.shape[1]):
-        run = np.where(ordered[:, j] == ordered[:, j - 1], run + 1, 1)
-        best = np.maximum(best, run)
-    return best
+    new = np.ones(ordered.shape, dtype=bool)
+    new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    starts = np.flatnonzero(new)  # every row's first entry starts a run
+    runs = np.diff(starts, append=ordered.size)
+    return np.maximum.reduceat(runs, np.flatnonzero(starts % ordered.shape[1] == 0))
 
 
 def expected_max_bucket(
@@ -346,7 +349,9 @@ def expected_max_bucket(
 
     Exact mode averages over the whole seed space; sampled mode draws seeds
     as numpy's ``default_rng(rng_seed).integers`` would (``_draws``) and
-    reports the standard error of the mean.
+    reports the standard error of the mean.  It hashes them in stream order,
+    at most BLOCK table cells and BLOCK seed digits at a time, and keeps one
+    largest bucket per draw.
     ``hash_table`` refuses an integer outside the field.
     """
     if not subset:
@@ -361,23 +366,32 @@ def expected_max_bucket(
         # largest bucket; the integer sum over all seeds is divided by their
         # number once, correctly rounded.
         check = _charge(family, size, size, budget)
-        cosets = _translates(family, subset, check)
-        blocks = _blocks(family, cosets, subset)
+        inputs = _prepared(family, subset)
+        cosets = _translates(family, inputs, check)
+        blocks = _blocks(family, cosets, inputs)
         loads = sum(int(_largest_buckets(table).sum()) for _, table in blocks)
         return BucketEstimate(loads * cosets.translates / seeds, None)
-    # hash_table holds a samples x D digit matrix, a D x |subset| x m basis
-    # and the samples x |subset| table; D = m * q^n for full_table.
+    # The cells a run touches: samples x D seed digits, a D x |subset| x m
+    # basis and samples x |subset| table cells; D = m * q^n for full_table.
+    # It holds one block of seeds at a time, at most BLOCK table cells and
+    # BLOCK seed digits, the basis, and one largest bucket per sample.
     if n_samples * (n_digits + size) + n_digits * size * family.m > budget:
         raise BudgetExceededError(
             f"{n_samples} samples x ({n_digits} seed digits + {size} elements)"
             f" + {n_digits} x {size} x {family.m} basis cells exceeds budget {budget}"
         )
-    from ._draws import integers  # numpy's default stream, without numpy.random
+    from ._draws import integer_blocks  # numpy's default stream, without numpy.random
 
-    if seeds - 1 <= np.iinfo(np.int64).max:
-        draws = integers(rng_seed, seeds, n_samples)
+    inputs, rows = _prepared(family, subset), max(1, BLOCK // max(size, n_digits))
+    if seeds - 1 <= INT64_MAX:
+        draws = integer_blocks(rng_seed, seeds, n_samples, rows)
     else:  # seed integers beyond int64: draw their base-q digits
-        draws = integers(rng_seed, family.field.q, (n_samples, family.seed_digits))
-    vals = _largest_buckets(hash_table(family, draws, subset)).astype(float)
+        q = family.field.q
+        digits = integer_blocks(rng_seed, q, n_samples * n_digits, rows * n_digits)
+        draws = (block.reshape(-1, n_digits) for block in digits)
+    vals, done = np.empty(n_samples), 0
+    for block in draws:
+        vals[done:done + len(block)] = _largest_buckets(hash_table(family, block, inputs))
+        done += len(block)
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return BucketEstimate(float(vals.mean()), stderr)

@@ -123,40 +123,68 @@ def _basis(family: HashFamily, xs: np.ndarray) -> np.ndarray:
     """B[d, c, j] = digit j of h(q^d, xs[c]), in closed form: no field
     arithmetic on scalars, and any inputs, in any order, with repeats."""
     f, m, n_digits = family.field, family.m, family.seed_digits
-    q, n = f.q, f.n
+    q, n, k = f.q, f.n, family.k
     if family.kind == "full_table":
         # Seed q^d sets output digit d % m of input d // m to 1.
         d = np.arange(n_digits)[:, None]
         at_input = xs == d // m  # (D, inputs)
         at_digit = np.arange(m) == d % m  # (D, m)
         return (at_input[:, :, None] & at_digit[:, None, :]).astype(np.int64)
-    basis = np.empty((n_digits, len(xs), m), dtype=np.int64)
     if family.kind == "constant":
-        return basis
+        return np.empty((n_digits, len(xs), m), dtype=np.int64)
     # Seed q^(i*n + t) is the polynomial with s_i = X^t, so row i*n + t holds
-    # X^t * x^i.  Each power of x is an (input, coefficient) digit matrix.
-    x_digits = xs[:, None] // q ** np.arange(n) % q
-    modulus = np.array(f.modulus, dtype=np.int64)
-    power = np.zeros((len(xs), n), dtype=np.int64)
-    power[:, 0] = 1  # x^0
-    for i in range(family.k):
-        term, nxt = power, np.zeros_like(power)
-        for t in range(n):
-            basis[i * n + t] = term[:, :m]
-            nxt += x_digits[:, t : t + 1] * term  # x^(i+1) = sum_t x_t X^t x^i
-            # Times X: shift the coefficients up; X^n = -(modulus) mod q.
-            top = term[:, -1:]
-            term = np.concatenate([np.zeros_like(top), term[:, :-1]], axis=1)
-            term = (term - top * modulus) % q
-        power = nxt % q
-    return basis
+    # X^t * x^i.  The digits of X^e for e < 2n - 1, times X by shifting the
+    # coefficients up, with X^n = -(modulus) mod q:
+    power, monomials = [1] + [0] * (n - 1), []
+    for _ in range(2 * n - 1):
+        monomials.append(power)
+        top = power[-1]
+        power = [(c - top * r) % q for c, r in zip([0] + power[:-1], f.modulus)]
+    # times[r, (s, j)] = digit j of X^(r + s), so a @ times is the digit rows
+    # of a * X^s, for every s at once.
+    at = np.arange(n)
+    times = np.array(monomials, dtype=np.int64)[at[:, None] + at].reshape(n, n * n)
+    # x^0 .. x^(k-1) per input by doubling: x^(h + i) = x^i * x^h.
+    x_digits = xs[:, None] // q ** at % q  # (inputs, n)
+    x_powers = np.zeros((len(xs), 1, n), dtype=np.int64)
+    x_powers[:, 0, 0] = 1
+    step = x_digits[:, None, :]  # x^h, h = x_powers.shape[1]
+    while x_powers.shape[1] < k:
+        by_step = (step @ times).reshape(len(xs), n, n) % q  # rows X^s * x^h
+        more = x_powers[:, : k - x_powers.shape[1]] @ by_step % q
+        x_powers = np.concatenate([x_powers, more], axis=1)
+        step = step @ by_step % q
+    rows = (x_powers.reshape(-1, n) @ times).reshape(len(xs), k, n, n)[..., :m] % q
+    rows = rows.transpose(1, 2, 0, 3).reshape(n_digits, len(xs), m)
+    return np.ascontiguousarray(rows)
+
+
+class Inputs(tuple):
+    """(family, xs, basis) from ``_prepared``: checked canonical input
+    integers and their basis, so that a run hashing many blocks of seeds on
+    the same inputs builds the basis once.  A plain tuple subclass, since a
+    NamedTuple class costs about 0.2 ms to create at import."""
+
+    __slots__ = ()
+
+
+def _prepared(family: HashFamily, inputs) -> Inputs:
+    """``inputs`` checked, with ``_basis`` over them; an ``Inputs`` made for
+    this family as it is."""
+    if isinstance(inputs, Inputs):
+        if inputs[0] != family:
+            raise ValueError("inputs were prepared for another family")
+        return inputs
+    xs = _input_array(family.field, inputs)
+    return Inputs((family, xs, _basis(family, xs)))
 
 
 def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
     """h(s, x) as output integers: one row per seed, one column per canonical
     input integer.  ``seeds`` is a 1-d array of seed integers or a 2-d matrix
     of their base-q digits, least significant first, one row per seed (for
-    seed spaces beyond int64).
+    seed spaces beyond int64).  ``inputs`` may be an ``Inputs`` from
+    ``_prepared``, so that many calls share one basis.
 
     Every family is Z_q-linear in the base-q digits of its seed (for the
     polynomial kind this is the Wegman-Carter construction), so the table is
@@ -165,22 +193,24 @@ def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
     polynomial kind, one indicator per digit for full_table, nothing for the
     constant kind.
     """
-    f = family.field
-    q, m, n_digits = f.q, family.m, family.seed_digits
-    xs = _input_array(f, inputs)
-    basis = _basis(family, xs)
+    q, m, n_digits = family.field.q, family.m, family.seed_digits
+    _, xs, basis = _prepared(family, inputs)
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.ndim == 2:
         digits = seeds
         if digits.shape[1] != n_digits or np.any((digits < 0) | (digits >= q)):
             raise ValueError(f"seed digit rows must hold {n_digits} digits in [0, {q})")
     else:
-        digits = np.empty((seeds.size, n_digits), dtype=np.int64)
-        rest = seeds
-        for d in range(n_digits):
-            rest, digits[:, d] = np.divmod(rest, q)
-        if np.any(rest):
+        seeds = seeds.reshape(-1)
+        low, top = (int(seeds.min()), int(seeds.max())) if seeds.size else (0, 0)
+        if low < 0 or top >= family.seed_space_size:
             raise ValueError(f"seeds outside [0, {family.seed_space_size})")
+        # Digits past the top seed's are 0, and q^width stays in int64.
+        width = 0
+        while width < n_digits and q**width <= top:
+            width += 1
+        digits = np.zeros((seeds.size, n_digits), dtype=np.int64)
+        digits[:, :width] = seeds[:, None] // q ** np.arange(width) % q
     table = np.zeros((len(digits), len(xs)), dtype=np.int64)
     out = np.empty_like(table)
     for j in reversed(range(m)):
@@ -254,27 +284,27 @@ def _translates(
     vector for free digit f is e_f minus the pivot digits that cancel column f
     of the reduced rows, so t . B_{x_0} is linear in the seed: column f of
     ``moves`` is that vector's shift, and a pivot column is 0.  The inputs
-    must be non-empty.
+    must be non-empty, and may be an ``Inputs`` (``_prepared``).
     """
     q, n_digits = family.field.q, family.seed_digits
-    xs = _input_array(family.field, inputs)
-    basis = _basis(family, xs)  # (D, inputs, m)
+    _, xs, basis = _prepared(family, inputs)  # basis (D, inputs, m)
     a = (basis - basis[:, :1]).transpose(1, 2, 0) % q  # a row per (x, j)
     a = a.reshape(xs.size * family.m, n_digits)
-    pivots, row = [], 0
-    for d in range(n_digits):
+    pivots, row, d = [], 0, 0
+    while row < len(a):
+        # The next pivot is the first column from d with a non-zero below row.
+        ahead = np.flatnonzero(a[row:, d:].any(axis=0))
+        if not ahead.size:
+            break
+        d += int(ahead[0])
         below = np.flatnonzero(a[row:, d])
-        if not below.size:
-            continue
         a[[row, row + below[0]]] = a[[row + below[0], row]]
         a[row] = a[row] * pow(int(a[row, d]), -1, q) % q
         factor = a[:, d].copy()
         factor[row] = 0
         a = (a - factor[:, None] * a[row]) % q
         pivots.append(d)
-        row += 1
-        if row == len(a):
-            break
+        row, d = row + 1, d + 1
     if check is not None:
         check(len(pivots))
     pivots, reduced, b0 = np.array(pivots, dtype=np.int64), a[:row].copy(), basis[:, 0]

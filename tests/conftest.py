@@ -72,6 +72,41 @@ def full_rank_scan(family, l, chunk=20_000):
     return best
 
 
+def loop_basis(family, xs):
+    """The polynomial basis that the doubling ``families._basis`` replaced,
+    kept as its oracle: x^i and X^t x^i stepped one seed digit at a time in
+    Python, k * n iterations."""
+    f, m = family.field, family.m
+    q, n = f.q, f.n
+    basis = np.empty((family.seed_digits, len(xs), m), dtype=np.int64)
+    x_digits = np.asarray(xs)[:, None] // q ** np.arange(n) % q
+    modulus = np.array(f.modulus, dtype=np.int64)
+    power = np.zeros((len(xs), n), dtype=np.int64)
+    power[:, 0] = 1  # x^0
+    for i in range(family.k):
+        term, nxt = power, np.zeros_like(power)
+        for t in range(n):
+            basis[i * n + t] = term[:, :m]
+            nxt += x_digits[:, t : t + 1] * term  # x^(i+1) = sum_t x_t X^t x^i
+            top = term[:, -1:]
+            term = np.concatenate([np.zeros_like(top), term[:, :-1]], axis=1)
+            term = (term - top * modulus) % q
+        power = nxt % q
+    return basis
+
+
+def column_loop_largest_buckets(table):
+    """The per-column walk that ``extraction._largest_buckets`` replaced,
+    kept as its oracle: each sorted row's current and longest run, one numpy
+    step per column."""
+    ordered = np.sort(table, axis=1)
+    run = best = np.ones(len(ordered), dtype=np.int64)
+    for j in range(1, ordered.shape[1]):
+        run = np.where(ordered[:, j] == ordered[:, j - 1], run + 1, 1)
+        best = np.maximum(best, run)
+    return best
+
+
 def dense_joint(family, source):
     """P(u, s[, z]) by tabulating every seed: the all-seed ``hash_table``, one
     input's mass at a time in input order, then one in-place scale by

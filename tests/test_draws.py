@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from renyi_extract import _draws
-from renyi_extract._draws import integers
+from renyi_extract._draws import integer_blocks, integers
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -40,6 +40,35 @@ def test_matches_numpy(high, size):
 def test_matches_numpy_over_several_blocks(high):
     n = 2 * _draws._BLOCK + 123
     assert np.array_equal(integers(5, high, n), np.random.default_rng(5).integers(0, high, n))
+
+
+@pytest.mark.parametrize("high", HIGHS)
+@pytest.mark.parametrize("size", [1, 7, 64, 299, 300, 1000])
+def test_blocks_concatenate_to_the_draws(high, size):
+    # The stream in blocks of ``size`` draws, the last one shorter: both word
+    # paths, on the numpy comparison cases.
+    for seed in SEEDS[:8]:
+        blocks = list(integer_blocks(seed, high, 300, size))
+        assert [len(b) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= size
+        got = np.concatenate(blocks)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.random.default_rng(seed).integers(0, high, 300))
+
+
+@pytest.mark.parametrize("high", [3, 2**31 + 1, 2**40])
+@pytest.mark.parametrize(
+    "size", [_draws._BLOCK - 1, _draws._BLOCK + 1, 3 * _draws._BLOCK + 5, 1000]
+)
+def test_blocks_straddle_the_output_blocks(high, size):
+    n = 3 * _draws._BLOCK + 123
+    blocks = list(integer_blocks(5, high, n, size))
+    assert max(len(b) for b in blocks) == min(size, n)
+    assert np.array_equal(np.concatenate(blocks), integers(5, high, n))
+
+
+def test_blocks_of_nothing():
+    assert list(integer_blocks(3, 5, 0, 4)) == []
 
 
 def test_refills_after_rejections(monkeypatch):

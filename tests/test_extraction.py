@@ -25,8 +25,8 @@ from renyi_extract.fields import FieldParams
 from renyi_extract.harness import run_sweep, run_verify
 
 from conftest import (
-    bits, dense_joint, lexsorted_groups, make_source, outcome, poly_family,
-    uniform_source, variant_totals, vxc_groups, whole_check,
+    bits, column_loop_largest_buckets, dense_joint, lexsorted_groups, make_source,
+    outcome, poly_family, uniform_source, variant_totals, vxc_groups, whole_check,
 )
 
 SIDE_ROWS_8 = np.array([[0.8, 0.2], [0.3, 0.7]] * 4)
@@ -304,6 +304,106 @@ class TestBlocks:
         calls.clear()
         expected_max_bucket(fam, range(16))
         assert sum(calls) == n_reps and max(calls) == 100
+
+
+class TestSampledBlocks:
+    """The sampled bucket draws, hashes and counts max(1, BLOCK // max(|subset|,
+    D)) seeds at a time; its mean and stderr do not depend on the block size."""
+
+    @pytest.mark.parametrize(
+        "kind,q,n,k,m",
+        BLOCK_FAMILIES + [("polynomial", 2, 8, 3, 4), ("full_table", 2, 4, 2, 4)],
+    )
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, kind, q, n, k, m):
+        # The last family has 2^64 seeds, so it draws digit rows.
+        fam = _family(kind, q, n, k, m)
+        size = fam.field.size
+        rng = np.random.default_rng([q, n, k, m])
+        subsets = [range(size), rng.choice(size, min(size, 3), replace=False).tolist()]
+        for subset in subsets:
+
+            def run():
+                est = expected_max_bucket(
+                    fam, subset, mode="sampled", n_samples=157, rng_seed=q * n + k
+                )
+                return bits(np.array(est))
+
+            monkeypatch.setattr(extraction, "BLOCK", 2**62)  # one block
+            whole = run()
+            for block in (1, 5, 7 * len(subset), 2**14):
+                monkeypatch.setattr(extraction, "BLOCK", block)
+                assert run() == whole, (subset, block)
+
+    @pytest.mark.parametrize(
+        "kind,k,subset", [("polynomial", 3, range(256)), ("full_table", 2, [0, 1])]
+    )
+    def test_memory_follows_the_block_not_the_samples(self, kind, k, subset):
+        # GF(2^8), m=4: 10,000 samples x 256 table cells, or x 1024 seed
+        # digits, would take 20 or 82 MB at once; a run holds one block's
+        # arrays, the basis, one chunk of the draw stream (about 3 MB at
+        # most) and one float per sample.
+        fam = HashFamily(kind, FieldParams.create(2, 8), k, 4)
+        tracemalloc.start()
+        try:
+            expected_max_bucket(
+                fam, list(subset), mode="sampled", n_samples=10_000, budget=10**8
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000 * 8 + 2**23
+
+    def test_one_table_per_block_and_one_basis_per_run(self, monkeypatch):
+        # Each block goes through the module global, so a tracer that wraps
+        # it sees every block; the basis is built once.
+        fam = poly_family(FieldParams.create(2, 4), 3, 2)
+        calls, bases, table, basis = [], [], extraction.hash_table, families._basis
+
+        def counting(family, digits, inputs):
+            calls.append(len(digits))
+            return table(family, digits, inputs)
+
+        def counting_basis(family, xs):
+            bases.append(len(xs))
+            return basis(family, xs)
+
+        monkeypatch.setattr(extraction, "hash_table", counting)
+        monkeypatch.setattr(families, "_basis", counting_basis)
+        monkeypatch.setattr(extraction, "BLOCK", 100)
+        subset = [3, 0, 9, 12, 5]
+        expected_max_bucket(fam, subset, mode="sampled", n_samples=130)
+        assert calls == [8] * 16 + [2]  # 12 seed digits per seed
+        assert bases == [5]
+        calls.clear()
+        expected_max_bucket(fam, range(16), mode="sampled", n_samples=130)
+        assert calls == [6] * 21 + [4]  # 16 table cells per seed
+        calls.clear()
+        bases.clear()
+        expected_max_bucket(fam, range(16))  # exact: the cosets share it too
+        assert max(calls) == 100 and bases == [16]
+
+
+class TestLargestBuckets:
+    """One sort and the run lengths of the flattened rows give each row's
+    largest bucket, as the per-column walk did."""
+
+    @pytest.mark.parametrize(
+        "rows,cols,values",
+        [(1, 1, 1), (5, 1, 4), (1, 9, 1), (6, 9, 1), (7, 9, 2), (40, 13, 3),
+         (33, 32, 16), (64, 256, 16), (200, 8, 1000)],
+    )
+    def test_matches_the_column_walk(self, rows, cols, values):
+        # Ties, one column, all-equal rows and all-distinct rows.
+        rng = np.random.default_rng([rows, cols, values])
+        table = rng.integers(0, values, size=(rows, cols))
+        table[0] = table[0, 0]  # an all-equal row
+        got = extraction._largest_buckets(table)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, column_loop_largest_buckets(table))
+
+    def test_distinct_and_tied_rows(self):
+        table = np.array([[0, 1, 2, 3], [3, 3, 1, 1], [2, 0, 2, 2], [7, 7, 7, 7]])
+        assert extraction._largest_buckets(table).tolist() == [1, 2, 3, 4]
 
 
 class TestSumCheck:
@@ -632,6 +732,13 @@ class TestExpectedMaxBucket:
         with pytest.raises(BudgetExceededError, match=f"exceeds budget {charge - 1}$"):
             run(charge - 1)
         assert run(charge).mean >= 1  # every row's largest bucket holds an input
+
+    def test_exact_bucket_with_a_long_seed(self):
+        # Inputs {0, 1} of GF(2), m=1, k=100,000: 100,000 seed digits, whose
+        # basis and pivot search take numpy steps, not one per digit.  Two
+        # distinct inputs collide with probability 1/2.
+        fam = HashFamily("polynomial", FieldParams.create(2, 1), 100_000, 1)
+        assert expected_max_bucket(fam, [0, 1]) == (1.5, None)
 
     def test_translates_are_counted_not_charged(self):
         # Inputs {0, 1} of GF(2^8), k=3, m=4: 16 representatives of 2^20 seeds

@@ -12,7 +12,7 @@ from renyi_extract import families
 from renyi_extract.families import KINDS, hash_table
 from renyi_extract.fields import FieldParams
 
-from conftest import full_rank_scan, poly_family
+from conftest import full_rank_scan, loop_basis, poly_family
 
 
 def test_zero_seed_maps_everything_to_zero(gf8):
@@ -196,6 +196,56 @@ def test_hash_table_matches_evaluate(kind, q, n, k, m):
         for r, s in enumerate(seeds):
             for c, v in enumerate(inputs):
                 assert table[r, c] == evaluate(fam, s, v)
+
+
+@pytest.mark.parametrize(
+    "q,n,k,m",
+    [(2, 1, 2, 1), (2, 3, 3, 2), (3, 2, 4, 2), (5, 1, 3, 1), (2, 8, 3, 4),
+     (7, 2, 6, 2), (2, 5, 17, 5), (2, 16, 3, 9), (2, 1, 1000, 1), (3, 3, 2000, 2)],
+)
+def test_basis_by_doubling_matches_the_digit_loop(q, n, k, m):
+    # Powers of each input by doubling, bit for bit the k * n loop's basis,
+    # for shuffled and repeated inputs.
+    fam = HashFamily("polynomial", FieldParams.create(q, n), k, m)
+    rng = np.random.default_rng([q, n, k, m])
+    xs = rng.integers(0, fam.field.size, size=min(fam.field.size, 40) + 3)
+    got = families._basis(fam, xs)
+    want = loop_basis(fam, xs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "kind,q,n,k,m",
+    [("full_table", 2, 4, 2, 4), ("polynomial", 2, 8, 8, 8), ("polynomial", 3, 8, 5, 2)],
+)
+def test_seed_integers_in_a_seed_space_beyond_int64(kind, q, n, k, m):
+    # An int64 seed of a larger seed space has its high digits 0: the integer
+    # and its digit row hash alike.
+    fam = HashFamily(kind, FieldParams.create(q, n), k, m)
+    top = np.iinfo(np.int64).max
+    seeds = np.array([top, 0, 12345, top // q, 1, q - 1])
+    rows = [[s // q**d % q for d in range(fam.seed_digits)] for s in seeds.tolist()]
+    inputs = list(range(min(fam.field.size, 20)))
+    want = hash_table(fam, np.array(rows), inputs)
+    assert np.array_equal(hash_table(fam, seeds, inputs), want)
+
+
+def test_prepared_inputs_share_one_basis(gf8, monkeypatch):
+    # hash_table and _translates take an Inputs as they take the integers it
+    # holds, without building another basis; another family's is refused.
+    fam = poly_family(gf8, 3, 2)
+    inputs = families._prepared(fam, [5, 0, 3, 5])
+    monkeypatch.setattr(families, "_basis", lambda *a: pytest.fail("basis rebuilt"))
+    seeds = np.arange(0, fam.seed_space_size, 7)
+    assert np.array_equal(hash_table(fam, seeds, inputs), hash_table(fam, seeds, inputs))
+    assert len(families._translates(fam, inputs).pivots) > 0
+    monkeypatch.undo()
+    want = hash_table(fam, seeds, [5, 0, 3, 5])
+    assert np.array_equal(hash_table(fam, seeds, inputs), want)
+    with pytest.raises(ValueError, match="prepared for another family"):
+        hash_table(poly_family(gf8, 2, 2), seeds[:3], inputs)
 
 
 def test_hash_table_rejects_out_of_range_seeds(gf4):
