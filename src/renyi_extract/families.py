@@ -17,10 +17,13 @@ l-subset collides with probability exactly q^{-r}, r the GF(q)-rank of its
 stacked basis differences (Carter & Wegman 1979): certification reads one
 basis, builds no seed table and carries each certificate as the integer r;
 the polynomial kind ranks only the subsets holding inputs 0 and 1, since
-affine maps of the inputs permute its seeds.  The seeds t with t . B_x the
+affine maps of the inputs permute its seeds.  The subsets are ranked along
+their combination tree (``_certify``, imported only to certify): each prefix
+of l - 1 inputs is row-reduced once (``_row_reduce``), then its leaves' new
+rows block by block.  The seeds t with t . B_x the
 same for every input x form a group T; adding t to a seed shifts all its
 outputs by one constant, so extraction and the exact bucket experiment hash
-one seed per coset of T (``_translates``, one row reduction of the basis
+one seed per coset of T (``_translates``, one ``_row_reduce`` of the basis
 differences).  All of this is exact int64 arithmetic; a family that would
 leave int64 is refused.  The scalar ``evaluate`` (Horner
 with ``gf_mul`` and ``gf_add``) is the public single-value API and the tests'
@@ -29,7 +32,6 @@ oracle; no run path calls it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, NamedTuple
 
@@ -306,7 +308,19 @@ def _translates(
     q, n_digits = family.field.q, family.seed_digits
     _, xs, basis, _ = _prepared(family, inputs)  # basis (D, inputs, m)
     a = (basis - basis[:, :1]).transpose(1, 2, 0) % q  # a row per (x, j)
-    a = a.reshape(xs.size * family.m, n_digits)
+    pivots, reduced = _row_reduce(a.reshape(xs.size * family.m, n_digits), q)
+    if check is not None:
+        check(len(pivots))
+    pivots, b0 = np.array(pivots, dtype=np.int64), basis[:, 0]
+    moves = (b0 - reduced.T @ b0[pivots]).T % q  # 0 in the pivot columns
+    return Cosets(pivots, q ** (n_digits - len(pivots)), reduced, moves)
+
+
+def _row_reduce(a: np.ndarray, q: int) -> tuple[list, np.ndarray]:
+    """(pivots, rows): the reduced row-echelon form mod q of a matrix with
+    entries in [0, q), q prime, which may have its rows swapped in place.  Its
+    non-zero rows, one per pivot column, are 1 there and the only non-zero
+    in that column."""
     pivots, row, d = [], 0, 0
     while row < len(a):
         # The next pivot is the first column from d with a non-zero below row.
@@ -322,25 +336,7 @@ def _translates(
         a = (a - factor[:, None] * a[row]) % q
         pivots.append(d)
         row, d = row + 1, d + 1
-    if check is not None:
-        check(len(pivots))
-    pivots, reduced, b0 = np.array(pivots, dtype=np.int64), a[:row].copy(), basis[:, 0]
-    moves = (b0 - reduced.T @ b0[pivots]).T % q  # 0 in the pivot columns
-    return Cosets(pivots, q ** (n_digits - row), reduced, moves)
-
-
-def _ranks_mod_q(a: np.ndarray, q: int) -> np.ndarray:
-    """GF(q)-rank of each matrix in a stack with entries in [0, q), q prime."""
-    if a.shape[1] > a.shape[2]:  # eliminate along the shorter side
-        a = a.transpose(0, 2, 1)
-    for i in range(a.shape[1]):
-        row, below = a[:, i : i + 1], a[:, i + 1 :]
-        col = (row != 0).argmax(axis=2)[..., None]
-        pivot = np.take_along_axis(row, col, axis=2)
-        factor = np.take_along_axis(below, col, axis=2)
-        # Scaling a row by a unit keeps the rank, so no inverse mod q is needed.
-        below[...] = (np.where(pivot, pivot, 1) * below - factor * row) % q
-    return np.count_nonzero(a.any(axis=2), axis=1)
+    return pivots, a[:row].copy()
 
 
 def verify_universality(family: HashFamily, l: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -354,7 +350,10 @@ def verify_universality(family: HashFamily, l: int, budget: int = DEFAULT_BUDGET
     ``hash_table``'s basis B, so no seed is enumerated.  An affine map of the
     inputs permutes the polynomial kind's seeds and takes any two inputs to
     0 and 1, so for that kind only the C(N-2, l-2) subsets holding 0 and 1
-    are ranked; the other kinds rank all C(N, l).
+    are ranked; the other kinds rank all C(N, l).  The subsets are ranked
+    along their combination tree (``_certify``): each prefix of l-1 inputs
+    is row-reduced once, then its leaves' m new rows in blocks, so the charge
+    is the basis, every prefix's m(l-2) rows and every subset's m new rows.
     """
     if l < 2:
         raise ValueError("universality order l must be >= 2")
@@ -362,22 +361,21 @@ def verify_universality(family: HashFamily, l: int, budget: int = DEFAULT_BUDGET
     if l > n_inputs:
         raise ValueError(f"l={l} exceeds domain size {n_inputs}")
     q, m, n_digits = family.field.q, family.m, family.seed_digits
-    fixed = (0, 1) if family.kind == "polynomial" else ()
-    rest = range(len(fixed), n_inputs)
-    n_subsets = math.comb(len(rest), l - len(fixed))
-    if n_digits * (n_inputs + n_subsets * m * (l - 1)) > budget:
-        held = " holding 0 and 1" if fixed else ""
+    fixed = family.kind == "polynomial"
+    held = 2 if fixed else 0  # every ranked subset holds inputs 0 .. held-1
+    n_subsets = math.comb(n_inputs - held, l - held)
+    # Prefixes with a leaf: inputs below N-1 ({0} alone, leaf 1, held at l = 2).
+    n_prefixes = math.comb(n_inputs - 1 - held, l - 1 - held) if l > held else 1
+    if n_digits * (n_inputs + n_prefixes * m * (l - 2) + n_subsets * m) > budget:
         raise BudgetExceededError(
-            f"{n_digits} seed digits x ({n_inputs} inputs + {n_subsets} {l}-subsets"
-            f"{held} x {m * (l - 1)} output digits) exceeds budget {budget}"
+            f"{n_digits} seed digits x ({n_inputs} inputs + {n_prefixes} prefixes x"
+            f" {m * (l - 2)} rows + {n_subsets} {l}-subsets"
+            f"{' holding 0 and 1' if fixed else ''} x {m} rows) exceeds budget {budget}"
         )
+    from ._certify import least_rank
+
     basis = _basis(family, np.arange(n_inputs)).transpose(1, 2, 0)  # (x, j, d)
-    basis = basis.astype(np.min_scalar_type(-q * q))  # signed, holds +-q^2
-    chosen = itertools.combinations(rest, l - len(fixed))
-    subsets = np.array([fixed + c for c in chosen], dtype=np.int64).reshape(n_subsets, l)
-    stacked = basis[subsets[:, 1:]] - basis[subsets[:, :1]]  # (subset, l-1, m, D)
-    ranks = _ranks_mod_q(stacked.reshape(n_subsets, m * (l - 1), n_digits) % q, q)
-    return int(ranks.min())
+    return least_rank(np.ascontiguousarray(basis), q, l, fixed)
 
 
 class UniversalityVerdict(NamedTuple):

@@ -54,21 +54,50 @@ def poly_family(field, k, m):
     return HashFamily("polynomial", field, k, m)
 
 
-def full_rank_scan(family, l, chunk=20_000):
+def scalar_rank(rows, q):
+    """GF(q)-rank of a matrix, q prime, by elimination one scalar at a time:
+    each row is reduced by the pivot rows found before it, in order, and what
+    is left of it, if anything, is the next pivot row, scaled to 1 at its
+    first non-zero.  Rows are lists of digits in [0, q), or for q = 2 ints
+    whose bit d is column d, reduced by xor."""
+    pivots = {}  # pivot column -> pivot row; each is 0 at the earlier pivots
+    for row in rows:
+        if q == 2:
+            for c, p in pivots.items():
+                if row >> c & 1:
+                    row ^= p
+            if row:
+                pivots[(row & -row).bit_length() - 1] = row
+            continue
+        for c, p in pivots.items():
+            if row[c]:
+                f = row[c]
+                row = [(a - f * b) % q for a, b in zip(row, p)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is not None:
+            inverse = pow(row[lead], -1, q)
+            pivots[lead] = [v * inverse % q for v in row]
+    return len(pivots)
+
+
+def full_rank_scan(family, l):
     """The least GF(q)-rank of [B_{x_2} - B_{x_1} | ... | B_{x_l} - B_{x_1}]
-    over all C(N, l) l-subsets, ranked ``chunk`` subsets at a time: the
-    unreduced certificate that the affine reduction must equal."""
-    q, m, n_digits = family.field.q, family.m, family.seed_digits
-    n_inputs = family.field.size
-    basis = families._basis(family, np.arange(n_inputs)).transpose(1, 2, 0)
-    basis = basis.astype(np.min_scalar_type(-q * q))
-    subsets = itertools.combinations(range(n_inputs), l)
+    over all C(N, l) l-subsets, each ranked on its own by ``scalar_rank``:
+    the certificate that the affine reduction and the combination tree must
+    equal, from no elimination of the package's."""
+    q, m, n_inputs = family.field.q, family.m, family.field.size
+    basis = families._basis(family, np.arange(n_inputs)).transpose(1, 2, 0).tolist()
+    if q == 2:  # B_x's digit-j row as an int, so a difference is one xor
+        basis = [[sum(v << d for d, v in enumerate(row)) for row in x] for x in basis]
     best = m * (l - 1)
-    while block := list(itertools.islice(subsets, chunk)):
-        block = np.array(block)
-        stacked = (basis[block[:, 1:]] - basis[block[:, :1]]) % q
-        stacked = stacked.reshape(len(block), m * (l - 1), n_digits)
-        best = min(best, int(families._ranks_mod_q(stacked, q).min()))
+    for subset in itertools.combinations(range(n_inputs), l):
+        first = basis[subset[0]]
+        if q == 2:
+            rows = [a ^ b for x in subset[1:] for a, b in zip(basis[x], first)]
+        else:
+            rows = [[(u - v) % q for u, v in zip(a, b)]
+                    for x in subset[1:] for a, b in zip(basis[x], first)]
+        best = min(best, scalar_rank(rows, q))
     return best
 
 

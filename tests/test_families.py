@@ -108,18 +108,22 @@ def test_certify_full_table(gf4):
 
 
 @pytest.mark.parametrize(
-    "kind,k,subsets", [("polynomial", 3, math.comb(30, 1)), ("full_table", 3, math.comb(32, 3))]
+    "kind,k,prefixes,subsets",
+    [("polynomial", 3, 1, math.comb(30, 1)),
+     ("full_table", 3, math.comb(31, 2), math.comb(32, 3))],
 )
-def test_budget_is_the_certification_charge(kind, k, subsets):
-    # GF(2^5), m=2 at l=3: the basis (D x N, N = 32 inputs) and one stacked
-    # D x m(l-1) matrix per ranked 3-subset.  The polynomial kind ranks only
-    # the C(30, 1) subsets holding inputs 0 and 1: D = 15, so 2,280 cells,
-    # where all C(32, 3) were charged 298,080.  full_table ranks every subset.
+def test_budget_is_the_certification_charge(kind, k, prefixes, subsets):
+    # GF(2^5), m=2 at l=3: the basis (D x N, N = 32 inputs), the m(l-2) rows
+    # of each prefix (the first l-1 inputs of a ranked subset, with an input
+    # above them) and the m new rows of each ranked 3-subset, D cells a row.
+    # The polynomial kind ranks only the C(30, 1) subsets holding inputs 0
+    # and 1, under the one prefix {0, 1}: D = 15, so 1,410 cells, where one
+    # stacked D x m(l-1) matrix per subset was charged 2,280.  full_table
+    # ranks every subset, under the C(31, 2) prefixes below input 31.
     fam = HashFamily(kind, FieldParams.create(2, 5), k, 2)
     d = fam.seed_digits
-    charge = d * 32 + subsets * d * 2 * 2
-    if kind == "polynomial":
-        assert charge == 2_280
+    charge = d * 32 + prefixes * d * 2 + subsets * d * 2
+    assert charge == {"polynomial": 1_410, "full_table": 696_448}[kind]
     with pytest.raises(BudgetExceededError, match=f"exceeds budget {charge - 1}$"):
         verify_universality(fam, 3, budget=charge - 1)
     assert verify_universality(fam, 3, budget=charge) == 4  # 1/16
@@ -524,7 +528,7 @@ def seed_scan(family, l):
 ORACLE_FAMILIES = (
     [
         ("polynomial", q, n, k, m)
-        # q = 11 is the largest prime whose products fit int8; 13 needs int16.
+        # Every prime q up to 13 at n = 1, and the small extension fields.
         for q, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1),
                      (11, 1), (13, 1))
         for k in (2, 3, 4)
@@ -554,13 +558,25 @@ AFFINE_FAMILIES = [
 ]
 
 
-@pytest.mark.parametrize("q,n,k,m", AFFINE_FAMILIES)
-def test_affine_reduction_matches_full_scan(q, n, k, m):
-    # Ranking only the subsets that hold inputs 0 and 1 gives the least rank
-    # over all C(N, l) subsets: at every order the certifier checks, and at
-    # k + 1, where the family fails and the least rank is below m * k, when
-    # there are at most 40,000 (k + 1)-subsets to scan.
-    fam = poly_family(FieldParams.create(q, n), k, m)
+# Every kind of combination-tree root: {0, 1} for the polynomial kind, each
+# first input for full_table and constant.  The polynomial ids are q-n-k-m.
+FULL_SCAN_FAMILIES = (
+    [pytest.param("polynomial", *f, id="-".join(map(str, f))) for f in AFFINE_FAMILIES]
+    + [("full_table", q, n, k, m) for q, n in ((2, 2), (2, 3), (3, 1), (3, 2))
+       for k in (2, 3) for m in (1, 2)]
+    + [("constant", q, n, 3, m) for q, n in ((2, 2), (2, 3), (3, 1)) for m in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("kind,q,n,k,m", FULL_SCAN_FAMILIES)
+def test_affine_reduction_matches_full_scan(kind, q, n, k, m):
+    # The certificate, ranked along the combination tree (for the polynomial
+    # kind over the subsets that hold inputs 0 and 1 only), is the least rank
+    # over all C(N, l) subsets, each row-reduced on its own: at every order
+    # the certifier checks, and at k + 1, where a polynomial family fails and
+    # the least rank is below m * k, when there are at most 40,000
+    # (k + 1)-subsets to scan.
+    fam = HashFamily(kind, FieldParams.create(q, n), k, m)
     orders = [l for l in range(2, min(k + 1, q**n) + 1)
               if l <= k or math.comb(q**n, l) <= 40_000]
     for l in orders:
@@ -588,3 +604,56 @@ def test_certification_reads_only_the_basis(monkeypatch):
         bases.clear()
         certify_k_star(fam)
         assert bases == [fam.field.size] * (k - 1)
+
+
+@pytest.mark.parametrize("block", [1, 37, 2**14])
+def test_certificate_does_not_depend_on_the_block(monkeypatch, block):
+    # The leaves of a prefix are ranked BLOCK cells at a time (at least one
+    # leaf of m x D cells): every batch stays inside that, and the least rank
+    # equals the full scan whatever the block.  The walk builds what the
+    # budget charges: m(l-2) rows per prefix, m rows per ranked subset.
+    from renyi_extract import _certify
+
+    batches, prefix_rows = [], []
+    ranks, row_reduce = _certify._ranks_mod_q, _certify._row_reduce
+
+    def spy_ranks(a, q):
+        batches.append(a.size)
+        return ranks(a, q)
+
+    def spy_reduce(a, q):
+        prefix_rows.append(len(a))
+        return row_reduce(a, q)
+
+    monkeypatch.setattr(_certify, "BLOCK", block)
+    monkeypatch.setattr(_certify, "_ranks_mod_q", spy_ranks)
+    monkeypatch.setattr(_certify, "_row_reduce", spy_reduce)
+    for kind, q, n, k, m in [("polynomial", 2, 4, 4, 2), ("polynomial", 3, 2, 3, 2),
+                             ("full_table", 2, 2, 3, 1), ("full_table", 3, 1, 3, 2)]:
+        fam = HashFamily(kind, FieldParams.create(q, n), k, m)
+        n_inputs, d = fam.field.size, fam.seed_digits
+        held = 2 if kind == "polynomial" else 0
+        for l in range(2, k + 1):
+            batches.clear()
+            prefix_rows.clear()
+            assert verify_universality(fam, l) == full_rank_scan(fam, l), (kind, l)
+            assert max(batches) <= max(block, m * d)
+            assert sum(batches) == math.comb(n_inputs - held, l - held) * m * d
+            prefixes = math.comb(n_inputs - 1 - held, l - 1 - held) if l > held else 1
+            assert prefix_rows == [m * (l - 2)] * prefixes
+
+
+def test_certification_memory_follows_the_block():
+    # GF(2^8), k=4, m=4 ranks 32,131 4-subsets.  One stack of their
+    # 12 x 32 matrices held 12.3 M cells; the tree holds the basis, one
+    # prefix's rows and one block of leaves.  The peak is the basis build
+    # (its N k x n^2 products, 0.5 MB) and a few 2^14-cell int64 blocks.
+    fam = poly_family(FieldParams.create(2, 8), 4, 4)
+    tracemalloc.start()
+    try:
+        verdicts = certify_k_star(fam, budget=10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(v.passed for v in verdicts)
+    assert peak < 2**21

@@ -6,6 +6,7 @@ value derive from ``renyi_extract._record.Record``, a hand-written frozen base
 that behaves as the frozen dataclasses it replaced did.  Importing the CLI
 applies ``dataclasses.dataclass`` to no class, and no run loads
 ``dataclasses``, ``fractions`` or ``decimal``: certificates are integer ranks.
+Only a run that certifies imports the certifier's ``_certify`` module.
 """
 
 import json
@@ -52,17 +53,21 @@ print(json.dumps({"dataclasses": made, "numpy_random_by_numpy": by_numpy,
 """
 
 # Run in a fresh interpreter: the given CLI commands on one config, then the
-# modules among these that they loaded and numpy did not.
+# modules among the watched ones (a JSON list) that they loaded and numpy did
+# not.
 RUN_PROBE = """
 import json, sys
 import numpy
-watched = {"dataclasses", "decimal", "fractions"} - set(sys.modules)
+watched = set(json.loads(sys.argv[1])) - set(sys.modules)
 from renyi_extract.cli import main
-config, out, *commands = sys.argv[1:]
+config, out, *commands = sys.argv[2:]
 for command in commands:
     assert main([command, "--config", config, "--out", out]) == 0, command
 print(json.dumps(sorted(watched & set(sys.modules))))
 """
+
+
+STDLIB = json.dumps(["dataclasses", "decimal", "fractions"])
 
 
 def _probe(script, *args):
@@ -94,12 +99,23 @@ class TestStartup:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(CONFIG))
         out = str(tmp_path / "out")
-        assert _probe(RUN_PROBE, str(config), out, "sweep", "bucket") == []
+        assert _probe(RUN_PROBE, STDLIB, str(config), out, "sweep", "bucket") == []
 
     def test_verify_loads_neither_fractions_nor_decimal(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(CONFIG))
-        assert _probe(RUN_PROBE, str(config), str(tmp_path / "out"), "verify") == []
+        assert _probe(RUN_PROBE, STDLIB, str(config), str(tmp_path / "out"), "verify") == []
+
+    def test_only_verify_imports_the_certifier(self, tmp_path):
+        # The combination-tree walk lives in its own module, imported by
+        # verify_universality, so that runs that never certify do not compile
+        # it: without a bytecode cache the compile would raise their peak RSS.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CONFIG))
+        out, certifier = str(tmp_path / "out"), json.dumps(["renyi_extract._certify"])
+        assert _probe(RUN_PROBE, certifier, str(config), out, "sweep", "bucket") == []
+        loaded = _probe(RUN_PROBE, certifier, str(config), out, "verify")
+        assert loaded == ["renyi_extract._certify"]
 
     def test_certification_is_exact(self, gf8):
         # Each certificate is the integer rank r: collision probability q^-r.
