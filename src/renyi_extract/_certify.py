@@ -7,10 +7,12 @@ i = 2 .. l, m per input.  The subsets with the same first l - 1 inputs (a
 prefix) share all but their last m rows.  So each prefix's rows are brought
 to reduced row-echelon form once (``families._row_reduce``), and each leaf
 x_l's m rows v are reduced against them as v - v[:, pivots] @ reduced mod q:
-the subset's rank is the prefix's plus that of the reduced m rows.  A
-prefix's leaves are the inputs above its last one, so they are a slice of
-the basis, taken BLOCK cells at a time.  All of it is exact int64
-arithmetic: a reduced row sums at most D products of two digits.
+the subset's rank is the prefix's plus that of the reduced m rows.  Only
+the subsets holding inputs 0 .. fixed-1 are ranked (``verify_universality``
+says which), so a prefix is those inputs plus l-1-fixed more, and its leaves
+are the inputs above its last one: a slice to the end of the basis, taken
+BLOCK cells at a time.  All of it is exact int64 arithmetic: a reduced row
+sums at most D products of two digits.
 """
 
 from __future__ import annotations
@@ -37,31 +39,23 @@ def _ranks_mod_q(a: np.ndarray, q: int) -> np.ndarray:
     return np.count_nonzero(a.any(axis=2), axis=1)
 
 
-def least_rank(basis: np.ndarray, q: int, l: int, fixed: bool) -> int:
-    """The least rank over the l-subsets (with ``fixed``, those holding
-    inputs 0 and 1) of a (N, m, D) basis with entries in [0, q).  The walk
-    takes the prefixes that have leaves, in order: every (l-1)-subset of the
-    inputs below N - 1, or {0, 1} plus each (l-3)-subset of 2 .. N - 2, or at
-    l = 2 {0} alone with the one leaf 1."""
+def least_rank(basis: np.ndarray, q: int, l: int, fixed: int) -> int:
+    """The least rank over the l-subsets holding inputs 0 .. fixed-1 of a
+    (N, m, D) basis with entries in [0, q).  The walk takes the prefixes that
+    have leaves, in order: 0 .. fixed-1 plus each (l-1-fixed)-subset of
+    fixed .. N-2."""
     n_inputs, m, n_digits = basis.shape
     per_batch = max(1, BLOCK // max(1, m * n_digits))
-    if not fixed:
-        walk, stop = itertools.combinations(range(n_inputs - 1), l - 1), n_inputs
-    elif l == 2:
-        walk, stop = [(0,)], 2
-    else:
-        rest = itertools.combinations(range(2, n_inputs - 1), l - 3)
-        walk, stop = ((0, 1) + c for c in rest), n_inputs
     best = m * (l - 1)
-    for prefix in walk:
+    for rest in itertools.combinations(range(fixed, n_inputs - 1), l - 1 - fixed):
         if not best:  # no subset ranks below 0
             break
+        prefix = (*range(fixed), *rest)
         first = basis[prefix[0]]
         rows = (basis[list(prefix[1:])] - first) % q
-        rows = rows.reshape(m * (len(prefix) - 1), n_digits)
-        pivots, reduced = _row_reduce(rows, q)
-        for start in range(prefix[-1] + 1, stop, per_batch):
-            leaves = (basis[start : min(start + per_batch, stop)] - first) % q
+        pivots, reduced = _row_reduce(rows.reshape(m * (l - 2), n_digits), q)
+        for start in range(prefix[-1] + 1, n_inputs, per_batch):
+            leaves = (basis[start : start + per_batch] - first) % q
             leaves -= leaves[:, :, pivots] @ reduced
             leaves %= q
             best = min(best, len(pivots) + int(_ranks_mod_q(leaves, q).min()))

@@ -116,9 +116,10 @@ def _outputs(state: int, inc: int, size: int):
 
 
 def integer_blocks(seed: int, high: int, n: int, size: int):
-    """``integers(seed, high, n)`` as consecutive int64 arrays of ``size``
-    draws, the last one shorter when size does not divide n: memory follows
-    the block, not n."""
+    """``np.random.default_rng(seed).integers(0, high, n)`` for
+    1 <= high <= 2^63, as consecutive int64 arrays of ``size`` draws, the
+    last one shorter when size does not divide n: memory follows the block,
+    not n."""
     state, inc = _seeded(int(seed))
     bits = 32 if high <= 1 << 32 else 64
     # Reject a word when its product's low bits fall below 2^bits mod high.
@@ -148,13 +149,3 @@ def integer_blocks(seed: int, high: int, n: int, size: int):
         for start in range(0, whole, size):
             yield joined[start:start + size]
         held, count = [joined[whole:]], count - whole
-
-
-def integers(seed: int, high: int, size) -> np.ndarray:
-    """``np.random.default_rng(seed).integers(0, high, size)`` as int64, for
-    1 <= high <= 2^63 and size an int or a shape: one block of
-    ``integer_blocks``."""
-    draws = np.empty(size, dtype=np.int64)
-    for block in integer_blocks(seed, high, draws.size, max(1, draws.size)):
-        draws = block.reshape(size)
-    return draws

@@ -12,22 +12,22 @@ Three kinds are supported:
 
 Every family is Z_q-linear in its seed digits: h(s, x) is digits(s) . B_x
 mod q for a basis B built in closed form with numpy, and ``hash_table``
-reads it from windowed lookup tables over B (``_tables``).  An
-l-subset collides with probability exactly q^{-r}, r the GF(q)-rank of its
-stacked basis differences (Carter & Wegman 1979): certification reads one
-basis, builds no seed table and carries each certificate as the integer r;
-the polynomial kind ranks only the subsets holding inputs 0 and 1, since
-affine maps of the inputs permute its seeds.  The subsets are ranked along
-their combination tree (``_certify``, imported only to certify): each prefix
-of l - 1 inputs is row-reduced once (``_row_reduce``), then its leaves' new
-rows block by block.  The seeds t with t . B_x the
-same for every input x form a group T; adding t to a seed shifts all its
-outputs by one constant, so extraction and the exact bucket experiment hash
-one seed per coset of T (``_translates``, one ``_row_reduce`` of the basis
-differences).  All of this is exact int64 arithmetic; a family that would
-leave int64 is refused.  The scalar ``evaluate`` (Horner
-with ``gf_mul`` and ``gf_add``) is the public single-value API and the tests'
-oracle; no run path calls it.
+reads it from windowed lookup tables over B (``_tables``).  An l-subset
+collides with probability exactly q^{-r}, r the GF(q)-rank of its stacked
+basis differences (Carter & Wegman 1979): certification reads one basis,
+builds no seed table and carries each certificate as the integer r.  Maps of
+the inputs that permute the seeds keep every rank: affine ones for the
+polynomial kind, all of them for the others, so one rule picks the subsets
+to rank.  They are ranked along their combination tree (``_certify``,
+imported only to certify): each prefix of l - 1 inputs is row-reduced once
+(``_row_reduce``), then its leaves' new rows block by block.  The seeds t
+with t . B_x the same for every input x form a group T; adding t to a seed
+shifts all its outputs by one constant, so extraction and the exact bucket
+experiment hash one seed per coset of T (``_translates``, one
+``_row_reduce`` of the basis differences).  All of this is exact int64
+arithmetic; a family that would leave int64 is refused.  The scalar
+``evaluate`` (Horner with ``gf_mul`` and ``gf_add``) is the public
+single-value API and the tests' oracle; no run path calls it.
 """
 
 from __future__ import annotations
@@ -345,15 +345,16 @@ def verify_universality(family: HashFamily, l: int, budget: int = DEFAULT_BUDGET
 
     The family is l-universal iff r = m(l-1).  The all-equal event is
     symmetric in the tuple, so unordered l-subsets suffice.  For a uniform
-    seed it has probability q^{-r}, where r is the GF(q)-rank of the
-    D x m(l-1) matrix [B_{x_2} - B_{x_1} | ... | B_{x_l} - B_{x_1}] over
-    ``hash_table``'s basis B, so no seed is enumerated.  An affine map of the
-    inputs permutes the polynomial kind's seeds and takes any two inputs to
-    0 and 1, so for that kind only the C(N-2, l-2) subsets holding 0 and 1
-    are ranked; the other kinds rank all C(N, l).  The subsets are ranked
-    along their combination tree (``_certify``): each prefix of l-1 inputs
-    is row-reduced once, then its leaves' m new rows in blocks, so the charge
-    is the basis, every prefix's m(l-2) rows and every subset's m new rows.
+    seed it has probability q^{-r}, r the GF(q)-rank of the D x m(l-1) matrix
+    [B_{x_2} - B_{x_1} | ... | B_{x_l} - B_{x_1}] over ``hash_table``'s basis
+    B, so no seed is enumerated.  Maps of the inputs that permute the seeds
+    keep every rank and take any ``moved`` inputs to 0 .. moved-1: 2 for the
+    polynomial kind (x -> ax + b), all N for the others (a seed is an
+    arbitrary table).  So only the S subsets of the first ``ranked`` inputs
+    (N if l > moved, else l) holding 0 .. fixed-1 (fixed = min(moved, l-1))
+    are ranked, along their combination tree (``_certify``): each of the P
+    prefixes of l-1 inputs is row-reduced once, then its leaves' m new rows
+    in blocks.  The charge is those rows and the basis: D(ranked + P m(l-2) + S m).
     """
     if l < 2:
         raise ValueError("universality order l must be >= 2")
@@ -361,20 +362,19 @@ def verify_universality(family: HashFamily, l: int, budget: int = DEFAULT_BUDGET
     if l > n_inputs:
         raise ValueError(f"l={l} exceeds domain size {n_inputs}")
     q, m, n_digits = family.field.q, family.m, family.seed_digits
-    fixed = family.kind == "polynomial"
-    held = 2 if fixed else 0  # every ranked subset holds inputs 0 .. held-1
-    n_subsets = math.comb(n_inputs - held, l - held)
-    # Prefixes with a leaf: inputs below N-1 ({0} alone, leaf 1, held at l = 2).
-    n_prefixes = math.comb(n_inputs - 1 - held, l - 1 - held) if l > held else 1
-    if n_digits * (n_inputs + n_prefixes * m * (l - 2) + n_subsets * m) > budget:
+    moved = 2 if family.kind == "polynomial" else n_inputs
+    ranked, fixed = n_inputs if l > moved else l, min(moved, l - 1)
+    n_subsets = math.comb(ranked - fixed, l - fixed)
+    n_prefixes = math.comb(ranked - 1 - fixed, l - 1 - fixed)  # each has a leaf
+    if n_digits * (ranked + n_prefixes * m * (l - 2) + n_subsets * m) > budget:
         raise BudgetExceededError(
-            f"{n_digits} seed digits x ({n_inputs} inputs + {n_prefixes} prefixes x"
-            f" {m * (l - 2)} rows + {n_subsets} {l}-subsets"
-            f"{' holding 0 and 1' if fixed else ''} x {m} rows) exceeds budget {budget}"
+            f"{n_digits} seed digits x ({ranked} inputs + {n_prefixes} prefixes x"
+            f" {m * (l - 2)} rows + {n_subsets} {l}-subsets x {m} rows)"
+            f" exceeds budget {budget}"
         )
     from ._certify import least_rank
 
-    basis = _basis(family, np.arange(n_inputs)).transpose(1, 2, 0)  # (x, j, d)
+    basis = _basis(family, np.arange(ranked)).transpose(1, 2, 0)  # (x, j, d)
     return least_rank(np.ascontiguousarray(basis), q, l, fixed)
 
 

@@ -83,8 +83,9 @@ def scalar_rank(rows, q):
 def full_rank_scan(family, l):
     """The least GF(q)-rank of [B_{x_2} - B_{x_1} | ... | B_{x_l} - B_{x_1}]
     over all C(N, l) l-subsets, each ranked on its own by ``scalar_rank``:
-    the certificate that the affine reduction and the combination tree must
-    equal, from no elimination of the package's."""
+    the certificate that the subsets left by the input symmetries, ranked
+    along the combination tree, must equal, from no elimination of the
+    package's."""
     q, m, n_inputs = family.field.q, family.m, family.field.size
     basis = families._basis(family, np.arange(n_inputs)).transpose(1, 2, 0).tolist()
     if q == 2:  # B_x's digit-j row as an int, so a difference is one xor

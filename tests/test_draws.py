@@ -12,9 +12,18 @@ import numpy as np
 import pytest
 
 from renyi_extract import _draws
-from renyi_extract._draws import integer_blocks, integers
+from renyi_extract._draws import integer_blocks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def integers(seed, high, size, block=97):
+    """The ``integer_blocks`` stream of prod(size) draws, ``block`` at a
+    time, concatenated and reshaped to ``size``: what is compared with
+    numpy's ``default_rng(seed).integers(0, high, size)``."""
+    n = int(np.prod(size))
+    return np.concatenate(list(integer_blocks(seed, high, n, block))).reshape(size)
+
 
 SEEDS = [0, 1, 2**32, 2**70 + 3] + [
     random.Random(f"draws/{i}").getrandbits(8 * i + 1) for i in range(20)

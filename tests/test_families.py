@@ -108,25 +108,30 @@ def test_certify_full_table(gf4):
 
 
 @pytest.mark.parametrize(
-    "kind,k,prefixes,subsets",
-    [("polynomial", 3, 1, math.comb(30, 1)),
-     ("full_table", 3, math.comb(31, 2), math.comb(32, 3))],
+    "kind,n,l,m,ranked,prefixes,subsets,charge",
+    [("polynomial", 5, 3, 2, 32, 1, math.comb(30, 1), 1_410),
+     ("full_table", 5, 3, 2, 3, 1, 1, 448),
+     ("full_table", 6, 4, 1, 4, 1, 1, 448)],
 )
-def test_budget_is_the_certification_charge(kind, k, prefixes, subsets):
-    # GF(2^5), m=2 at l=3: the basis (D x N, N = 32 inputs), the m(l-2) rows
-    # of each prefix (the first l-1 inputs of a ranked subset, with an input
-    # above them) and the m new rows of each ranked 3-subset, D cells a row.
-    # The polynomial kind ranks only the C(30, 1) subsets holding inputs 0
-    # and 1, under the one prefix {0, 1}: D = 15, so 1,410 cells, where one
-    # stacked D x m(l-1) matrix per subset was charged 2,280.  full_table
-    # ranks every subset, under the C(31, 2) prefixes below input 31.
-    fam = HashFamily(kind, FieldParams.create(2, 5), k, 2)
+def test_budget_is_the_certification_charge(kind, n, l, m, ranked, prefixes, subsets,
+                                            charge):
+    # Order l of GF(2^n), k = l, is charged the basis over the ranked inputs
+    # (D x ranked), the m(l-2) rows of each prefix (the first l-1 inputs of a
+    # ranked subset, with an input above them) and the m new rows of each
+    # ranked l-subset, D cells a row.  The polynomial kind's affine maps move
+    # 2 inputs, so on GF(2^5), m=2 it ranks the C(30, 1) 3-subsets of all 32
+    # inputs holding 0 and 1, under the one prefix {0, 1}: D = 15, so 1,410
+    # cells.  full_table's permutations move every input, so it ranks the one
+    # subset {0, ..., l-1} over a basis of l inputs: D = 64 on both fields,
+    # so 448 cells, where every subset under every prefix was charged 696,448
+    # (GF(2^5), m=2) and 45,751,168 (GF(2^6), m=1, refused at the default
+    # budget).
+    fam = HashFamily(kind, FieldParams.create(2, n), l, m)
     d = fam.seed_digits
-    charge = d * 32 + prefixes * d * 2 + subsets * d * 2
-    assert charge == {"polynomial": 1_410, "full_table": 696_448}[kind]
+    assert d * (ranked + prefixes * m * (l - 2) + subsets * m) == charge
     with pytest.raises(BudgetExceededError, match=f"exceeds budget {charge - 1}$"):
-        verify_universality(fam, 3, budget=charge - 1)
-    assert verify_universality(fam, 3, budget=charge) == 4  # 1/16
+        verify_universality(fam, l, budget=charge - 1)
+    assert verify_universality(fam, l, budget=charge) == m * (l - 1)
 
 
 def test_family_beyond_int64_is_refused():
@@ -558,20 +563,22 @@ AFFINE_FAMILIES = [
 ]
 
 
-# Every kind of combination-tree root: {0, 1} for the polynomial kind, each
-# first input for full_table and constant.  The polynomial ids are q-n-k-m.
+# Every kind: the polynomial kind ranks the subsets holding 0 and 1,
+# full_table and constant the one subset {0, ..., l-1}, at l = 4 too on
+# GF(2^3) and GF(3^2).  The polynomial ids are q-n-k-m.
 FULL_SCAN_FAMILIES = (
     [pytest.param("polynomial", *f, id="-".join(map(str, f))) for f in AFFINE_FAMILIES]
     + [("full_table", q, n, k, m) for q, n in ((2, 2), (2, 3), (3, 1), (3, 2))
        for k in (2, 3) for m in (1, 2)]
+    + [("full_table", q, n, 4, 1) for q, n in ((2, 3), (3, 2))]
     + [("constant", q, n, 3, m) for q, n in ((2, 2), (2, 3), (3, 1)) for m in (1, 2)]
 )
 
 
 @pytest.mark.parametrize("kind,q,n,k,m", FULL_SCAN_FAMILIES)
 def test_affine_reduction_matches_full_scan(kind, q, n, k, m):
-    # The certificate, ranked along the combination tree (for the polynomial
-    # kind over the subsets that hold inputs 0 and 1 only), is the least rank
+    # The certificate, ranked along the combination tree over the subsets
+    # that hold inputs 0 .. fixed-1 of the ranked inputs, is the least rank
     # over all C(N, l) subsets, each row-reduced on its own: at every order
     # the certifier checks, and at k + 1, where a polynomial family fails and
     # the least rank is below m * k, when there are at most 40,000
@@ -585,7 +592,9 @@ def test_affine_reduction_matches_full_scan(kind, q, n, k, m):
 
 def test_certification_reads_only_the_basis(monkeypatch):
     # Certification tabulates no seed, not even the single-digit ones: it
-    # reads one basis per order and never calls hash_table.
+    # reads one basis per order, over the ranked inputs only (2 at l = 2 and
+    # all N above for the polynomial kind, l for the others), and never calls
+    # hash_table.
     bases = []
 
     def spy_basis(family, xs):
@@ -603,7 +612,10 @@ def test_certification_reads_only_the_basis(monkeypatch):
         fam = HashFamily(kind, FieldParams.create(q, n), k, m)
         bases.clear()
         certify_k_star(fam)
-        assert bases == [fam.field.size] * (k - 1)
+        if kind == "polynomial":
+            assert bases == [2] + [fam.field.size] * (k - 2)
+        else:
+            assert bases == list(range(2, k + 1))
 
 
 @pytest.mark.parametrize("block", [1, 37, 2**14])
@@ -611,14 +623,17 @@ def test_certificate_does_not_depend_on_the_block(monkeypatch, block):
     # The leaves of a prefix are ranked BLOCK cells at a time (at least one
     # leaf of m x D cells): every batch stays inside that, and the least rank
     # equals the full scan whatever the block.  The walk builds what the
-    # budget charges: m(l-2) rows per prefix, m rows per ranked subset.
+    # budget charges: m(l-2) rows per prefix, m rows per ranked subset, over
+    # the subsets of the first ``ranked`` inputs holding 0 .. fixed-1.  A
+    # full_table or constant order is one prefix with one leaf.
     from renyi_extract import _certify
 
-    batches, prefix_rows = [], []
+    batches, leaves, prefix_rows = [], [], []
     ranks, row_reduce = _certify._ranks_mod_q, _certify._row_reduce
 
     def spy_ranks(a, q):
         batches.append(a.size)
+        leaves.append(len(a))
         return ranks(a, q)
 
     def spy_reduce(a, q):
@@ -629,18 +644,24 @@ def test_certificate_does_not_depend_on_the_block(monkeypatch, block):
     monkeypatch.setattr(_certify, "_ranks_mod_q", spy_ranks)
     monkeypatch.setattr(_certify, "_row_reduce", spy_reduce)
     for kind, q, n, k, m in [("polynomial", 2, 4, 4, 2), ("polynomial", 3, 2, 3, 2),
-                             ("full_table", 2, 2, 3, 1), ("full_table", 3, 1, 3, 2)]:
+                             ("full_table", 2, 2, 3, 1), ("full_table", 3, 1, 3, 2),
+                             ("full_table", 2, 3, 4, 1), ("constant", 2, 2, 3, 2)]:
         fam = HashFamily(kind, FieldParams.create(q, n), k, m)
         n_inputs, d = fam.field.size, fam.seed_digits
-        held = 2 if kind == "polynomial" else 0
+        moved = 2 if kind == "polynomial" else n_inputs
         for l in range(2, k + 1):
+            ranked, fixed = n_inputs if l > moved else l, min(moved, l - 1)
             batches.clear()
+            leaves.clear()
             prefix_rows.clear()
             assert verify_universality(fam, l) == full_rank_scan(fam, l), (kind, l)
             assert max(batches) <= max(block, m * d)
-            assert sum(batches) == math.comb(n_inputs - held, l - held) * m * d
-            prefixes = math.comb(n_inputs - 1 - held, l - 1 - held) if l > held else 1
+            assert sum(leaves) == math.comb(ranked - fixed, l - fixed)
+            assert sum(batches) == sum(leaves) * m * d
+            prefixes = math.comb(ranked - 1 - fixed, l - 1 - fixed)
             assert prefix_rows == [m * (l - 2)] * prefixes
+            if kind != "polynomial":
+                assert len(prefix_rows) == sum(leaves) == 1, (kind, l)
 
 
 def test_certification_memory_follows_the_block():
