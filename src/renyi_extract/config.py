@@ -57,6 +57,13 @@ def _real(value, where: str) -> float:
     return v
 
 
+def _unrepeated(values, what: str, name: str):
+    """Refuse numbers of which one repeats an earlier one, naming it."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ConfigError(f"{what} must be distinct; {name} {v:g} repeats")
+
+
 class FamilySpec(NamedTuple):
     q: int
     n: int
@@ -224,13 +231,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if any(isinstance(a, (bool, str)) and a not in ("inf", "infinity") for a in alphas):
         raise ConfigError(f"alphas must be numbers or 'inf', got {alphas!r}")
     alphas = tuple(parse_alpha(a) for a in alphas)
-    for i, a in enumerate(alphas):
-        if a in alphas[:i]:
-            raise ConfigError(f"alphas must be distinct; order {a.value:g} repeats")
+    _unrepeated([a.value for a in alphas], "alphas", "order")
     epsilons = _list(raw.get("epsilons", []), "epsilons")
     epsilons = tuple(_real(e, "epsilon") for e in epsilons)
     if not all(e > 0 for e in epsilons):
         raise ConfigError("epsilons must be positive and finite")
+    _unrepeated(epsilons, "epsilons", "epsilon")
 
     bucket = None
     if raw.get("bucket") is not None:
@@ -254,6 +260,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _require_keys(s, {"m_values"}, "sweep")
         m_values = _list(s.get("m_values"), "sweep m_values")
         sweep = SweepSpec(tuple(_integer(v, "sweep m value", 1) for v in m_values))
+        _unrepeated(sweep.m_values, "sweep m_values", "m")
 
     budget = _integer(raw.get("budget", DEFAULT_BUDGET), "budget")
     out = raw.get("out")

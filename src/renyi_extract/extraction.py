@@ -173,39 +173,27 @@ def _group_columns(arr: np.ndarray, totals, weight: int = 1):
     array per variant, shaped as arr[0], whose entry c is variant v's total,
     and each variant stands for ``weight`` columns.  Columns whose sorted
     outputs and reference are the same bit for bit form a group: its sorted
-    column, reference and member count.  One ``np.lexsort`` of the int64 bits
-    of arr's sorted columns ranks them.  Each variant's (rank, reference)
-    rows then join the groups so far, and a lexsort on (rank, reference bits)
-    plus a merge of equal neighbours sums their counts, as
-    ``measures._merge_runs`` does, so no V x C array is built and the groups
-    come in the order of one lexsort on the sorted column, then the
-    reference.  The sum check is ``_check_cells``.
+    column, reference and member count.  ``measures._distinct`` ranks arr's
+    sorted columns, then merges each variant's (rank, reference bits) rows
+    into the groups so far and sums their counts, so no V x C array is built
+    and the groups come in the order of one lexsort on the sorted column,
+    then the reference.  The sum check is ``_check_cells``.
     """
     n_out = arr.shape[0]
-    bits = np.sort(arr.reshape(n_out, -1).T, axis=1).view(np.int64)
-    order = np.lexsort(bits.T[::-1])
-    bits = bits[order]
-    new = np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)]
-    rank = np.empty_like(order)
-    rank[order] = np.cumsum(new) - 1
-    distinct = bits[new]
-    del bits, order, new
-    kept, refs, counts, ones = rank[:0], np.empty(0), rank[:0], np.ones_like(rank)
+    distinct, rank, _ = measures._distinct(np.sort(arr.reshape(n_out, -1).T, axis=1))
+    # Rows in rank order leave each merge's lexsort one unsorted key.
+    by_rank = np.argsort(rank, kind="stable")
+    rank = rank[by_rank]
+    keys, counts, ones = np.empty((0, 2), np.int64), rank[:0], np.ones_like(rank)
     for total in totals:
-        # One new array at a time, each freeing the one it replaces.
-        refs = np.r_[refs, (total / n_out).ravel()]
-        kept = np.r_[kept, rank]
-        counts = np.r_[counts, ones]
-        order = np.lexsort((refs.view(np.int64), kept))
-        kept = kept[order]
-        refs = refs[order]
-        counts = counts[order]
-        del order
-        ref_bits = refs.view(np.int64)
-        new = (kept[1:] != kept[:-1]) | (ref_bits[1:] != ref_bits[:-1])
-        starts = np.flatnonzero(np.r_[True, new])
-        kept, refs, counts = kept[starts], refs[starts], np.add.reduceat(counts, starts)
-    cols, counts = distinct[kept].view(float).T, counts * weight
+        new = np.empty((len(rank), 2), np.int64)  # (rank, reference bits)
+        new[:, 0], new[:, 1] = rank, (total / n_out).ravel()[by_rank].view(np.int64)
+        # Joined first, so the arrays they replace are freed before the merge.
+        keys, counts = np.r_[keys, new], np.r_[counts, ones]
+        del new
+        keys, _, counts = measures._distinct(keys, counts)
+    cols, refs = distinct[keys[:, 0]].T, keys[:, 1].view(float)
+    counts = counts * weight
     _check_cells(cols, counts)
     return cols, refs, counts
 
@@ -213,9 +201,10 @@ def _group_columns(arr: np.ndarray, totals, weight: int = 1):
 def _check_cells(cols: np.ndarray, counts: np.ndarray) -> float:
     """The exact total of grouped columns, each group's cells once per member,
     checked to be 1 (``measures._check_sum``).  One streaming ``math.fsum``
-    reads BLOCK groups at a time: per distinct cell value of a chunk, with its
-    counts summed, the exact ldexp(value, j) for each set bit j of the count,
-    which gives the exact total of one term per cell."""
+    reads BLOCK groups at a time: each distinct cell value of a chunk
+    (``measures._distinct``) enters once, counted by the summed member counts
+    of the chunk's groups that hold it (``measures._counted_terms``), which
+    gives the exact total of one term per cell."""
 
     def chunks():
         for start in range(0, len(counts), BLOCK):
@@ -223,10 +212,7 @@ def _check_cells(cols: np.ndarray, counts: np.ndarray) -> float:
             vals, _, summed = measures._distinct(
                 chunk.T.ravel(), np.repeat(counts[start : start + BLOCK], len(cols))
             )
-            i, j = measures._bits(summed)
-            with np.errstate(over="ignore"):  # an overflowing term enters as inf
-                terms = np.ldexp(vals[i], j).tolist()
-            yield terms
+            yield from measures._counted_terms(vals, summed)
 
     return measures._check_sum(itertools.chain.from_iterable(chunks()))
 

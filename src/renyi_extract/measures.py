@@ -7,17 +7,17 @@ comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 D_alpha has one kernel, ``_kernel``, over one layout per joint (``_layout``),
 built once and read by every order: the distinct masses and references, the
 distinct (mass, reference) pairs and each row's parts.  H_alpha is minus
-D_alpha against the counting measure.  Extraction groups an output joint's
-columns once (``extraction._group_columns``); the table reads one row per
-distinct normalised column for the seed-averaged D_alpha, and one row of the
-distinct (cell, reference) pairs, counted through the set bits of each count
-(``_counted_fsum``), for the joint D_alpha.  Each order raises each distinct
-value to its power once, gathers and multiplies in numpy, and adds each row
-with ``math.fsum``, which rounds correctly, so the results have the bits of a
-walk over every cell.  Bit rule: numpy's *, /, -, abs, max and ldexp are
-IEEE-exact, but np.power and np.log are not (numpy 2.4 on AVX-512: 10,872 of
-200,000 inputs differ in the last bit for x**1.25, 708 for log), so powers
-and logs stay scalar ``pow`` and ``math.log``.
+D_alpha against the counting measure.  ``_distinct`` finds equal values or
+rows by bit pattern, summing counts, for the layouts, the table's distinct
+columns and extraction's grouping; ``_counted_fsum`` adds count x term as the
+exact ldexp(term, j) per set bit j of the count, BLOCK terms at a time, into
+one ``math.fsum``.  Each order raises each distinct value to its power once,
+gathers and multiplies in numpy, and adds each row with ``math.fsum``, which
+rounds correctly, so the results have the bits of a walk over every cell.
+Bit rule: numpy's *, /, -, abs, max and ldexp are IEEE-exact, but np.power
+and np.log are not (numpy 2.4 on AVX-512: 10,872 of 200,000 inputs differ in
+the last bit for x**1.25, 708 for log), so powers and logs stay scalar
+``pow`` and ``math.log``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._record import Record
+from .families import BLOCK
 
 NORMALIZATION_TOL = 1e-9
 # Orders in (1, 1 + ALPHA_GAP) are rejected: the 1/(alpha-1) prefactor would
@@ -143,24 +144,31 @@ class JointPmf(Record, eq=False):
         return pzs, _layout(conds, 1.0)
 
 
-def _bits(counts):
-    """(i, j) per set bit j of counts[i], bit by bit: counts[i] t = sum ldexp(t, j)."""
-    c = np.asarray(counts, dtype=np.int64)
+def _bits(c: np.ndarray):
+    """(i, j) per set bit j of the int64 c[i], bit by bit: c[i] t = sum ldexp(t, j)."""
     i = [np.flatnonzero(c >> j & 1) for j in range(int(c.max(initial=0)).bit_length())]
     j = np.repeat(np.arange(len(i), dtype=np.intc), list(map(len, i)))
     return np.concatenate([*i, c[:0]]), j
 
 
-def _counted_fsum(terms, counts=None, bits=None) -> float:
+def _counted_terms(terms, counts):
+    """The exact ldexp(terms[i], j) for each set bit j of counts[i] (``_bits``),
+    as one list per BLOCK terms; a product beyond floating point enters as inf."""
+    terms, counts = np.asarray(terms, dtype=float), np.asarray(counts, dtype=np.int64)
+    for start in range(0, len(terms), BLOCK):
+        i, j = _bits(counts[start : start + BLOCK])
+        with np.errstate(over="ignore"):
+            chunk = np.ldexp(terms[start:][i], j)
+        yield chunk.tolist()
+
+
+def _counted_fsum(terms, counts=None) -> float:
     """The correctly rounded sum_i counts[i] * terms[i] (each term once without
-    counts), by fsum over the exact ldexp(terms[i], j) for each set bit j of
-    counts[i] (``_bits``, or the bits given).  A product beyond floating point
-    enters as inf, so the sum is inf or fsum's OverflowError."""
-    if counts is None and bits is None:
+    counts): one ``math.fsum`` streams ``_counted_terms``, so the sum is inf or
+    fsum's OverflowError when a product leaves floating point."""
+    if counts is None:
         return math.fsum(terms)
-    i, j = bits or _bits(counts)
-    with np.errstate(over="ignore"):
-        return math.fsum(np.ldexp(np.asarray(terms, dtype=float)[i], j).tolist())
+    return math.fsum(itertools.chain.from_iterable(_counted_terms(terms, counts)))
 
 
 def _scalar(f, xs, *args) -> np.ndarray:
@@ -170,16 +178,19 @@ def _scalar(f, xs, *args) -> np.ndarray:
 
 
 def _distinct(x: np.ndarray, counts=None):
-    """(the distinct entries of the 1-d x by their int64 bit patterns, the index
-    of each entry among them, their summed counts or None): a lexsort of bit
-    views; np.unique's inverse changed shape in numpy 2.0."""
-    bits = x.view(np.int64)
-    order = np.lexsort((bits,))
-    new = np.concatenate(([True], np.diff(bits[order]) != 0))
+    """(the distinct values of the 1-d x or rows of the 2-d x by their int64
+    bit patterns, in lexsort order with the first column most significant; the
+    index of each entry among them; their summed counts or None): a lexsort
+    of bit views; np.unique's inverse changed shape in numpy 2.0."""
+    keys = x.view(np.int64).reshape(len(x), -1).T
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    new = np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)]
     index = np.empty_like(order)
     index[order] = np.cumsum(new) - 1
+    new = np.flatnonzero(new)
     if counts is not None:
-        counts = np.add.reduceat(counts[order], np.flatnonzero(new))
+        counts = np.add.reduceat(counts[order], new)
     return x[order[new]], index, counts
 
 
@@ -188,7 +199,8 @@ def _layout(masses: np.ndarray, refs, counts=None):
     (broadcast to masses), over the positive masses: the distinct masses and
     references as Python floats (references None when one is 0); per distinct
     (mass, reference) pair its index into both, mass, reference and summed
-    count; per row its parts, a pair index (-1: 0.0) and each count bit."""
+    count; per row its parts, a pair index (-1: 0.0), or with counts one row
+    of every pair."""
     pos = masses > 0
     m, r = (x[pos] for x in np.broadcast_arrays(masses, refs))
     vals, vi, _ = _distinct(m)
@@ -196,22 +208,24 @@ def _layout(masses: np.ndarray, refs, counts=None):
     counts = None if counts is None else counts[pos.ravel()]
     keys, index, summed = _distinct(vi * len(refs) + ri, counts)
     vi, ri = np.divmod(keys, len(refs))
-    src, exp = np.full(masses.shape, -1), None
-    src[pos] = index
-    if counts is not None:
-        src, exp = (x[None] for x in _bits(summed))
+    if counts is None:
+        src = np.full(masses.shape, -1)
+        src[pos] = index
+    else:
+        src = np.arange(len(keys))[None]
     ps, rs = vals[vi], refs[ri]
     refs = None if (refs == 0).any() else refs.tolist()
-    return vals.tolist(), refs, vi, ri, ps, rs, summed, src, exp
+    return vals.tolist(), refs, vi, ri, ps, rs, summed, src
 
 
 def _kernel(layout, a: Alpha, lnq: float | None) -> list[float]:
     """D_alpha of each row of a ``_layout`` (+inf in all when a positive mass
     has reference 0), or with lnq None the power sums of a finite order: one
     ``pow`` per distinct mass and reference, one ``math.log`` per distinct
-    pair's p/r; D_inf's max ignores counts.  A finite order whose power or
-    power sum leaves floating point is refused."""
-    vals, refs, vi, ri, ps, rs, _, src, exp = layout
+    pair's p/r; a counted row is one ``_counted_fsum``, and D_inf's max
+    ignores counts.  A finite order whose power or power sum leaves floating
+    point is refused."""
+    vals, refs, vi, ri, ps, rs, summed, src = layout
     if refs is None:
         return [math.inf] * len(src)
     b, sums = a.value, None
@@ -225,9 +239,10 @@ def _kernel(layout, a: Alpha, lnq: float | None) -> list[float]:
             else:
                 terms = _scalar(pow, vals, itertools.repeat(b))[vi]
                 terms *= _scalar(pow, refs, itertools.repeat(1.0 - b))[ri]
-            parts = np.append(terms, 0.0)[src]
-            parts = parts if exp is None else np.ldexp(parts, exp)
-            sums = _scalar(math.fsum, parts.tolist())
+            if summed is None:
+                sums = _scalar(math.fsum, np.append(terms, 0.0)[src].tolist())
+            else:
+                sums = np.array([_counted_fsum(terms, summed)])
         except OverflowError:  # a power or a sum beyond floating point
             pass
     if sums is None or not (a.is_one or ((sums > 0.0) & (sums < math.inf)).all()):
@@ -304,24 +319,14 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     return math.fsum((pzs * _scalar(math.log, inner.tolist())).tolist()) / scale
 
 
-def _merge_runs(rows: np.ndarray, counts: np.ndarray):
-    """(first row of each run, summed counts) over the runs of neighbouring
-    rows that are equal bit for bit."""
-    bits = rows.view(np.int64)
-    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
-    return rows[starts], np.add.reduceat(counts, starts)
-
-
 def _averaged(groups, lnq: float):
     """sum_s P_S(s) D_alpha(P(.|s) || uniform) (over (s, z) with side info) of
-    a joint's ``groups``, as a function of the order.  Groups that differ only
-    in their reference are neighbours, so a compare of neighbours gives the
-    distinct sorted columns: one ``_layout``'s rows, counted once per column."""
-    cols, _, counts = groups
-    rows, counts = _merge_runs(cols.T, counts)
+    a joint's ``groups``, as a function of the order: the distinct sorted
+    columns (``_distinct``) are one ``_layout``'s rows, counted once per column."""
+    rows, _, counts = _distinct(groups[0].T, groups[2])
     w, conds, kept = _conditionals(rows)
-    layout, bits = _layout(conds, 1.0 / rows.shape[1]), _bits(counts[kept])
-    return lambda a: _counted_fsum(w * _kernel(layout, a, lnq), bits=bits)
+    layout = _layout(conds, 1.0 / rows.shape[1])
+    return lambda a: _counted_fsum(w * _kernel(layout, a, lnq), counts[kept])
 
 
 def _joint_layout(groups):

@@ -643,6 +643,26 @@ class TestConfigValidation:
         assert main(["verify", "--config", cfg]) == 2
         assert "order 2 repeats" in capsys.readouterr().err
 
+    def test_repeated_epsilon_is_named(self, tmp_path, capsys):
+        # A repeated epsilon would repeat every threshold row of the report.
+        cfg = write_config(tmp_path, epsilons=[0.1, 0.01, 0.10])
+        out = tmp_path / "report"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "epsilons must be distinct; epsilon 0.1 repeats" in err
+        assert "Traceback" not in err
+
+    def test_repeated_sweep_m_is_named(self, tmp_path, capsys):
+        # A repeated m would run its extraction again and repeat its CSV rows.
+        cfg = write_config(tmp_path, sweep={"m_values": [1, 2, 1]})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "sweep m_values must be distinct; m 1 repeats" in err
+        assert "Traceback" not in err
+
     def test_bad_alpha_rejected(self):
         raw = {
             "family": {"q": 2, "n": 2, "k": 2, "m": 1},

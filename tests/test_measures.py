@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -19,6 +20,7 @@ from conftest import (
     ungrouped_table,
     walk_conditional,
     walk_conditional_entropies,
+    walk_counted_fsum,
     walk_divergence,
     walk_joint,
     walk_renyi_divergence,
@@ -31,7 +33,7 @@ from renyi_extract import extraction, measures
 from renyi_extract.bounds import SLACK
 from renyi_extract.config import parse_config
 from renyi_extract.extraction import extract_joint
-from renyi_extract.families import HashFamily, evaluate
+from renyi_extract.families import BLOCK, HashFamily, evaluate
 from renyi_extract.fields import FieldParams
 from renyi_extract.measures import (
     Alpha,
@@ -423,6 +425,48 @@ class TestCountedFsum:
             return
         assert total == sign * math.inf
 
+    def test_streamed_sum_is_one_fsum_over_every_term(self):
+        # 3 BLOCKs and 7 terms stream as four chunks into one fsum, which
+        # gives the bits of fsum over the whole expanded list (the walk).
+        rng = np.random.default_rng(5)
+        n = 3 * BLOCK + 7
+        terms = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        counts = rng.integers(0, 2**40, n)
+        counts[::5], counts[1::7], counts[2::11] = 0, 1, 2**62 - 1
+        assert {0, 1, 2**62 - 1} <= set(counts.tolist())
+        got = measures._counted_fsum(terms, counts)
+        assert _signed(got) == _signed(walk_counted_fsum(terms, counts))
+
+    @pytest.mark.parametrize(
+        "term, count", [(1e308, 2), (1e308, 3), (1e300, 2**28), (1e300, 2**62 - 1)]
+    )
+    def test_streamed_sum_beyond_floats(self, term, count):
+        # count x term leaves floating point in the last chunk: the streamed
+        # sum gives the inf or OverflowError of one fsum over the whole list,
+        # and the sum check reads either as a total of inf.
+        terms, counts = np.full(3 * BLOCK + 7, 2.0**-60), np.ones(3 * BLOCK + 7, int)
+        terms[-1], counts[-1] = term, count
+        streamed = outcome(measures._counted_fsum, terms, counts)
+        assert streamed == outcome(walk_counted_fsum, terms, counts)
+        assert streamed in ("inf", (OverflowError, "intermediate overflow in fsum"))
+        with pytest.raises(ValueError, match="^probabilities sum to inf, not 1$"):
+            measures._check_sum(terms, counts)
+
+    def test_streamed_sum_holds_one_chunk_of_terms(self):
+        # 8 BLOCKs of terms, each counted 255 times (8 set bits), expand to
+        # 2^20 floats, 52 MB at the peak of one whole list; the stream holds
+        # one BLOCK's 2^17 floats, about 4 MB, at a time.
+        rng = np.random.default_rng(6)
+        terms, counts = rng.random(8 * BLOCK), np.full(8 * BLOCK, 255)
+        tracemalloc.start()
+        try:
+            total = measures._counted_fsum(terms, counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total == walk_counted_fsum(terms, counts)
+        assert peak < 8 * 2**20
+
     def test_without_counts_each_term_once(self):
         assert measures._counted_fsum([0.1, 0.2, 0.3]) == math.fsum([0.1, 0.2, 0.3])
         assert measures._counted_fsum([], []) == 0.0
@@ -756,7 +800,7 @@ class TestGroupedConstruction:
         for got, want in zip(joint._groups, lexsorted_groups(joint.probs)):
             assert bits(got) == bits(want)
         cols, _, counts = joint._groups
-        distinct, _ = measures._merge_runs(cols.T, counts)
+        distinct, _, _ = measures._distinct(cols.T, counts)
         assert len(distinct) == _sorted_column_count(joint)
 
     def test_groups_of_extracted_joints(self):
@@ -765,7 +809,7 @@ class TestGroupedConstruction:
             assert _stored_groups(joint) == _group_counter(joint)
             assert len(joint._groups[2]) == _group_count(joint)
             cols, _, counts = joint._groups
-            distinct, _ = measures._merge_runs(cols.T, counts)
+            distinct, _, _ = measures._distinct(cols.T, counts)
             assert len(distinct) == _sorted_column_count(joint)
 
     def test_negative_zero_column_is_a_group_apart(self):
@@ -930,11 +974,10 @@ class TestConditionalBitwiseOracle:
         sums, layouts = [], []
         counted_fsum, layout = measures._counted_fsum, measures._layout
 
-        def recording(terms, counts=None, bits=None):
-            if counts is not None or bits is not None:
-                _, exps = bits or measures._bits(counts)
-                sums.append((len(terms), sum(2 ** int(j) for j in exps)))
-            return counted_fsum(terms, counts, bits)
+        def recording(terms, counts=None):
+            if counts is not None:
+                sums.append((len(terms), int(np.sum(counts))))
+            return counted_fsum(terms, counts)
 
         def recording_layout(*args):
             layouts.append(layout(*args))
@@ -958,10 +1001,12 @@ class TestConditionalBitwiseOracle:
             # and computed once for its row and conditional_inf, sum one term
             # per distinct sorted column, counted once per column; TV one per
             # positive pair and one per group, for the zero cells, counted
-            # once per cell.
+            # once per cell; the joint KL and each finite joint order (D_inf
+            # ignores counts) one per positive pair, counted once per cell.
             conditional_sums = [(_sorted_column_count(joint), arr[0].size)] * 5
             tv_sum = (pairs + _group_count(joint), arr.size)
-            assert sorted(sums) == sorted(conditional_sums + [tv_sum])
+            joint_sums = [(pairs, np.count_nonzero(arr > 0))] * 4
+            assert sorted(sums) == sorted(conditional_sums + [tv_sum] + joint_sums)
 
     def test_one_power_and_log_per_distinct_value(self, monkeypatch):
         powers, logs = collections.Counter(), []
