@@ -13,15 +13,16 @@ bit.  The representatives are hashed in blocks from their indices, against
 the basis rows of the pivot digits they set, so memory follows the block and
 the joint's columns, not the number of representatives times their inputs.
 The joint adds one input's mass at a time, so every cell sums its terms in
-canonical input order.  It is kept as its column groups (``ExtractedJoint``), ranked once from
-the representatives' columns and merged one distinct output shift at a time;
-its dense U x seeds [x Z] array is built only when read.  A shift permutes
-the buckets too, so a coset shares its largest bucket.
+canonical input order.  It is kept as the ranking of its columns
+(``ExtractedJoint``): the distinct sorted columns with their column counts,
+which the sum check and the seed-averaged divergences read, and the (rank,
+reference) groups, merged one distinct output shift at a time, which the joint
+divergences expand; the dense U x seeds [x Z] array is built only when read.
+A shift permutes the buckets too, so a coset shares its largest bucket.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -41,8 +42,8 @@ from ._record import Record
 from .measures import JointPmf, Pmf
 
 # BLOCK (``families``) is the coset representatives an extraction hashes per
-# ``hash_table`` call, the table cells and seed digits per call of either
-# bucket experiment and the groups per chunk of the sum check.
+# ``hash_table`` call and the table cells and seed digits per call of either
+# bucket experiment.
 
 
 # eq=False: equality and hashing by value fail on an ndarray field.
@@ -116,10 +117,10 @@ def _nonnegative(h: float) -> float:
 
 
 class ExtractedJoint(Record, eq=False):
-    """An output joint P(u, s[, z]) as its column groups, from
-    ``_group_columns``, its coset representatives' columns and its
-    ``Cosets``; ``probs``, the dense U x seeds [x Z] array, is built on first
-    read."""
+    """An output joint P(u, s[, z]) as its columns' ranking from
+    ``_group_columns`` (no U x groups copy of them), its coset
+    representatives' columns and its ``Cosets``; ``probs``, the dense
+    U x seeds [x Z] array, is built on first read."""
 
     base_q: int
     _groups: tuple
@@ -164,20 +165,22 @@ class ExtractionResult(NamedTuple):
 
 
 def _group_columns(arr: np.ndarray, totals, weight: int = 1):
-    """An output joint's columns grouped by content, as (columns, refs,
-    counts), checked to sum to 1.
+    """An output joint's columns ranked by content, as (distinct, column
+    counts, ranks, refs, counts), checked to sum to 1.
 
     A column is a seed s or an (s, z) cell; its reference is its total over
     the U outputs, over U.  The joint's columns are V variants of each column
     c of arr: variant v holds c's entries in some order, totals holds one
     array per variant, shaped as arr[0], whose entry c is variant v's total,
-    and each variant stands for ``weight`` columns.  Columns whose sorted
-    outputs and reference are the same bit for bit form a group: its sorted
-    column, reference and member count.  ``measures._distinct`` ranks arr's
-    sorted columns, then merges each variant's (rank, reference bits) rows
-    into the groups so far and sums their counts, so no V x C array is built
-    and the groups come in the order of one lexsort on the sorted column,
-    then the reference.  The sum check is ``_check_cells``.
+    and each variant stands for ``weight`` columns.  ``measures._distinct``
+    ranks arr's sorted columns: distinct[r] is rank r's sorted column, in
+    lexsort order, and column counts[r] its number of joint columns.  Columns
+    whose rank and reference are the same bit for bit form a group: its rank,
+    reference and member count.  Each variant's (rank, reference bits) rows
+    merge into the groups so far, their counts summed, so no V x C array is
+    built and the groups come in the order of one lexsort on the sorted
+    column, then the reference.  The sum check counts each distinct column's
+    cells by its column count: the joint's cells, as a multiset.
     """
     n_out = arr.shape[0]
     distinct, rank, _ = measures._distinct(np.sort(arr.reshape(n_out, -1).T, axis=1))
@@ -192,29 +195,12 @@ def _group_columns(arr: np.ndarray, totals, weight: int = 1):
         keys, counts = np.r_[keys, new], np.r_[counts, ones]
         del new
         keys, _, counts = measures._distinct(keys, counts)
-    cols, refs = distinct[keys[:, 0]].T, keys[:, 1].view(float)
-    counts = counts * weight
-    _check_cells(cols, counts)
-    return cols, refs, counts
-
-
-def _check_cells(cols: np.ndarray, counts: np.ndarray) -> float:
-    """The exact total of grouped columns, each group's cells once per member,
-    checked to be 1 (``measures._check_sum``).  One streaming ``math.fsum``
-    reads BLOCK groups at a time: each distinct cell value of a chunk
-    (``measures._distinct``) enters once, counted by the summed member counts
-    of the chunk's groups that hold it (``measures._counted_terms``), which
-    gives the exact total of one term per cell."""
-
-    def chunks():
-        for start in range(0, len(counts), BLOCK):
-            chunk = cols[:, start : start + BLOCK]
-            vals, _, summed = measures._distinct(
-                chunk.T.ravel(), np.repeat(counts[start : start + BLOCK], len(cols))
-            )
-            yield from measures._counted_terms(vals, summed)
-
-    return measures._check_sum(itertools.chain.from_iterable(chunks()))
+    ranks, counts = keys[:, 0], counts * weight
+    # Every rank holds at least one group, and a rank's groups are adjacent.
+    starts = np.flatnonzero(np.r_[True, np.diff(ranks) != 0])
+    column_counts = np.add.reduceat(counts, starts)
+    measures._check_sum(distinct.ravel(), np.repeat(column_counts, n_out))
+    return distinct, column_counts, ranks, keys[:, 1].view(float), counts
 
 
 def _blocks(family: HashFamily, cosets: Cosets, inputs: Inputs, rows: int):

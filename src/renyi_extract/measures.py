@@ -4,12 +4,12 @@ All logarithms are base q (the pmf's ``base_q``).  Sums of probability terms
 use ``math.fsum`` so results are stable to well below the documented 1e-9
 comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 
-D_alpha has one kernel, ``_kernel``, over one layout per joint (``_layout``),
-built once and read by every order: the distinct masses and references, the
-distinct (mass, reference) pairs and each row's parts.  H_alpha is minus
-D_alpha against the counting measure.  ``_distinct`` finds equal values or
-rows by bit pattern, summing counts, for the layouts, the table's distinct
-columns and extraction's grouping; ``_counted_fsum`` adds count x term as the
+D_alpha has one kernel, ``_kernel``, over one layout (``_layout``) per pmf
+or side of an output joint's table, built once and read by every order: the
+distinct masses and references, the distinct (mass, reference) pairs and each
+row's parts.  H_alpha is minus D_alpha against the counting measure.
+``_distinct`` finds equal values or rows by bit pattern, summing counts, for
+the layouts and extraction's ranking; ``_counted_fsum`` adds count x term as the
 exact ldexp(term, j) per set bit j of the count, BLOCK terms at a time, into
 one ``math.fsum``.  Each order raises each distinct value to its power once,
 gathers and multiplies in numpy, and adds each row with ``math.fsum``, which
@@ -319,39 +319,43 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     return math.fsum((pzs * _scalar(math.log, inner.tolist())).tolist()) / scale
 
 
-def _averaged(groups, lnq: float):
-    """sum_s P_S(s) D_alpha(P(.|s) || uniform) (over (s, z) with side info) of
-    a joint's ``groups``, as a function of the order: the distinct sorted
-    columns (``_distinct``) are one ``_layout``'s rows, counted once per column."""
-    rows, _, counts = _distinct(groups[0].T, groups[2])
+def _averaged(groups, alphas, lnq: float) -> dict:
+    """sum_s P_S(s) D_alpha(P(.|s) || uniform) (over (s, z) with side info) per
+    order, from a joint's ``groups``: the distinct sorted columns are one
+    ``_layout``'s rows, each weighted by its mass and counted once per column."""
+    rows, counts = groups[:2]
     w, conds, kept = _conditionals(rows)
-    layout = _layout(conds, 1.0 / rows.shape[1])
-    return lambda a: _counted_fsum(w * _kernel(layout, a, lnq), counts[kept])
+    layout, counts = _layout(conds, 1.0 / rows.shape[1]), counts[kept]
+    return {a: _counted_fsum(w * _kernel(layout, a, lnq), counts) for a in alphas}
 
 
-def _joint_layout(groups):
-    """The one-row ``_layout`` of a joint's cells against uniform outputs x its
-    seed[,z] marginal, and its TV: positive pairs' |p - r|, zero cells' r."""
-    cols, refs, counts = groups
-    n_out = cols.shape[0]
-    cells = cols.T.ravel()[None], np.repeat(refs, n_out)[None]
-    layout = _layout(*cells, np.repeat(counts, n_out))
+def _joint(groups, alphas, lnq: float):
+    """(D_alpha per order of a joint's cells against uniform outputs x its
+    seed[,z] marginal, and its TV), from one counted ``_layout`` row: each
+    group's sorted column is expanded only while it is built.  TV adds the
+    positive pairs' |p - r| and the zero cells' r."""
+    rows, _, ranks, refs, counts = groups
+    n_out = rows.shape[1]
+    layout = _layout(
+        rows[ranks].ravel()[None], np.repeat(refs, n_out)[None], np.repeat(counts, n_out)
+    )
     ps, rs, summed = layout[4:7]
-    zeros = counts * (n_out - (cols > 0).sum(axis=0))
+    zeros = counts * (n_out - (rows > 0).sum(axis=1)[ranks])
     tv = _tv(np.r_[ps, 0.0 * refs], np.r_[rs, refs], np.r_[summed, zeros])
-    return layout, tv
+    return {a: _kernel(layout, a, lnq)[0] for a in alphas}, tv
 
 
 def conditional_divergence(joint, a) -> float:
     """The seed-averaged divergence of one order of an ``ExtractedJoint``."""
-    return _averaged(joint._groups, math.log(joint.base_q))(as_alpha(a))
+    a = as_alpha(a)
+    return _averaged(joint._groups, [a], math.log(joint.base_q))[a]
 
 
 def joint_divergence_from_uniform(joint, a) -> float:
     """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)
     for an ``ExtractedJoint``."""
-    layout, _ = _joint_layout(joint._groups)
-    return _kernel(layout, as_alpha(a), math.log(joint.base_q))[0]
+    a = as_alpha(a)
+    return _joint(joint._groups, [a], math.log(joint.base_q))[0][a]
 
 
 class DivergenceRow(NamedTuple):
@@ -369,15 +373,13 @@ class DivergenceTable(NamedTuple):
 
 def empirical_divergences(joint, alphas) -> DivergenceTable:
     """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf
-    of an ``ExtractedJoint``, from its column groups: every order reads one
-    layout for the conditional and one for the joint functionals, and each
-    functional is computed once, whether or not the orders list 1 or inf."""
+    of an ``ExtractedJoint``, from its ranked columns: the seed-averaged side
+    builds its layout and reads every order, then the joint side does, so
+    one layout is held at a time, and each functional is computed once,
+    whether or not the orders list 1 or inf."""
     alphas = [as_alpha(a) for a in alphas]
-    lnq = math.log(joint.base_q)
-    one, inf = Alpha.one(), Alpha.infinity()
-    averaged = _averaged(joint._groups, lnq)
-    conditional = {a: averaged(a) for a in dict.fromkeys(alphas + [inf])}
-    layout, tv = _joint_layout(joint._groups)
-    joint_d = {a: _kernel(layout, a, lnq)[0] for a in dict.fromkeys(alphas + [one])}
+    lnq, one, inf = math.log(joint.base_q), Alpha.one(), Alpha.infinity()
+    conditional = _averaged(joint._groups, dict.fromkeys(alphas + [inf]), lnq)
+    joint_d, tv = _joint(joint._groups, dict.fromkeys(alphas + [one]), lnq)
     rows = tuple(DivergenceRow(a, joint_d[a], conditional[a]) for a in alphas)
     return DivergenceTable(rows, tv, joint_d[one], conditional[inf])

@@ -215,7 +215,7 @@ def dense_joint(family, source):
 
 def output_joint(arr, base_q=2):
     """A dense output joint P(u, s[, z]) built by hand, as the divergence
-    readers take it: a read-only copy of arr, its base and its column groups.
+    readers take it: a read-only copy of arr, its base and its ranking.
     Each column is its own one variant, totalled by arr.sum(axis=0), which
     groups as tabulating every seed would, bit for bit."""
     arr = np.array(arr, dtype=float)
@@ -224,6 +224,14 @@ def output_joint(arr, base_q=2):
         totals = arr.sum(axis=0)
     groups = extraction._group_columns(arr, [totals])
     return SimpleNamespace(probs=arr, base_q=base_q, _groups=groups)
+
+
+def expanded_groups(groups):
+    """A joint's ranking (``extraction._group_columns``) as its column groups
+    (cols, refs, counts): each group's sorted column, from its rank, as a
+    column of the U x groups cols."""
+    distinct, _, ranks, refs, counts = groups
+    return distinct[ranks].T, refs, counts
 
 
 def variant_totals(joint):
@@ -265,8 +273,8 @@ def vxc_groups(arr, totals, weight=1):
 
 
 def whole_check(cols, counts):
-    """The sum check that ``_check_cells`` streams in chunks, over the whole
-    array at once: one ``_distinct`` of every group cell, counts summed."""
+    """The sum check over every group cell at once: one ``_distinct`` of the
+    cells, counts summed, as one counted sum."""
     cells = measures._distinct(cols.T.ravel(), np.repeat(counts, len(cols)))
     return measures._check_sum(cells[0], cells[2])
 
@@ -428,7 +436,7 @@ def _walk_merge_runs(rows, counts):
 def walk_conditional(joint, a):
     """The seed-averaged divergence walked over a joint's column groups: the
     walk over each distinct sorted column, weighted by its count."""
-    cols, _, counts = joint._groups
+    cols, _, counts = expanded_groups(joint._groups)
     distinct, summed = _walk_merge_runs(cols.T, counts)
     weights, conds, kept = zip(*walk_columns(distinct.T, summed.tolist()))
     ds = walk_divergence(conds, 1.0 / distinct.shape[1], a, math.log(joint.base_q))
@@ -438,7 +446,7 @@ def walk_conditional(joint, a):
 def walk_joint(joint, a):
     """The joint divergence walked over a joint's distinct (cell, reference)
     pairs, each counted once per cell; with a None, its TV."""
-    cols, refs, counts = joint._groups
+    cols, refs, counts = expanded_groups(joint._groups)
     n_out = cols.shape[0]
     pairs = np.empty((cols.size, 2))
     pairs[:, 0] = cols.T.ravel()

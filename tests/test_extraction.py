@@ -25,8 +25,9 @@ from renyi_extract.fields import FieldParams
 from renyi_extract.harness import run_sweep, run_verify
 
 from conftest import (
-    bits, column_loop_largest_buckets, dense_joint, lexsorted_groups, make_source,
-    outcome, poly_family, uniform_source, variant_totals, vxc_groups, whole_check,
+    bits, column_loop_largest_buckets, dense_joint, expanded_groups, lexsorted_groups,
+    make_source, outcome, poly_family, uniform_source, variant_totals, vxc_groups,
+    whole_check,
 )
 
 SIDE_ROWS_8 = np.array([[0.8, 0.2], [0.3, 0.7]] * 4)
@@ -203,7 +204,7 @@ class TestCosetExtraction:
         source = make_source(field, probs / probs.sum(), side_channel=rows)
         joint = extract_joint(fam, source).joint
         dense = dense_joint(fam, source)
-        for got, want in zip(joint._groups, lexsorted_groups(dense)):
+        for got, want in zip(expanded_groups(joint._groups), lexsorted_groups(dense)):
             assert bits(got) == bits(want)
         # The dense array is built only now, when it is read.
         assert "probs" not in vars(joint)
@@ -230,7 +231,7 @@ class TestShiftMerge:
         source = _dirichlet_source(fam.field, side, [q, n, k, m])
         joint = extract_joint(fam, source).joint
         want = vxc_groups(joint._rep_columns, *variant_totals(joint))
-        for got, expected in zip(joint._groups, want):
+        for got, expected in zip(expanded_groups(joint._groups), want):
             assert bits(got) == bits(expected)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -244,7 +245,7 @@ class TestShiftMerge:
         arr = rng.permuted(base[rng.integers(0, 6, n_cols)], axis=1).T.copy()
         arr /= n_variants * weight * math.fsum(arr.ravel().tolist())
         totals = rng.choice([0.25, 0.5, 1 / 3], size=(n_variants, n_cols))
-        got = extraction._group_columns(arr, totals, weight)
+        got = expanded_groups(extraction._group_columns(arr, totals, weight))
         for g, w in zip(got, vxc_groups(arr, totals, weight)):
             assert bits(g) == bits(w)
         assert len(got[2]) < n_variants * n_cols
@@ -437,9 +438,9 @@ class TestLargestBuckets:
 
 
 class TestSumCheck:
-    """Extraction checks its groups' exact total once per distinct cell value,
-    with summed counts: the total and the verdict of one counted term per
-    group cell."""
+    """Extraction checks its joint's exact total once per distinct sorted
+    column's cell, counted by its column count: the total and the verdict of
+    one counted term per group cell."""
 
     @staticmethod
     def _per_cell(cols, counts):
@@ -453,35 +454,48 @@ class TestSumCheck:
         for k, m, sc in [(2, 1, None), (3, 2, None), (3, 2, side)]:
             yield extract_joint(poly_family(field, k, m), make_source(field, probs, sc)).joint
 
-    def test_same_total_as_every_cell(self):
+    @staticmethod
+    def _checked(monkeypatch, joint, scale=1.0):
+        """The outcome of the sum check that grouping the joint's scaled
+        representatives' columns runs, and those columns' groups."""
+        check, checked = measures._check_sum, []
+
+        def recording(*args):
+            checked.append(outcome(check, *args))
+            return check(*args)
+
+        arr = joint._rep_columns * scale
+        totals, weight = variant_totals(joint)
+        monkeypatch.setattr(measures, "_check_sum", recording)
+        outcome(extraction._group_columns, arr, totals, weight)
+        monkeypatch.setattr(measures, "_check_sum", check)
+        assert len(checked) == 1
+        return checked[0], vxc_groups(arr, totals, weight)
+
+    def test_same_total_as_every_cell(self, monkeypatch):
         shared = []
         for joint in self._joints():
-            cols, _, counts = joint._groups
-            assert extraction._check_cells(cols, counts) == self._per_cell(cols, counts)
+            got, (cols, _, counts) = self._checked(monkeypatch, joint)
+            assert got == outcome(self._per_cell, cols, counts)
+            assert abs(float(got) - 1.0) < 1e-15
             shared.append(len(np.unique(cols)) < cols.size)
         assert shared == [False, True, True]  # groups share cell values
 
     @pytest.mark.parametrize("off", [1e-6, -1e-6])
-    def test_same_refusal_as_every_cell(self, off):
+    def test_same_refusal_as_every_cell(self, monkeypatch, off):
         for joint in self._joints():
-            cols, _, counts = joint._groups
-            cols = cols * (1.0 + off)
+            got, (cols, _, counts) = self._checked(monkeypatch, joint, 1.0 + off)
             with pytest.raises(ValueError, match="not 1") as per_cell:
                 self._per_cell(cols, counts)
-            with pytest.raises(ValueError) as distinct:
-                extraction._check_cells(cols, counts)
-            assert str(distinct.value) == str(per_cell.value)
-
+            assert got == (ValueError, str(per_cell.value))
 
     @pytest.mark.parametrize("off", [0.0, 1e-6, -1e-6])
     @pytest.mark.parametrize("block", [1, 7, 2**14])
     def test_chunks_match_the_whole_array_check(self, monkeypatch, block, off):
-        # BLOCK groups per chunk: the same exact total, or the same refusal.
-        monkeypatch.setattr(extraction, "BLOCK", block)
+        # BLOCK counted terms per chunk: the same exact total, or the same refusal.
+        monkeypatch.setattr(measures, "BLOCK", block)
         for joint in self._joints():
-            cols, _, counts = joint._groups
-            cols = cols * (1.0 + off)
-            got = outcome(extraction._check_cells, cols, counts)
+            got, (cols, _, counts) = self._checked(monkeypatch, joint, 1.0 + off)
             assert got == outcome(whole_check, cols, counts)
             if off == 0:
                 assert abs(float(got) - 1.0) < 1e-15
@@ -490,7 +504,7 @@ class TestSumCheck:
 
 
 class TestNoDenseJoint:
-    """An extracted joint is its column groups: no run path builds the dense
+    """An extracted joint is its columns' ranking: no run path builds the dense
     U x seeds [x Z] array, which ``probs`` builds (and caches) on first read."""
 
     @pytest.mark.parametrize("side", [None, [[0.25, 0.75], [0.5, 0.5]] * 4])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bits,
+    expanded_groups,
     lexsorted_groups,
     make_source,
     outcome,
@@ -742,10 +743,20 @@ def _group_counter(joint):
 
 
 def _stored_groups(joint):
-    cols, refs, counts = joint._groups
+    cols, refs, counts = expanded_groups(joint._groups)
     return collections.Counter(
         {(col.tobytes(), ref.tobytes()): int(c) for col, ref, c in zip(cols.T, refs, counts)}
     )
+
+
+def _assert_ranked_columns(joint, groups):
+    """The stored distinct sorted columns and column counts are the distinct
+    columns of the groups, counts summed, one per distinct sorted column."""
+    cols, _, counts = groups
+    distinct, _, summed = measures._distinct(cols.T, counts)
+    assert bits(joint._groups[0]) == bits(distinct)
+    assert bits(joint._groups[1]) == bits(summed)
+    assert len(distinct) == _sorted_column_count(joint)
 
 
 TABLE_JOINTS = [
@@ -797,20 +808,18 @@ class TestGroupedConstruction:
     def test_groups_match_raw_byte_grouping(self, joint):
         assert _stored_groups(joint) == _group_counter(joint)
         # Ranked, then grouped by (rank, reference): the one-lexsort order.
-        for got, want in zip(joint._groups, lexsorted_groups(joint.probs)):
+        groups = expanded_groups(joint._groups)
+        for got, want in zip(groups, lexsorted_groups(joint.probs)):
             assert bits(got) == bits(want)
-        cols, _, counts = joint._groups
-        distinct, _, _ = measures._distinct(cols.T, counts)
-        assert len(distinct) == _sorted_column_count(joint)
+        _assert_ranked_columns(joint, groups)
 
     def test_groups_of_extracted_joints(self):
         for result in TABLE_JOINTS:
             joint = result.joint
             assert _stored_groups(joint) == _group_counter(joint)
-            assert len(joint._groups[2]) == _group_count(joint)
-            cols, _, counts = joint._groups
-            distinct, _, _ = measures._distinct(cols.T, counts)
-            assert len(distinct) == _sorted_column_count(joint)
+            groups = expanded_groups(joint._groups)
+            assert len(groups[2]) == _group_count(joint)
+            _assert_ranked_columns(joint, groups)
 
     def test_negative_zero_column_is_a_group_apart(self):
         # The columns differ only in the sign of a zero; their references are
@@ -819,7 +828,7 @@ class TestGroupedConstruction:
         joint = output_joint(arr, 2)
         assert _group_count(joint) == 2
         assert _stored_groups(joint) == _group_counter(joint)
-        assert sorted(joint._groups[2].tolist()) == [1, 1]
+        assert sorted(expanded_groups(joint._groups)[2].tolist()) == [1, 1]
         assert_matches_ungrouped(empirical_divergences(joint, ALPHA_GRID), joint, ALPHA_GRID)
 
     def test_each_output_joint_is_grouped_once(self, monkeypatch):
@@ -843,6 +852,33 @@ class TestGroupedConstruction:
                 joint_divergence_from_uniform(joint, a)
             assert len(calls) == 1
             assert calls[0].shape[1] < joint.probs.shape[1]  # fewer than every seed
+
+    def test_sorted_columns_are_ranked_once(self, monkeypatch):
+        # Extraction ranks the representatives' sorted columns once; the
+        # table reads that ranking and ranks no sorted columns again.
+        ranked, distinct = [], measures._distinct
+
+        def counting(x, counts=None):
+            if x.ndim == 2 and x.dtype == float:  # rows of sorted columns
+                ranked.append(x.shape)
+            return distinct(x, counts)
+
+        monkeypatch.setattr(measures, "_distinct", counting)
+        for instance in MERGING_INSTANCES:
+            ranked.clear()
+            joint = _instance(*instance).joint
+            empirical_divergences(joint, ALPHA_GRID)
+            columns = joint._rep_columns
+            assert ranked == [(columns[0].size, len(columns))]
+
+    def test_column_counts_count_every_column(self):
+        # Each seed, or (seed, z) cell, is one column of one distinct sorted
+        # column.
+        for result in TABLE_JOINTS:
+            column_counts = result.joint._groups[1]
+            assert column_counts.dtype == np.int64
+            want = result.family.seed_space_size * max(1, result.source.n_side)
+            assert int(column_counts.sum()) == want
 
     def test_no_list_of_every_cell(self, monkeypatch):
         # Every list of terms goes through math.fsum; on joints whose columns
