@@ -50,6 +50,15 @@ def _logq(x: float, q: int) -> float:
     return math.log(x) / math.log(q)
 
 
+def _check_order(alpha: float, k: int, largest: int):
+    """Refuse alpha outside (1, k] or above ``largest``, the last order whose
+    Stirling numbers stay within MAX_STIRLING_K."""
+    if not 1.0 < alpha <= k:
+        raise ValueError(f"alpha must lie in (1, k], got alpha={alpha}, k={k}")
+    if alpha > largest:
+        raise ValueError(f"alpha={alpha} is too large; the largest allowed is {largest}")
+
+
 def bound_real_alpha(q: int, m: int, k: int, alpha: float, entropy: float) -> float:
     """Bound on the joint D_alpha for real alpha in (1, k]:
     (1/(alpha-1)) log_q [ sum_{l=1}^{c-1} l S(c-1, l) q^{(alpha-l)(m-H)}
@@ -58,8 +67,7 @@ def bound_real_alpha(q: int, m: int, k: int, alpha: float, entropy: float) -> fl
     (1/(alpha-1)) log_q sum_{l=1}^{alpha} S(alpha, l) q^{(alpha-l)(m-H)},
     by S(c, l) = l S(c-1, l) + S(c-1, l-1).
     """
-    if not 1.0 < alpha <= k:
-        raise ValueError(f"alpha must lie in (1, k], got alpha={alpha}, k={k}")
+    _check_order(alpha, k, MAX_STIRLING_K + 1)
     c = math.ceil(alpha)
     gap = m - entropy
     terms = [
@@ -78,8 +86,7 @@ def bound_real_alpha_simplified(
     """Simplified (weaker) form: sum_{l=1}^{c} S(c, l) q^{e_l (m-H)} with
     e_l = alpha - l when m <= H, else e_l = ceil(alpha) - l.
     """
-    if not 1.0 < alpha <= k:
-        raise ValueError(f"alpha must lie in (1, k], got alpha={alpha}, k={k}")
+    _check_order(alpha, k, MAX_STIRLING_K)
     c = math.ceil(alpha)
     gap = m - entropy
     top = alpha if m <= entropy else float(c)

@@ -16,7 +16,7 @@ from .errors import BudgetExceededError, ConfigError
 from .extraction import Source
 from .families import DEFAULT_BUDGET, KINDS, HashFamily
 from .fields import MAX_DEGREE, FieldParams
-from .measures import Alpha, Pmf
+from .measures import ALPHA_GAP, Alpha, Pmf
 
 SOURCE_PRESETS = ("uniform", "point-mass", "two-spike", "geometric")
 
@@ -161,6 +161,9 @@ def parse_alpha(value) -> Alpha:
         v = float(value)
         if not math.isfinite(v):  # JSON reads 1e400 and Infinity as inf
             raise ValueError("a numeric order must be finite; use 'inf' for the limit")
+        if 1.0 < v < 1.0 + ALPHA_GAP:  # Alpha's own message names its API
+            raise ValueError(f"an order below 1 + {ALPHA_GAP:g} is too close to 1;"
+                             " write 1 for the KL limit")
         return Alpha(v)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad alpha value {value!r}: {e}") from e
@@ -259,6 +262,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         s = raw["sweep"]
         _require_keys(s, {"m_values"}, "sweep")
         m_values = _list(s.get("m_values"), "sweep m_values")
+        if not m_values:
+            raise ConfigError("sweep m_values must list at least one m")
         sweep = SweepSpec(tuple(_integer(v, "sweep m value", 1) for v in m_values))
         _unrepeated(sweep.m_values, "sweep m_values", "m")
 

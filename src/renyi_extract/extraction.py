@@ -174,7 +174,8 @@ def _group_columns(arr: np.ndarray, totals, weight: int = 1):
     array per variant, shaped as arr[0], whose entry c is variant v's total,
     and each variant stands for ``weight`` columns.  ``measures._distinct``
     ranks arr's sorted columns: distinct[r] is rank r's sorted column, in
-    lexsort order, and column counts[r] its number of joint columns.  Columns
+    lexsort order, and column counts[r] its number of joint columns, V x
+    weight per column of arr of rank r (one ``np.bincount``).  Columns
     whose rank and reference are the same bit for bit form a group: its rank,
     reference and member count.  Each variant's (rank, reference bits) rows
     merge into the groups so far, their counts summed, so no V x C array is
@@ -184,23 +185,22 @@ def _group_columns(arr: np.ndarray, totals, weight: int = 1):
     """
     n_out = arr.shape[0]
     distinct, rank, _ = measures._distinct(np.sort(arr.reshape(n_out, -1).T, axis=1))
+    column_counts = np.bincount(rank, minlength=len(distinct))
     # Rows in rank order leave each merge's lexsort one unsorted key.
     by_rank = np.argsort(rank, kind="stable")
     rank = rank[by_rank]
     keys, counts, ones = np.empty((0, 2), np.int64), rank[:0], np.ones_like(rank)
-    for total in totals:
+    for variants, total in enumerate(totals, 1):
         new = np.empty((len(rank), 2), np.int64)  # (rank, reference bits)
         new[:, 0], new[:, 1] = rank, (total / n_out).ravel()[by_rank].view(np.int64)
         # Joined first, so the arrays they replace are freed before the merge.
         keys, counts = np.r_[keys, new], np.r_[counts, ones]
         del new
         keys, _, counts = measures._distinct(keys, counts)
-    ranks, counts = keys[:, 0], counts * weight
-    # Every rank holds at least one group, and a rank's groups are adjacent.
-    starts = np.flatnonzero(np.r_[True, np.diff(ranks) != 0])
-    column_counts = np.add.reduceat(counts, starts)
+    counts *= weight
+    column_counts *= variants * weight
     measures._check_sum(distinct.ravel(), np.repeat(column_counts, n_out))
-    return distinct, column_counts, ranks, keys[:, 1].view(float), counts
+    return distinct, column_counts, keys[:, 0], keys[:, 1].view(float), counts
 
 
 def _blocks(family: HashFamily, cosets: Cosets, inputs: Inputs, rows: int):
@@ -254,18 +254,10 @@ def extract_joint(
     # |T| / V times.
     powers, digits = q ** np.arange(family.m), _all_digit_rows(family.m, q)
     back = (digits - cosets.shifts(q)[:, None]) % q @ powers  # back[v, u] = u - v
-    totals = (_total(rep_joint, b) for b in back)
+    totals = (sum((rep_joint[u] for u in b[1:]), rep_joint[b[0]]) for b in back)
     groups = _group_columns(rep_joint, totals, cosets.translates // len(back))
     joint = ExtractedJoint(q, groups, rep_joint, cosets)
     return ExtractionResult(joint, family, source)
-
-
-def _total(arr: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """arr[order[0]] + arr[order[1]] + ..., added in that order."""
-    total = arr[order[0]].copy()
-    for u in order[1:]:
-        total += arr[u]
-    return total
 
 
 def _charge(family: HashFamily, n_inputs: int, width: int, budget: int):

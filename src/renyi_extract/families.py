@@ -272,18 +272,11 @@ class Cosets(NamedTuple):
     def shifts(self, q: int) -> np.ndarray:
         """The distinct output shifts t . B_{x_0} over t in T, as m-digit rows
         in increasing order of their output integers: the span of the columns
-        of moves, grown by one generator outside it at a time."""
-        m = len(self.moves)
-        digits, powers = _all_digit_rows(m, q), q ** np.arange(m)
-        hit = np.zeros(len(digits), dtype=bool)
-        hit[0] = True
-        # A dict, not np.unique: its sort would page in numpy's int64 sort code.
-        for g in dict.fromkeys((self.moves.T @ powers).tolist()):
-            if not hit[g]:
-                span = digits[hit]
-                for c in range(1, q):
-                    hit[(span + c * digits[g]) % q @ powers] = True
-        return digits[hit]
+        of moves, as every combination of the rows one ``_row_reduce`` leaves,
+        ordered by the stable int64 argsort extraction already runs."""
+        _, rows = _row_reduce(self.moves.T.copy(), q)
+        span = _all_digit_rows(len(rows), q) @ rows % q
+        return span[np.argsort(span @ q ** np.arange(len(self.moves)), kind="stable")]
 
 
 def _translates(

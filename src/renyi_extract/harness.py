@@ -173,6 +173,12 @@ def run_verify(config: ExperimentConfig) -> dict:
     result = extract_joint(family, source, budget=config.budget)
     divergences = empirical_divergences(result.joint, config.alphas)
     rows = collect_bound_reports(result, config.epsilons, divergences)
+    if not rows:  # all_satisfied would hold vacuously
+        raise ConfigError(
+            "no bound applies, so verify would check nothing: list an order"
+            " other than 1 in alphas, or an epsilon whose threshold admits"
+            f" m={family.m}"
+        )
     report.update(
         {
             "entropies": _entropy_table(result, config.alphas),
@@ -248,11 +254,13 @@ def run_sweep(config: ExperimentConfig) -> tuple[str, bool]:
     lines = [",".join(SWEEP_COLUMNS)]
     all_ok = True
     base = config.build_family()
+    grid = _finite_alphas_in_range(config.alphas, base.k)
+    if not grid:  # the CSV would hold its header only
+        raise ConfigError(f"sweep needs a finite order in (1, k={base.k}] in alphas")
     source = config.build_source(base)
     for m in m_values:
         family = HashFamily(base.kind, base.field, base.k, m)
         result = extract_joint(family, source, budget=config.budget)
-        grid = _finite_alphas_in_range(config.alphas, family.k)
         divergences = empirical_divergences(result.joint, grid)
         for row in divergences.rows:
             h = result.source_entropy(row.alpha)

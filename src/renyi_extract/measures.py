@@ -195,17 +195,17 @@ def _distinct(x: np.ndarray, counts=None):
 
 
 def _layout(masses: np.ndarray, refs, counts=None):
-    """What ``_kernel`` reads for D_alpha of each row of masses against refs
-    (broadcast to masses), over the positive masses: the distinct masses and
-    references as Python floats (references None when one is 0); per distinct
-    (mass, reference) pair its index into both, mass, reference and summed
-    count; per row its parts, a pair index (-1: 0.0), or with counts one row
-    of every pair."""
+    """What ``_kernel`` reads for D_alpha of each row of masses against refs,
+    over the positive masses, refs and counts broadcast to masses: the
+    distinct masses and references as Python floats (references None when one
+    is 0); per distinct (mass, reference) pair its index into both, mass,
+    reference and summed count; per row its parts, a pair index (-1: 0.0), or
+    with counts one row of every pair, all rows' cells counted in it."""
     pos = masses > 0
     m, r = (x[pos] for x in np.broadcast_arrays(masses, refs))
     vals, vi, _ = _distinct(m)
     refs, ri, _ = _distinct(r)
-    counts = None if counts is None else counts[pos.ravel()]
+    counts = None if counts is None else np.broadcast_to(counts, masses.shape)[pos]
     keys, index, summed = _distinct(vi * len(refs) + ri, counts)
     vi, ri = np.divmod(keys, len(refs))
     if counts is None:
@@ -331,16 +331,14 @@ def _averaged(groups, alphas, lnq: float) -> dict:
 
 def _joint(groups, alphas, lnq: float):
     """(D_alpha per order of a joint's cells against uniform outputs x its
-    seed[,z] marginal, and its TV), from one counted ``_layout`` row: each
-    group's sorted column is expanded only while it is built.  TV adds the
-    positive pairs' |p - r| and the zero cells' r."""
+    seed[,z] marginal, and its TV), from one counted ``_layout`` row: the
+    groups' sorted columns, expanded only while it is built, are its groups x
+    U masses, and each group's reference and count broadcast along its row.
+    TV adds the positive pairs' |p - r| and the zero cells' r."""
     rows, _, ranks, refs, counts = groups
-    n_out = rows.shape[1]
-    layout = _layout(
-        rows[ranks].ravel()[None], np.repeat(refs, n_out)[None], np.repeat(counts, n_out)
-    )
+    layout = _layout(rows[ranks], refs[:, None], counts[:, None])
     ps, rs, summed = layout[4:7]
-    zeros = counts * (n_out - (rows > 0).sum(axis=1)[ranks])
+    zeros = counts * (rows.shape[1] - (rows > 0).sum(axis=1)[ranks])
     tv = _tv(np.r_[ps, 0.0 * refs], np.r_[rs, refs], np.r_[summed, zeros])
     return {a: _kernel(layout, a, lnq)[0] for a in alphas}, tv
 

@@ -42,6 +42,16 @@ def stdout_value(capsys):
 
 
 class TestBoundCommand:
+    @pytest.mark.parametrize("name,alpha,largest", [("joint-real", "70", 65),
+                                                    ("joint-real", "65.5", 65),
+                                                    ("simplified", "64.5", 64)])
+    def test_order_beyond_stirling_table_names_alpha(self, capsys, name, alpha, largest):
+        # The message names alpha and its limit, not the Stirling table's k.
+        args = ["bound", "--name", name, "--m", "1", "--k", "70", "--alpha", alpha]
+        assert main(args + ["--H", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"alpha={float(alpha)} is too large; the largest allowed is {largest}" in err
+
     def test_bucket_worked_value(self, capsys):
         assert main(["bound", "--name", "bucket", "--q", "2", "--m", "4",
                      "--k", "2", "--A", "16"]) == 0
@@ -198,6 +208,11 @@ class TestEntropyCommand:
     def test_unnormalized_exits_2(self, capsys):
         assert main(["entropy", "--probs", "0.5,0.6", "--alpha", "2"]) == 2
 
+    def test_order_too_close_to_1_says_write_1(self, capsys):
+        assert main(["entropy", "--probs", "0.5,0.5", "--alpha", "1.0000001"]) == 2
+        err = capsys.readouterr().err
+        assert "write 1 for the KL limit" in err and "Alpha.one" not in err
+
     @pytest.mark.parametrize("alpha", ["1e400", "Infinity", "nan"])
     def test_non_finite_numeric_order_exits_2(self, capsys, alpha):
         # Only the names "inf" and "infinity" select the limit.
@@ -336,6 +351,26 @@ class TestVerifyCommand:
         assert not report["certification"]["is_k_star_universal"]
         assert "certification FAILED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alphas", [None, [1]])
+    def test_no_bound_row_exits_2(self, tmp_path, capsys, alphas):
+        # Without an order other than 1 or an epsilon, a certified family
+        # builds no bound row, and "all_satisfied" would hold vacuously.
+        raw = {"family": {"q": 2, "n": 3, "k": 2, "m": 1}, "source": {"preset": "uniform"}}
+        if alphas is not None:
+            raw["alphas"] = alphas
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "list an order other than 1 in alphas, or an epsilon" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        # A failed certification still exits 1 first.
+        raw["family"]["kind"] = "constant"
+        cfg.write_text(json.dumps(raw))
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+
     def test_rounding_negative_conditional_entropy_exits_0(self, tmp_path, capsys):
         # A point mass whose side-channel rows each sum one ulp over 1: its
         # H_2(X|Z) rounds to about -3.2e-16, which reads 0, not a config error.
@@ -449,6 +484,12 @@ class TestConfigValidation:
     def test_unknown_top_level_field(self, tmp_path):
         cfg = write_config(tmp_path, typo_field=1)
         assert main(["verify", "--config", cfg]) == 2
+
+    def test_order_too_close_to_1_says_write_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alphas=[1.0000001])
+        assert main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "write 1 for the KL limit" in err and "Alpha.one" not in err
 
     def test_unknown_nested_field(self):
         raw = {
@@ -841,11 +882,24 @@ class TestSweepCommand:
             assert float(cells[slack_col]) >= -1e-9
             assert cells[-1] == "true"
 
-    def test_only_infinite_alpha_gives_header_only(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, alphas=["inf"])
+    @pytest.mark.parametrize(
+        "overrides,missing",
+        [
+            ({"alphas": ["inf"]}, "finite order in (1, k=2] in alphas"),
+            ({"alphas": [5, "inf"], "family": {"q": 2, "n": 3, "k": 3, "m": 1}},
+             "finite order in (1, k=3] in alphas"),
+            ({"sweep": {"m_values": []}}, "m_values must list at least one m"),
+        ],
+    )
+    def test_empty_grid_exits_2(self, tmp_path, capsys, monkeypatch, overrides, missing):
+        # A grid without a point would write the CSV header only and pass, so
+        # it is refused before any extraction.
+        monkeypatch.setattr(harness, "extract_joint", None)
+        cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-        assert out.read_text().strip() == ",".join(SWEEP_COLUMNS)
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert missing in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIntegerInputs:

@@ -516,6 +516,7 @@ def test_constant_family_has_no_seed_digits(gf4):
     assert cosets.pivots.shape == (0,) and cosets.translates == 1
     assert cosets.reduced.shape == (0, 0) and cosets.moves.shape == (2, 0)
     assert translate_shifts(cosets, 2).tolist() == [[0, 0]]
+    assert cosets.shifts(2).tolist() == [[0, 0]]
 
 
 def seed_scan(family, l):

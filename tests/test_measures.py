@@ -1004,7 +1004,7 @@ class TestConditionalBitwiseOracle:
             distinct, n_out = _sorted_column_count(joint), joint.probs.shape[0]
             assert distinct < _group_count(joint)
             assert normalised == [(distinct, n_out)]
-            assert layouts == [(distinct, n_out), (1, _group_count(joint) * n_out)]
+            assert layouts == [(distinct, n_out), (_group_count(joint), n_out)]
 
     def test_one_term_per_distinct_pair(self, monkeypatch):
         sums, layouts = [], []
