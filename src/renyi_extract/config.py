@@ -18,8 +18,6 @@ from .families import DEFAULT_BUDGET, KINDS, HashFamily
 from .fields import MAX_DEGREE, FieldParams
 from .measures import ALPHA_GAP, Alpha, Pmf
 
-SOURCE_PRESETS = ("uniform", "point-mass", "two-spike", "geometric")
-
 
 def _require_keys(obj: dict, allowed: set[str], where: str):
     if not isinstance(obj, dict):

@@ -12,8 +12,9 @@ other seeds of a coset are output permutations of its representative, bit for
 bit.  The representatives are hashed in blocks from their indices, against
 the basis rows of the pivot digits they set, so memory follows the block and
 the joint's columns, not the number of representatives times their inputs.
-The joint adds one input's mass at a time, so every cell sums its terms in
-canonical input order.  It is kept as the ranking of its columns
+Each block's masses are scattered by one unbuffered ``np.add.at`` in index
+order, so every cell sums its terms in canonical input order.  The joint is
+kept as the ranking of its columns
 (``ExtractedJoint``): the distinct sorted columns with their column counts,
 which the sum check and the seed-averaged divergences read, and the (rank,
 reference) groups, merged one distinct output shift at a time, which the joint
@@ -41,9 +42,8 @@ from . import measures
 from ._record import Record
 from .measures import JointPmf, Pmf
 
-# BLOCK (``families``) is the coset representatives an extraction hashes per
-# ``hash_table`` call and the table cells and seed digits per call of either
-# bucket experiment.
+# BLOCK (``families``) bounds the table cells and the seed or pivot digits of
+# each ``hash_table`` call, in extraction and in either bucket experiment.
 
 
 # eq=False: equality and hashing by value fail on an ndarray field.
@@ -109,6 +109,13 @@ class Source(Record, eq=False):
             ),
         )
 
+    def bound_entropy(self, a) -> float:
+        """The entropy the paper's bounds take: H_alpha(X|Z) with a side
+        channel, else H_alpha(X)."""
+        if self.side_channel is None:
+            return self.entropy(a)
+        return self.conditional_entropy(a)
+
 
 def _nonnegative(h: float) -> float:
     """An entropy that rounding took below 0 by at most SLACK reads 0: a point
@@ -125,11 +132,11 @@ class ExtractedJoint(Record, eq=False):
     base_q: int
     _groups: tuple
     _rep_columns: np.ndarray
-    _layout: Cosets
+    _cosets: Cosets
 
     @cached_property
     def probs(self) -> np.ndarray:
-        (_, translates, reduced, moves), q = self._layout, self.base_q
+        (_, translates, reduced, moves), q = self._cosets, self.base_q
         columns = self._rep_columns
         seeds, m = translates * columns.shape[1], len(moves)
         digits = _all_digit_rows(m, q)
@@ -156,12 +163,6 @@ class ExtractionResult(NamedTuple):
     @property
     def has_side_channel(self) -> bool:
         return self.source.side_channel is not None
-
-    def source_entropy(self, a) -> float:
-        """H_alpha(X|Z) when a side channel is present, else H_alpha(X)."""
-        if self.has_side_channel:
-            return self.source.conditional_entropy(a)
-        return self.source.entropy(a)
 
 
 def _group_columns(arr: np.ndarray, totals, weight: int = 1):
@@ -203,11 +204,13 @@ def _group_columns(arr: np.ndarray, totals, weight: int = 1):
     return distinct, column_counts, keys[:, 0], keys[:, 1].view(float), counts
 
 
-def _blocks(family: HashFamily, cosets: Cosets, inputs: Inputs, rows: int):
-    """(first index, hash table) per block of ``rows`` coset representatives,
-    in index order, each hashed from its index against the basis rows of the
-    pivot digits: index i sets pivot digit j to digit j of i."""
+def _blocks(family: HashFamily, cosets: Cosets, inputs: Inputs):
+    """(first index, hash table) per block of coset representatives, in index
+    order, each hashed from its index against the basis rows of the pivot
+    digits: index i sets pivot digit j to digit j of i.  A block holds at most
+    BLOCK table cells and BLOCK pivot digits."""
     n_reps = family.field.q ** len(cosets.pivots)
+    rows = max(1, BLOCK // max(len(inputs[1]), len(cosets.pivots)))
     reps = Inputs((family, inputs[1], inputs[2][cosets.pivots], []))
     for start in range(0, n_reps, rows):
         yield start, hash_table(family, np.arange(start, min(start + rows, n_reps)), reps)
@@ -236,16 +239,14 @@ def extract_joint(
         )
     inputs = _prepared(family, range(n_inputs))
     cosets = _translates(family, inputs, check)
-    px = source.probs.probs
-    sc = source.side_channel
-    tail = () if sc is None else (source.n_side,)
-    rep_joint = np.zeros((n_out, q ** len(cosets.pivots)) + tail)
-    # One input at a time touches each seed's column once, so every cell sums
-    # its terms in canonical input order.
-    for start, table in _blocks(family, cosets, inputs, BLOCK):
+    px, sc = source.probs.probs, source.side_channel
+    mass = px if sc is None else px[:, None] * sc
+    rep_joint = np.zeros((n_out, q ** len(cosets.pivots)) + mass.shape[1:])
+    # np.add.at adds unbuffered in index order, a row's inputs in turn, so
+    # every cell sums its terms in canonical input order.
+    for start, table in _blocks(family, cosets, inputs):
         cols = np.arange(start, start + len(table))
-        for i in range(n_inputs):
-            rep_joint[table[:, i], cols] += px[i] if sc is None else px[i] * sc[i]
+        np.add.at(rep_joint, (table, cols[:, None]), mass)
         del table
     rep_joint *= 1.0 / seeds
     # Seed rep + t holds rep's column moved by shift(t): its total adds rep's
@@ -321,8 +322,7 @@ def expected_max_bucket(
         check = _charge(family, size, size, budget)
         inputs = _prepared(family, subset)
         cosets = _translates(family, inputs, check)
-        rows = max(1, BLOCK // max(size, n_digits))  # as the sampled blocks
-        blocks = _blocks(family, cosets, inputs, rows)
+        blocks = _blocks(family, cosets, inputs)
         n_out = family.output_size
         loads = sum(int(largest_buckets(table, n_out).sum()) for _, table in blocks)
         return BucketEstimate(loads * cosets.translates / seeds, None)

@@ -43,9 +43,9 @@ from .fields import FieldParams, gf_add, gf_mul
 
 DEFAULT_BUDGET = 10_000_000
 
-# Table cells, coset representatives or groups per step of a run
-# (``extraction``, ``_tables``): the block bounds memory, the budget bounds
-# work.
+# Table cells per hashed block (extraction and both bucket experiments), and
+# cells, terms or seeds per step elsewhere (``_tables``, ``_certify``,
+# ``measures``): the block bounds memory, the budget bounds work.
 BLOCK = 2**14
 
 INT64_MAX = np.iinfo(np.int64).max

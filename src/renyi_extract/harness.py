@@ -1,6 +1,10 @@
 """Experiment runner: certification, extraction, bound checks, reports.
 
-Reports are plain dicts ready for JSON serialization.  Everything stored in
+Which bounds a run checks depends only on the family, the source and the
+orders and epsilons, so ``verify`` and ``sweep`` plan their bound rows
+(``collect_bound_reports``) before they extract, and then fill each in from
+the divergence table (``_measured``); a sweep row is verify's
+joint-divergence row.  Reports are plain dicts ready for JSON serialization.  Everything stored in
 a report is in q-ary log units and deterministic for a fixed config, so
 repeated runs produce byte-identical files (wall-clock timing goes to stderr,
 never into the report).
@@ -14,7 +18,7 @@ from . import __version__
 from . import bounds as bd
 from .config import ExperimentConfig
 from .errors import ConfigError
-from .extraction import ExtractionResult, expected_max_bucket, extract_joint
+from .extraction import Source, expected_max_bucket, extract_joint
 from .families import HashFamily, certify_k_star
 from .measures import Alpha, DivergenceTable, empirical_divergences
 
@@ -52,13 +56,12 @@ def _certification_section(family: HashFamily, budget: int) -> tuple[dict, bool]
     return section, passed
 
 
-def _entropy_table(result: ExtractionResult, alphas) -> dict:
-    src = result.source
+def _entropy_table(source: Source, alphas) -> dict:
     table = {}
     for a in alphas:
-        row = {"unconditional": src.entropy(a)}
-        if result.has_side_channel and a.is_finite_order:
-            row["conditional"] = src.conditional_entropy(a)
+        row = {"unconditional": source.entropy(a)}
+        if source.side_channel is not None and a.is_finite_order:
+            row["conditional"] = source.conditional_entropy(a)
         table[_alpha_key(a)] = row
     return table
 
@@ -75,15 +78,17 @@ def _divergence_section(table: DivergenceTable) -> dict:
 
 
 def collect_bound_reports(
-    result: ExtractionResult,
-    epsilons,
-    divergences: DivergenceTable,
+    family: HashFamily, source: Source, alphas, epsilons
 ) -> list[dict]:
-    """One report row per bound the paper's guarantees give for this result."""
-    family = result.family
+    """One report row per bound the paper's guarantees give for this family,
+    source, orders and epsilons, planned before anything is extracted: each
+    row's "empirical" names the divergence-table value it reads, ("joint",
+    alpha), ("conditional", alpha) or ("tv",), which ``_measured`` fills in
+    with the verdict.  An entropy is computed only when a row or a threshold
+    reads it."""
     q, m, k = family.field.q, family.m, family.k
-    one, inf = Alpha.one(), Alpha.infinity()
-    kl, tv = divergences.kl_to_uniform, divergences.tv_to_uniform
+    one, inf, order_k = Alpha.one(), Alpha.infinity(), Alpha(float(k))
+    h = source.bound_entropy
     reports: list[dict] = []
 
     def add(name, a, entropy, bound, empirical, epsilon=None, threshold=None):
@@ -100,94 +105,110 @@ def collect_bound_reports(
                 "epsilon": epsilon,
                 "bound": bound,
                 "empirical": empirical,
-                "satisfied": bd.satisfied(empirical, bound),
+                "satisfied": None,
                 "note": "" if threshold is None else f"m_threshold={threshold!r}",
             }
         )
 
-    h_k = result.source_entropy(Alpha(float(k)))
-
-    for row in divergences.rows:
-        a = row.alpha
+    for a in alphas:
         if a.is_one:
             continue
         if a.is_finite_order and a.value <= k:
-            h = result.source_entropy(a)
-            bound = bd.bound_real_alpha(q, m, k, a.value, h)
-            add("joint-divergence", a, h, bound, row.joint)
+            bound = bd.bound_real_alpha(q, m, k, a.value, h(a))
+            add("joint-divergence", a, h(a), bound, ("joint", a))
         else:
             bound = (
-                bd.bound_infty(q, m, k, h_k)
+                bd.bound_infty(q, m, k, h(order_k))
                 if a.is_infinite
-                else bd.bound_alpha_above_k(q, m, k, a.value, h_k)
+                else bd.bound_alpha_above_k(q, m, k, a.value, h(order_k))
             )
-            add("conditional-divergence", a, h_k, bound, row.conditional)
+            add("conditional-divergence", a, h(order_k), bound, ("conditional", a))
 
     for eps in epsilons:
-        for row in divergences.rows:
-            a = row.alpha
+        for a in alphas:
             if not a.is_finite_order or a.value > k:
                 continue
-            h = result.source_entropy(a)
             if a.value >= 2 and a.value == int(a.value):
-                thr = bd.m_threshold("integer-alpha", q, h, eps, alpha=a.value)
+                thr = bd.m_threshold("integer-alpha", q, h(a), eps, alpha=a.value)
                 if m <= thr:
-                    add("threshold-integer-alpha", a, h, eps, row.joint, eps, thr)
+                    add("threshold-integer-alpha", a, h(a), eps, ("joint", a), eps, thr)
             if a.value <= 2:
-                thr = bd.m_threshold("corollary", q, h, eps, alpha=a.value)
+                thr = bd.m_threshold("corollary", q, h(a), eps, alpha=a.value)
                 if m <= thr:
-                    add("threshold-corollary", a, h, eps, row.joint, eps, thr)
+                    add("threshold-corollary", a, h(a), eps, ("joint", a), eps, thr)
                     # KL <= D_alpha, so the epsilon guarantee cascades down.
-                    add("threshold-corollary-kl", one, h, eps, kl, eps)
-        thr = bd.m_threshold("min-entropy", q, h_k, eps, k=k)
+                    add("threshold-corollary-kl", one, h(a), eps, ("joint", one), eps)
+        thr = bd.m_threshold("min-entropy", q, h(order_k), eps, k=k)
         if m <= thr:
-            d_inf = divergences.conditional_inf
-            add("threshold-min-entropy", inf, h_k, m / k + eps, d_inf, eps, thr)
-        if not result.has_side_channel:
+            d_inf = ("conditional", inf)
+            add("threshold-min-entropy", inf, h(order_k), m / k + eps, d_inf, eps, thr)
+        if source.side_channel is None:
             # Baselines from classical leftover hashing.
             log_inv_eps = math.log(1.0 / eps) / math.log(q)
-            h_inf = result.source.entropy(inf)
+            h_inf = source.entropy(inf)
             if m <= h_inf - log_inv_eps:
-                add("baseline-tv", inf, h_inf, math.sqrt(eps) / 2.0, tv, eps)
-            h2 = result.source.entropy(Alpha(2.0))
+                add("baseline-tv", inf, h_inf, math.sqrt(eps) / 2.0, ("tv",), eps)
+            h2 = source.entropy(Alpha(2.0))
             if m <= h2 - log_inv_eps:
-                add("baseline-kl", one, h2, eps / math.log(q), kl, eps)
+                add("baseline-kl", one, h2, eps / math.log(q), ("joint", one), eps)
     return reports
+
+
+def _measured(rows: list[dict], table: DivergenceTable) -> list[dict]:
+    """The planned rows with each "empirical" replaced by the table value it
+    names and "satisfied" by ``bounds.satisfied``."""
+    values = {
+        ("joint", Alpha.one()): table.kl_to_uniform,
+        ("conditional", Alpha.infinity()): table.conditional_inf,
+        ("tv",): table.tv_to_uniform,
+    }
+    for r in table.rows:
+        values["joint", r.alpha] = r.joint
+        values["conditional", r.alpha] = r.conditional
+    measured = []
+    for row in rows:
+        value = values[row["empirical"]]
+        satisfied = bd.satisfied(value, row["bound"])
+        measured.append({**row, "empirical": value, "satisfied": satisfied})
+    return measured
+
+
+def _report(command: str, config: ExperimentConfig, **body) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "command": command,
+        "config": config.raw,
+        **body,
+    }
 
 
 def run_verify(config: ExperimentConfig) -> dict:
     family = config.build_family()
     source = config.build_source(family)
     certification, cert_ok = _certification_section(family, config.budget)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": "verify",
-        "config": config.raw,
-        "certification": certification,
-    }
     if not cert_ok:
-        report["error"] = "family failed k*-universality certification"
-        return report
-
-    result = extract_joint(family, source, budget=config.budget)
-    divergences = empirical_divergences(result.joint, config.alphas)
-    rows = collect_bound_reports(result, config.epsilons, divergences)
+        error = "family failed k*-universality certification"
+        return _report("verify", config, certification=certification, error=error)
+    rows = collect_bound_reports(family, source, config.alphas, config.epsilons)
     if not rows:  # all_satisfied would hold vacuously
         raise ConfigError(
             "no bound applies, so verify would check nothing: list an order"
             " other than 1 in alphas, or an epsilon whose threshold admits"
             f" m={family.m}"
         )
-    report.update(
-        {
-            "entropies": _entropy_table(result, config.alphas),
-            "divergences": _divergence_section(divergences),
-            "bounds": rows,
-            "all_satisfied": all(r["satisfied"] for r in rows),
-        }
+    result = extract_joint(family, source, budget=config.budget)
+    divergences = empirical_divergences(result.joint, config.alphas)
+    rows = _measured(rows, divergences)
+    return _report(
+        "verify",
+        config,
+        certification=certification,
+        entropies=_entropy_table(source, config.alphas),
+        divergences=_divergence_section(divergences),
+        bounds=rows,
+        all_satisfied=all(r["satisfied"] for r in rows),
     )
-    return report
 
 
 def run_bucket(config: ExperimentConfig) -> dict:
@@ -218,14 +239,7 @@ def run_bucket(config: ExperimentConfig) -> dict:
     if spec.mode == "sampled":
         row["rng_seed"] = config.rng_seed
         row["n_samples"] = spec.samples
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": "bucket",
-        "config": config.raw,
-        "rows": [row],
-        "all_satisfied": row["satisfied"],
-    }
+    return _report("bucket", config, rows=[row], all_satisfied=row["satisfied"])
 
 
 SWEEP_COLUMNS = (
@@ -260,28 +274,13 @@ def run_sweep(config: ExperimentConfig) -> tuple[str, bool]:
     source = config.build_source(base)
     for m in m_values:
         family = HashFamily(base.kind, base.field, base.k, m)
+        planned = collect_bound_reports(family, source, grid, ())
         result = extract_joint(family, source, budget=config.budget)
         divergences = empirical_divergences(result.joint, grid)
-        for row in divergences.rows:
-            h = result.source_entropy(row.alpha)
-            bound = bd.bound_real_alpha(
-                family.field.q, m, family.k, row.alpha.value, h
-            )
-            ok = bd.satisfied(row.joint, bound)
+        # One joint-divergence row per order of the grid, in its order.
+        for row, d in zip(_measured(planned, divergences), divergences.rows):
+            joint, bound, ok = row["empirical"], row["bound"], row["satisfied"]
             all_ok = all_ok and ok
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        row.alpha.value,
-                        m,
-                        h,
-                        row.joint,
-                        row.conditional,
-                        bound,
-                        bound - row.joint,
-                        ok,
-                    )
-                )
-            )
+            cells = (row["entropy"], joint, d.conditional, bound, bound - joint, ok)
+            lines.append(",".join(map(_fmt, (d.alpha.value, m) + cells)))
     return "\n".join(lines) + "\n", all_ok

@@ -238,7 +238,7 @@ def variant_totals(joint):
     """The V x C [x Z] totals of an extracted joint's shifted variants, as
     extraction summed them before it grouped one shift at a time: for each
     distinct shift v, rep_joint[u - v] added over u in output order."""
-    cosets, columns, q = joint._layout, joint._rep_columns, joint.base_q
+    cosets, columns, q = joint._cosets, joint._rep_columns, joint.base_q
     m = len(cosets.moves)
     digits, powers = families._all_digit_rows(m, q), q ** np.arange(m)
     back = (digits - cosets.shifts(q)[:, None]) % q @ powers

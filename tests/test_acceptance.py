@@ -74,7 +74,7 @@ def test_01_joint_divergence_dominated_by_closed_form_bound():
         family = result.family
         table = empirical_divergences(result.joint, grid_alphas(family.k))
         for row in table.rows:
-            h = result.source_entropy(row.alpha)
+            h = result.source.bound_entropy(row.alpha)
             bound = bd.bound_real_alpha(2, family.m, family.k, row.alpha.value, h)
             ok = ok and row.joint <= bound + SLACK
     report(1, "joint divergence within real-order bound on full grid", ok)
@@ -88,7 +88,7 @@ def test_02_output_length_thresholds_deliver_epsilon_closeness():
         table = empirical_divergences(result.joint, grid_alphas(family.k))
         for row in table.rows:
             a = row.alpha.value
-            h = result.source_entropy(row.alpha)
+            h = result.source.bound_entropy(row.alpha)
             for eps in EPSILONS:
                 thresholds = []
                 if a >= 2 and a == int(a):
@@ -110,7 +110,7 @@ def test_03_conditional_divergence_above_family_order():
     for k, m, (_, probs) in itertools.product(K_VALUES, M_VALUES, SOURCES.items()):
         family = HashFamily("polynomial", FIELD, k, m)
         result = extract_joint(family, make_source(FIELD, probs))
-        h_k = result.source_entropy(Alpha(float(k)))
+        h_k = result.source.bound_entropy(Alpha(float(k)))
         for a in cases[k]:
             emp = conditional_divergence(result.joint, a)
             bound = (

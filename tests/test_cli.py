@@ -351,20 +351,30 @@ class TestVerifyCommand:
         assert not report["certification"]["is_k_star_universal"]
         assert "certification FAILED" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("alphas", [None, [1]])
-    def test_no_bound_row_exits_2(self, tmp_path, capsys, alphas):
+    @pytest.mark.parametrize(
+        "alphas,family",
+        [
+            (None, {"q": 2, "n": 3, "k": 2, "m": 1}),
+            ([1], {"q": 2, "n": 3, "k": 2, "m": 1}),
+            # The default budget refuses this extraction, so the refusal
+            # must come before it.
+            ([1], {"q": 2, "n": 6, "k": 4, "m": 3}),
+        ],
+        ids=["None", "alphas1", "gf64-k4"],
+    )
+    def test_no_bound_row_exits_2(self, tmp_path, capsys, alphas, family):
         # Without an order other than 1 or an epsilon, a certified family
         # builds no bound row, and "all_satisfied" would hold vacuously.
-        raw = {"family": {"q": 2, "n": 3, "k": 2, "m": 1}, "source": {"preset": "uniform"}}
+        raw = {"family": family, "source": {"preset": "uniform"}}
         if alphas is not None:
             raw["alphas"] = alphas
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "report.json"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "list an order other than 1 in alphas, or an epsilon" in (
-            capsys.readouterr().err
-        )
+        err = capsys.readouterr().err
+        assert "no bound applies" in err
+        assert "list an order other than 1 in alphas, or an epsilon" in err
         assert not out.exists()
         # A failed certification still exits 1 first.
         raw["family"]["kind"] = "constant"
@@ -882,6 +892,35 @@ class TestSweepCommand:
             assert float(cells[slack_col]) >= -1e-9
             assert cells[-1] == "true"
 
+    @pytest.mark.parametrize("side", [False, True])
+    def test_rows_are_verify_joint_divergence_rows(self, side):
+        # One bound rule: each sweep row is the joint-divergence row verify
+        # reports for the same order, with the table's conditional value.
+        raw = {
+            "family": {"q": 2, "n": 3, "k": 3, "m": 2},
+            "source": {"preset": "geometric", "param": 0.8},
+            "alphas": [1.5, 2, "inf", 3, 5],
+            "epsilons": [0.1],
+        }
+        if side:
+            raw["side_channel"] = [[0.25, 0.75], [0.5, 0.5]] * 4
+        report = run_verify(parse_config(raw))
+        csv_text, ok = run_sweep(parse_config(raw))
+        lines = csv_text.splitlines()[1:]
+        rows = [b for b in report["bounds"] if b["name"] == "joint-divergence"]
+        assert [b["alpha"] for b in rows] == [1.5, 2, 3]
+        assert len(lines) == len(rows)
+        per_alpha = report["divergences"]["per_alpha"]
+        for line, b in zip(lines, rows):
+            key = harness._alpha_key(Alpha(float(b["alpha"])))
+            cells = (
+                b["alpha"], b["m"], b["entropy"], b["empirical"],
+                per_alpha[key]["conditional"], b["bound"],
+                b["bound"] - b["empirical"], b["satisfied"],
+            )
+            assert line == ",".join(map(harness._fmt, cells))
+        assert ok == all(b["satisfied"] for b in rows)
+
     @pytest.mark.parametrize(
         "overrides,missing",
         [
@@ -996,19 +1035,24 @@ class TestEntropiesOncePerOrder:
         assert len(calls["conditional_renyi_entropy"]) == 3
         assert calls["xz"] == 1
 
-    def test_sweep(self, calls):
+    # At k=4 no row reads H_4, so the sweep computes only its grid's orders.
+    @pytest.mark.parametrize(
+        "k,alphas", [(3, [1.5, 2, 3]), (4, [1.5, 2])], ids=["k3", "k4"]
+    )
+    def test_sweep(self, calls, k, alphas):
         config = parse_config(
             {
-                "family": {"q": 2, "n": 3, "k": 3, "m": 1},
+                "family": {"q": 2, "n": 3, "k": k, "m": 1},
                 "source": {"preset": "geometric", "param": 0.8},
                 "side_channel": [[0.25, 0.75], [0.5, 0.5]] * 4,
-                "alphas": [1.5, 2, 3],
+                "alphas": alphas,
                 "sweep": {"m_values": [1, 2, 3]},
             }
         )
         csv_text, _ = run_sweep(config)
-        assert len(csv_text.strip().splitlines()) == 1 + 3 * 3
-        assert calls["conditional_renyi_entropy"] == [Alpha(1.5), Alpha(2.0), Alpha(3.0)]
+        assert len(csv_text.strip().splitlines()) == 1 + 3 * len(alphas)
+        assert calls["conditional_renyi_entropy"] == [Alpha(float(a)) for a in alphas]
+        assert calls["renyi_entropy"] == []
         assert calls["xz"] == 1
 
 
@@ -1036,9 +1080,9 @@ class TestVerifyReportContents:
 
     def test_negative_entropy_exits_2(self, tmp_path, capsys, monkeypatch):
         # A bound row refuses a negative entropy rather than report a verdict.
-        from renyi_extract.extraction import ExtractionResult
+        from renyi_extract.extraction import Source
 
-        monkeypatch.setattr(ExtractionResult, "source_entropy", lambda self, a: -1.0)
+        monkeypatch.setattr(Source, "bound_entropy", lambda self, a: -1.0)
         cfg, out = write_config(tmp_path), tmp_path / "report.json"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()

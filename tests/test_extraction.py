@@ -301,10 +301,10 @@ class TestBlocks:
         monkeypatch.setattr(extraction, "BLOCK", 100)
         extract_joint(fam, uniform_source(fam.field))
         n_reps = 2 ** len(families._translates(fam, range(16)).pivots)
-        assert calls == [100] * (n_reps // 100) + [n_reps % 100]
-        calls.clear()
-        # The exact bucket's blocks hold at most BLOCK table cells: 100 // 16
+        # Both hash blocks of at most BLOCK table cells: 100 // 16
         # representatives of 16 inputs each.
+        assert calls == [6] * (n_reps // 6) + [n_reps % 6]
+        calls.clear()
         expected_max_bucket(fam, range(16))
         assert calls == [6] * (n_reps // 6) + [n_reps % 6]
 
@@ -556,6 +556,20 @@ class TestNoDenseJoint:
             tracemalloc.stop()
         assert peak < family.output_size * family.seed_space_size * 8
         assert "probs" not in vars(result.joint)
+
+    def test_blocks_count_the_inputs(self):
+        # Polynomial GF(2^10), k=2, m=2: 1,024 representatives of 1,024
+        # inputs each.  Blocks of BLOCK // 1,024 = 16 representatives keep
+        # the peak near 3 MiB; hashing all of them in one block peaked at
+        # 16.7 MiB.
+        field = FieldParams.create(2, 10)
+        tracemalloc.start()
+        try:
+            extract_joint(poly_family(field, 2, 2), uniform_source(field))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**23
 
 
 class TestSourceValidation:

@@ -196,9 +196,9 @@ VALIDATING = [
     (Source, ("probs", "side_channel"), (PMF, np.ones((2, 1))),
      "Source(probs=Pmf(probs=array([0.25, 0.75]), base_q=2),"
      " side_channel=array([[1.],\n       [1.]]))"),
-    (ExtractedJoint, ("base_q", "_groups", "_rep_columns", "_layout"),
+    (ExtractedJoint, ("base_q", "_groups", "_rep_columns", "_cosets"),
      (2, (), np.zeros(1), ()),
-     "ExtractedJoint(base_q=2, _groups=(), _rep_columns=array([0.]), _layout=())"),
+     "ExtractedJoint(base_q=2, _groups=(), _rep_columns=array([0.]), _cosets=())"),
 ]
 BY_VALUE = (Alpha, FieldParams, HashFamily)
 
