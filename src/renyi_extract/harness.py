@@ -2,12 +2,15 @@
 
 Which bounds a run checks depends only on the family, the source and the
 orders and epsilons, so ``verify`` and ``sweep`` plan their bound rows
-(``collect_bound_reports``) before they extract, and then fill each in from
-the divergence table (``_measured``); a sweep row is verify's
-joint-divergence row.  Reports are plain dicts ready for JSON serialization.  Everything stored in
-a report is in q-ary log units and deterministic for a fixed config, so
-repeated runs produce byte-identical files (wall-clock timing goes to stderr,
-never into the report).
+(``collect_bound_reports``) before they extract (sweep for every m before
+its first extraction), and then fill each in from the divergence table
+(``_measured``); a sweep row is verify's joint-divergence row.  The table is
+a map from the keys a run reads, and it computes only those: verify asks for
+what its report prints and its rows read, sweep for its grid's joint and
+conditional orders.  Reports are plain dicts ready for JSON serialization.
+Everything stored in a report is in q-ary log units and deterministic for a
+fixed config, so repeated runs produce byte-identical files (wall-clock
+timing goes to stderr, never into the report).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError
 from .extraction import Source, expected_max_bucket, extract_joint
 from .families import HashFamily, certify_k_star
-from .measures import Alpha, DivergenceTable, empirical_divergences
+from .measures import Alpha, empirical_divergences
 
 SCHEMA_VERSION = 1
 
@@ -66,14 +69,16 @@ def _entropy_table(source: Source, alphas) -> dict:
     return table
 
 
-def _divergence_section(table: DivergenceTable) -> dict:
+SIDES = ("joint", "conditional")
+
+
+def _divergence_section(alphas, values: dict) -> dict:
     return {
         "per_alpha": {
-            _alpha_key(r.alpha): {"joint": r.joint, "conditional": r.conditional}
-            for r in table.rows
+            _alpha_key(a): {side: values[side, a] for side in SIDES} for a in alphas
         },
-        "tv_to_uniform_product": table.tv_to_uniform,
-        "kl_to_uniform_product": table.kl_to_uniform,
+        "tv_to_uniform_product": values[("tv",)],
+        "kl_to_uniform_product": values["joint", Alpha.one()],
     }
 
 
@@ -154,17 +159,9 @@ def collect_bound_reports(
     return reports
 
 
-def _measured(rows: list[dict], table: DivergenceTable) -> list[dict]:
+def _measured(rows: list[dict], values: dict) -> list[dict]:
     """The planned rows with each "empirical" replaced by the table value it
     names and "satisfied" by ``bounds.satisfied``."""
-    values = {
-        ("joint", Alpha.one()): table.kl_to_uniform,
-        ("conditional", Alpha.infinity()): table.conditional_inf,
-        ("tv",): table.tv_to_uniform,
-    }
-    for r in table.rows:
-        values["joint", r.alpha] = r.joint
-        values["conditional", r.alpha] = r.conditional
     measured = []
     for row in rows:
         value = values[row["empirical"]]
@@ -198,14 +195,17 @@ def run_verify(config: ExperimentConfig) -> dict:
             f" m={family.m}"
         )
     result = extract_joint(family, source, budget=config.budget)
-    divergences = empirical_divergences(result.joint, config.alphas)
-    rows = _measured(rows, divergences)
+    # The values the report prints, then those its rows read.
+    keys = [(side, a) for a in config.alphas for side in SIDES]
+    keys += [("joint", Alpha.one()), ("tv",), *(r["empirical"] for r in rows)]
+    values = empirical_divergences(result.joint, keys)
+    rows = _measured(rows, values)
     return _report(
         "verify",
         config,
         certification=certification,
         entropies=_entropy_table(source, config.alphas),
-        divergences=_divergence_section(divergences),
+        divergences=_divergence_section(config.alphas, values),
         bounds=rows,
         all_satisfied=all(r["satisfied"] for r in rows),
     )
@@ -272,15 +272,19 @@ def run_sweep(config: ExperimentConfig) -> tuple[str, bool]:
     if not grid:  # the CSV would hold its header only
         raise ConfigError(f"sweep needs a finite order in (1, k={base.k}] in alphas")
     source = config.build_source(base)
-    for m in m_values:
-        family = HashFamily(base.kind, base.field, base.k, m)
-        planned = collect_bound_reports(family, source, grid, ())
+    # Every m's family and rows are built before the first extraction, so a
+    # bad m is refused at once.
+    families = [HashFamily(base.kind, base.field, base.k, m) for m in m_values]
+    plans = [(f, collect_bound_reports(f, source, grid, ())) for f in families]
+    keys = [(side, a) for a in grid for side in SIDES]
+    for family, planned in plans:
         result = extract_joint(family, source, budget=config.budget)
-        divergences = empirical_divergences(result.joint, grid)
+        values = empirical_divergences(result.joint, keys)
         # One joint-divergence row per order of the grid, in its order.
-        for row, d in zip(_measured(planned, divergences), divergences.rows):
+        for a, row in zip(grid, _measured(planned, values)):
             joint, bound, ok = row["empirical"], row["bound"], row["satisfied"]
+            conditional = values["conditional", a]
             all_ok = all_ok and ok
-            cells = (row["entropy"], joint, d.conditional, bound, bound - joint, ok)
-            lines.append(",".join(map(_fmt, (d.alpha.value, m) + cells)))
+            cells = (row["entropy"], joint, conditional, bound, bound - joint, ok)
+            lines.append(",".join(map(_fmt, (a.value, family.m) + cells)))
     return "\n".join(lines) + "\n", all_ok

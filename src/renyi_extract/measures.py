@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -319,65 +318,64 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     return math.fsum((pzs * _scalar(math.log, inner.tolist())).tolist()) / scale
 
 
-def _averaged(groups, alphas, lnq: float) -> dict:
-    """sum_s P_S(s) D_alpha(P(.|s) || uniform) (over (s, z) with side info) per
-    order, from a joint's ``groups``: the distinct sorted columns are one
-    ``_layout``'s rows, each weighted by its mass and counted once per column."""
+def _averaged(groups, keys, lnq: float) -> dict:
+    """The ("conditional", alpha) keys among keys, each mapped to
+    sum_s P_S(s) D_alpha(P(.|s) || uniform) (over (s, z) with side info), from
+    a joint's ``groups``: the distinct sorted columns are one ``_layout``'s
+    rows, each weighted by its mass and counted once per column.  With no
+    such key no layout is built."""
+    wanted = [key for key in keys if key[0] == "conditional"]
+    if not wanted:
+        return {}
     rows, counts = groups[:2]
     w, conds, kept = _conditionals(rows)
     layout, counts = _layout(conds, 1.0 / rows.shape[1]), counts[kept]
-    return {a: _counted_fsum(w * _kernel(layout, a, lnq), counts) for a in alphas}
+    return {k: _counted_fsum(w * _kernel(layout, k[1], lnq), counts) for k in wanted}
 
 
-def _joint(groups, alphas, lnq: float):
-    """(D_alpha per order of a joint's cells against uniform outputs x its
-    seed[,z] marginal, and its TV), from one counted ``_layout`` row: the
-    groups' sorted columns, expanded only while it is built, are its groups x
-    U masses, and each group's reference and count broadcast along its row.
-    TV adds the positive pairs' |p - r| and the zero cells' r."""
+def _joint(groups, keys, lnq: float) -> dict:
+    """The ("joint", alpha) and ("tv",) keys among keys, each mapped to
+    D_alpha or TV of a joint's cells against uniform outputs x its seed[,z]
+    marginal, from one counted ``_layout`` row: the groups' sorted columns,
+    expanded only while it is built, are its groups x U masses, and each
+    group's reference and count broadcast along its row.  TV, only when
+    asked for, adds the positive pairs' |p - r| and the zero cells' r.  With
+    no such key no layout is built."""
+    wanted = [key for key in keys if key[0] == "joint"]
+    tv = ("tv",) in keys
+    if not (wanted or tv):
+        return {}
     rows, _, ranks, refs, counts = groups
     layout = _layout(rows[ranks], refs[:, None], counts[:, None])
-    ps, rs, summed = layout[4:7]
-    zeros = counts * (rows.shape[1] - (rows > 0).sum(axis=1)[ranks])
-    tv = _tv(np.r_[ps, 0.0 * refs], np.r_[rs, refs], np.r_[summed, zeros])
-    return {a: _kernel(layout, a, lnq)[0] for a in alphas}, tv
+    values = {k: _kernel(layout, k[1], lnq)[0] for k in wanted}
+    if tv:
+        ps, rs, summed = layout[4:7]
+        zeros = counts * (rows.shape[1] - (rows > 0).sum(axis=1)[ranks])
+        parts = np.r_[ps, 0.0 * refs], np.r_[rs, refs], np.r_[summed, zeros]
+        values[("tv",)] = _tv(*parts)
+    return values
 
 
 def conditional_divergence(joint, a) -> float:
     """The seed-averaged divergence of one order of an ``ExtractedJoint``."""
-    a = as_alpha(a)
-    return _averaged(joint._groups, [a], math.log(joint.base_q))[a]
+    key = ("conditional", as_alpha(a))
+    return _averaged(joint._groups, [key], math.log(joint.base_q))[key]
 
 
 def joint_divergence_from_uniform(joint, a) -> float:
     """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)
     for an ``ExtractedJoint``."""
-    a = as_alpha(a)
-    return _joint(joint._groups, [a], math.log(joint.base_q))[0][a]
+    key = ("joint", as_alpha(a))
+    return _joint(joint._groups, [key], math.log(joint.base_q))[key]
 
 
-class DivergenceRow(NamedTuple):
-    alpha: Alpha
-    joint: float
-    conditional: float
-
-
-class DivergenceTable(NamedTuple):
-    rows: tuple[DivergenceRow, ...]
-    tv_to_uniform: float
-    kl_to_uniform: float
-    conditional_inf: float
-
-
-def empirical_divergences(joint, alphas) -> DivergenceTable:
-    """Joint and conditional D_alpha per order, TV, KL and the conditional D_inf
-    of an ``ExtractedJoint``, from its ranked columns: the seed-averaged side
-    builds its layout and reads every order, then the joint side does, so
-    one layout is held at a time, and each functional is computed once,
-    whether or not the orders list 1 or inf."""
-    alphas = [as_alpha(a) for a in alphas]
-    lnq, one, inf = math.log(joint.base_q), Alpha.one(), Alpha.infinity()
-    conditional = _averaged(joint._groups, dict.fromkeys(alphas + [inf]), lnq)
-    joint_d, tv = _joint(joint._groups, dict.fromkeys(alphas + [one]), lnq)
-    rows = tuple(DivergenceRow(a, joint_d[a], conditional[a]) for a in alphas)
-    return DivergenceTable(rows, tv, joint_d[one], conditional[inf])
+def empirical_divergences(joint, keys) -> dict:
+    """The divergence table of an ``ExtractedJoint`` as a map from the keys a
+    run reads, ("joint", alpha), ("conditional", alpha) with alpha an
+    ``Alpha``, or ("tv",), to their values, in the keys' order, from its
+    ranked columns.  Only the keys given are computed: the seed-averaged side
+    builds its layout and evaluates its keys, then the joint side does, so
+    one layout is held at a time, and a side no key names builds none."""
+    keys, lnq = dict.fromkeys(keys), math.log(joint.base_q)
+    values = {**_averaged(joint._groups, keys, lnq), **_joint(joint._groups, keys, lnq)}
+    return {key: values[key] for key in keys}

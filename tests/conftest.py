@@ -460,17 +460,27 @@ def walk_joint(joint, a):
     return walk_divergence([cells], cell_refs, a, math.log(joint.base_q), counts)[0]
 
 
-def walk_table(joint, alphas):
-    """The divergence table from the walks, in the order the walk formed it:
-    the conditional orders and D_inf, then the joint orders, TV and KL."""
+def table_keys(alphas):
+    """Every key the divergence table was once computed for at these orders,
+    each once: the joint and conditional D_alpha per order, TV, the joint KL
+    and the conditional D_inf."""
     alphas = [measures.as_alpha(a) for a in alphas]
-    inf, one = measures.Alpha.infinity(), measures.Alpha.one()
-    *averaged, conditional_inf = [walk_conditional(joint, a) for a in alphas + [inf]]
-    rows = tuple(
-        measures.DivergenceRow(a, walk_joint(joint, a), c) for a, c in zip(alphas, averaged)
-    )
-    tv = walk_joint(joint, None)
-    return measures.DivergenceTable(rows, tv, walk_joint(joint, one), conditional_inf)
+    per_alpha = [(side, a) for a in alphas for side in ("joint", "conditional")]
+    ends = [("joint", measures.Alpha.one()), ("conditional", measures.Alpha.infinity())]
+    return list(dict.fromkeys(per_alpha + [("tv",)] + ends))
+
+
+def walk_table(joint, keys):
+    """The divergence map from the walks, in the order the table evaluates
+    it: the conditional keys, then the joint keys and TV."""
+    keys = list(dict.fromkeys(keys))
+    walked = {}
+    for key in sorted(keys, key=lambda key: key[0] != "conditional"):
+        if key[0] == "conditional":
+            walked[key] = walk_conditional(joint, key[1])
+        else:
+            walked[key] = walk_joint(joint, key[1] if key[0] == "joint" else None)
+    return {key: walked[key] for key in keys}
 
 
 def ungrouped_table(joint, alphas):

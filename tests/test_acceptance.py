@@ -26,7 +26,7 @@ from renyi_extract.measures import (
     tilde_conditional_entropy,
 )
 
-from conftest import integer_order_bound, make_source
+from conftest import integer_order_bound, make_source, table_keys
 
 SLACK = 1e-9
 IDENTITY_TOL = 1e-12
@@ -72,11 +72,12 @@ def test_01_joint_divergence_dominated_by_closed_form_bound():
     ok = True
     for _, result in grid_results():
         family = result.family
-        table = empirical_divergences(result.joint, grid_alphas(family.k))
-        for row in table.rows:
-            h = result.source.bound_entropy(row.alpha)
-            bound = bd.bound_real_alpha(2, family.m, family.k, row.alpha.value, h)
-            ok = ok and row.joint <= bound + SLACK
+        grid = grid_alphas(family.k)
+        table = empirical_divergences(result.joint, table_keys(grid))
+        for alpha in grid:
+            h = result.source.bound_entropy(alpha)
+            bound = bd.bound_real_alpha(2, family.m, family.k, alpha.value, h)
+            ok = ok and table["joint", alpha] <= bound + SLACK
     report(1, "joint divergence within real-order bound on full grid", ok)
 
 
@@ -85,10 +86,11 @@ def test_02_output_length_thresholds_deliver_epsilon_closeness():
     for _, result in grid_results():
         family = result.family
         m = family.m
-        table = empirical_divergences(result.joint, grid_alphas(family.k))
-        for row in table.rows:
-            a = row.alpha.value
-            h = result.source.bound_entropy(row.alpha)
+        grid = grid_alphas(family.k)
+        table = empirical_divergences(result.joint, table_keys(grid))
+        for alpha in grid:
+            a = alpha.value
+            h = result.source.bound_entropy(alpha)
             for eps in EPSILONS:
                 thresholds = []
                 if a >= 2 and a == int(a):
@@ -99,8 +101,8 @@ def test_02_output_length_thresholds_deliver_epsilon_closeness():
                     thresholds.append(bd.m_threshold("corollary", 2, h, eps, alpha=a))
                 for thr in thresholds:
                     if m <= thr:
-                        ok = ok and row.joint <= eps + SLACK
-                        ok = ok and table.kl_to_uniform <= eps + SLACK
+                        ok = ok and table["joint", alpha] <= eps + SLACK
+                        ok = ok and table["joint", Alpha.one()] <= eps + SLACK
     report(2, "below-threshold output lengths give divergence <= epsilon", ok)
 
 
@@ -131,21 +133,22 @@ def test_04_bounds_hold_under_binary_side_information():
     for _, result in grid_results(side_channel=SIDE_ROWS):
         family = result.family
         m = family.m
-        table = empirical_divergences(result.joint, grid_alphas(family.k))
-        for row in table.rows:
-            a = row.alpha.value
-            h = result.source.conditional_entropy(row.alpha)
+        grid = grid_alphas(family.k)
+        table = empirical_divergences(result.joint, table_keys(grid))
+        for alpha in grid:
+            a = alpha.value
+            h = result.source.conditional_entropy(alpha)
             bound = bd.bound_real_alpha(2, m, family.k, a, h)
-            ok = ok and row.joint <= bound + SLACK
+            ok = ok and table["joint", alpha] <= bound + SLACK
             for eps in EPSILONS:
                 if a >= 2 and a == int(a):
                     thr = bd.m_threshold("integer-alpha", 2, h, eps, alpha=a)
                     if m <= thr:
-                        ok = ok and row.joint <= eps + SLACK
+                        ok = ok and table["joint", alpha] <= eps + SLACK
                 if a <= 2:
                     thr = bd.m_threshold("corollary", 2, h, eps, alpha=a)
                     if m <= thr:
-                        ok = ok and row.joint <= eps + SLACK
+                        ok = ok and table["joint", alpha] <= eps + SLACK
     report(4, "side-information variants with conditional source entropy", ok)
 
 

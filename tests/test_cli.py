@@ -940,6 +940,55 @@ class TestSweepCommand:
         assert missing in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_m_is_refused_before_any_extraction(self, tmp_path, capsys, monkeypatch):
+        # Every m's family and rows are built before the first extraction, so
+        # an m the polynomial kind refuses, late in the list, is refused at
+        # once rather than after extracting the m before it.
+        calls, extract = [], harness.extract_joint
+
+        def recording(family, *args, **kwargs):
+            calls.append(family.m)
+            return extract(family, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "extract_joint", recording)
+        cfg = write_config(tmp_path, sweep={"m_values": [1, 99]})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "polynomial kind requires m <= n" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+    def test_sweep_computes_only_what_its_csv_prints(self, monkeypatch):
+        # The CSV prints the joint and conditional D_alpha of each grid order:
+        # no KL, no D_inf and no TV is evaluated, on either side.
+        orders, tv_calls = [], []
+        kernel, tv = measures._kernel, measures._tv
+
+        def recording_kernel(layout, a, lnq):
+            orders.append(a)
+            return kernel(layout, a, lnq)
+
+        def recording_tv(*args):
+            tv_calls.append(args)
+            return tv(*args)
+
+        monkeypatch.setattr(measures, "_kernel", recording_kernel)
+        monkeypatch.setattr(measures, "_tv", recording_tv)
+        config = parse_config(
+            {
+                "family": {"q": 2, "n": 3, "k": 3, "m": 1},
+                "source": {"preset": "geometric", "param": 0.8},
+                "side_channel": [[0.25, 0.75], [0.5, 0.5]] * 4,
+                "alphas": [1, 1.5, 2, "inf"],
+                "sweep": {"m_values": [1, 2]},
+            }
+        )
+        csv_text, _ = run_sweep(config)
+        assert len(csv_text.splitlines()) == 1 + 2 * 2
+        # Per m, each grid order once per side; the source's conditional
+        # entropies read the kernel at the grid's orders too.
+        assert set(orders) == {Alpha(1.5), Alpha(2.0)}
+        assert tv_calls == []
+
 
 class TestIntegerInputs:
     """Sources and bucket subsets are canonical input integers."""

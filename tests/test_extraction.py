@@ -26,7 +26,7 @@ from renyi_extract.harness import run_sweep, run_verify
 
 from conftest import (
     bits, column_loop_largest_buckets, dense_joint, expanded_groups, lexsorted_groups,
-    make_source, outcome, poly_family, uniform_source, variant_totals, vxc_groups,
+    make_source, outcome, poly_family, table_keys, uniform_source, variant_totals, vxc_groups,
     whole_check,
 )
 
@@ -533,7 +533,7 @@ class TestNoDenseJoint:
     @pytest.mark.parametrize("side", [None, SIDE_ROWS_8[:, ::-1]])
     def test_divergence_readers_read_only_the_groups(self, gf8, side):
         result = extract_joint(poly_family(gf8, 3, 2), uniform_source(gf8, side))
-        empirical_divergences(result.joint, [Alpha(2.0), Alpha.infinity()])
+        empirical_divergences(result.joint, table_keys([Alpha(2.0), Alpha.infinity()]))
         for a in (Alpha.one(), Alpha(1.5), Alpha.infinity()):
             measures.conditional_divergence(result.joint, a)
             measures.joint_divergence_from_uniform(result.joint, a)
@@ -628,14 +628,13 @@ class TestEmpiricalDivergences:
         # seed-averaged TV is E|Bin(4, 1/2) - 2| / 4 = 0.1875 exactly.
         fam = HashFamily("full_table", gf4, 2, 1)
         result = extract_joint(fam, uniform_source(gf4))
-        table = empirical_divergences(
-            result.joint, [Alpha(1.5), Alpha(2.0), Alpha.infinity()]
-        )
-        assert table.tv_to_uniform == pytest.approx(0.1875, abs=1e-12)
-        assert table.kl_to_uniform > 0.0
-        for row in table.rows:
-            assert row.conditional > 0.0
-            assert row.joint >= row.conditional - 1e-12
+        alphas = [Alpha(1.5), Alpha(2.0), Alpha.infinity()]
+        table = empirical_divergences(result.joint, table_keys(alphas))
+        assert table[("tv",)] == pytest.approx(0.1875, abs=1e-12)
+        assert table["joint", Alpha.one()] > 0.0
+        for a in alphas:
+            assert table["conditional", a] > 0.0
+            assert table["joint", a] >= table["conditional", a] - 1e-12
 
     def test_nondecreasing_in_alpha(self, gf8):
         fam = poly_family(gf8, 2, 2)
@@ -643,9 +642,9 @@ class TestEmpiricalDivergences:
             fam, make_source(gf8, [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05])
         )
         grid = [Alpha(1.25), Alpha(1.5), Alpha(2.0), Alpha(3.0), Alpha.infinity()]
-        table = empirical_divergences(result.joint, grid)
-        joints = [r.joint for r in table.rows]
-        conds = [r.conditional for r in table.rows]
+        table = empirical_divergences(result.joint, table_keys(grid))
+        joints = [table["joint", a] for a in grid]
+        conds = [table["conditional", a] for a in grid]
         for lo, hi in zip(joints, joints[1:]):
             assert hi >= lo - 1e-9
         for lo, hi in zip(conds, conds[1:]):
@@ -664,8 +663,8 @@ class TestEmpiricalDivergences:
             for s in range(seeds)
         )
         expected = math.log2(total) / (a - 1)
-        table = empirical_divergences(result.joint, [Alpha(a)])
-        assert table.rows[0].joint == pytest.approx(expected, abs=1e-12)
+        table = empirical_divergences(result.joint, [("joint", Alpha(a))])
+        assert table["joint", Alpha(a)] == pytest.approx(expected, abs=1e-12)
 
 
 def oracle_full_table_max_load(n_items, n_buckets):

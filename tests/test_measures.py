@@ -18,6 +18,7 @@ from conftest import (
     outcome,
     output_joint,
     poly_family,
+    table_keys,
     ungrouped_table,
     walk_conditional,
     walk_conditional_entropies,
@@ -587,11 +588,11 @@ def _instance(kind, q, n, k, m, source, side):
 
 def assert_matches_ungrouped(table, joint, alphas):
     rows, tv, kl, conditional_inf = ungrouped_table(joint, alphas)
-    assert [(r.joint, r.conditional) for r in table.rows] == rows
-    assert [r.alpha for r in table.rows] == alphas
-    assert table.tv_to_uniform == tv
-    assert table.kl_to_uniform == kl
-    assert table.conditional_inf == conditional_inf
+    assert [(table["joint", a], table["conditional", a]) for a in alphas] == rows
+    assert list(table) == table_keys(alphas)
+    assert table[("tv",)] == tv
+    assert table["joint", Alpha.one()] == kl
+    assert table["conditional", Alpha.infinity()] == conditional_inf
 
 
 def _group_count(joint):
@@ -696,7 +697,7 @@ def repeated_joints(draw, subnormal_cells=False):
 @settings(max_examples=150, deadline=None)
 def test_grouped_table_matches_ungrouped_walk_on_repeated_columns(joint):
     alphas = [Alpha.one(), Alpha(1.5), Alpha(2.0), Alpha(3.0), Alpha(7.5), Alpha.infinity()]
-    table = empirical_divergences(joint, alphas)
+    table = empirical_divergences(joint, table_keys(alphas))
     assert_matches_ungrouped(table, joint, alphas)
 
 
@@ -829,7 +830,8 @@ class TestGroupedConstruction:
         assert _group_count(joint) == 2
         assert _stored_groups(joint) == _group_counter(joint)
         assert sorted(expanded_groups(joint._groups)[2].tolist()) == [1, 1]
-        assert_matches_ungrouped(empirical_divergences(joint, ALPHA_GRID), joint, ALPHA_GRID)
+        table = empirical_divergences(joint, table_keys(ALPHA_GRID))
+        assert_matches_ungrouped(table, joint, ALPHA_GRID)
 
     def test_each_output_joint_is_grouped_once(self, monkeypatch):
         # Extraction groups its coset representatives' columns, each standing
@@ -846,7 +848,7 @@ class TestGroupedConstruction:
             calls.clear()
             joint = _instance(*instance).joint
             assert len(calls) == 1 and calls[0] is joint._rep_columns
-            empirical_divergences(joint, ALPHA_GRID)
+            empirical_divergences(joint, table_keys(ALPHA_GRID))
             for a in ALPHA_GRID:
                 conditional_divergence(joint, a)
                 joint_divergence_from_uniform(joint, a)
@@ -867,7 +869,7 @@ class TestGroupedConstruction:
         for instance in MERGING_INSTANCES:
             ranked.clear()
             joint = _instance(*instance).joint
-            empirical_divergences(joint, ALPHA_GRID)
+            empirical_divergences(joint, table_keys(ALPHA_GRID))
             columns = joint._rep_columns
             assert ranked == [(columns[0].size, len(columns))]
 
@@ -899,7 +901,7 @@ class TestGroupedConstruction:
         for instance in instances:
             sizes.clear()
             joint = _instance(*instance).joint
-            empirical_divergences(joint, ALPHA_GRID)
+            empirical_divergences(joint, table_keys(ALPHA_GRID))
             assert sizes and max(sizes) < joint.probs.size
 
 
@@ -963,20 +965,21 @@ class TestConditionalBitwiseOracle:
     def test_all_orders_from_one_read(self):
         for j in self.JOINTS:
             expected = [_old_conditional_divergence(j, a) for a in ALPHA_GRID]
-            table = empirical_divergences(j, ALPHA_GRID)
-            assert [row.conditional for row in table.rows] == expected
-            assert table.conditional_inf == expected[-1]
+            table = empirical_divergences(j, table_keys(ALPHA_GRID))
+            assert [table["conditional", a] for a in ALPHA_GRID] == expected
+            assert table["conditional", Alpha.infinity()] == expected[-1]
 
     def test_divergence_table_conditional_inf(self, gf4):
         for sc in (None, EXTRACTED_SIDE):
             result = _extracted(gf4, sc)
-            table = empirical_divergences(result.joint, ALPHA_GRID)
+            table = empirical_divergences(result.joint, table_keys(ALPHA_GRID))
             inf = Alpha.infinity()
             expected = _old_conditional_divergence(result.joint, inf)
-            assert table.conditional_inf == conditional_divergence(result.joint, inf)
-            assert table.conditional_inf == expected
-            for row, a in zip(table.rows, ALPHA_GRID):
-                assert row.conditional == _old_conditional_divergence(result.joint, a)
+            assert table["conditional", inf] == conditional_divergence(result.joint, inf)
+            assert table["conditional", inf] == expected
+            for a in ALPHA_GRID:
+                want = _old_conditional_divergence(result.joint, a)
+                assert table["conditional", a] == want
 
     def test_one_normalisation_per_distinct_column(self, monkeypatch):
         normalised, layouts = [], []
@@ -996,7 +999,7 @@ class TestConditionalBitwiseOracle:
             joint = _instance(*instance).joint
             normalised.clear()
             layouts.clear()
-            empirical_divergences(joint, ALPHA_GRID + [Alpha(2.0)])
+            empirical_divergences(joint, table_keys(ALPHA_GRID + [Alpha(2.0)]))
             # One normalisation and sum check, over one row per distinct
             # sorted column (groups that differ only in their reference share
             # it), and one layout each for the conditional and the joint
@@ -1025,7 +1028,7 @@ class TestConditionalBitwiseOracle:
             joint = _instance(*instance).joint
             sums.clear()
             layouts.clear()
-            empirical_divergences(joint, ALPHA_GRID)
+            empirical_divergences(joint, table_keys(ALPHA_GRID))
             arr, n_out = joint.probs, joint.probs.shape[0]
             _, _, _, pairs = _distinct_value_counts(joint)
             assert pairs < _group_count(joint) * n_out
@@ -1034,7 +1037,7 @@ class TestConditionalBitwiseOracle:
             summed = layouts[1][6]
             assert len(summed) == pairs and summed.sum() == np.count_nonzero(arr > 0)
             # The conditional D_alpha at all five orders, D_inf among them
-            # and computed once for its row and conditional_inf, sum one term
+            # and computed once for its row and ("conditional", inf), sum one term
             # per distinct sorted column, counted once per column; TV one per
             # positive pair and one per group, for the zero cells, counted
             # once per cell; the joint KL and each finite joint order (D_inf
@@ -1065,7 +1068,7 @@ class TestConditionalBitwiseOracle:
             joint = _instance(*instance).joint
             powers.clear()
             logs.clear()
-            empirical_divergences(joint, ALPHA_GRID)
+            empirical_divergences(joint, table_keys(ALPHA_GRID))
             values, cells, refs, pairs = _distinct_value_counts(joint)
             # Each finite order raises each distinct normalised conditional
             # value and each distinct positive cell to alpha once, and the
@@ -1076,9 +1079,9 @@ class TestConditionalBitwiseOracle:
                 **{1.0 - b: 1 + refs for b in orders},
             }
             # KL takes one log per distinct conditional value and one per
-            # distinct pair, once for its row and kl_to_uniform; every finite
+            # distinct pair, once for its row and ("joint", 1); every finite
             # order and the conditional D_inf, once for its row and
-            # conditional_inf, one per distinct column, and the joint ones
+            # ("conditional", inf), one per distinct column, and the joint ones
             # one each; the base one.
             columns = _sorted_column_count(joint)
             assert len(logs) == values + pairs + 4 * columns + 4 + 1
@@ -1092,19 +1095,19 @@ class TestConditionalBitwiseOracle:
             flat, ref = _old_flattened(j)
             for a in ALPHA_GRID + [Alpha(7.5)]:
                 assert joint_divergence_from_uniform(j, a) == renyi_divergence(flat, ref, a)
-            assert empirical_divergences(j, []).tv_to_uniform == tv_distance(flat, ref)
+            assert empirical_divergences(j, [("tv",)])[("tv",)] == tv_distance(flat, ref)
 
     def test_divergence_table_builds_no_pmf(self, gf4, monkeypatch):
         for sc in (None, EXTRACTED_SIDE):
             result = _extracted(gf4, sc)
             monkeypatch.setattr(measures, "_freeze_probs", None)  # any build fails
-            table = empirical_divergences(result.joint, ALPHA_GRID)
+            table = empirical_divergences(result.joint, table_keys(ALPHA_GRID))
             monkeypatch.undo()
             flat, ref = _old_flattened(result.joint)
-            assert table.tv_to_uniform == tv_distance(flat, ref)
-            assert table.kl_to_uniform == renyi_divergence(flat, ref, Alpha.one())
-            for row, a in zip(table.rows, ALPHA_GRID):
-                assert row.joint == renyi_divergence(flat, ref, a)
+            assert table[("tv",)] == tv_distance(flat, ref)
+            assert table["joint", Alpha.one()] == renyi_divergence(flat, ref, Alpha.one())
+            for a in ALPHA_GRID:
+                assert table["joint", a] == renyi_divergence(flat, ref, a)
 
     @pytest.mark.parametrize("kind,q,n,k,m", TABLE_FAMILIES)
     @pytest.mark.parametrize("source", ["dirichlet", "point-mass", "sparse"])
@@ -1112,7 +1115,7 @@ class TestConditionalBitwiseOracle:
     def test_grouped_table_matches_ungrouped_walk(self, kind, q, n, k, m, source, side):
         result = _instance(kind, q, n, k, m, source, side)
         alphas = ALPHA_GRID + [Alpha(7.5)]
-        table = empirical_divergences(result.joint, alphas)
+        table = empirical_divergences(result.joint, table_keys(alphas))
         assert_matches_ungrouped(table, result.joint, alphas)
 
     def test_unpermuted_columns_match_the_oracle(self):
@@ -1124,7 +1127,7 @@ class TestConditionalBitwiseOracle:
         arr[:, 1] = arr[:, 1].sum() / 2
         assert sorted(arr[:, 1]) != sorted(arr[:, 0])
         tampered = output_joint(arr, 2)
-        table = empirical_divergences(tampered, ALPHA_GRID)
+        table = empirical_divergences(tampered, table_keys(ALPHA_GRID))
         assert_matches_ungrouped(table, tampered, ALPHA_GRID)
 
     def test_column_reader_checks_normalisation(self):
@@ -1299,8 +1302,9 @@ class TestKernelMatchesWalk:
     @settings(max_examples=200, deadline=None)
     def test_output_joint_readers(self, joint):
         for alphas in (ORACLE_ALPHAS + TOO_LARGE, ORACLE_ALPHAS):
-            formed = outcome(walk_table, joint, alphas)
-            assert outcome(empirical_divergences, joint, alphas) == formed
+            keys = table_keys(alphas)
+            formed = outcome(walk_table, joint, keys)
+            assert outcome(empirical_divergences, joint, keys) == formed
         for a in ORACLE_ALPHAS + TOO_LARGE:
             assert outcome(conditional_divergence, joint, a) == outcome(walk_conditional, joint, a)
             want = outcome(walk_joint, joint, a)
@@ -1308,7 +1312,7 @@ class TestKernelMatchesWalk:
         # A subnormal reference's r^(1 - alpha) overflows, and the walk refuses
         # the order; a table that is formed matches the ungrouped walk too.
         if isinstance(formed, str):
-            table = empirical_divergences(joint, ORACLE_ALPHAS)
+            table = empirical_divergences(joint, table_keys(ORACLE_ALPHAS))
             assert_matches_ungrouped(table, joint, ORACLE_ALPHAS)
 
     @pytest.mark.parametrize("name", ["certify-k3", "sweep-side"])
@@ -1322,8 +1326,9 @@ class TestKernelMatchesWalk:
             for m in config.sweep.m_values if config.sweep else (base.m,):
                 family = HashFamily(base.kind, base.field, base.k, m)
                 joint = extract_joint(family, source).joint
-                want = repr(walk_table(joint, config.alphas))
-                assert repr(empirical_divergences(joint, config.alphas)) == want
+                keys = table_keys(config.alphas)
+                want = repr(walk_table(joint, keys))
+                assert repr(empirical_divergences(joint, keys)) == want
 
     def test_large_rung(self):
         # GF(2^6), k=3, m=3 from a Dirichlet(0.3) source: 2^18 seeds.
@@ -1331,5 +1336,65 @@ class TestKernelMatchesWalk:
         probs = np.random.default_rng(0).dirichlet(np.full(field.size, 0.3))
         family = HashFamily("polynomial", field, 3, 3)
         joint = extract_joint(family, make_source(field, probs), budget=30_000_000).joint
-        alphas = [Alpha(1.5), Alpha(2.0), Alpha(3.0), Alpha.infinity()]
-        assert repr(empirical_divergences(joint, alphas)) == repr(walk_table(joint, alphas))
+        keys = table_keys([Alpha(1.5), Alpha(2.0), Alpha(3.0), Alpha.infinity()])
+        assert repr(empirical_divergences(joint, keys)) == repr(walk_table(joint, keys))
+
+
+class TestKeyedTable:
+    """The table computes the keys it is given and nothing else."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("_conditionals", "_layout", "_kernel", "_tv"):
+            original = getattr(measures, name)
+
+            def counting(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(measures, name, counting)
+        return calls
+
+    def test_joint_keys_normalise_no_column(self, calls):
+        for instance in MERGING_INSTANCES:
+            joint = _instance(*instance).joint
+            calls.clear()
+            keys = [("joint", a) for a in ALPHA_GRID]
+            table = empirical_divergences(joint, keys)
+            assert calls == {"_layout": 1, "_kernel": len(ALPHA_GRID)}
+            assert table == {key: walk_joint(joint, key[1]) for key in keys}
+
+    def test_conditional_keys_build_no_joint_layout(self, calls):
+        for instance in MERGING_INSTANCES:
+            joint = _instance(*instance).joint
+            calls.clear()
+            keys = [("conditional", a) for a in ALPHA_GRID]
+            table = empirical_divergences(joint, keys)
+            assert calls == {"_conditionals": 1, "_layout": 1, "_kernel": len(ALPHA_GRID)}
+            assert table == {key: walk_conditional(joint, key[1]) for key in keys}
+
+    def test_tv_alone_evaluates_no_order(self, calls):
+        for instance in MERGING_INSTANCES:
+            joint = _instance(*instance).joint
+            calls.clear()
+            table = empirical_divergences(joint, [("tv",)])
+            assert calls == {"_layout": 1, "_tv": 1}
+            assert table == {("tv",): walk_joint(joint, None)}
+
+    def test_no_key_builds_nothing(self, calls):
+        joint = _instance(*MERGING_INSTANCES[0]).joint
+        assert empirical_divergences(joint, []) == {}
+        assert calls == {}
+
+    @given(repeated_joints(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_keys_in_any_order(self, joint, data):
+        # A repeated key is computed once; the map follows the keys' order,
+        # and each value has the bits of the walk, or the same refusal.
+        every = table_keys(ORACLE_ALPHAS + TOO_LARGE)
+        keys = data.draw(st.lists(st.sampled_from(every), max_size=len(every) + 2))
+        want = outcome(walk_table, joint, keys)
+        assert outcome(empirical_divergences, joint, keys) == want
+        if isinstance(want, str):
+            assert list(empirical_divergences(joint, keys)) == list(dict.fromkeys(keys))

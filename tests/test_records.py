@@ -29,7 +29,7 @@ from renyi_extract.families import (
     DEFAULT_BUDGET, HashFamily, UniversalityVerdict, certify_k_star, verify_universality,
 )
 from renyi_extract.fields import FieldParams
-from renyi_extract.measures import Alpha, DivergenceRow, DivergenceTable, JointPmf, Pmf
+from renyi_extract.measures import Alpha, JointPmf, Pmf
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -141,8 +141,6 @@ RECORDS = [
     BucketSpec(),
     SweepSpec((1, 2)),
     parse_config(CONFIG),
-    DivergenceRow(Alpha(2.0), 0.1, 0.2),
-    DivergenceTable((), 0.0, 0.0, 0.0),
     UniversalityVerdict(2, 1, 1, True),
     ExtractionResult(None, None, None),
     BucketEstimate(1.5, None),
