@@ -1,8 +1,10 @@
-"""``Record``, the frozen base of the package's validating records.
+"""``Record``, the frozen base of every record in the package.
 
-It does what ``@dataclass(frozen=True)`` did for them without generating and
-compiling methods at import.  A subclass's fields are its annotations, in
-order, and a class attribute of the same name is that field's default.
+Config, result and validating records alike derive from it.  It does what
+``@dataclass(frozen=True)`` and ``typing.NamedTuple`` did for them without
+generating and compiling methods at import.  A subclass's fields are its
+annotations, in order, and a class attribute of the same name is that
+field's default.
 ``__init__`` binds the arguments to the fields, then calls
 ``self.__post_init__()``, looked up on the instance so that a patched
 ``__post_init__`` runs.  Assigning or deleting any attribute raises
@@ -10,7 +12,9 @@ order, and a class attribute of the same name is that field's default.
 ``object.__setattr__``, and ``functools.cached_property`` writes the instance
 ``__dict__`` directly.  Instances compare and hash by their field values,
 or by identity for a subclass declared with ``eq=False`` (one with an array
-field, whose ``==`` is elementwise).
+field, whose ``==`` is elementwise).  ``_replace(**changes)`` is a copy with
+some fields changed, built through ``__init__``.  Records are read by field
+name; they are not tuples.
 """
 
 
@@ -45,6 +49,9 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
 
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from .errors import BudgetExceededError, ConfigError
 from .extraction import Source
 from .families import DEFAULT_BUDGET, KINDS, HashFamily
@@ -62,7 +62,7 @@ def _unrepeated(values, what: str, name: str):
             raise ConfigError(f"{what} must be distinct; {name} {v:g} repeats")
 
 
-class FamilySpec(NamedTuple):
+class FamilySpec(Record):
     q: int
     n: int
     k: int
@@ -77,17 +77,17 @@ class FamilySpec(NamedTuple):
             raise ConfigError(str(e)) from e
 
 
-class BucketSpec(NamedTuple):
+class BucketSpec(Record):
     subset: list[int] | str = "full"
     mode: str = "exact"
     samples: int = 1000
 
 
-class SweepSpec(NamedTuple):
+class SweepSpec(Record):
     m_values: tuple[int, ...]
 
 
-class ExperimentConfig(NamedTuple):
+class ExperimentConfig(Record):
     family: FamilySpec
     source: dict
     alphas: tuple[Alpha, ...]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,9 +136,9 @@ class ExtractedJoint(Record, eq=False):
 
     @cached_property
     def probs(self) -> np.ndarray:
-        (_, translates, reduced, moves), q = self._cosets, self.base_q
-        columns = self._rep_columns
-        seeds, m = translates * columns.shape[1], len(moves)
+        cosets, q, columns = self._cosets, self.base_q, self._rep_columns
+        reduced, moves = cosets.reduced, cosets.moves
+        seeds, m = cosets.translates * columns.shape[1], len(moves)
         digits = _all_digit_rows(m, q)
         acc = np.empty((len(digits), seeds) + columns.shape[2:])
         for start in range(0, seeds, BLOCK):  # BLOCK seeds' digit rows at a time
@@ -153,7 +153,7 @@ class ExtractedJoint(Record, eq=False):
         return acc
 
 
-class ExtractionResult(NamedTuple):
+class ExtractionResult(Record):
     """The exact joint over (u, s[, z]) together with its provenance."""
 
     joint: ExtractedJoint
@@ -210,8 +210,8 @@ def _blocks(family: HashFamily, cosets: Cosets, inputs: Inputs):
     digits: index i sets pivot digit j to digit j of i.  A block holds at most
     BLOCK table cells and BLOCK pivot digits."""
     n_reps = family.field.q ** len(cosets.pivots)
-    rows = max(1, BLOCK // max(len(inputs[1]), len(cosets.pivots)))
-    reps = Inputs((family, inputs[1], inputs[2][cosets.pivots], []))
+    rows = max(1, BLOCK // max(len(inputs.xs), len(cosets.pivots)))
+    reps = Inputs(family, inputs.xs, inputs.basis[cosets.pivots], [])
     for start in range(0, n_reps, rows):
         yield start, hash_table(family, np.arange(start, min(start + rows, n_reps)), reps)
 
@@ -284,7 +284,7 @@ def _charge(family: HashFamily, n_inputs: int, width: int, budget: int):
     return check
 
 
-class BucketEstimate(NamedTuple):
+class BucketEstimate(Record):
     mean: float
     stderr: float | None
 

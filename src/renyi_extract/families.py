@@ -33,7 +33,7 @@ single-value API and the tests' oracle; no run path calls it.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -167,26 +167,29 @@ def _basis(family: HashFamily, xs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows)
 
 
-class Inputs(tuple):
-    """(family, xs, basis, built) from ``_prepared``: checked canonical input
-    integers, the basis rows of the family's seed digits over them, and a
-    list that holds their window tables once a ``hash_table`` call has built
-    them (``_tables.windows``), so that a run hashing many blocks of seeds on
-    the same inputs builds each once.  A plain tuple subclass, since a
-    NamedTuple class costs about 0.2 ms to create at import."""
+# eq=False: equality and hashing by value fail on an ndarray field.
+class Inputs(Record, eq=False):
+    """Checked canonical input integers ``xs`` from ``_prepared``, the
+    ``basis`` rows of the family's seed digits over them, and a list,
+    ``built``, that holds their window tables once a ``hash_table`` call has
+    built them (``_tables.windows``), so that a run hashing many blocks of
+    seeds on the same inputs builds each once."""
 
-    __slots__ = ()
+    family: HashFamily
+    xs: np.ndarray
+    basis: np.ndarray
+    built: list
 
 
 def _prepared(family: HashFamily, inputs) -> Inputs:
     """``inputs`` checked, with ``_basis`` over them; an ``Inputs`` made for
     this family as it is."""
     if isinstance(inputs, Inputs):
-        if inputs[0] != family:
+        if inputs.family != family:
             raise ValueError("inputs were prepared for another family")
         return inputs
     xs = _input_array(family.field, inputs)
-    return Inputs((family, xs, _basis(family, xs), []))
+    return Inputs(family, xs, _basis(family, xs), [])
 
 
 def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
@@ -212,7 +215,8 @@ def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
     call for a large q, whose tables would not fit.
     """
     q = family.field.q
-    _, xs, basis, built = _prepared(family, inputs)
+    inputs = _prepared(family, inputs)
+    xs, basis, built = inputs.xs, inputs.basis, inputs.built
     n_digits = len(basis)
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.ndim == 2:
@@ -253,7 +257,8 @@ def _all_digit_rows(n: int, q: int) -> np.ndarray:
     return np.arange(q**n)[:, None] // q ** np.arange(n) % q
 
 
-class Cosets(NamedTuple):
+# eq=False: equality and hashing by value fail on an ndarray field.
+class Cosets(Record, eq=False):
     """The cosets of the translate group T on some inputs (``_translates``).
 
     Representative i sets seed digit pivots[j] to digit j of i, least
@@ -299,9 +304,9 @@ def _translates(
     must be non-empty, and may be an ``Inputs`` (``_prepared``).
     """
     q, n_digits = family.field.q, family.seed_digits
-    _, xs, basis, _ = _prepared(family, inputs)  # basis (D, inputs, m)
+    basis = _prepared(family, inputs).basis  # (D, inputs, m)
     a = (basis - basis[:, :1]).transpose(1, 2, 0) % q  # a row per (x, j)
-    pivots, reduced = _row_reduce(a.reshape(xs.size * family.m, n_digits), q)
+    pivots, reduced = _row_reduce(a.reshape(basis.shape[1] * family.m, n_digits), q)
     if check is not None:
         check(len(pivots))
     pivots, b0 = np.array(pivots, dtype=np.int64), basis[:, 0]
@@ -371,7 +376,7 @@ def verify_universality(family: HashFamily, l: int, budget: int = DEFAULT_BUDGET
     return least_rank(np.ascontiguousarray(basis), q, l, fixed)
 
 
-class UniversalityVerdict(NamedTuple):
+class UniversalityVerdict(Record):
     """Order l's certificate: the least rank over l-subsets, against the
     required m(l-1); the collision probability is q^-rank."""
 

@@ -286,5 +286,5 @@ def run_sweep(config: ExperimentConfig) -> tuple[str, bool]:
             conditional = values["conditional", a]
             all_ok = all_ok and ok
             cells = (row["entropy"], joint, conditional, bound, bound - joint, ok)
-            lines.append(",".join(map(_fmt, (a.value, family.m) + cells)))
+            lines.append(",".join(map(_fmt, (_alpha_key(a), family.m) + cells)))
     return "\n".join(lines) + "\n", all_ok

@@ -369,13 +369,32 @@ def joint_divergence_from_uniform(joint, a) -> float:
     return _joint(joint._groups, [key], math.log(joint.base_q))[key]
 
 
+def _checked(key):
+    """A divergence-table key with its order as an ``Alpha``: ("tv",), or a
+    ("joint" | "conditional", order) pair whose order ``as_alpha`` takes.
+    Anything else is a ValueError that names the key."""
+    if key == ("tv",):
+        return key
+    try:
+        side, a = key
+        if side in ("joint", "conditional"):
+            return side, as_alpha(a)
+        problem = 'it is neither ("tv",) nor ("joint" | "conditional", order)'
+    except (TypeError, ValueError, OverflowError) as e:
+        problem = str(e)
+    raise ValueError(f"bad divergence key {key!r}: {problem}")
+
+
 def empirical_divergences(joint, keys) -> dict:
     """The divergence table of an ``ExtractedJoint`` as a map from the keys a
     run reads, ("joint", alpha), ("conditional", alpha) with alpha an
-    ``Alpha``, or ("tv",), to their values, in the keys' order, from its
-    ranked columns.  Only the keys given are computed: the seed-averaged side
-    builds its layout and evaluates its keys, then the joint side does, so
-    one layout is held at a time, and a side no key names builds none."""
-    keys, lnq = dict.fromkeys(keys), math.log(joint.base_q)
-    values = {**_averaged(joint._groups, keys, lnq), **_joint(joint._groups, keys, lnq)}
-    return {key: values[key] for key in keys}
+    ``Alpha`` or a number ``as_alpha`` takes, or ("tv",), to their values, in
+    the keys' order and keyed by the keys as given, from its ranked columns.
+    Every key is checked (``_checked``) before anything is computed.  Only
+    the keys given are computed: the seed-averaged side builds its layout and
+    evaluates its keys, then the joint side does, so one layout is held at a
+    time, and a side no key names builds none."""
+    given, lnq = {key: _checked(key) for key in keys}, math.log(joint.base_q)
+    wanted, groups = dict.fromkeys(given.values()), joint._groups
+    values = {**_averaged(groups, wanted, lnq), **_joint(groups, wanted, lnq)}
+    return {key: values[checked] for key, checked in given.items()}

@@ -156,9 +156,9 @@ def matmul_table(family, seeds, inputs):
 def built_windows(prepared):
     """An ``Inputs``' window tables, built now as its first ``hash_table``
     call for BLOCK / 2 cells or more would build them."""
-    family, _, basis, built = prepared
+    family, built = prepared.family, prepared.built
     if not built:
-        built.append(_tables.windows(family.field.q, family.m, basis))
+        built.append(_tables.windows(family.field.q, family.m, prepared.basis))
     return built[0]
 
 

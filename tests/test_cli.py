@@ -921,6 +921,19 @@ class TestSweepCommand:
             assert line == ",".join(map(harness._fmt, cells))
         assert ok == all(b["satisfied"] for b in rows)
 
+    def test_distinct_orders_get_distinct_labels(self, tmp_path):
+        # .12g prints 1.5 and 1.5000000000001 alike; a row is labelled with
+        # the alpha key verify's report uses.
+        cfg = write_config(
+            tmp_path, family={"q": 2, "n": 3, "k": 3, "m": 2},
+            source={"preset": "geometric", "param": 0.7},
+            alphas=[1.5, 1.5000000000001, 2], sweep={"m_values": [1]},
+        )
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        labels = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        assert labels == ["1.5", "1.5000000000001", "2"]
+
     @pytest.mark.parametrize(
         "overrides,missing",
         [

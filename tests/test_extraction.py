@@ -12,14 +12,13 @@ from renyi_extract import (
     Pmf,
     Source,
     empirical_divergences,
-    expected_max_bucket,
     extract_joint,
 )
 from renyi_extract import _tables, extraction, families, harness, measures
 from renyi_extract.bounds import SLACK
 from renyi_extract.config import parse_config
 from renyi_extract.errors import BudgetExceededError
-from renyi_extract.extraction import _nonnegative
+from renyi_extract.extraction import _nonnegative, expected_max_bucket
 from renyi_extract.families import evaluate, hash_table
 from renyi_extract.fields import FieldParams
 from renyi_extract.harness import run_sweep, run_verify
@@ -329,7 +328,7 @@ class TestSampledBlocks:
                 est = expected_max_bucket(
                     fam, subset, mode="sampled", n_samples=157, rng_seed=q * n + k
                 )
-                return bits(np.array(est))
+                return bits(np.array([est.mean, est.stderr]))
 
             monkeypatch.setattr(extraction, "BLOCK", 2**62)  # one block
             whole = run()
@@ -795,7 +794,8 @@ class TestExpectedMaxBucket:
         # basis and pivot search take numpy steps, not one per digit.  Two
         # distinct inputs collide with probability 1/2.
         fam = HashFamily("polynomial", FieldParams.create(2, 1), 100_000, 1)
-        assert expected_max_bucket(fam, [0, 1]) == (1.5, None)
+        est = expected_max_bucket(fam, [0, 1])
+        assert (est.mean, est.stderr) == (1.5, None)
 
     def test_translates_are_counted_not_charged(self):
         # Inputs {0, 1} of GF(2^8), k=3, m=4: 16 representatives of 2^20 seeds

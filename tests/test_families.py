@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from renyi_extract import HashFamily, certify_k_star, evaluate, verify_universality
+from renyi_extract import HashFamily, certify_k_star
 from renyi_extract.errors import BudgetExceededError
 from renyi_extract import _tables, families
-from renyi_extract.families import KINDS, hash_table
+from renyi_extract.families import KINDS, evaluate, hash_table, verify_universality
 from renyi_extract.fields import FieldParams
 
 from conftest import built_windows, full_rank_scan, loop_basis, matmul_table, poly_family
@@ -342,7 +342,7 @@ def test_pivoted_inputs_hash_representative_indices(kind, q, n, k, m):
     rows = np.zeros((len(index), fam.seed_digits), dtype=np.int64)
     rows[:, pivots] = index[:, None] // q ** np.arange(len(pivots)) % q
     want = matmul_table(fam, rows, range(fam.field.size))
-    reps = families.Inputs((fam, inputs[1], inputs[2][pivots], []))
+    reps = families.Inputs(fam, inputs.xs, inputs.basis[pivots], [])
     assert np.array_equal(hash_table(fam, index, reps), want)  # by the matmul
     built_windows(reps)
     assert np.array_equal(hash_table(fam, index, reps), want)  # by the windows
@@ -383,9 +383,9 @@ def test_small_calls_multiply_until_a_large_one_builds_the_tables(monkeypatch):
     monkeypatch.setattr(_tables, "windows", lambda *a: built.append(1) or windows(*a))
     seeds = np.arange(0, fam.seed_space_size, 997)[: families.BLOCK // 32]
     small = hash_table(fam, seeds[:100], inputs)
-    assert built == [] and inputs[3] == []
+    assert built == [] and inputs.built == []
     whole = hash_table(fam, seeds, inputs)
-    assert built == [1] and inputs[3][0][0] > 0
+    assert built == [1] and inputs.built[0][0] > 0
     assert np.array_equal(hash_table(fam, seeds[:100], inputs), small)
     assert np.array_equal(whole[:100], small) and built == [1]
     assert np.array_equal(whole, matmul_table(fam, seeds, range(32)))

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -1386,6 +1387,32 @@ class TestKeyedTable:
         joint = _instance(*MERGING_INSTANCES[0]).joint
         assert empirical_divergences(joint, []) == {}
         assert calls == {}
+
+    @pytest.fixture
+    def certify_k3(self, workloads):
+        config = parse_config(workloads.WORKLOADS["certify-k3"].config(41))
+        family = config.build_family()
+        return extract_joint(family, config.build_source(family)).joint
+
+    @pytest.mark.parametrize(
+        "bad",
+        [("joint", "x"), ("conditional", "x"), ("conditional", None), ("joint", 0.5),
+         ("joint", 10**400), ("kl",), ("kl", 2.0), ("joint",), ("tv", 2), "tv", None],
+    )
+    def test_a_bad_key_is_refused_before_either_side(self, certify_k3, calls, bad):
+        keys = [("conditional", Alpha(2.0)), ("joint", Alpha(2.0)), ("tv",), bad]
+        calls.clear()
+        with pytest.raises(ValueError, match=f"bad divergence key {re.escape(repr(bad))}"):
+            empirical_divergences(certify_k3, keys)
+        assert calls == {}
+
+    def test_a_numeric_order_is_taken_as_as_alpha_takes_it(self, certify_k3):
+        keys = [("joint", 2.0), ("conditional", 3), ("joint", Alpha(1.5)), ("tv",)]
+        table = empirical_divergences(certify_k3, keys)
+        assert list(table) == keys  # keyed by the keys as given
+        by_alpha = [("joint", Alpha(2.0)), ("conditional", Alpha(3.0)), keys[2], keys[3]]
+        want = empirical_divergences(certify_k3, by_alpha)
+        assert list(table.values()) == list(want.values())
 
     @given(repeated_joints(), st.data())
     @settings(max_examples=100, deadline=None)

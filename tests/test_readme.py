@@ -1,9 +1,12 @@
+import ast
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import renyi_extract
 from renyi_extract.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -42,3 +45,22 @@ def test_cli_quick_start_runs(tmp_path, monkeypatch, capsys, line):
 
 def test_every_cli_example_is_collected():
     assert len(CLI_LINES) == 6
+
+
+def test_top_level_exports_are_the_quick_start_imports():
+    """The package's public names, its submodules aside, are exactly what the
+    library quick start imports from it."""
+    tree = ast.parse(_block("python"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "renyi_extract"
+        for alias in node.names
+    }
+    public = {
+        name
+        for name, value in vars(renyi_extract).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(imported) == 8 and public == imported
+    assert isinstance(renyi_extract.__version__, str)

@@ -1,12 +1,15 @@
 """Records, and what importing and running the package loads.
 
-The config and result records are ``typing.NamedTuple``s: immutable and
-compared by value.  The seven classes that validate their fields or cache a
-value derive from ``renyi_extract._record.Record``, a hand-written frozen base
-that behaves as the frozen dataclasses it replaced did.  Importing the CLI
-applies ``dataclasses.dataclass`` to no class, and no run loads
-``dataclasses``, ``fractions`` or ``decimal``: certificates are integer ranks.
-Only a run that certifies imports the certifier's ``_certify`` module.
+Every record derives from ``renyi_extract._record.Record``, a hand-written
+frozen base: the config and result records are immutable, compared by value
+and copied with changes by ``_replace``, as the ``typing.NamedTuple``s they
+replaced were, and the classes that validate their fields or cache a value
+behave as the frozen dataclasses they replaced did.  Records are read by
+field name, never by position.  Importing the CLI applies
+``dataclasses.dataclass`` to no class and makes no ``collections.namedtuple``
+class for the package, and no run loads ``dataclasses``, ``fractions`` or
+``decimal``: certificates are integer ranks.  Only a run that certifies
+imports the certifier's ``_certify`` module.
 """
 
 import json
@@ -34,10 +37,12 @@ from renyi_extract.measures import Alpha, JointPmf, Pmf
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Run in a fresh interpreter: record the classes dataclasses.dataclass is
-# applied to while the CLI is imported, and see whether numpy.random loads.
+# applied to and the package's classes collections.namedtuple makes (as
+# typing.NamedTuple does) while the CLI is imported, and see whether
+# numpy.random loads.
 IMPORT_PROBE = """
-import dataclasses, json, sys
-made = []
+import collections, dataclasses, json, sys
+made, tuples = [], []
 original = dataclasses.dataclass
 def counted(cls=None, /, **kwargs):
     def apply(c):
@@ -45,10 +50,19 @@ def counted(cls=None, /, **kwargs):
         return original(**kwargs)(c)
     return apply if cls is None else apply(cls)
 dataclasses.dataclass = counted
+original_tuple = collections.namedtuple
+def counted_tuple(typename, field_names, **kwargs):
+    kwargs.setdefault("module", sys._getframe(1).f_globals.get("__name__"))
+    cls = original_tuple(typename, field_names, **kwargs)
+    if cls.__module__.split(".")[0] == "renyi_extract":
+        tuples.append(cls.__qualname__)
+    return cls
+collections.namedtuple = counted_tuple
 import numpy
 by_numpy = "numpy.random" in sys.modules
 import renyi_extract.cli
-print(json.dumps({"dataclasses": made, "numpy_random_by_numpy": by_numpy,
+print(json.dumps({"dataclasses": made, "namedtuples": tuples,
+                  "numpy_random_by_numpy": by_numpy,
                   "numpy_random": "numpy.random" in sys.modules}))
 """
 
@@ -90,6 +104,9 @@ class TestStartup:
     def test_cli_import_makes_no_dataclass(self, fresh_import):
         assert fresh_import["dataclasses"] == []
 
+    def test_cli_import_makes_no_namedtuple(self, fresh_import):
+        assert fresh_import["namedtuples"] == []
+
     def test_cli_import_leaves_numpy_random_unloaded(self, fresh_import):
         if fresh_import["numpy_random_by_numpy"]:
             pytest.skip("this numpy imports numpy.random with numpy itself")
@@ -122,7 +139,8 @@ class TestStartup:
         family = HashFamily("polynomial", gf8, 3, 1)
         assert type(verify_universality(family, 2)) is int
         for v in certify_k_star(family):
-            assert all(type(x) is int for x in v[:3]) and type(v.passed) is bool
+            assert all(type(x) is int for x in (v.l, v.rank, v.required))
+            assert type(v.passed) is bool
             assert v.rank == v.required == v.l - 1
 
 
@@ -173,7 +191,27 @@ class TestRecords:
         assert FamilySpec(2, 3, 2, 1).kind == "polynomial"
         assert BucketSpec() == BucketSpec("full", "exact", 1000)
         config = ExperimentConfig(FamilySpec(2, 3, 2, 1), {}, (), ())
-        assert config[4:] == (None, DEFAULT_BUDGET, 0, None, None, None, None)
+        defaults = {"side_channel": None, "budget": DEFAULT_BUDGET, "rng_seed": 0,
+                    "bucket": None, "sweep": None, "out": None, "raw": None}
+        assert config._fields[4:] == tuple(defaults)
+        assert {f: getattr(config, f) for f in defaults} == defaults
+
+    def test_replace_builds_through_init(self):
+        with pytest.raises(TypeError):
+            FamilySpec(2, 3, 2, 1)._replace(bogus=1)
+        family = HashFamily("polynomial", FIELD, 3, 2)
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            family._replace(k=1)
+        assert family._replace(m=1) == HashFamily("polynomial", FIELD, 3, 1)
+
+    def test_no_record_is_a_tuple(self):
+        names = ("config", "extraction", "families", "fields", "measures")
+        classes = [
+            c for name in names for c in vars(sys.modules[f"renyi_extract.{name}"]).values()
+            if isinstance(c, type) and c.__module__ == f"renyi_extract.{name}"
+        ]
+        assert len(classes) >= 16
+        assert [c for c in classes if issubclass(c, tuple)] == []
 
 
 FIELD = FieldParams(2, 4, (1, 1, 0, 0))
