@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from .errors import BudgetExceededError, ConfigError
+from .errors import ConfigError, charge
 from .extraction import Source
 from .families import DEFAULT_BUDGET, KINDS, HashFamily
 from .fields import MAX_DEGREE, FieldParams
@@ -105,10 +105,7 @@ class ExperimentConfig(Record):
         # Every enumerating path touches all q^n field elements, so refuse an
         # oversized field before FieldParams.create searches it.  A degree
         # above MAX_DEGREE fails there anyway; the cap keeps q ** n cheap.
-        if q ** min(n, MAX_DEGREE + 1) > self.budget:
-            raise BudgetExceededError(
-                f"field of {q}^{n} elements exceeds budget {self.budget}"
-            )
+        charge(q ** min(n, MAX_DEGREE + 1), self.budget, f"field of {q}^{n} elements")
         return self.family.build()
 
     def build_source(self, family: HashFamily) -> Source:

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import SLACK
-from .errors import BudgetExceededError
+from .errors import charge
 from .families import (
     BLOCK, DEFAULT_BUDGET, INT64_MAX, Cosets, HashFamily, Inputs, _all_digit_rows,
     _prepared, _translates, hash_table,
@@ -70,6 +70,10 @@ class Source(Record, eq=False):
             for i, row in enumerate(sc):
                 what = f"side-channel row {i}'s entries"
                 measures._check_sum(row.tolist(), what=what)
+            # Rows and source can each sum to 1 within tolerance while their
+            # product, the (X, Z) joint, does not.
+            xz = (self.probs.probs[:, None] * sc).ravel().tolist()
+            measures._check_sum(xz, what="source entries times side-channel rows")
         object.__setattr__(self, "_computed", {})
 
     @property
@@ -211,7 +215,7 @@ def _blocks(family: HashFamily, cosets: Cosets, inputs: Inputs):
     BLOCK table cells and BLOCK pivot digits."""
     n_reps = family.field.q ** len(cosets.pivots)
     rows = max(1, BLOCK // max(len(inputs.xs), len(cosets.pivots)))
-    reps = Inputs(family, inputs.xs, inputs.basis[cosets.pivots], [])
+    reps = Inputs(family, inputs.xs, inputs.basis[cosets.pivots])
     for start in range(0, n_reps, rows):
         yield start, hash_table(family, np.arange(start, min(start + rows, n_reps)), reps)
 
@@ -231,14 +235,12 @@ def extract_joint(
     q, n_out, seeds = f.q, family.output_size, family.seed_space_size
     # Each representative's table cells and columns.
     width = n_inputs + n_out * max(1, source.n_side)
-    check = _charge(family, n_inputs, width, budget)
+    inputs, cosets = _cosets(family, range(n_inputs), width, budget)
     if seeds * max(1, source.n_side) * n_out > INT64_MAX:  # counts sum to the cells
         raise ValueError(
             f"{q}^{family.seed_digits} seeds x {max(1, source.n_side)} side symbols"
             f" x {n_out} outputs are too many cells to count in int64"
         )
-    inputs = _prepared(family, range(n_inputs))
-    cosets = _translates(family, inputs, check)
     px, sc = source.probs.probs, source.side_channel
     mass = px if sc is None else px[:, None] * sc
     rep_joint = np.zeros((n_out, q ** len(cosets.pivots)) + mass.shape[1:])
@@ -261,27 +263,25 @@ def extract_joint(
     return ExtractionResult(joint, family, source)
 
 
-def _charge(family: HashFamily, n_inputs: int, width: int, budget: int):
-    """Refuse the row reduction of the D x (inputs x m) basis differences over
-    budget (each of at most min(D, inputs x m) pivots updates every cell), and
-    return the check ``_translates`` runs once it knows the rank r: with it,
-    the q^r representatives' D digits plus ``width`` cells each (their table
-    and columns) must fit too.  The translates are counted, never listed."""
-    q, n_digits, rows = family.field.q, family.seed_digits, n_inputs * family.m
+def _cosets(family: HashFamily, xs, width: int, budget: int) -> tuple[Inputs, Cosets]:
+    """The prepared inputs and their ``Cosets``, each phase refused over
+    budget before it runs: the row reduction of the D x (inputs x m) basis
+    differences (each of at most min(D, inputs x m) pivots updates every
+    cell), then, once ``_translates`` knows the rank r, the reduction plus
+    the q^r representatives' D digits and ``width`` cells each (their table
+    and columns).  The translates are counted, never listed."""
+    q, n_digits, rows = family.field.q, family.seed_digits, len(xs) * family.m
     reduction = n_digits * rows * min(n_digits, rows)
     what = f"{n_digits} x {rows} basis differences x {min(n_digits, rows)} pivots"
-    if reduction > budget:
-        raise BudgetExceededError(f"{what} exceeds budget {budget}")
-
-    def check(rank: int):
-        reps = q**rank
-        if reduction + reps * (n_digits + width) > budget:
-            raise BudgetExceededError(
-                f"{what} + {reps} representatives x ({n_digits} seed digits"
-                f" + {width} cells) exceeds budget {budget}"
-            )
-
-    return check
+    charge(reduction, budget, what)
+    inputs = _prepared(family, xs)
+    cosets = _translates(family, inputs)
+    reps = q ** len(cosets.pivots)
+    charge(
+        reduction + reps * (n_digits + width), budget,
+        f"{what} + {reps} representatives x ({n_digits} seed digits + {width} cells)",
+    )
+    return inputs, cosets
 
 
 class BucketEstimate(Record):
@@ -319,9 +319,7 @@ def expected_max_bucket(
         # A translate permutes the buckets, so all seeds of a coset share the
         # largest bucket; the integer sum over all seeds is divided by their
         # number once, correctly rounded.
-        check = _charge(family, size, size, budget)
-        inputs = _prepared(family, subset)
-        cosets = _translates(family, inputs, check)
+        inputs, cosets = _cosets(family, subset, size, budget)
         blocks = _blocks(family, cosets, inputs)
         n_out = family.output_size
         loads = sum(int(largest_buckets(table, n_out).sum()) for _, table in blocks)
@@ -330,11 +328,11 @@ def expected_max_bucket(
     # basis and samples x |subset| table cells; D = m * q^n for full_table.
     # It holds one block of seeds at a time, at most BLOCK table cells and
     # BLOCK seed digits, the basis, and one largest bucket per sample.
-    if n_samples * (n_digits + size) + n_digits * size * family.m > budget:
-        raise BudgetExceededError(
-            f"{n_samples} samples x ({n_digits} seed digits + {size} elements)"
-            f" + {n_digits} x {size} x {family.m} basis cells exceeds budget {budget}"
-        )
+    charge(
+        n_samples * (n_digits + size) + n_digits * size * family.m, budget,
+        f"{n_samples} samples x ({n_digits} seed digits + {size} elements)"
+        f" + {n_digits} x {size} x {family.m} basis cells",
+    )
     from ._draws import integer_blocks  # numpy's default stream, without numpy.random
 
     inputs, rows = _prepared(family, subset), max(1, BLOCK // max(size, n_digits))

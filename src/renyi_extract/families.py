@@ -33,12 +33,12 @@ single-value API and the tests' oracle; no run path calls it.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
 from ._record import Record
-from .errors import BudgetExceededError
+from .errors import charge
 from .fields import FieldParams, gf_add, gf_mul
 
 DEFAULT_BUDGET = 10_000_000
@@ -169,16 +169,21 @@ def _basis(family: HashFamily, xs: np.ndarray) -> np.ndarray:
 
 # eq=False: equality and hashing by value fail on an ndarray field.
 class Inputs(Record, eq=False):
-    """Checked canonical input integers ``xs`` from ``_prepared``, the
-    ``basis`` rows of the family's seed digits over them, and a list,
-    ``built``, that holds their window tables once a ``hash_table`` call has
-    built them (``_tables.windows``), so that a run hashing many blocks of
-    seeds on the same inputs builds each once."""
+    """Checked canonical input integers ``xs`` from ``_prepared`` and the
+    ``basis`` rows of the family's seed digits over them.  Their window
+    tables, ``windows`` (``_tables.windows``), are built on first read and
+    kept, so that a run hashing many blocks of seeds on the same inputs
+    builds them once."""
 
     family: HashFamily
     xs: np.ndarray
     basis: np.ndarray
-    built: list
+
+    @cached_property
+    def windows(self) -> tuple:
+        from . import _tables
+
+        return _tables.windows(self.family.field.q, self.family.m, self.basis)
 
 
 def _prepared(family: HashFamily, inputs) -> Inputs:
@@ -189,7 +194,7 @@ def _prepared(family: HashFamily, inputs) -> Inputs:
             raise ValueError("inputs were prepared for another family")
         return inputs
     xs = _input_array(family.field, inputs)
-    return Inputs(family, xs, _basis(family, xs), [])
+    return Inputs(family, xs, _basis(family, xs))
 
 
 def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
@@ -216,7 +221,7 @@ def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
     """
     q = family.field.q
     inputs = _prepared(family, inputs)
-    xs, basis, built = inputs.xs, inputs.basis, inputs.built
+    xs, basis = inputs.xs, inputs.basis
     n_digits = len(basis)
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.ndim == 2:
@@ -227,13 +232,11 @@ def hash_table(family: HashFamily, seeds, inputs) -> np.ndarray:
         low, top = (int(seeds.min()), int(seeds.max())) if seeds.size else (0, 0)
         if low < 0 or top >= q**n_digits:
             raise ValueError(f"seeds outside [0, {q**n_digits})")
-    if built or len(seeds) * len(xs) >= BLOCK // 2:
+    if "windows" in vars(inputs) or len(seeds) * len(xs) >= BLOCK // 2:
         from . import _tables
 
-        if not built:
-            built.append(_tables.windows(q, family.m, basis))
-        if built[0][0]:
-            return _tables.windowed(q, built[0], seeds)
+        if inputs.windows[0]:
+            return _tables.windowed(q, inputs.windows, seeds)
     if seeds.ndim == 1:  # digits past the top seed's are 0; q^width fits int64
         width = 0
         while width < n_digits and q**width <= top:
@@ -275,22 +278,17 @@ class Cosets(Record, eq=False):
     moves: np.ndarray  # (m, D)
 
     def shifts(self, q: int) -> np.ndarray:
-        """The distinct output shifts t . B_{x_0} over t in T, as m-digit rows
-        in increasing order of their output integers: the span of the columns
-        of moves, as every combination of the rows one ``_row_reduce`` leaves,
-        ordered by the stable int64 argsort extraction already runs."""
+        """The distinct output shifts t . B_{x_0} over t in T, as m-digit rows:
+        the span of the columns of moves, as every combination of the rows one
+        ``_row_reduce`` leaves.  Their order is not set; extraction's groups
+        come in lexsort order whatever order the shifts merge in."""
         _, rows = _row_reduce(self.moves.T.copy(), q)
-        span = _all_digit_rows(len(rows), q) @ rows % q
-        return span[np.argsort(span @ q ** np.arange(len(self.moves)), kind="stable")]
+        return _all_digit_rows(len(rows), q) @ rows % q
 
 
-def _translates(
-    family: HashFamily, inputs, check: Callable[[int], None] | None = None
-) -> Cosets:
+def _translates(family: HashFamily, inputs) -> Cosets:
     """The ``Cosets`` of the translate group T on the given inputs, listing
-    neither the representatives nor the translates.  ``check(rank)``, when
-    given, runs once the rank is known (a budget check: there are q^rank
-    representatives).
+    neither the representatives nor the translates.
 
     T holds the seeds t with t . (B_x - B_{x_0}) = 0 mod q for every input x,
     so h(r + t, x) = h(r, x) + t . B_{x_0} digitwise: adding t shifts every
@@ -307,8 +305,6 @@ def _translates(
     basis = _prepared(family, inputs).basis  # (D, inputs, m)
     a = (basis - basis[:, :1]).transpose(1, 2, 0) % q  # a row per (x, j)
     pivots, reduced = _row_reduce(a.reshape(basis.shape[1] * family.m, n_digits), q)
-    if check is not None:
-        check(len(pivots))
     pivots, b0 = np.array(pivots, dtype=np.int64), basis[:, 0]
     moves = (b0 - reduced.T @ b0[pivots]).T % q  # 0 in the pivot columns
     return Cosets(pivots, q ** (n_digits - len(pivots)), reduced, moves)
@@ -364,12 +360,11 @@ def verify_universality(family: HashFamily, l: int, budget: int = DEFAULT_BUDGET
     ranked, fixed = n_inputs if l > moved else l, min(moved, l - 1)
     n_subsets = math.comb(ranked - fixed, l - fixed)
     n_prefixes = math.comb(ranked - 1 - fixed, l - 1 - fixed)  # each has a leaf
-    if n_digits * (ranked + n_prefixes * m * (l - 2) + n_subsets * m) > budget:
-        raise BudgetExceededError(
-            f"{n_digits} seed digits x ({ranked} inputs + {n_prefixes} prefixes x"
-            f" {m * (l - 2)} rows + {n_subsets} {l}-subsets x {m} rows)"
-            f" exceeds budget {budget}"
-        )
+    charge(
+        n_digits * (ranked + n_prefixes * m * (l - 2) + n_subsets * m), budget,
+        f"{n_digits} seed digits x ({ranked} inputs + {n_prefixes} prefixes x"
+        f" {m * (l - 2)} rows + {n_subsets} {l}-subsets x {m} rows)",
+    )
     from ._certify import least_rank
 
     basis = _basis(family, np.arange(ranked)).transpose(1, 2, 0)  # (x, j, d)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from renyi_extract import HashFamily, Pmf, Source, _tables, extraction, measures
+from renyi_extract import HashFamily, Pmf, Source, extraction, measures
 from renyi_extract.bounds import logq_sum_exp, stirling2
 from renyi_extract import families, fields
 from renyi_extract.families import hash_table
@@ -151,15 +151,6 @@ def matmul_table(family, seeds, inputs):
         out %= q
         table += out
     return table
-
-
-def built_windows(prepared):
-    """An ``Inputs``' window tables, built now as its first ``hash_table``
-    call for BLOCK / 2 cells or more would build them."""
-    family, built = prepared.family, prepared.built
-    if not built:
-        built.append(_tables.windows(family.field.q, family.m, prepared.basis))
-    return built[0]
 
 
 def trial_division_irreducible(low_coeffs, q):

@@ -672,6 +672,32 @@ class TestConfigValidation:
         assert "exceeds budget 600" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_source_and_side_channel_refused_for_their_product(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # Each probability and each row sums to 1 within tolerance, but their
+        # product, the (X, Z) joint, sums 1.6e-9 over it: a config error that
+        # names the side channel, before certification runs.
+        cfg = write_config(
+            tmp_path,
+            family={"q": 2, "n": 2, "k": 2, "m": 1},
+            source={"probs": [0.2500000002] * 4},
+            side_channel=[[0.5000000004, 0.5000000004]] * 4,
+            alphas=[2],
+            sweep={"m_values": [1]},
+        )
+        config = parse_config(json.loads(Path(cfg).read_text()))
+        with pytest.raises(ConfigError, match="side-channel rows sum to 1.0000000016000001"):
+            config.build_source(config.build_family())
+        monkeypatch.setattr(harness, "certify_k_star", lambda *a, **k: pytest.fail("certified"))
+        out = tmp_path / "report"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        want = "error: source entries times side-channel rows sum to 1.0000000016000001, not 1"
+        assert want in err and "Traceback" not in err
+
     def test_bucket_digit_matrix_over_budget_exits_2(self, tmp_path, capsys):
         # 2000 samples x 4 elements fit 8000, but the full_table family on
         # GF(2^10) with m=4 has 4096 seed digits: hash_table would hold a

@@ -147,6 +147,19 @@ class TestExtractJoint:
         with pytest.raises(BudgetExceededError, match=r"1024 pivots exceeds budget"):
             expected_max_bucket(fam, range(256))
 
+    def test_representatives_are_charged_before_any_is_hashed(self, monkeypatch):
+        # GF(2^3), k=2, m=2: the reduction fits one below the coset charge,
+        # the representatives do not, and no block is hashed first.
+        fam = poly_family(FieldParams.create(2, 3), 2, 2)
+        joint_charge = coset_charge(fam, range(8), 8 + 4)
+        bucket_charge = coset_charge(fam, range(8), 8)
+        monkeypatch.setattr(extraction, "hash_table", lambda *a: pytest.fail("hashed"))
+        reps = r"\+ 8 representatives x \(6 seed digits \+ {} cells\) exceeds budget {}$"
+        with pytest.raises(BudgetExceededError, match=reps.format(12, joint_charge - 1)):
+            extract_joint(fam, uniform_source(fam.field), budget=joint_charge - 1)
+        with pytest.raises(BudgetExceededError, match=reps.format(8, bucket_charge - 1)):
+            expected_max_bucket(fam, range(8), budget=bucket_charge - 1)
+
     def test_cell_counts_beyond_int64_are_refused(self):
         # GF(2^2), k=32: 2^64 seeds in 8 cosets, so the charge is small, but
         # the group counts would leave int64.
