@@ -1,11 +1,12 @@
 """The least GF(q)-rank over a family's l-subsets, ranked along their
 combination tree.  Imported by ``families.verify_universality`` only, so that
-a run that does not certify does not compile it.
+a run that does not certify does not compile it; it imports ``_translates``
+for the row reduction.
 
 The rows of an l-subset {x_1 < ... < x_l} are B_{x_i} - B_{x_1} mod q for
 i = 2 .. l, m per input.  The subsets with the same first l - 1 inputs (a
 prefix) share all but their last m rows.  So each prefix's rows are brought
-to reduced row-echelon form once (``families._row_reduce``), and each leaf
+to reduced row-echelon form once (``_translates._row_reduce``), and each leaf
 x_l's m rows v are reduced against them as v - v[:, pivots] @ reduced mod q:
 the subset's rank is the prefix's plus that of the reduced m rows.  Only
 the subsets holding inputs 0 .. fixed-1 are ranked (``verify_universality``
@@ -21,7 +22,8 @@ import itertools
 
 import numpy as np
 
-from .families import BLOCK, _row_reduce
+from ._translates import _row_reduce
+from .families import BLOCK
 
 
 def _ranks_mod_q(a: np.ndarray, q: int) -> np.ndarray:

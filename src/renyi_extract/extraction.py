@@ -6,41 +6,42 @@ P_S(s) sum_x 1{h(s,x)=u} P_X(x) P_{Z|X}(z|x).  The seed S is always uniform.
 
 Sources and bucket subsets are canonical input integers 0 .. q^n - 1, the
 field's elements.  Both the joint and the exact largest-bucket experiment
-hash one seed per coset of the translate group T (``families._translates``):
-adding a t in T to a seed shifts each of its outputs by one constant, so the
-other seeds of a coset are output permutations of its representative, bit for
-bit.  The representatives are hashed in blocks from their indices, against
-the basis rows of the pivot digits they set, so memory follows the block and
-the joint's columns, not the number of representatives times their inputs.
-Each block's masses are scattered by one unbuffered ``np.add.at`` in index
-order, so every cell sums its terms in canonical input order.  The joint is
-kept as the ranking of its columns
-(``ExtractedJoint``): the distinct sorted columns with their column counts,
-which the sum check and the seed-averaged divergences read, and the (rank,
-reference) groups, merged one distinct output shift at a time, which the joint
-divergences expand; the dense U x seeds [x Z] array is built only when read.
-A shift permutes the buckets too, so a coset shares its largest bucket.
+hash one seed per coset of the translate group T, found by one coset walk
+(``_cosets``, which imports ``_translates`` on first use): adding a t in T
+to a seed shifts each of its outputs by one constant, so the other seeds of
+a coset are output permutations of its representative, bit for bit.  The
+representatives are hashed in blocks from their indices (``_blocks``),
+against the basis rows of the pivot digits they set, so memory follows the
+block and the joint's columns, not the number of representatives times
+their inputs.  ``extract_joint`` checks its source and charges the walk,
+then hands the blocks to ``_ranking``, imported on its first call, which
+scatters them and keeps the joint as the ranking of its columns
+(``_ranking.ExtractedJoint``).  A run that does not extract, such as a
+sampled bucket experiment, compiles neither module.  A shift permutes the
+buckets too, so a coset shares its largest bucket.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .bounds import SLACK
 from .errors import charge
 from .families import (
-    BLOCK, DEFAULT_BUDGET, INT64_MAX, Cosets, HashFamily, Inputs, _all_digit_rows,
-    _prepared, _translates, hash_table,
+    BLOCK, DEFAULT_BUDGET, INT64_MAX, HashFamily, Inputs, _prepared, hash_table,
 )
 # Re-exported so perfbench/tracing.py can count calls here.
 from .families import evaluate  # noqa: F401
 from . import measures
 from ._record import Record
 from .measures import JointPmf, Pmf
+
+if TYPE_CHECKING:  # imported on first use
+    from ._ranking import ExtractedJoint
+    from ._translates import Cosets
 
 # BLOCK (``families``) bounds the table cells and the seed or pivot digits of
 # each ``hash_table`` call, in extraction and in either bucket experiment.
@@ -127,36 +128,6 @@ def _nonnegative(h: float) -> float:
     return 0.0 if -SLACK <= h < 0 else h
 
 
-class ExtractedJoint(Record, eq=False):
-    """An output joint P(u, s[, z]) as its columns' ranking from
-    ``_group_columns`` (no U x groups copy of them), its coset
-    representatives' columns and its ``Cosets``; ``probs``, the dense
-    U x seeds [x Z] array, is built on first read."""
-
-    base_q: int
-    _groups: tuple
-    _rep_columns: np.ndarray
-    _cosets: Cosets
-
-    @cached_property
-    def probs(self) -> np.ndarray:
-        cosets, q, columns = self._cosets, self.base_q, self._rep_columns
-        reduced, moves = cosets.reduced, cosets.moves
-        seeds, m = cosets.translates * columns.shape[1], len(moves)
-        digits = _all_digit_rows(m, q)
-        acc = np.empty((len(digits), seeds) + columns.shape[2:])
-        for start in range(0, seeds, BLOCK):  # BLOCK seeds' digit rows at a time
-            at = np.arange(start, min(start + BLOCK, seeds))
-            s = at[:, None] // q ** np.arange(reduced.shape[1]) % q
-            rep = s @ reduced.T % q @ q ** np.arange(len(reduced))
-            # Seed s holds its representative's column moved from output u to
-            # lands[s, u] = u + shift(s) digitwise.
-            lands = (digits + (s @ moves.T % q)[:, None]) % q @ q ** np.arange(m)
-            acc[lands.T, at] = columns[:, rep]
-        acc.setflags(write=False)
-        return acc
-
-
 class ExtractionResult(Record):
     """The exact joint over (u, s[, z]) together with its provenance."""
 
@@ -167,45 +138,6 @@ class ExtractionResult(Record):
     @property
     def has_side_channel(self) -> bool:
         return self.source.side_channel is not None
-
-
-def _group_columns(arr: np.ndarray, totals, weight: int = 1):
-    """An output joint's columns ranked by content, as (distinct, column
-    counts, ranks, refs, counts), checked to sum to 1.
-
-    A column is a seed s or an (s, z) cell; its reference is its total over
-    the U outputs, over U.  The joint's columns are V variants of each column
-    c of arr: variant v holds c's entries in some order, totals holds one
-    array per variant, shaped as arr[0], whose entry c is variant v's total,
-    and each variant stands for ``weight`` columns.  ``measures._distinct``
-    ranks arr's sorted columns: distinct[r] is rank r's sorted column, in
-    lexsort order, and column counts[r] its number of joint columns, V x
-    weight per column of arr of rank r (one ``np.bincount``).  Columns
-    whose rank and reference are the same bit for bit form a group: its rank,
-    reference and member count.  Each variant's (rank, reference bits) rows
-    merge into the groups so far, their counts summed, so no V x C array is
-    built and the groups come in the order of one lexsort on the sorted
-    column, then the reference.  The sum check counts each distinct column's
-    cells by its column count: the joint's cells, as a multiset.
-    """
-    n_out = arr.shape[0]
-    distinct, rank, _ = measures._distinct(np.sort(arr.reshape(n_out, -1).T, axis=1))
-    column_counts = np.bincount(rank, minlength=len(distinct))
-    # Rows in rank order leave each merge's lexsort one unsorted key.
-    by_rank = np.argsort(rank, kind="stable")
-    rank = rank[by_rank]
-    keys, counts, ones = np.empty((0, 2), np.int64), rank[:0], np.ones_like(rank)
-    for variants, total in enumerate(totals, 1):
-        new = np.empty((len(rank), 2), np.int64)  # (rank, reference bits)
-        new[:, 0], new[:, 1] = rank, (total / n_out).ravel()[by_rank].view(np.int64)
-        # Joined first, so the arrays they replace are freed before the merge.
-        keys, counts = np.r_[keys, new], np.r_[counts, ones]
-        del new
-        keys, _, counts = measures._distinct(keys, counts)
-    counts *= weight
-    column_counts *= variants * weight
-    measures._check_sum(distinct.ravel(), np.repeat(column_counts, n_out))
-    return distinct, column_counts, keys[:, 0], keys[:, 1].view(float), counts
 
 
 def _blocks(family: HashFamily, cosets: Cosets, inputs: Inputs):
@@ -241,25 +173,9 @@ def extract_joint(
             f"{q}^{family.seed_digits} seeds x {max(1, source.n_side)} side symbols"
             f" x {n_out} outputs are too many cells to count in int64"
         )
-    px, sc = source.probs.probs, source.side_channel
-    mass = px if sc is None else px[:, None] * sc
-    rep_joint = np.zeros((n_out, q ** len(cosets.pivots)) + mass.shape[1:])
-    # np.add.at adds unbuffered in index order, a row's inputs in turn, so
-    # every cell sums its terms in canonical input order.
-    for start, table in _blocks(family, cosets, inputs):
-        cols = np.arange(start, start + len(table))
-        np.add.at(rep_joint, (table, cols[:, None]), mass)
-        del table
-    rep_joint *= 1.0 / seeds
-    # Seed rep + t holds rep's column moved by shift(t): its total adds rep's
-    # entries at u - shift(t) for u = 0 .. U-1, as arr.sum(axis=0) adds the
-    # dense joint.  t -> shift(t) is linear, so each of its V values is hit
-    # |T| / V times.
-    powers, digits = q ** np.arange(family.m), _all_digit_rows(family.m, q)
-    back = (digits - cosets.shifts(q)[:, None]) % q @ powers  # back[v, u] = u - v
-    totals = (sum((rep_joint[u] for u in b[1:]), rep_joint[b[0]]) for b in back)
-    groups = _group_columns(rep_joint, totals, cosets.translates // len(back))
-    joint = ExtractedJoint(q, groups, rep_joint, cosets)
+    from ._ranking import ranked_joint
+
+    joint = ranked_joint(family, source, cosets, _blocks(family, cosets, inputs))
     return ExtractionResult(joint, family, source)
 
 
@@ -274,6 +190,8 @@ def _cosets(family: HashFamily, xs, width: int, budget: int) -> tuple[Inputs, Co
     reduction = n_digits * rows * min(n_digits, rows)
     what = f"{n_digits} x {rows} basis differences x {min(n_digits, rows)} pivots"
     charge(reduction, budget, what)
+    from ._translates import _translates
+
     inputs = _prepared(family, xs)
     cosets = _translates(family, inputs)
     reps = q ** len(cosets.pivots)
@@ -305,14 +223,17 @@ def expected_max_bucket(
     reports the standard error of the mean.  It hashes them in stream order,
     at most BLOCK table cells and BLOCK seed digits at a time, and keeps one
     largest bucket per draw.
-    ``hash_table`` refuses an integer outside the field.
+    ``hash_table`` refuses an integer outside the field.  The subset may be
+    any sequence, a numpy array too; sampled mode needs ``n_samples`` >= 1.
     """
-    if not subset:
+    if len(subset) == 0:  # not ``not subset``: an array has no truth value
         raise ValueError("subset must be non-empty")
     if len(set(subset)) != len(subset):
         raise ValueError("subset elements must be distinct")
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     from ._tables import largest_buckets
     seeds, n_digits, size = family.seed_space_size, family.seed_digits, len(subset)
     if mode == "exact":

@@ -4,16 +4,14 @@ All logarithms are base q (the pmf's ``base_q``).  Sums of probability terms
 use ``math.fsum`` so results are stable to well below the documented 1e-9
 comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 
-D_alpha has one kernel, ``_kernel``, over one layout (``_layout``) per pmf
-or side of an output joint's table, built once and read by every order: the
-distinct masses and references, the distinct (mass, reference) pairs and each
-row's parts.  H_alpha is minus D_alpha against the counting measure.
-``_distinct`` finds equal values or rows by bit pattern, summing counts, for
-the layouts and extraction's ranking; ``_counted_fsum`` adds count x term as the
-exact ldexp(term, j) per set bit j of the count, BLOCK terms at a time, into
-one ``math.fsum``.  Each order raises each distinct value to its power once,
-gathers and multiplies in numpy, and adds each row with ``math.fsum``, which
-rounds correctly, so the results have the bits of a walk over every cell.
+This module holds the records (``Alpha``, ``Pmf``, ``JointPmf``), the
+counted sum and the sum check, and every public function.  D_alpha has one
+kernel over one layout per pmf or side of an output joint's table, in
+``_divergence``, which the first function that computes an entropy or a
+divergence imports: a run that computes none, such as a bucket experiment,
+does not compile it.  H_alpha is minus D_alpha against the counting measure.
+``_counted_fsum`` adds count x term as the exact ldexp(term, j) per set bit j
+of the count, BLOCK terms at a time, into one ``math.fsum``.
 Bit rule: numpy's *, /, -, abs, max and ldexp are IEEE-exact, but np.power
 and np.log are not (numpy 2.4 on AVX-512: 10,872 of 200,000 inputs differ in
 the last bit for x**1.25, 708 for log), so powers and logs stay scalar
@@ -139,6 +137,8 @@ class JointPmf(Record, eq=False):
     @cached_property
     def _conditional_layout(self):
         """(P_Z(z), the ``_layout`` of P(.|z)) over the z with P_Z(z) > 0."""
+        from ._divergence import _conditionals, _layout
+
         pzs, conds, _ = _conditionals(self.probs.T)
         return pzs, _layout(conds, 1.0)
 
@@ -170,90 +170,11 @@ def _counted_fsum(terms, counts=None) -> float:
     return math.fsum(itertools.chain.from_iterable(_counted_terms(terms, counts)))
 
 
-def _scalar(f, xs, *args) -> np.ndarray:
-    """f over the Python floats xs, as an array: np.power and np.log may
-    differ from scalar pow and math.log in the last bit."""
-    return np.fromiter(map(f, xs, *args), dtype=float)
-
-
-def _distinct(x: np.ndarray, counts=None):
-    """(the distinct values of the 1-d x or rows of the 2-d x by their int64
-    bit patterns, in lexsort order with the first column most significant; the
-    index of each entry among them; their summed counts or None): a lexsort
-    of bit views; np.unique's inverse changed shape in numpy 2.0."""
-    keys = x.view(np.int64).reshape(len(x), -1).T
-    order = np.lexsort(keys[::-1])
-    keys = keys[:, order]
-    new = np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)]
-    index = np.empty_like(order)
-    index[order] = np.cumsum(new) - 1
-    new = np.flatnonzero(new)
-    if counts is not None:
-        counts = np.add.reduceat(counts[order], new)
-    return x[order[new]], index, counts
-
-
-def _layout(masses: np.ndarray, refs, counts=None):
-    """What ``_kernel`` reads for D_alpha of each row of masses against refs,
-    over the positive masses, refs and counts broadcast to masses: the
-    distinct masses and references as Python floats (references None when one
-    is 0); per distinct (mass, reference) pair its index into both, mass,
-    reference and summed count; per row its parts, a pair index (-1: 0.0), or
-    with counts one row of every pair, all rows' cells counted in it."""
-    pos = masses > 0
-    m, r = (x[pos] for x in np.broadcast_arrays(masses, refs))
-    vals, vi, _ = _distinct(m)
-    refs, ri, _ = _distinct(r)
-    counts = None if counts is None else np.broadcast_to(counts, masses.shape)[pos]
-    keys, index, summed = _distinct(vi * len(refs) + ri, counts)
-    vi, ri = np.divmod(keys, len(refs))
-    if counts is None:
-        src = np.full(masses.shape, -1)
-        src[pos] = index
-    else:
-        src = np.arange(len(keys))[None]
-    ps, rs = vals[vi], refs[ri]
-    refs = None if (refs == 0).any() else refs.tolist()
-    return vals.tolist(), refs, vi, ri, ps, rs, summed, src
-
-
-def _kernel(layout, a: Alpha, lnq: float | None) -> list[float]:
-    """D_alpha of each row of a ``_layout`` (+inf in all when a positive mass
-    has reference 0), or with lnq None the power sums of a finite order: one
-    ``pow`` per distinct mass and reference, one ``math.log`` per distinct
-    pair's p/r; a counted row is one ``_counted_fsum``, and D_inf's max
-    ignores counts.  A finite order whose power or power sum leaves floating
-    point is refused."""
-    vals, refs, vi, ri, ps, rs, summed, src = layout
-    if refs is None:
-        return [math.inf] * len(src)
-    b, sums = a.value, None
-    with np.errstate(all="ignore"):
-        try:
-            if a.is_infinite:
-                top = map(max, np.append(ps / rs, 0.0)[src].tolist())
-                return (_scalar(math.log, list(top)) / lnq).tolist()
-            if a.is_one:
-                terms = ps * _scalar(math.log, (ps / rs).tolist())
-            else:
-                terms = _scalar(pow, vals, itertools.repeat(b))[vi]
-                terms *= _scalar(pow, refs, itertools.repeat(1.0 - b))[ri]
-            if summed is None:
-                sums = _scalar(math.fsum, np.append(terms, 0.0)[src].tolist())
-            else:
-                sums = np.array([_counted_fsum(terms, summed)])
-        except OverflowError:  # a power or a sum beyond floating point
-            pass
-    if sums is None or not (a.is_one or ((sums > 0.0) & (sums < math.inf)).all()):
-        raise ValueError(f"alpha={b} is too large for floating point; use 'inf'")
-    if a.is_one or lnq is None:  # KL, or the power sums themselves
-        return (sums / (lnq or 1.0)).tolist()
-    return (_scalar(math.log, sums.tolist()) / ((b - 1.0) * lnq)).tolist()
-
-
 def renyi_entropy(p: Pmf, a) -> float:
     """H_alpha in base-q units: -D_alpha(p || counting measure), so Shannon
     at alpha=1 and min-entropy at infinity."""
+    from ._divergence import _kernel, _layout
+
     return -_kernel(_layout(p.probs[None], 1.0), as_alpha(a), math.log(p.base_q))[0]
 
 
@@ -262,32 +183,17 @@ def renyi_divergence(p: Pmf, r: Pmf, a) -> float:
     if p.support_size != r.support_size:
         raise ValueError("pmfs must share a support size")
     a = as_alpha(a)
+    from ._divergence import _kernel, _layout
+
     return _kernel(_layout(p.probs[None], r.probs[None]), a, math.log(p.base_q))[0]
-
-
-def _tv(ps: np.ndarray, rs: np.ndarray, counts=None) -> float:
-    """Half the L1 distance, each |p - r| counted as in ``_counted_fsum``."""
-    return 0.5 * _counted_fsum(np.where(ps > rs, ps - rs, rs - ps), counts)
 
 
 def tv_distance(p: Pmf, r: Pmf) -> float:
     if p.support_size != r.support_size:
         raise ValueError("pmfs must share a support size")
+    from ._divergence import _tv
+
     return _tv(p.probs, r.probs)
-
-
-def _conditionals(rows: np.ndarray):
-    """(w, P(.|c), kept) for the rows c of masses with positive total w: each
-    total by ``math.fsum``, its row's positive masses divided by it and zeros
-    elsewhere, each checked to sum to 1 as a pmf would; kept marks them."""
-    w = _scalar(math.fsum, rows.tolist())
-    kept = w != 0
-    w, rows = w[kept], rows[kept]
-    cond = np.where(rows > 0, rows / w[:, None], 0.0)
-    for row in cond.tolist():
-        if not abs(math.fsum(row) - 1.0) <= NORMALIZATION_TOL:
-            _check_sum(row)  # refused, with its total in the message
-    return w, cond, kept
 
 
 def _conditional_power_sums(joint: JointPmf, a, what: str):
@@ -299,6 +205,8 @@ def _conditional_power_sums(joint: JointPmf, a, what: str):
         joint = JointPmf(joint.probs.reshape(len(joint.probs), -1), joint.base_q)
     pzs, layout = joint._conditional_layout
     scale = (1.0 - a.value) * math.log(joint.base_q)
+    from ._divergence import _kernel
+
     return pzs, np.array(_kernel(layout, a, None)), scale
 
 
@@ -315,50 +223,16 @@ def tilde_conditional_entropy(joint: JointPmf, a) -> float:
     (1/(1-alpha)) sum_z P_Z(z) log_q sum_x P(x|z)^alpha.
     """
     pzs, inner, scale = _conditional_power_sums(joint, a, "tilde conditional entropy")
+    from ._divergence import _scalar
+
     return math.fsum((pzs * _scalar(math.log, inner.tolist())).tolist()) / scale
-
-
-def _averaged(groups, keys, lnq: float) -> dict:
-    """The ("conditional", alpha) keys among keys, each mapped to
-    sum_s P_S(s) D_alpha(P(.|s) || uniform) (over (s, z) with side info), from
-    a joint's ``groups``: the distinct sorted columns are one ``_layout``'s
-    rows, each weighted by its mass and counted once per column.  With no
-    such key no layout is built."""
-    wanted = [key for key in keys if key[0] == "conditional"]
-    if not wanted:
-        return {}
-    rows, counts = groups[:2]
-    w, conds, kept = _conditionals(rows)
-    layout, counts = _layout(conds, 1.0 / rows.shape[1]), counts[kept]
-    return {k: _counted_fsum(w * _kernel(layout, k[1], lnq), counts) for k in wanted}
-
-
-def _joint(groups, keys, lnq: float) -> dict:
-    """The ("joint", alpha) and ("tv",) keys among keys, each mapped to
-    D_alpha or TV of a joint's cells against uniform outputs x its seed[,z]
-    marginal, from one counted ``_layout`` row: the groups' sorted columns,
-    expanded only while it is built, are its groups x U masses, and each
-    group's reference and count broadcast along its row.  TV, only when
-    asked for, adds the positive pairs' |p - r| and the zero cells' r.  With
-    no such key no layout is built."""
-    wanted = [key for key in keys if key[0] == "joint"]
-    tv = ("tv",) in keys
-    if not (wanted or tv):
-        return {}
-    rows, _, ranks, refs, counts = groups
-    layout = _layout(rows[ranks], refs[:, None], counts[:, None])
-    values = {k: _kernel(layout, k[1], lnq)[0] for k in wanted}
-    if tv:
-        ps, rs, summed = layout[4:7]
-        zeros = counts * (rows.shape[1] - (rows > 0).sum(axis=1)[ranks])
-        parts = np.r_[ps, 0.0 * refs], np.r_[rs, refs], np.r_[summed, zeros]
-        values[("tv",)] = _tv(*parts)
-    return values
 
 
 def conditional_divergence(joint, a) -> float:
     """The seed-averaged divergence of one order of an ``ExtractedJoint``."""
     key = ("conditional", as_alpha(a))
+    from ._divergence import _averaged
+
     return _averaged(joint._groups, [key], math.log(joint.base_q))[key]
 
 
@@ -366,6 +240,8 @@ def joint_divergence_from_uniform(joint, a) -> float:
     """D_alpha(joint || uniform-on-outputs x the joint's own seed[,z] marginal)
     for an ``ExtractedJoint``."""
     key = ("joint", as_alpha(a))
+    from ._divergence import _joint
+
     return _joint(joint._groups, [key], math.log(joint.base_q))[key]
 
 
@@ -395,6 +271,8 @@ def empirical_divergences(joint, keys) -> dict:
     evaluates its keys, then the joint side does, so one layout is held at a
     time, and a side no key names builds none."""
     given, lnq = {key: _checked(key) for key in keys}, math.log(joint.base_q)
+    from ._divergence import _averaged, _joint
+
     wanted, groups = dict.fromkeys(given.values()), joint._groups
     values = {**_averaged(groups, wanted, lnq), **_joint(groups, wanted, lnq)}
     return {key: values[checked] for key, checked in given.items()}

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from renyi_extract import HashFamily, Pmf, Source, extraction, measures
+from renyi_extract import HashFamily, Pmf, Source, _divergence, _ranking, measures
 from renyi_extract.bounds import logq_sum_exp, stirling2
 from renyi_extract import families, fields
 from renyi_extract.families import hash_table
@@ -213,12 +213,12 @@ def output_joint(arr, base_q=2):
     arr.setflags(write=False)
     with np.errstate(over="ignore"):  # an overflowing total fails the sum check
         totals = arr.sum(axis=0)
-    groups = extraction._group_columns(arr, [totals])
+    groups = _ranking._group_columns(arr, [totals])
     return SimpleNamespace(probs=arr, base_q=base_q, _groups=groups)
 
 
 def expanded_groups(groups):
-    """A joint's ranking (``extraction._group_columns``) as its column groups
+    """A joint's ranking (``_ranking._group_columns``) as its column groups
     (cols, refs, counts): each group's sorted column, from its rank, as a
     column of the U x groups cols."""
     distinct, _, ranks, refs, counts = groups
@@ -266,7 +266,7 @@ def vxc_groups(arr, totals, weight=1):
 def whole_check(cols, counts):
     """The sum check over every group cell at once: one ``_distinct`` of the
     cells, counts summed, as one counted sum."""
-    cells = measures._distinct(cols.T.ravel(), np.repeat(counts, len(cols)))
+    cells = _divergence._distinct(cols.T.ravel(), np.repeat(counts, len(cols)))
     return measures._check_sum(cells[0], cells[2])
 
 

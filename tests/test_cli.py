@@ -16,7 +16,7 @@ from renyi_extract import bounds as bd
 from renyi_extract.cli import main
 from renyi_extract.config import parse_config
 from renyi_extract.errors import ConfigError
-from renyi_extract import harness, measures
+from renyi_extract import _divergence, harness, measures
 from renyi_extract.config import ExperimentConfig
 from renyi_extract.fields import FieldParams
 from renyi_extract.harness import SWEEP_COLUMNS, run_bucket, run_sweep, run_verify
@@ -1000,7 +1000,7 @@ class TestSweepCommand:
         # The CSV prints the joint and conditional D_alpha of each grid order:
         # no KL, no D_inf and no TV is evaluated, on either side.
         orders, tv_calls = [], []
-        kernel, tv = measures._kernel, measures._tv
+        kernel, tv = _divergence._kernel, _divergence._tv
 
         def recording_kernel(layout, a, lnq):
             orders.append(a)
@@ -1010,8 +1010,8 @@ class TestSweepCommand:
             tv_calls.append(args)
             return tv(*args)
 
-        monkeypatch.setattr(measures, "_kernel", recording_kernel)
-        monkeypatch.setattr(measures, "_tv", recording_tv)
+        monkeypatch.setattr(_divergence, "_kernel", recording_kernel)
+        monkeypatch.setattr(_divergence, "_tv", recording_tv)
         config = parse_config(
             {
                 "family": {"q": 2, "n": 3, "k": 3, "m": 1},

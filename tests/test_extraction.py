@@ -14,7 +14,9 @@ from renyi_extract import (
     empirical_divergences,
     extract_joint,
 )
-from renyi_extract import _tables, extraction, families, harness, measures
+from renyi_extract import (
+    _ranking, _tables, _translates, extraction, families, harness, measures,
+)
 from renyi_extract.bounds import SLACK
 from renyi_extract.config import parse_config
 from renyi_extract.errors import BudgetExceededError
@@ -38,7 +40,7 @@ def coset_charge(family, inputs, width):
     over every cell), and D digits plus ``width`` cells for each of the q^r
     representatives.  The q^(D-r) translates are counted, never listed."""
     d, rows = family.seed_digits, len(inputs) * family.m
-    reps = family.field.q ** len(families._translates(family, inputs).pivots)
+    reps = family.field.q ** len(_translates._translates(family, inputs).pivots)
     return d * rows * min(d, rows) + reps * (d + width)
 
 
@@ -141,7 +143,7 @@ class TestExtractJoint:
         # full_table GF(2^8), m=4: D = 1024 seed digits against 1024 rows of
         # basis differences, so the reduction alone is 2^30 cells.
         fam = HashFamily("full_table", FieldParams.create(2, 8), 2, 4)
-        monkeypatch.setattr(extraction, "_translates", lambda *a: pytest.fail("reduced"))
+        monkeypatch.setattr(_translates, "_translates", lambda *a: pytest.fail("reduced"))
         with pytest.raises(BudgetExceededError, match=r"1024 pivots exceeds budget"):
             extract_joint(fam, uniform_source(fam.field))
         with pytest.raises(BudgetExceededError, match=r"1024 pivots exceeds budget"):
@@ -257,7 +259,7 @@ class TestShiftMerge:
         arr = rng.permuted(base[rng.integers(0, 6, n_cols)], axis=1).T.copy()
         arr /= n_variants * weight * math.fsum(arr.ravel().tolist())
         totals = rng.choice([0.25, 0.5, 1 / 3], size=(n_variants, n_cols))
-        got = expanded_groups(extraction._group_columns(arr, totals, weight))
+        got = expanded_groups(_ranking._group_columns(arr, totals, weight))
         for g, w in zip(got, vxc_groups(arr, totals, weight)):
             assert bits(g) == bits(w)
         assert len(got[2]) < n_variants * n_cols
@@ -289,10 +291,12 @@ class TestBlocks:
             buckets = [expected_max_bucket(fam, s).mean for s in subsets]
             return joint, buckets
 
-        monkeypatch.setattr(extraction, "BLOCK", 2**62)  # one block
+        for module in (extraction, _ranking):  # the blocks and the dense probs
+            monkeypatch.setattr(module, "BLOCK", 2**62)  # one block
         whole, buckets = run()
         for block in (1, 5, 2**14):
-            monkeypatch.setattr(extraction, "BLOCK", block)
+            for module in (extraction, _ranking):
+                monkeypatch.setattr(module, "BLOCK", block)
             joint, got = run()
             for g, w in zip(joint._groups, whole._groups):
                 assert bits(g) == bits(w)
@@ -312,7 +316,7 @@ class TestBlocks:
         monkeypatch.setattr(extraction, "hash_table", counting)
         monkeypatch.setattr(extraction, "BLOCK", 100)
         extract_joint(fam, uniform_source(fam.field))
-        n_reps = 2 ** len(families._translates(fam, range(16)).pivots)
+        n_reps = 2 ** len(_translates._translates(fam, range(16)).pivots)
         # Both hash blocks of at most BLOCK table cells: 100 // 16
         # representatives of 16 inputs each.
         assert calls == [6] * (n_reps // 6) + [n_reps % 6]
@@ -479,7 +483,7 @@ class TestSumCheck:
         arr = joint._rep_columns * scale
         totals, weight = variant_totals(joint)
         monkeypatch.setattr(measures, "_check_sum", recording)
-        outcome(extraction._group_columns, arr, totals, weight)
+        outcome(_ranking._group_columns, arr, totals, weight)
         monkeypatch.setattr(measures, "_check_sum", check)
         assert len(checked) == 1
         return checked[0], vxc_groups(arr, totals, weight)
@@ -820,6 +824,23 @@ class TestExpectedMaxBucket:
         fam = poly_family(gf8, 2, 2)
         with pytest.raises(ValueError):
             expected_max_bucket(fam, [])
+
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_array_subset_gives_the_lists_result(self, gf8, mode):
+        # An array of two or more inputs has no truth value, so the subset
+        # is tested by its length.
+        fam = poly_family(gf8, 2, 1)
+        args = dict(mode=mode, n_samples=50, rng_seed=3)
+        got = expected_max_bucket(fam, np.array([0, 1, 2]), **args)
+        assert got == expected_max_bucket(fam, [0, 1, 2], **args)
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_sampled_needs_a_sample(self, gf8, n_samples):
+        # Refused before the charge, which a budget of 0 would refuse: no
+        # NaN mean from an empty sample, no numpy error from a negative one.
+        fam = poly_family(gf8, 2, 1)
+        with pytest.raises(ValueError, match=rf"n_samples must be >= 1, got {n_samples}"):
+            expected_max_bucket(fam, [0, 1], mode="sampled", n_samples=n_samples, budget=0)
 
     @pytest.mark.parametrize("mode", ["exact", "sampled"])
     def test_subset_outside_field_rejected(self, gf8, mode):

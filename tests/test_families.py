@@ -9,7 +9,7 @@ import pytest
 
 from renyi_extract import HashFamily, certify_k_star
 from renyi_extract.errors import BudgetExceededError
-from renyi_extract import _tables, families
+from renyi_extract import _tables, _translates, families
 from renyi_extract.families import KINDS, evaluate, hash_table, verify_universality
 from renyi_extract.fields import FieldParams
 
@@ -254,7 +254,7 @@ def test_prepared_inputs_share_one_basis(gf8, monkeypatch):
     monkeypatch.setattr(families, "_basis", lambda *a: pytest.fail("basis rebuilt"))
     seeds = np.arange(0, fam.seed_space_size, 7)
     assert np.array_equal(hash_table(fam, seeds, inputs), hash_table(fam, seeds, inputs))
-    assert len(families._translates(fam, inputs).pivots) > 0
+    assert len(_translates._translates(fam, inputs).pivots) > 0
     monkeypatch.undo()
     want = hash_table(fam, seeds, [5, 0, 3, 5])
     assert np.array_equal(hash_table(fam, seeds, inputs), want)
@@ -337,7 +337,7 @@ def test_pivoted_inputs_hash_representative_indices(kind, q, n, k, m):
     # digit pivots[j] is digit j of i and whose other digits are 0.
     fam = HashFamily(kind, FieldParams.create(q, n), k, m)
     inputs = families._prepared(fam, range(fam.field.size))
-    pivots = families._translates(fam, inputs).pivots
+    pivots = _translates._translates(fam, inputs).pivots
     index = np.arange(q ** len(pivots))
     rows = np.zeros((len(index), fam.seed_digits), dtype=np.int64)
     rows[:, pivots] = index[:, None] // q ** np.arange(len(pivots)) % q
@@ -469,7 +469,7 @@ def test_translates_reach_every_seed_once_by_output_shifts(kind, q, n, k, m):
     fam = HashFamily(kind, field, k, m)
     seeds = families._all_digit_rows(fam.seed_digits, q)
     for inputs in (range(field.size), [field.size - 1, 1]):
-        cosets = families._translates(fam, inputs)
+        cosets = _translates._translates(fam, inputs)
         n_reps = q ** len(cosets.pivots)
         assert n_reps * cosets.translates == fam.seed_space_size
         reps = np.zeros_like(seeds)
@@ -505,7 +505,7 @@ def test_translate_group_dimensions(kind, q, n, k, m, dim_t, dim_ker):
     # T holds the seeds that shift every output by one constant; the kernel,
     # the translates whose shift is 0, those that change no output at all.
     fam = HashFamily(kind, FieldParams.create(q, n), k, m)
-    cosets = families._translates(fam, range(q**n))
+    cosets = _translates._translates(fam, range(q**n))
     assert cosets.translates == q**dim_t
     assert len(cosets.pivots) == fam.seed_digits - dim_t
     shifts = translate_shifts(cosets, q)
@@ -513,7 +513,7 @@ def test_translate_group_dimensions(kind, q, n, k, m, dim_t, dim_ker):
 
 
 def test_constant_family_has_no_seed_digits(gf4):
-    cosets = families._translates(HashFamily("constant", gf4, 2, 2), range(4))
+    cosets = _translates._translates(HashFamily("constant", gf4, 2, 2), range(4))
     assert cosets.pivots.shape == (0,) and cosets.translates == 1
     assert cosets.reduced.shape == (0, 0) and cosets.moves.shape == (2, 0)
     assert translate_shifts(cosets, 2).tolist() == [[0, 0]]
@@ -631,7 +631,7 @@ def test_certificate_does_not_depend_on_the_block(monkeypatch, block):
     from renyi_extract import _certify
 
     batches, leaves, prefix_rows = [], [], []
-    ranks, row_reduce = _certify._ranks_mod_q, _certify._row_reduce
+    ranks, row_reduce = _certify._ranks_mod_q, _translates._row_reduce
 
     def spy_ranks(a, q):
         batches.append(a.size)

@@ -32,7 +32,7 @@ from conftest import (
     walk_tv_distance,
 )
 
-from renyi_extract import extraction, measures
+from renyi_extract import _divergence, _ranking, measures
 from renyi_extract.bounds import SLACK
 from renyi_extract.config import parse_config
 from renyi_extract.extraction import extract_joint
@@ -117,7 +117,7 @@ class TestPmfValidation:
         # An (X, Z) joint is checked, not grouped: only extraction groups.
         with pytest.raises(ValueError, match="2 axes"):
             JointPmf(np.full((2, 2, 2), 1 / 8), 2)
-        monkeypatch.setattr(extraction, "_group_columns", None)  # any call fails
+        monkeypatch.setattr(_ranking, "_group_columns", None)  # any call fails
         source = make_source(gf4, [0.1, 0.2, 0.3, 0.4], [[0.5, 0.5]] * 4)
         assert source.xz_joint().probs.shape == (4, 2)
         assert not hasattr(source.xz_joint(), "_groups")
@@ -479,12 +479,12 @@ class TestCountedFsum:
         # the kernel refuses as the walk does, with the same message.
         p, r, a = np.array([[1.0]]), np.array([[2.0**-1000]]), Alpha(2.0)
         for counts in (None, np.array([1])):
-            layout = measures._layout(p, r, counts)
-            assert measures._kernel(layout, a, None) == [2.0**1000]
+            layout = _divergence._layout(p, r, counts)
+            assert _divergence._kernel(layout, a, None) == [2.0**1000]
         assert walk_divergence([[1.0]], [2.0**-1000], a, None) == [2.0**1000]
-        layout = measures._layout(p, r, np.array([2**62]))
+        layout = _divergence._layout(p, r, np.array([2**62]))
         with pytest.raises(ValueError) as refused:
-            measures._kernel(layout, a, None)
+            _divergence._kernel(layout, a, None)
         assert "too large for floating point" in str(refused.value)
         assert outcome(walk_divergence, [[1.0]], [2.0**-1000], a, None, [2**62]) == (
             ValueError,
@@ -755,7 +755,7 @@ def _assert_ranked_columns(joint, groups):
     """The stored distinct sorted columns and column counts are the distinct
     columns of the groups, counts summed, one per distinct sorted column."""
     cols, _, counts = groups
-    distinct, _, summed = measures._distinct(cols.T, counts)
+    distinct, _, summed = _divergence._distinct(cols.T, counts)
     assert bits(joint._groups[0]) == bits(distinct)
     assert bits(joint._groups[1]) == bits(summed)
     assert len(distinct) == _sorted_column_count(joint)
@@ -838,13 +838,13 @@ class TestGroupedConstruction:
         # Extraction groups its coset representatives' columns, each standing
         # for its translates, once, when it is built; no reader groups again.
         calls = []
-        group = extraction._group_columns
+        group = _ranking._group_columns
 
         def counting(arr, *variants):
             calls.append(arr)
             return group(arr, *variants)
 
-        monkeypatch.setattr(extraction, "_group_columns", counting)
+        monkeypatch.setattr(_ranking, "_group_columns", counting)
         for instance in MERGING_INSTANCES:
             calls.clear()
             joint = _instance(*instance).joint
@@ -859,14 +859,14 @@ class TestGroupedConstruction:
     def test_sorted_columns_are_ranked_once(self, monkeypatch):
         # Extraction ranks the representatives' sorted columns once; the
         # table reads that ranking and ranks no sorted columns again.
-        ranked, distinct = [], measures._distinct
+        ranked, distinct = [], _divergence._distinct
 
         def counting(x, counts=None):
             if x.ndim == 2 and x.dtype == float:  # rows of sorted columns
                 ranked.append(x.shape)
             return distinct(x, counts)
 
-        monkeypatch.setattr(measures, "_distinct", counting)
+        monkeypatch.setattr(_divergence, "_distinct", counting)
         for instance in MERGING_INSTANCES:
             ranked.clear()
             joint = _instance(*instance).joint
@@ -897,7 +897,8 @@ class TestGroupedConstruction:
                 sizes.append(len(terms))
                 return math.fsum(terms)
 
-        monkeypatch.setattr(measures, "math", RecordingMath())
+        for module in (measures, _divergence):
+            monkeypatch.setattr(module, "math", RecordingMath())
         instances = MERGING_INSTANCES + [("polynomial", 3, 2, 4, 2, "dirichlet", 3)]
         for instance in instances:
             sizes.clear()
@@ -931,7 +932,7 @@ def test_shared_reference_keeps_each_columns_bits(columns, r, a):
     def each():
         return [walk_divergence([ps], [r] * len(ps), a, lnq)[0] for ps in columns]
 
-    assert outcome(measures._kernel, measures._layout(rows, r), a, lnq) == outcome(each)
+    assert outcome(_divergence._kernel, _divergence._layout(rows, r), a, lnq) == outcome(each)
 
 
 class TestConditionalBitwiseOracle:
@@ -984,7 +985,7 @@ class TestConditionalBitwiseOracle:
 
     def test_one_normalisation_per_distinct_column(self, monkeypatch):
         normalised, layouts = [], []
-        conditionals, layout = measures._conditionals, measures._layout
+        conditionals, layout = _divergence._conditionals, _divergence._layout
 
         def counting_conditionals(rows):
             normalised.append(rows.shape)
@@ -994,8 +995,8 @@ class TestConditionalBitwiseOracle:
             layouts.append(masses.shape)
             return layout(masses, *args)
 
-        monkeypatch.setattr(measures, "_conditionals", counting_conditionals)
-        monkeypatch.setattr(measures, "_layout", counting_layout)
+        monkeypatch.setattr(_divergence, "_conditionals", counting_conditionals)
+        monkeypatch.setattr(_divergence, "_layout", counting_layout)
         for instance in MERGING_INSTANCES:
             joint = _instance(*instance).joint
             normalised.clear()
@@ -1012,7 +1013,7 @@ class TestConditionalBitwiseOracle:
 
     def test_one_term_per_distinct_pair(self, monkeypatch):
         sums, layouts = [], []
-        counted_fsum, layout = measures._counted_fsum, measures._layout
+        counted_fsum, layout = measures._counted_fsum, _divergence._layout
 
         def recording(terms, counts=None):
             if counts is not None:
@@ -1024,7 +1025,7 @@ class TestConditionalBitwiseOracle:
             return layouts[-1]
 
         monkeypatch.setattr(measures, "_counted_fsum", recording)
-        monkeypatch.setattr(measures, "_layout", recording_layout)
+        monkeypatch.setattr(_divergence, "_layout", recording_layout)
         for instance in MERGING_INSTANCES:
             joint = _instance(*instance).joint
             sums.clear()
@@ -1063,8 +1064,9 @@ class TestConditionalBitwiseOracle:
                 logs.append(x)
                 return math.log(x)
 
-        monkeypatch.setattr(measures, "pow", counting_pow, raising=False)
-        monkeypatch.setattr(measures, "math", RecordingMath())
+        monkeypatch.setattr(_divergence, "pow", counting_pow, raising=False)
+        for module in (measures, _divergence):
+            monkeypatch.setattr(module, "math", RecordingMath())
         for instance in MERGING_INSTANCES:
             joint = _instance(*instance).joint
             powers.clear()
@@ -1137,8 +1139,8 @@ class TestConditionalBitwiseOracle:
         # zero mass is not read.  Public readers never pass such a column:
         # every joint's sum check refuses an infinite entry first.
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            measures._conditionals(np.array([[math.inf, 0.5], [0.5, 0.0]]).T)
-        w, cond, kept = measures._conditionals(np.array([[0.5, 0.0], [0.25, 0.0]]).T)
+            _divergence._conditionals(np.array([[math.inf, 0.5], [0.5, 0.0]]).T)
+        w, cond, kept = _divergence._conditionals(np.array([[0.5, 0.0], [0.25, 0.0]]).T)
         assert w.tolist() == [0.75] and kept.tolist() == [True, False]
         assert cond.tolist() == [[0.5 / 0.75, 0.25 / 0.75]]
 
@@ -1348,13 +1350,13 @@ class TestKeyedTable:
     def calls(self, monkeypatch):
         calls = collections.Counter()
         for name in ("_conditionals", "_layout", "_kernel", "_tv"):
-            original = getattr(measures, name)
+            original = getattr(_divergence, name)
 
             def counting(*args, _original=original, _name=name):
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(measures, name, counting)
+            monkeypatch.setattr(_divergence, name, counting)
         return calls
 
     def test_joint_keys_normalise_no_column(self, calls):

@@ -9,7 +9,9 @@ field name, never by position.  Importing the CLI applies
 ``dataclasses.dataclass`` to no class and makes no ``collections.namedtuple``
 class for the package, and no run loads ``dataclasses``, ``fractions`` or
 ``decimal``: certificates are integer ranks.  Only a run that certifies
-imports the certifier's ``_certify`` module.
+imports the certifier's ``_certify`` module, and only a run that reaches
+their phase imports ``_divergence``, ``_ranking`` and ``_translates``: a
+sampled bucket compiles none of them.
 """
 
 import json
@@ -25,8 +27,9 @@ from renyi_extract import cli
 from renyi_extract.config import (
     BucketSpec, ExperimentConfig, FamilySpec, SweepSpec, parse_config,
 )
+from renyi_extract._ranking import ExtractedJoint
 from renyi_extract.extraction import (
-    BucketEstimate, ExtractedJoint, ExtractionResult, Source, extract_joint,
+    BucketEstimate, ExtractionResult, Source, extract_joint,
 )
 from renyi_extract.families import (
     DEFAULT_BUDGET, HashFamily, UniversalityVerdict, certify_k_star, verify_universality,
@@ -83,6 +86,22 @@ print(json.dumps(sorted(watched & set(sys.modules))))
 
 STDLIB = json.dumps(["dataclasses", "decimal", "fractions"])
 
+# The modules imported on the first call of the phase each serves: the
+# divergence kernel, the joint's ranking and the coset walk.
+PHASES = ["renyi_extract._divergence", "renyi_extract._ranking", "renyi_extract._translates"]
+
+# Run in a fresh interpreter: import the package, build a config's family and
+# source as every command does, then print the modules among the watched ones
+# (a JSON list) that are loaded.
+BUILD_PROBE = """
+import json, sys
+import renyi_extract
+from renyi_extract.config import parse_config
+config = parse_config(json.loads(sys.argv[2]))
+config.build_source(config.build_family())
+print(json.dumps(sorted(set(json.loads(sys.argv[1])) & set(sys.modules))))
+"""
+
 
 def _probe(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -133,6 +152,33 @@ class TestStartup:
         assert _probe(RUN_PROBE, certifier, str(config), out, "sweep", "bucket") == []
         loaded = _probe(RUN_PROBE, certifier, str(config), out, "verify")
         assert loaded == ["renyi_extract._certify"]
+
+    def test_building_a_run_loads_no_phase_module(self):
+        assert _probe(BUILD_PROBE, json.dumps(PHASES), json.dumps(CONFIG)) == []
+
+    def test_sampled_bucket_loads_no_phase_module(self, tmp_path):
+        # It never takes a divergence, ranks a joint or walks cosets, so
+        # without a bytecode cache compiling them would only raise its RSS.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CONFIG))
+        assert CONFIG["bucket"]["mode"] == "sampled"
+        out = str(tmp_path / "out")
+        assert _probe(RUN_PROBE, json.dumps(PHASES), str(config), out, "bucket") == []
+
+    def test_sweep_loads_every_phase_module_but_the_certifier(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CONFIG))
+        out, watched = str(tmp_path / "out"), json.dumps(PHASES + ["renyi_extract._certify"])
+        assert _probe(RUN_PROBE, watched, str(config), out, "sweep") == PHASES
+
+    @pytest.mark.parametrize(
+        "module", [*PHASES, *(f"renyi_extract.{m}" for m in ("_certify", "_tables", "_draws"))]
+    )
+    def test_each_first_use_module_imports_first(self, module):
+        # An import cycle among them would otherwise fail only the first run
+        # that reaches the phase.
+        script = f"import json, {module} as m; print(json.dumps(m.__name__))"
+        assert _probe(script) == module
 
     def test_certification_is_exact(self, gf8):
         # Each certificate is the integer rank r: collision probability q^-r.
@@ -205,7 +251,9 @@ class TestRecords:
         assert family._replace(m=1) == HashFamily("polynomial", FIELD, 3, 1)
 
     def test_no_record_is_a_tuple(self):
-        names = ("config", "extraction", "families", "fields", "measures")
+        names = (
+            "_ranking", "_translates", "config", "extraction", "families", "fields", "measures",
+        )
         classes = [
             c for name in names for c in vars(sys.modules[f"renyi_extract.{name}"]).values()
             if isinstance(c, type) and c.__module__ == f"renyi_extract.{name}"
