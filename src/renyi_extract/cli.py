@@ -18,7 +18,6 @@ from . import bounds as bd
 from .config import _integer, load_config, parse_alpha
 from .errors import BudgetExceededError, ConfigError
 from .harness import run_bucket, run_sweep, run_verify
-from .measures import Pmf, renyi_entropy
 
 # --name -> (calculator, the flags it takes in order).  Every bound on a log
 # quantity takes the entropy --H and is scaled by --units; bucket sizes and
@@ -102,8 +101,8 @@ def _cmd_bound(args) -> int:
 
 def _load(args):
     config = load_config(args.config)
-    if args.budget is not None:
-        config = config._replace(budget=args.budget)
+    if args.budget is not None:  # refused as the config's budget is
+        config = config._replace(budget=_integer(args.budget, "budget", 1))
     return config
 
 
@@ -145,6 +144,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    from .measures import Pmf, renyi_entropy
+
     probs = np.array([float(v) for v in args.probs.split(",")])
     alpha = parse_alpha(args.alpha)
     pmf = Pmf(probs, args.q)

@@ -8,15 +8,17 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._record import Record
 from .errors import ConfigError, charge
-from .extraction import Source
 from .families import DEFAULT_BUDGET, KINDS, HashFamily
 from .fields import MAX_DEGREE, FieldParams
-from .measures import ALPHA_GAP, Alpha, Pmf
+
+if TYPE_CHECKING:  # imported by the functions that build them
+    from .measures import Alpha, Source
 
 
 def _require_keys(obj: dict, allowed: set[str], where: str):
@@ -109,6 +111,8 @@ class ExperimentConfig(Record):
         return self.family.build()
 
     def build_source(self, family: HashFamily) -> Source:
+        from .measures import Pmf, Source
+
         probs = _source_probs(self.source, family.field.size)
         try:
             return Source(Pmf(probs, family.field.q), self.side_channel)
@@ -150,6 +154,8 @@ def _source_probs(spec: dict, n: int) -> list | np.ndarray:
 
 
 def parse_alpha(value) -> Alpha:
+    from .measures import ALPHA_GAP, Alpha
+
     if value in ("inf", "infinity"):
         return Alpha.infinity()
     try:
@@ -262,7 +268,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         sweep = SweepSpec(tuple(_integer(v, "sweep m value", 1) for v in m_values))
         _unrepeated(sweep.m_values, "sweep m_values", "m")
 
-    budget = _integer(raw.get("budget", DEFAULT_BUDGET), "budget")
+    budget = _integer(raw.get("budget", DEFAULT_BUDGET), "budget", 1)
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"out must be a path string, got {out!r}")

@@ -18,114 +18,43 @@ then hands the blocks to ``_ranking``, imported on its first call, which
 scatters them and keeps the joint as the ranking of its columns
 (``_ranking.ExtractedJoint``).  A run that does not extract, such as a
 sampled bucket experiment, compiles neither module.  A shift permutes the
-buckets too, so a coset shares its largest bucket.
+buckets too, so a coset shares its largest bucket.  ``expected_max_bucket``
+runs the body in ``_bucket``, imported on its first call, which reads
+BLOCK, ``hash_table`` and the coset walk through this module.  The
+``Source`` a run hashes is a ``measures`` record, which this module does
+not import: ``extraction.Source`` resolves on first access.
 """
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .bounds import SLACK
 from .errors import charge
 from .families import (
     BLOCK, DEFAULT_BUDGET, INT64_MAX, HashFamily, Inputs, _prepared, hash_table,
 )
 # Re-exported so perfbench/tracing.py can count calls here.
 from .families import evaluate  # noqa: F401
-from . import measures
 from ._record import Record
-from .measures import JointPmf, Pmf
 
 if TYPE_CHECKING:  # imported on first use
     from ._ranking import ExtractedJoint
     from ._translates import Cosets
+    from .measures import Source
+
 
 # BLOCK (``families``) bounds the table cells and the seed or pivot digits of
 # each ``hash_table`` call, in extraction and in either bucket experiment.
 
 
-# eq=False: equality and hashing by value fail on an ndarray field.
-class Source(Record, eq=False):
-    """A pmf over a field's canonical input integers 0 .. q^n - 1, optionally
-    with a side channel.
+def __getattr__(name):
+    if name != "Source":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .measures import Source
 
-    ``probs.probs[i]`` is P(X=i); ``side_channel[i, z]`` is P(Z=z | X=i) and
-    each row sums to 1.
-    """
-
-    probs: Pmf
-    side_channel: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.side_channel is not None:
-            sc = np.array(self.side_channel, dtype=float)  # a private copy
-            sc.setflags(write=False)
-            object.__setattr__(self, "side_channel", sc)
-            if sc.ndim != 2 or sc.shape[0] != self.probs.support_size:
-                raise ValueError("side channel needs one row per source symbol")
-            if np.any(sc < 0):
-                raise ValueError("side channel entries must be non-negative")
-            for i, row in enumerate(sc):
-                what = f"side-channel row {i}'s entries"
-                measures._check_sum(row.tolist(), what=what)
-            # Rows and source can each sum to 1 within tolerance while their
-            # product, the (X, Z) joint, does not.
-            xz = (self.probs.probs[:, None] * sc).ravel().tolist()
-            measures._check_sum(xz, what="source entries times side-channel rows")
-        object.__setattr__(self, "_computed", {})
-
-    @property
-    def n_side(self) -> int:
-        return 0 if self.side_channel is None else self.side_channel.shape[1]
-
-    def _once(self, key, compute):
-        """compute() on the first call with key, its stored value after: a
-        source is immutable, so a run computes each of its values once."""
-        if key not in self._computed:
-            self._computed[key] = compute()
-        return self._computed[key]
-
-    def xz_joint(self) -> JointPmf:
-        """Joint pmf of (X, Z); requires a side channel."""
-        if self.side_channel is None:
-            raise ValueError("source has no side channel")
-        return self._once(
-            "xz",
-            lambda: JointPmf(
-                self.probs.probs[:, None] * self.side_channel, self.probs.base_q
-            ),
-        )
-
-    def entropy(self, a) -> float:
-        a = measures.as_alpha(a)
-        return self._once(
-            ("H", a), lambda: _nonnegative(measures.renyi_entropy(self.probs, a))
-        )
-
-    def conditional_entropy(self, a) -> float:
-        a = measures.as_alpha(a)
-        return self._once(
-            ("H|Z", a),
-            lambda: _nonnegative(
-                measures.conditional_renyi_entropy(self.xz_joint(), a)
-            ),
-        )
-
-    def bound_entropy(self, a) -> float:
-        """The entropy the paper's bounds take: H_alpha(X|Z) with a side
-        channel, else H_alpha(X)."""
-        if self.side_channel is None:
-            return self.entropy(a)
-        return self.conditional_entropy(a)
-
-
-def _nonnegative(h: float) -> float:
-    """An entropy that rounding took below 0 by at most SLACK reads 0: a point
-    mass whose side-channel rows sum one ulp over 1 gives about -3e-16."""
-    return 0.0 if -SLACK <= h < 0 else h
+    return Source
 
 
 class ExtractionResult(Record):
@@ -226,47 +155,6 @@ def expected_max_bucket(
     ``hash_table`` refuses an integer outside the field.  The subset may be
     any sequence, a numpy array too; sampled mode needs ``n_samples`` >= 1.
     """
-    if len(subset) == 0:  # not ``not subset``: an array has no truth value
-        raise ValueError("subset must be non-empty")
-    if len(set(subset)) != len(subset):
-        raise ValueError("subset elements must be distinct")
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    from ._tables import largest_buckets
-    seeds, n_digits, size = family.seed_space_size, family.seed_digits, len(subset)
-    if mode == "exact":
-        # A translate permutes the buckets, so all seeds of a coset share the
-        # largest bucket; the integer sum over all seeds is divided by their
-        # number once, correctly rounded.
-        inputs, cosets = _cosets(family, subset, size, budget)
-        blocks = _blocks(family, cosets, inputs)
-        n_out = family.output_size
-        loads = sum(int(largest_buckets(table, n_out).sum()) for _, table in blocks)
-        return BucketEstimate(loads * cosets.translates / seeds, None)
-    # The cells a run touches: samples x D seed digits, a D x |subset| x m
-    # basis and samples x |subset| table cells; D = m * q^n for full_table.
-    # It holds one block of seeds at a time, at most BLOCK table cells and
-    # BLOCK seed digits, the basis, and one largest bucket per sample.
-    charge(
-        n_samples * (n_digits + size) + n_digits * size * family.m, budget,
-        f"{n_samples} samples x ({n_digits} seed digits + {size} elements)"
-        f" + {n_digits} x {size} x {family.m} basis cells",
-    )
-    from ._draws import integer_blocks  # numpy's default stream, without numpy.random
+    from ._bucket import expected_max_bucket
 
-    inputs, rows = _prepared(family, subset), max(1, BLOCK // max(size, n_digits))
-    if seeds - 1 <= INT64_MAX:
-        draws = integer_blocks(rng_seed, seeds, n_samples, rows)
-    else:  # seed integers beyond int64: draw their base-q digits
-        q = family.field.q
-        digits = integer_blocks(rng_seed, q, n_samples * n_digits, rows * n_digits)
-        draws = (block.reshape(-1, n_digits) for block in digits)
-    vals, done = np.empty(n_samples), 0
-    for block in draws:
-        table = hash_table(family, block, inputs)
-        vals[done:done + len(block)] = largest_buckets(table, family.output_size)
-        done += len(block)
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    return BucketEstimate(float(vals.mean()), stderr)
+    return expected_max_bucket(family, subset, mode, n_samples, rng_seed, budget)

@@ -4,12 +4,13 @@ All logarithms are base q (the pmf's ``base_q``).  Sums of probability terms
 use ``math.fsum`` so results are stable to well below the documented 1e-9
 comparison tolerance.  Conventions: 0 log 0 = 0 and 0^a = 0 for a > 0.
 
-This module holds the records (``Alpha``, ``Pmf``, ``JointPmf``), the
-counted sum and the sum check, and every public function.  D_alpha has one
-kernel over one layout per pmf or side of an output joint's table, in
-``_divergence``, which the first function that computes an entropy or a
-divergence imports: a run that computes none, such as a bucket experiment,
-does not compile it.  H_alpha is minus D_alpha against the counting measure.
+This module holds the records (``Alpha``, ``Pmf``, ``JointPmf`` and the
+``Source`` a run hashes), the counted sum and the sum check, and every
+public function.  D_alpha has one kernel over one layout per pmf or side of
+an output joint's table, in ``_divergence``, which the first function that
+computes an entropy or a divergence imports: a run that computes none, such
+as a bucket experiment, does not compile it.  H_alpha is minus D_alpha
+against the counting measure.
 ``_counted_fsum`` adds count x term as the exact ldexp(term, j) per set bit j
 of the count, BLOCK terms at a time, into one ``math.fsum``.
 Bit rule: numpy's *, /, -, abs, max and ldexp are IEEE-exact, but np.power
@@ -27,6 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from ._record import Record
+from .bounds import SLACK
 from .families import BLOCK
 
 NORMALIZATION_TOL = 1e-9
@@ -141,6 +143,82 @@ class JointPmf(Record, eq=False):
 
         pzs, conds, _ = _conditionals(self.probs.T)
         return pzs, _layout(conds, 1.0)
+
+
+# eq=False: equality and hashing by value fail on an ndarray field.
+class Source(Record, eq=False):
+    """A pmf over a field's canonical input integers 0 .. q^n - 1, optionally
+    with a side channel.
+
+    ``probs.probs[i]`` is P(X=i); ``side_channel[i, z]`` is P(Z=z | X=i) and
+    each row sums to 1.
+    """
+
+    probs: Pmf
+    side_channel: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.side_channel is not None:
+            sc = np.array(self.side_channel, dtype=float)  # a private copy
+            sc.setflags(write=False)
+            object.__setattr__(self, "side_channel", sc)
+            if sc.ndim != 2 or sc.shape[0] != self.probs.support_size:
+                raise ValueError("side channel needs one row per source symbol")
+            if np.any(sc < 0):
+                raise ValueError("side channel entries must be non-negative")
+            for i, row in enumerate(sc):
+                what = f"side-channel row {i}'s entries"
+                _check_sum(row.tolist(), what=what)
+            # Rows and source can each sum to 1 within tolerance while their
+            # product, the (X, Z) joint, does not.
+            xz = (self.probs.probs[:, None] * sc).ravel().tolist()
+            _check_sum(xz, what="source entries times side-channel rows")
+        object.__setattr__(self, "_computed", {})
+
+    @property
+    def n_side(self) -> int:
+        return 0 if self.side_channel is None else self.side_channel.shape[1]
+
+    def _once(self, key, compute):
+        """compute() on the first call with key, its stored value after: a
+        source is immutable, so a run computes each of its values once."""
+        if key not in self._computed:
+            self._computed[key] = compute()
+        return self._computed[key]
+
+    def xz_joint(self) -> JointPmf:
+        """Joint pmf of (X, Z); requires a side channel."""
+        if self.side_channel is None:
+            raise ValueError("source has no side channel")
+        return self._once(
+            "xz",
+            lambda: JointPmf(
+                self.probs.probs[:, None] * self.side_channel, self.probs.base_q
+            ),
+        )
+
+    def entropy(self, a) -> float:
+        a = as_alpha(a)
+        return self._once(("H", a), lambda: _nonnegative(renyi_entropy(self.probs, a)))
+
+    def conditional_entropy(self, a) -> float:
+        a = as_alpha(a)
+        return self._once(
+            ("H|Z", a), lambda: _nonnegative(conditional_renyi_entropy(self.xz_joint(), a))
+        )
+
+    def bound_entropy(self, a) -> float:
+        """The entropy the paper's bounds take: H_alpha(X|Z) with a side
+        channel, else H_alpha(X)."""
+        if self.side_channel is None:
+            return self.entropy(a)
+        return self.conditional_entropy(a)
+
+
+def _nonnegative(h: float) -> float:
+    """An entropy that rounding took below 0 by at most SLACK reads 0: a point
+    mass whose side-channel rows sum one ulp over 1 gives about -3e-16."""
+    return 0.0 if -SLACK <= h < 0 else h
 
 
 def _bits(c: np.ndarray):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,11 @@ from renyi_extract import bounds as bd
 from renyi_extract.cli import main
 from renyi_extract.config import parse_config
 from renyi_extract.errors import ConfigError
-from renyi_extract import _divergence, harness, measures
+from renyi_extract import _divergence, _verify, harness, measures
 from renyi_extract.config import ExperimentConfig
 from renyi_extract.fields import FieldParams
-from renyi_extract.harness import SWEEP_COLUMNS, run_bucket, run_sweep, run_verify
+from renyi_extract._verify import SWEEP_COLUMNS
+from renyi_extract.harness import run_bucket, run_sweep, run_verify
 from renyi_extract.measures import Alpha
 
 
@@ -573,6 +575,32 @@ class TestConfigValidation:
         assert "exceeds budget 1000" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    @pytest.mark.parametrize("command", ["verify", "sweep", "bucket"])
+    def test_budget_below_1_exits_2_before_building_the_family(
+        self, tmp_path, capsys, monkeypatch, command, where, budget
+    ):
+        # It was refused at the field, as "field of 2^3 elements exceeds
+        # budget 0", which blames the field.
+        monkeypatch.setattr(
+            ExperimentConfig, "build_family", lambda self: pytest.fail("family built")
+        )
+        overrides = {"budget": budget} if where == "config" else {}
+        cfg = write_config(
+            tmp_path,
+            bucket={"subset": "full", "mode": "sampled", "samples": 10},
+            sweep={"m_values": [1]},
+            **overrides,
+        )
+        out = tmp_path / "report"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if where == "flag":
+            argv += ["--budget", str(budget)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: budget must be >= 1, got {budget}\n"
+
     @pytest.mark.parametrize("command", ["verify", "sweep", "bucket"])
     def test_family_beyond_int64_exits_2(self, tmp_path, capsys, command):
         # A prime q = 2147483659 field fits a budget of 10^11, but 2 seed
@@ -938,13 +966,13 @@ class TestSweepCommand:
         assert len(lines) == len(rows)
         per_alpha = report["divergences"]["per_alpha"]
         for line, b in zip(lines, rows):
-            key = harness._alpha_key(Alpha(float(b["alpha"])))
+            key = _verify._alpha_key(Alpha(float(b["alpha"])))
             cells = (
                 b["alpha"], b["m"], b["entropy"], b["empirical"],
                 per_alpha[key]["conditional"], b["bound"],
                 b["bound"] - b["empirical"], b["satisfied"],
             )
-            assert line == ",".join(map(harness._fmt, cells))
+            assert line == ",".join(map(_verify._fmt, cells))
         assert ok == all(b["satisfied"] for b in rows)
 
     def test_distinct_orders_get_distinct_labels(self, tmp_path):
@@ -1168,7 +1196,7 @@ class TestVerifyReportContents:
 
     def test_negative_entropy_exits_2(self, tmp_path, capsys, monkeypatch):
         # A bound row refuses a negative entropy rather than report a verdict.
-        from renyi_extract.extraction import Source
+        from renyi_extract.measures import Source
 
         monkeypatch.setattr(Source, "bound_entropy", lambda self, a: -1.0)
         cfg, out = write_config(tmp_path), tmp_path / "report.json"
@@ -1192,6 +1220,87 @@ class TestVerifyReportContents:
             report = json.loads(out.read_text())
             rows = report["bounds" if command == "verify" else "rows"]
             assert rows and not any(r["satisfied"] for r in rows)
+
+
+# Small configs of each command for a traced run, and the span names (with
+# how often each is entered) and counters that run records.  Every name
+# perfbench/tracing.py wraps is called through the attribute it patches, so a
+# call that bypasses it drops a span or a counter here.
+TRACED_RUNS = {
+    "verify": {"family": {"q": 2, "n": 3, "k": 3, "m": 1}},
+    "sweep": {
+        "family": {"q": 2, "n": 3, "k": 3, "m": 2},
+        "source": {"preset": "geometric", "param": 0.8},
+        "side_channel": [[0.25, 0.75], [0.5, 0.5]] * 4,
+        "alphas": [1.5, 2, 3],
+        "sweep": {"m_values": [1, 2]},
+    },
+    "bucket": {
+        "family": {"q": 2, "n": 3, "k": 3, "m": 2},
+        "bucket": {"subset": [0, 2, 3, 5, 7], "mode": "sampled", "samples": 40},
+        "rng_seed": 3,
+    },
+}
+PINNED_TRACES = {
+    "verify": (
+        {
+            "bounds.collect_bound_reports": 1,
+            "cli.import": 1,
+            "cli.main": 1,
+            "cli.serialize": 1,
+            "cli.write_out": 1,
+            "config.build_family": 1,
+            "config.build_source": 1,
+            "config.family_build": 1,
+            "config.load_config": 1,
+            "extraction.extract_joint": 1,
+            "families.certify_k_star": 1,
+            "families.certify_l2": 1,
+            "families.certify_l3": 1,
+            "families.hash_table": 1,
+            "fields.create": 1,
+            "harness.run_verify": 1,
+            "measures.empirical_divergences": 1,
+            "measures.renyi_entropy": 4,
+        },
+        {"extraction.joint_cells": 1024, "families.table_cells": 8, "measures.Pmf": 1},
+    ),
+    "sweep": (
+        {
+            "bounds.collect_bound_reports": 2,
+            "cli.import": 1,
+            "cli.main": 1,
+            "cli.write_out": 1,
+            "config.build_family": 1,
+            "config.build_source": 1,
+            "config.family_build": 1,
+            "config.load_config": 1,
+            "extraction.extract_joint": 2,
+            "families.hash_table": 2,
+            "fields.create": 1,
+            "harness.run_sweep": 1,
+            "measures.conditional_renyi_entropy": 3,
+            "measures.empirical_divergences": 2,
+        },
+        {"extraction.joint_cells": 6144, "families.table_cells": 72, "measures.Pmf": 1},
+    ),
+    "bucket": (
+        {
+            "cli.import": 1,
+            "cli.main": 1,
+            "cli.serialize": 1,
+            "cli.write_out": 1,
+            "config.build_family": 1,
+            "config.family_build": 1,
+            "config.load_config": 1,
+            "extraction.expected_max_bucket": 1,
+            "families.hash_table": 1,
+            "fields.create": 1,
+            "harness.run_bucket": 1,
+        },
+        {"families.table_cells": 40},
+    ),
+}
 
 
 class TestTracedRun:
@@ -1235,6 +1344,15 @@ class TestTracedRun:
         assert main([command, "--config", cfg, "--out", str(plain)]) == 0
         self._traced(spans, command, "--config", cfg, "--out", str(traced))
         assert traced.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("command", TRACED_RUNS)
+    def test_traced_run_passes_through_every_wrapped_name(self, tmp_path, command):
+        cfg, spans = write_config(tmp_path, **TRACED_RUNS[command]), tmp_path / "spans.json"
+        self._traced(spans, command, "--config", cfg, "--out", str(tmp_path / "out"))
+        trace = json.loads(spans.read_text())
+        names, counters = PINNED_TRACES[command]
+        assert Counter(span[0] for span in trace["spans"]) == names
+        assert trace["counters"] == counters
 
     def test_traced_entropy_matches_untraced(self, tmp_path, capsys):
         args = ["entropy", "--probs", "0.5,0.5", "--alpha", "2"]

@@ -20,10 +20,11 @@ from renyi_extract import (
 from renyi_extract.bounds import SLACK
 from renyi_extract.config import parse_config
 from renyi_extract.errors import BudgetExceededError
-from renyi_extract.extraction import _nonnegative, expected_max_bucket
+from renyi_extract.extraction import expected_max_bucket
 from renyi_extract.families import evaluate, hash_table
 from renyi_extract.fields import FieldParams
 from renyi_extract.harness import run_sweep, run_verify
+from renyi_extract.measures import _nonnegative
 
 from conftest import (
     bits, column_loop_largest_buckets, dense_joint, expanded_groups, lexsorted_groups,

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import re
 import shlex
 import types
@@ -48,8 +49,10 @@ def test_every_cli_example_is_collected():
 
 
 def test_top_level_exports_are_the_quick_start_imports():
-    """The package's public names, its submodules aside, are exactly what the
-    library quick start imports from it."""
+    """The package's public names are exactly what the library quick start
+    imports from it, and each is the object its home module defines.  They
+    resolve on first access, so they are read from ``__all__``, not from the
+    package's namespace."""
     tree = ast.parse(_block("python"))
     imported = {
         alias.name
@@ -57,10 +60,18 @@ def test_top_level_exports_are_the_quick_start_imports():
         if isinstance(node, ast.ImportFrom) and node.module == "renyi_extract"
         for alias in node.names
     }
+    assert len(imported) == 8 and set(renyi_extract.__all__) == imported
+    assert set(renyi_extract._HOMES) == imported
+    for name, home in renyi_extract._HOMES.items():
+        module = importlib.import_module(f"renyi_extract.{home}")
+        assert getattr(renyi_extract, name) is getattr(module, name)
+    # Resolved, they are the namespace's only public names, submodules aside.
     public = {
         name
         for name, value in vars(renyi_extract).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert len(imported) == 8 and public == imported
+    assert public == imported
+    with pytest.raises(AttributeError):
+        renyi_extract.not_a_quick_start_name
     assert isinstance(renyi_extract.__version__, str)

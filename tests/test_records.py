@@ -11,7 +11,10 @@ class for the package, and no run loads ``dataclasses``, ``fractions`` or
 ``decimal``: certificates are integer ranks.  Only a run that certifies
 imports the certifier's ``_certify`` module, and only a run that reaches
 their phase imports ``_divergence``, ``_ranking`` and ``_translates``: a
-sampled bucket compiles none of them.
+sampled bucket compiles none of them.  Each command loads its own code:
+importing the package loads no submodule, verify and sweep load ``_verify``
+and a bucket experiment ``_bucket``, and neither importing the CLI nor a
+sampled bucket loads ``measures``.
 """
 
 import json
@@ -28,14 +31,12 @@ from renyi_extract.config import (
     BucketSpec, ExperimentConfig, FamilySpec, SweepSpec, parse_config,
 )
 from renyi_extract._ranking import ExtractedJoint
-from renyi_extract.extraction import (
-    BucketEstimate, ExtractionResult, Source, extract_joint,
-)
+from renyi_extract.extraction import BucketEstimate, ExtractionResult, extract_joint
 from renyi_extract.families import (
     DEFAULT_BUDGET, HashFamily, UniversalityVerdict, certify_k_star, verify_universality,
 )
 from renyi_extract.fields import FieldParams
-from renyi_extract.measures import Alpha, JointPmf, Pmf
+from renyi_extract.measures import Alpha, JointPmf, Pmf, Source
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -103,6 +104,18 @@ print(json.dumps(sorted(set(json.loads(sys.argv[1])) & set(sys.modules))))
 """
 
 
+# Run in a fresh interpreter: import one module, then print the package's
+# submodules that are loaded.
+MODULE_PROBE = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("renyi_extract."))))
+"""
+
+# What neither importing the CLI nor a sampled bucket loads.
+NOT_FOR_BUCKETS = [f"renyi_extract.{m}" for m in ("measures", "_divergence", "_verify")]
+
+
 def _probe(script, *args):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
@@ -165,6 +178,30 @@ class TestStartup:
         out = str(tmp_path / "out")
         assert _probe(RUN_PROBE, json.dumps(PHASES), str(config), out, "bucket") == []
 
+    def test_package_import_loads_no_submodule(self):
+        assert _probe(MODULE_PROBE, "renyi_extract") == []
+
+    def test_cli_import_loads_no_measures(self):
+        loaded = _probe(MODULE_PROBE, "renyi_extract.cli")
+        assert "renyi_extract.cli" in loaded
+        assert set(loaded).isdisjoint(NOT_FOR_BUCKETS)
+
+    def test_sampled_bucket_loads_no_measures(self, tmp_path):
+        # A config that lists orders loads measures to parse them; a bucket
+        # experiment reads none.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(CONFIG, alphas=[], epsilons=[])))
+        out, watched = str(tmp_path / "out"), json.dumps(NOT_FOR_BUCKETS)
+        assert _probe(RUN_PROBE, watched, str(config), out, "bucket") == []
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_verify_and_sweep_load_their_own_code_only(self, tmp_path, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(CONFIG))
+        out, own = str(tmp_path / "out"), "renyi_extract._verify"
+        watched = json.dumps([own, "renyi_extract._bucket"])
+        assert _probe(RUN_PROBE, watched, str(config), out, command) == [own]
+
     def test_sweep_loads_every_phase_module_but_the_certifier(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(CONFIG))
@@ -172,7 +209,14 @@ class TestStartup:
         assert _probe(RUN_PROBE, watched, str(config), out, "sweep") == PHASES
 
     @pytest.mark.parametrize(
-        "module", [*PHASES, *(f"renyi_extract.{m}" for m in ("_certify", "_tables", "_draws"))]
+        "module",
+        [
+            *PHASES,
+            *(
+                f"renyi_extract.{m}"
+                for m in ("_certify", "_tables", "_draws", "_verify", "_bucket")
+            ),
+        ],
     )
     def test_each_first_use_module_imports_first(self, module):
         # An import cycle among them would otherwise fail only the first run
